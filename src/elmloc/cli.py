@@ -36,6 +36,8 @@ from .dataset import (
     UnknownDatasetError,
     load_csv,
     load_manifest,
+    parse_rows,
+    read_lines,
     registry_lookup,
     registry_names,
     split_validation,
@@ -59,21 +61,32 @@ def _data_root(args) -> Path:
     return Path(os.environ.get(_DATA_ROOT_ENV, "."))
 
 
-def _load_pair(name: str, root: Path) -> tuple[RadioMap, RadioMap]:
+def _load_splits(name: str, root: Path, splits: tuple[str, ...]) -> list[RadioMap]:
     ds_dir = root / name
     manifest_path = ds_dir / "manifest.json"
     if not manifest_path.exists():
         if name == "SYN1":
-            return generate_synthetic()
+            generated = dict(zip(("train", "test"), generate_synthetic()))
+            return [generated[split] for split in splits]
         raise CliError(f"missing file: {manifest_path}")
     manifest = load_manifest(manifest_path)
-    pair = []
-    for split in ("train", "test"):
+    maps = []
+    for split in splits:
         path = ds_dir / f"{split}.csv"
         if not path.exists():
             raise CliError(f"missing file: {path}")
-        pair.append(load_csv(path, manifest.schema, manifest.sentinel, name=f"{name}-{split}"))
-    return pair[0], pair[1]
+        maps.append(load_csv(path, manifest.schema, manifest.sentinel, name=f"{name}-{split}"))
+    return maps
+
+
+def _load_pair(name: str, root: Path) -> tuple[RadioMap, RadioMap]:
+    train, test = _load_splits(name, root, ("train", "test"))
+    return train, test
+
+
+def _load_train(name: str, root: Path) -> RadioMap:
+    """The training split alone; train and sweep never read test.csv."""
+    return _load_splits(name, root, ("train",))[0]
 
 
 def _descriptor(name: str) -> DatasetDescriptor | None:
@@ -211,7 +224,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     resolved = _resolve_run(args)
     root = _data_root(args)
-    train, _ = _load_pair(args.dataset, root)
+    train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
         result = _run_sweep(train, resolved, args.L_max, args.step)
         grid = ", ".join(str(s) for s in result.sizes.tolist())
@@ -251,20 +264,14 @@ def _read_queries(path: Path, model) -> tuple[RadioMap | None, np.ndarray | None
         rmap = load_csv(path, manifest.schema, manifest.sentinel, name=path.stem)
         return rmap, rmap.label_pairs()
     # No manifest: the file must be exactly the AP columns, UJI-style sentinel.
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    if len(header) != model.n_aps:
+    lines = read_lines(path)
+    width = len(lines[0].split(","))
+    if width != model.n_aps:
         raise CliError(
-            f"{path} has {len(header)} columns but the model expects {model.n_aps} "
+            f"{path} has {width} columns but the model expects {model.n_aps} "
             "AP columns; place a manifest.json next to the file to map columns"
         )
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
-    try:
-        data = np.asarray(rows, dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric cell ({exc})") from None
-    if data.shape[1] != model.n_aps:
-        raise ParseError(f"{path}: ragged rows")
+    data = parse_rows(lines, path)
     data[data == 100.0] = 0.0
     rmap = RadioMap(rss=data, floor=np.zeros(data.shape[0], dtype=np.int64))
     return rmap, None
@@ -302,7 +309,7 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     resolved = _resolve_run(args)
     root = _data_root(args)
-    train, _ = _load_pair(args.dataset, root)
+    train = _load_train(args.dataset, root)
     _echo(resolved)
     result = _run_sweep(train, resolved, args.L_max, args.step)
     print(f"{'L':>6} {'floor_hit':>10} {'building_hit':>13}")

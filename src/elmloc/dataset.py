@@ -60,13 +60,7 @@ class RadioMap:
         rss = np.ascontiguousarray(self.rss, dtype=np.float64)
         if rss.ndim != 2:
             raise ValueError(f"rss must be 2-D, got shape {rss.shape}")
-        if not np.all(np.isfinite(rss)):
-            raise ValueError("rss contains non-finite values")
-        if rss.size and float(rss.max()) > 0.0:
-            raise ValueError(
-                "detected RSS values must be <= 0 dBm; found "
-                f"{float(rss.max())} (is the sentinel remapped?)"
-            )
+        check_rss(rss, "rss")
         floor = _as_label_vector(self.floor, "floor", rss.shape[0])
         building = None
         if self.building is not None:
@@ -110,6 +104,17 @@ class RadioMap:
             building=None if self.building is None else self.building[idx],
             name=self.name,
             coords=None if self.coords is None else self.coords[idx],
+        )
+
+
+def check_rss(rss: np.ndarray, what: str) -> None:
+    """Reject an RSS matrix with non-finite cells or readings above 0 dBm."""
+    if not np.all(np.isfinite(rss)):
+        raise ValueError(f"{what} contains non-finite values")
+    if rss.size and float(rss.max()) > 0.0:
+        raise ValueError(
+            f"{what}: detected RSS values must be <= 0 dBm; found "
+            f"{float(rss.max())} (is the sentinel remapped?)"
         )
 
 
@@ -267,36 +272,14 @@ def load_csv(path, schema: ColumnSchema, sentinel_raw: float, name: str = "") ->
     report the 1-based line number of the offending row.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file (expected a header row)")
-    header = lines[0].split(",")
-    width = len(header)
+    lines = read_lines(path)
+    width = len(lines[0].split(","))
     if schema.max_col() >= width:
         raise SchemaError(
             f"{path}: schema references column {schema.max_col()} "
             f"but the file has {width} columns"
         )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
-            )
-        rows.append(cells)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    try:
-        data = np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        data = _parse_cells_slow(rows, path)
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise ParseError(f"{path}:{int(bad[0]) + 2}: non-finite value in column {int(bad[1])}")
+    data = parse_rows(lines, path)
 
     rss = data[:, schema.ap_start : schema.ap_end + 1].copy()
     rss[rss == sentinel_raw] = NOT_DETECTED
@@ -307,6 +290,59 @@ def load_csv(path, schema: ColumnSchema, sentinel_raw: float, name: str = "") ->
         return RadioMap(rss=rss, floor=floor, building=building, name=name or path.stem, coords=coords)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def read_lines(path) -> list[str]:
+    """Lines of a CSV file, header first; an empty file raises ParseError."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file (expected a header row)")
+    return lines
+
+
+def parse_rows(lines: list[str], path) -> np.ndarray:
+    """Data rows of ``read_lines`` output as an N x width float matrix.
+
+    ``width`` is the header's cell count. Blank and whitespace-only lines are
+    skipped. A ragged row, a non-numeric cell or a non-finite value raises
+    ParseError naming its 1-based line number.
+    """
+    width = len(lines[0].split(","))
+    rows = [line for line in lines[1:] if line and not line.isspace()]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    # numpy's C parser takes the common, well-formed file. It accepts a subset
+    # of what float() does (no "1_0" cells), so anything it rejects or reads
+    # into another shape goes through the line-split path below, which either
+    # parses it the same way as before or locates the offending line.
+    try:
+        data = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(rows), width):
+        data = _parse_lines_slow(lines, width, path)
+    if not np.all(np.isfinite(data)):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"{path}:{int(bad[0]) + 2}: non-finite value in column {int(bad[1])}")
+    return data
+
+
+def _parse_lines_slow(lines: list[str], width: int, path) -> np.ndarray:
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
+            )
+        rows.append(cells)
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        return _parse_cells_slow(rows, path)
 
 
 def _parse_cells_slow(rows, path) -> np.ndarray:

@@ -133,8 +133,14 @@ def avg_pool1d_valid(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     n = x.shape[1]
     if n < spec.pool_size:
         raise ValueError(f"input length {n} shorter than pool_size {spec.pool_size}")
-    windows = sliding_window_view(x, spec.pool_size, axis=1)  # (N, n-p+1, F, p)
-    return windows[:, :: spec.pool_stride].mean(axis=-1)
+    p, s = spec.pool_size, spec.pool_stride
+    stop = (n - p) // s * s + 1  # one past the last window start
+    # Adding 0.0 turns -0.0 into 0.0, as the mean's reduction from 0 did.
+    total = x[:, :stop:s] + 0.0
+    for offset in range(1, p):
+        total += x[:, offset : offset + stop : s]
+    total /= p
+    return total
 
 
 def batch_flatten(x: np.ndarray) -> np.ndarray:

@@ -17,13 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap
+from .dataset import RadioMap, check_rss
 from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
 from .preprocess import (
     DEFAULT_EXPONENT,
     PreprocessParams,
+    apply_powed,
     apply_preprocess,
-    fit_preprocess,
+    apply_unit_norm,
+    fit_powed,
+    fit_unit_norm,
     params_from_dict,
     params_to_dict,
 )
@@ -72,8 +75,10 @@ class TrainedModel:
 
 
 def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> TrainedModel:
-    params = fit_preprocess(train, config.exponent, config.norm_mode)
-    x = apply_preprocess(train, params)
+    params = fit_powed(train, config.exponent, config.norm_mode)
+    x = apply_powed(train, params)
+    params = fit_unit_norm(x, params)
+    x = apply_unit_norm(x, params)
     fspec = None
     if config.approach == "cnn_elm":
         fspec = init_featurizer(
@@ -101,9 +106,13 @@ def predict_pipeline(
     data, model: TrainedModel, quantized: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(buildings, floors) for raw RSS rows (matrix or RadioMap)."""
-    rss = data.rss if isinstance(data, RadioMap) else np.asarray(data, dtype=np.float64)
-    if rss.ndim != 2:
-        raise ValueError(f"expected a 2-D RSS matrix, got shape {rss.shape}")
+    if isinstance(data, RadioMap):
+        rss = data.rss  # validated on construction
+    else:
+        rss = np.asarray(data, dtype=np.float64)
+        if rss.ndim != 2:
+            raise ValueError(f"expected a 2-D RSS matrix, got shape {rss.shape}")
+        check_rss(rss, "query matrix")
     if rss.shape[1] != model.n_aps:
         raise ValueError(f"model expects {model.n_aps} AP columns, input has {rss.shape[1]}")
     x = apply_preprocess(rss, model.preprocess)
@@ -144,6 +153,15 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+# Model document sections and their parsers; "featurizer" may also be null.
+_SECTIONS = {
+    "preprocess": params_from_dict,
+    "featurizer": spec_from_dict,
+    "elm": elm_mod.model_from_dict,
+    "config": lambda d: PipelineConfig(**d),
+}
+
+
 def load_model(path) -> TrainedModel:
     path = Path(path)
     try:
@@ -151,12 +169,26 @@ def load_model(path) -> TrainedModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not a valid model file: {exc}") from exc
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"{path}: unrecognized model format {doc.get('format')!r}")
-    return TrainedModel(
-        preprocess=params_from_dict(doc["preprocess"]),
-        featurizer=None if doc["featurizer"] is None else spec_from_dict(doc["featurizer"]),
-        elm=elm_mod.model_from_dict(doc["elm"]),
-        config=PipelineConfig(**doc["config"]),
-        dataset=doc.get("dataset", ""),
-    )
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != _FORMAT:
+        raise ValueError(f"{path}: unrecognized model format {fmt!r}")
+    dataset = doc.get("dataset", "")
+    if not isinstance(dataset, str):
+        raise ValueError(f"{path}: model key 'dataset' must hold a string")
+    parts = {}
+    for key, parse in _SECTIONS.items():
+        if key not in doc:
+            raise ValueError(f"{path}: model document lacks key {key!r}")
+        section = doc[key]
+        if section is None and key == "featurizer":
+            parts[key] = None
+            continue
+        if not isinstance(section, dict):
+            raise ValueError(f"{path}: model key {key!r} must hold an object")
+        try:
+            parts[key] = parse(section)
+        except KeyError as exc:
+            raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
+    return TrainedModel(**parts, dataset=dataset)

@@ -80,12 +80,15 @@ def fit_powed(
 def apply_powed(data, params: PreprocessParams) -> np.ndarray:
     """Powed representation of an RSS matrix; output in [0, 1]."""
     rss = _rss_of(data)
-    base = (rss - params.min_rss) / (-params.min_rss)
+    # Only detected cells are transformed; on real radio maps they are a few
+    # percent of the matrix.
+    detected = rss != NOT_DETECTED
+    base = (rss[detected] - params.min_rss) / (-params.min_rss)
     # Readings below the training minimum clamp to the floor rather than
     # raising a negative base to a fractional power.
     np.clip(base, 0.0, None, out=base)
-    out = base**params.exponent
-    out[rss == NOT_DETECTED] = 0.0
+    out = np.zeros(rss.shape)
+    out[detected] = base**params.exponent
     return out
 
 

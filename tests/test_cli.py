@@ -1,6 +1,7 @@
 """End-to-end command tests, in process via main(argv)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,27 @@ class TestPredict:
         assert out.read_text() == "building,floor\n"
         assert "0 queries" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row, message", [
+        ("-50,-60", r":3: expected 40 columns, found 2"),
+        ("-50," * 39 + "oops", r":3: non-numeric cell 'oops' in column 39"),
+    ], ids=["ragged", "non_numeric"])
+    def test_bare_matrix_parse_errors_name_the_line(self, model_path, tmp_path,
+                                                    capsys, row, message):
+        p = tmp_path / "q.csv"
+        header = ",".join(f"AP{j}" for j in range(40))
+        p.write_text(header + "\n" + "-50," * 39 + "-60\n" + row + "\n")
+        assert main(["predict", "--model", str(model_path), "--queries", str(p)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_model_file_missing_keys(self, data_root, tmp_path, capsys):
+        model = tmp_path / "bare.model.json"
+        model.write_text('{"format": "elmloc-model-v1"}')
+        rc = main(["predict", "--model", str(model),
+                   "--queries", str(data_root / "TST1" / "test.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "'preprocess'" in err
+
     def test_missing_query_file(self, model_path, tmp_path, capsys):
         assert main(["predict", "--model", str(model_path),
                      "--queries", str(tmp_path / "nope.csv")]) == 2
@@ -201,6 +223,31 @@ class TestSweep:
         # one line per grid point
         assert sum(1 for l in captured.splitlines() if l.strip().startswith(
             ("10 ", "20 ", "30 "))) == 3
+
+
+class TestTrainSplitOnly:
+    @pytest.fixture()
+    def train_only_root(self, data_root, tmp_path):
+        d = tmp_path / "TST1"
+        d.mkdir()
+        for name in ("train.csv", "manifest.json"):
+            (d / name).write_bytes((data_root / "TST1" / name).read_bytes())
+        return tmp_path
+
+    def test_train_reads_no_test_file(self, train_only_root, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["train", "--dataset", "TST1", "--data-root", str(train_only_root),
+                     "--L", "20", "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_sweep_reads_no_test_file(self, train_only_root):
+        assert main(["sweep", "--dataset", "TST1", "--data-root", str(train_only_root),
+                     "--L-max", "20", "--step", "10"]) == 0
+
+    def test_ingest_still_needs_both(self, train_only_root, capsys):
+        assert main(["ingest", "--dataset", "TST1",
+                     "--data-root", str(train_only_root)]) == 2
+        assert "test.csv" in capsys.readouterr().err
 
 
 class TestBenchmarkReport:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elmloc.dataset import (
     ColumnSchema,
@@ -215,6 +216,113 @@ class TestLoadCsv:
         p = _write(tmp_path, "a,b,f,x,y\n-30,-40,1,12.5,-3.25\n")
         m = load_csv(p, schema, sentinel_raw=100.0)
         assert m.coords.tolist() == [[12.5, -3.25]]
+
+
+def reference_load_csv(path, schema, sentinel_raw, name=""):
+    """The list-of-lists parser that load_csv replaced: every line split in Python."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file (expected a header row)")
+    width = len(lines[0].split(","))
+    if schema.max_col() >= width:
+        raise SchemaError(
+            f"{path}: schema references column {schema.max_col()} "
+            f"but the file has {width} columns"
+        )
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+        rows.append(cells)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    try:
+        data = np.asarray(rows, dtype=np.float64)
+    except ValueError:
+        data = np.empty((len(rows), width))
+        for i, cells in enumerate(rows):
+            for j, cell in enumerate(cells):
+                try:
+                    data[i, j] = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{i + 2}: non-numeric cell {cell!r} in column {j}"
+                    ) from None
+    if not np.all(np.isfinite(data)):
+        bad = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"{path}:{int(bad[0]) + 2}: non-finite value in column {int(bad[1])}")
+    rss = data[:, schema.ap_start : schema.ap_end + 1].copy()
+    rss[rss == sentinel_raw] = 0.0
+    floor = data[:, schema.floor_col]
+    building = None if schema.building_col is None else data[:, schema.building_col]
+    try:
+        return RadioMap(rss=rss, floor=floor, building=building, name=name or path.stem)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+# Cells as they occur in fingerprint files, plus the malformed ones load_csv
+# must locate; repeats weight the draw towards files that parse.
+_GOOD_CELLS = ["-50", "-71", "-30.5", "100", "100", "0", "1", "2", "-1_0", " -60", "-88 ", "+0"]
+_BAD_CELLS = ["x", "", "nan", "1e400", "5", "2.5", "1__0", "#1", '"-5"']
+_cell = st.sampled_from(_GOOD_CELLS * 6 + _BAD_CELLS)
+_blank = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 5))
+    n_rows = draw(st.sampled_from([0, 1, 1, 2, 3, 6]))
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for _ in range(n_rows):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_blank))
+            continue
+        n_cells = width + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(_cell, min_size=n_cells, max_size=n_cells))))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+def _outcome(load, path, schema):
+    try:
+        m = load(path, schema, 100.0)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return tuple(
+        None if a is None else (a.shape, a.dtype, a.tobytes())
+        for a in (m.rss, m.floor, m.building)
+    ) + (m.name,)
+
+
+class TestLoadCsvReference:
+    @given(_csv_text(), st.integers(2, 5), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_parser(self, tmp_path_factory, text, schema_width, building):
+        path = tmp_path_factory.getbasetemp() / "reference.csv"
+        path.write_bytes(text.encode())
+        if building and schema_width >= 3:
+            schema = ColumnSchema(0, schema_width - 3, schema_width - 2, schema_width - 1)
+        else:
+            schema = ColumnSchema(0, schema_width - 2, schema_width - 1)
+        assert _outcome(load_csv, path, schema) == _outcome(reference_load_csv, path, schema)
+
+    def test_fixed_cases_match_reference(self, tmp_path):
+        cases = [
+            "a,b,c,f,bl\r\n-30,100,-70,2,1\r\n\r\n  \r\n100,-1_0,100,0,0\r\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0\n-30,-40\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0,7\n",
+            "a,b,c,f,bl\n-30,x,-50,1,0\n",
+            "a,b,c,f,bl\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0",
+        ]
+        for text in cases:
+            p = _write(tmp_path, text)
+            assert _outcome(load_csv, p, SCHEMA) == _outcome(reference_load_csv, p, SCHEMA), text
 
 
 class TestSplitValidation:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from elmloc.dataset import registry_lookup, registry_names
 from elmloc.featurizer import (
@@ -87,6 +89,25 @@ class TestPool:
         # odd length: the trailing element does not form a full window
         x = np.array([1.0, 3.0, 5.0])[None, :, None]
         assert avg_pool1d_valid(x, spec)[0, :, 0].tolist() == [2.0]
+
+    @given(data=st.data(), pool=st.integers(1, 4), stride=st.integers(1, 3),
+           f=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_window_view_reference(self, data, pool, stride, f):
+        n = data.draw(st.integers(pool, 14))
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), n, f),
+                             elements=st.floats(-1e3, 1e3)))
+        spec = FeaturizerSpec(n_filters=f, pool_size=pool, pool_stride=stride)
+        # the windowed mean that the strided-slice sum replaced
+        reference = sliding_window_view(x, pool, axis=1)[:, ::stride].mean(axis=-1)
+        out = avg_pool1d_valid(x, spec)
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()
+
+    def test_negative_zero_pools_to_zero(self):
+        spec = FeaturizerSpec(pool_size=1, pool_stride=1)
+        out = avg_pool1d_valid(np.full((1, 3, 2), -0.0), spec)
+        assert not np.signbit(out).any()
 
     def test_channels_pooled_independently(self, rng):
         spec = init_featurizer(0, 8)

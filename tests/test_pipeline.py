@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from elmloc.pipeline import (
     predict_pipeline,
     save_model,
 )
+from elmloc.preprocess import apply_preprocess, fit_preprocess
 
 
 def _config(**kw):
@@ -48,6 +51,28 @@ class TestFitPredict:
     def test_wrong_width_rejected(self, syn_small, fitted):
         with pytest.raises(ValueError):
             predict_pipeline(np.zeros((2, fitted.n_aps + 3)), fitted)
+
+    def test_unremapped_sentinel_rejected(self, syn_small, fitted):
+        # a raw matrix whose "not detected" cells still hold the file's 100
+        _, test = syn_small
+        raw = np.where(test.rss == 0.0, 100.0, test.rss)[:5]
+        with pytest.raises(ValueError, match=r"query matrix.*sentinel"):
+            predict_pipeline(raw, fitted)
+
+    def test_non_finite_query_rejected(self, syn_small, fitted):
+        _, test = syn_small
+        raw = test.rss[:3].copy()
+        raw[1, 4] = np.nan
+        with pytest.raises(ValueError, match="query matrix contains non-finite"):
+            predict_pipeline(raw, fitted)
+
+    def test_preprocess_state_matches_two_stage_fit(self, syn_small, fitted):
+        train, _ = syn_small
+        params = fit_preprocess(train)
+        assert fitted.preprocess.min_rss == params.min_rss
+        assert fitted.preprocess.feature_norms.tobytes() == params.feature_norms.tobytes()
+        x = apply_preprocess(train, fitted.preprocess)
+        assert x.tobytes() == apply_preprocess(train, params).tobytes()
 
     def test_quantized_predictions_available(self, syn_small, fitted):
         _, test = syn_small
@@ -102,4 +127,38 @@ class TestSaveLoad:
         p = tmp_path / "m.json"
         p.write_text("{oops")
         with pytest.raises(ValueError):
+            load_model(p)
+
+    @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm", "config"])
+    def test_missing_section_named(self, fitted, tmp_path, key):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"m\.json: model document lacks key '{key}'"):
+            load_model(p)
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("preprocess", lambda d: d.pop("min_rss"), r"'preprocess' lacks 'min_rss'"),
+        ("elm", lambda d: d.update(seed="x"), r"model key 'elm'"),
+        ("config", lambda d: d.update(extra=1), r"model key 'config'"),
+        ("featurizer", lambda d: d.update(filters="x"), r"model key 'featurizer'"),
+    ], ids=["missing_nested_key", "bad_int", "unknown_config_field", "bad_array"])
+    def test_bad_section_named(self, fitted, tmp_path, key, edit, message):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        doc = json.loads(p.read_text())
+        edit(doc[key])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(p)
+
+    @pytest.mark.parametrize("text", ['{"format": "elmloc-model-v1", "elm": [1]}',
+                                      '{"format": "elmloc-model-v1", "dataset": 5}',
+                                      '[1, 2]'])
+    def test_wrongly_typed_document(self, tmp_path, text):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=r"m\.json"):
             load_model(p)

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elmloc.dataset import NOT_DETECTED, RadioMap
 from elmloc.preprocess import (
@@ -79,6 +80,25 @@ class TestPowed:
         stronger = min(v + delta, -1.0)
         lo, hi = apply_powed(np.array([[v, stronger]]), params)[0]
         assert lo <= hi
+
+
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+               elements=st.sampled_from([0.0, -0.0, -1.0, -30.0, -55.5, -99.0, -100.0,
+                                         -101.0, -140.0, -0.25])),
+        st.floats(min_value=-120.0, max_value=-0.5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_reference(self, rss, min_rss):
+        # includes readings below the training minimum, which clamp to 0
+        params = PreprocessParams(min_rss=min_rss)
+        base = (rss - params.min_rss) / (-params.min_rss)
+        np.clip(base, 0.0, None, out=base)
+        reference = base**params.exponent
+        reference[rss == NOT_DETECTED] = 0.0
+        out = apply_powed(rss, params)
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()
 
 
 class TestUnitNorm:
