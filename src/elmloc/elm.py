@@ -15,6 +15,7 @@ the deployment path, and a validation sweep picks the hidden-layer size.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,11 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w), b
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+
+
 def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hidden activations H = tansig(x W + b); row = sample, column = neuron."""
     return tansig(linalg.matmul(x, w) + b)
@@ -122,11 +128,27 @@ class QuantizedWeights:
 
     def __post_init__(self):
         for name in ("w_q", "b_q", "beta_q"):
-            if getattr(self, name).dtype != np.int8:
+            codes = getattr(self, name)
+            if codes.dtype != np.int8:
                 raise ValueError(f"{name} must be int8")
+            codes = np.ascontiguousarray(codes)
+            codes.flags.writeable = False  # the dequantized cache must not go stale
+            object.__setattr__(self, name, codes)
         for name in ("w_scale", "b_scale", "beta_scale"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
+    @cached_property
+    def dequantized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float (w, b, beta) rebuilt from the codes, computed once on first use."""
+        arrays = (
+            self.w_q.astype(np.float64) * self.w_scale,
+            self.b_q.astype(np.float64) * self.b_scale,
+            self.beta_q.astype(np.float64) * self.beta_scale,
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -153,7 +175,17 @@ class ElmModel:
             raise ValueError("beta columns must match codebook size")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        for arr in (w, b, beta):
+        q = self.quantized
+        if q is not None:
+            pairs = (("w_q", q.w_q, w), ("b_q", q.b_q, b), ("beta_q", q.beta_q, beta))
+            for name, codes, ref in pairs:
+                if codes.shape != ref.shape:
+                    raise ValueError(
+                        f"quantized {name} has shape {codes.shape}, float weights {ref.shape}"
+                    )
+        # Checked once here, so the per-query path trusts the weights.
+        for name, arr in (("w", w), ("b", b), ("beta", beta)):
+            _check_finite(arr, name)
             arr.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
@@ -186,9 +218,20 @@ def train_elm(
     return ElmModel(w=w, b=b, beta=beta, c=c, codebook=codebook, seed=seed)
 
 
+def _scores(
+    features: np.ndarray, w: np.ndarray, b: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """tansig(x w + b) beta for weights an ElmModel has already validated."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"features must be N x {w.shape[0]}, got shape {x.shape}")
+    _check_finite(x, "features")
+    return tansig(x @ w + b) @ beta
+
+
 def predict(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
     """(buildings, floors) per row; score ties break to the lowest class index."""
-    scores = linalg.matmul(hidden_map(features, model.w, model.b), model.beta)
+    scores = _scores(features, model.w, model.b, model.beta)
     return model.codebook.decode(np.argmax(scores, axis=1))
 
 
@@ -226,13 +269,9 @@ def quantize(model: ElmModel) -> ElmModel:
 
 def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
     """Predict from the 8-bit weights (activations stay in float)."""
-    q = model.quantized
-    if q is None:
+    if model.quantized is None:
         raise ValueError("model has no quantized weights; call quantize first")
-    w = q.w_q.astype(np.float64) * q.w_scale
-    b = q.b_q.astype(np.float64) * q.b_scale
-    beta = q.beta_q.astype(np.float64) * q.beta_scale
-    scores = linalg.matmul(hidden_map(features, w, b), beta)
+    scores = _scores(features, *model.quantized.dequantized)
     return model.codebook.decode(np.argmax(scores, axis=1))
 
 
@@ -327,14 +366,27 @@ def model_to_dict(model: ElmModel) -> dict:
     return d
 
 
+def _int8_codes(values, name: str) -> np.ndarray:
+    # Checked before the cast: numpy 2 raises OverflowError on 300 while numpy
+    # 1.x wraps it, and both truncate 1.7 to 1.
+    bad = f"quantized {name} must hold integers in [-127, 127]"
+    try:
+        codes = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(bad) from None
+    if not (np.all(np.abs(codes) <= 127) and np.all(codes == np.trunc(codes))):
+        raise ValueError(bad)
+    return codes.astype(np.int8)
+
+
 def model_from_dict(d: dict) -> ElmModel:
     quantized = None
     if d.get("quantized") is not None:
         qd = d["quantized"]
         quantized = QuantizedWeights(
-            w_q=np.asarray(qd["w_q"], dtype=np.int8),
-            b_q=np.asarray(qd["b_q"], dtype=np.int8),
-            beta_q=np.asarray(qd["beta_q"], dtype=np.int8),
+            w_q=_int8_codes(qd["w_q"], "w_q"),
+            b_q=_int8_codes(qd["b_q"], "b_q"),
+            beta_q=_int8_codes(qd["beta_q"], "beta_q"),
             w_scale=float(qd["w_scale"]),
             b_scale=float(qd["b_scale"]),
             beta_scale=float(qd["beta_scale"]),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -41,6 +40,10 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"b has {b_arr.shape[0]} rows, a is {a.shape[0]}x{a.shape[1]}")
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
         raise LinAlgError("matrix is not symmetric")
+    # Imported here: scipy.linalg is most of the import time of elmloc, and
+    # only training solves.
+    from scipy.linalg import cho_factor, cho_solve
+
     c, lower = cho_factor(a)  # raises LinAlgError when not positive definite
     return cho_solve((c, lower), b_arr)
 

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from test_pipeline import BAD_WEIGHTS, write_bad_model
+
 from elmloc.cli import main
 from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.synthetic import _write_csv
@@ -206,6 +208,16 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(model) in err and "'preprocess'" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+    def test_model_file_bad_weights(self, data_root, model_path, tmp_path, capsys, case):
+        model = tmp_path / "bad.model.json"
+        write_bad_model(model_path, model, case)
+        rc = main(["predict", "--model", str(model), "--quantized",
+                   "--queries", str(data_root / "TST1" / "test.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and re.search(BAD_WEIGHTS[case][1], err)
 
     def test_missing_query_file(self, model_path, tmp_path, capsys):
         assert main(["predict", "--model", str(model_path),

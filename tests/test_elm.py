@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elmloc import elm
+from elmloc import elm, linalg
 from elmloc.elm import (
     ClassCodebook,
     ElmModel,
+    QuantizedWeights,
     encode_targets,
     fit,
     hidden_map,
@@ -265,6 +266,93 @@ class TestQuantize:
         model = train_elm(x, labels, L=10, c=1.0, seed=0)
         with pytest.raises(ValueError):
             predict_quantized(x, model)
+
+
+def predict_quantized_reference(features, model):
+    """Per-call dequantize through the checked product, as before the cache."""
+    q = model.quantized
+    w = q.w_q.astype(np.float64) * q.w_scale
+    b = q.b_q.astype(np.float64) * q.b_scale
+    beta = q.beta_q.astype(np.float64) * q.beta_scale
+    scores = linalg.matmul(hidden_map(features, w, b), beta)
+    return model.codebook.decode(np.argmax(scores, axis=1))
+
+
+class TestWeightsHandledOnce:
+    @given(seed=st.integers(0, 2 ** 31 - 1), rows=st.integers(1, 5),
+           L=st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_predict_quantized_matches_per_call_dequantize(self, seed, rows, L):
+        r = np.random.default_rng(seed)
+        x, labels = _toy_problem(r, n=60, d=6)
+        model = quantize(train_elm(x, labels, L=L, c=1.0, seed=seed))
+        queries = r.normal(size=(rows, 6))
+        got = predict_quantized(queries, model)
+        want = predict_quantized_reference(queries, model)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_float_predict_matches_checked_product(self, rng):
+        x, labels = _toy_problem(rng)
+        model = train_elm(x, labels, L=25, c=1.0, seed=3)
+        scores = linalg.matmul(hidden_map(x, model.w, model.b), model.beta)
+        b, f = model.codebook.decode(np.argmax(scores, axis=1))
+        pb, pf = predict(x, model)
+        assert pb.tobytes() == b.tobytes() and pf.tobytes() == f.tobytes()
+
+    def test_dequantize_lazy_and_cached(self, rng):
+        x, labels = _toy_problem(rng)
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        assert "dequantized" not in vars(model.quantized)  # float-only users pay nothing
+        predict_quantized(x[:1], model)
+        first = model.quantized.dequantized
+        predict_quantized(x[:2], model)
+        assert all(a is b for a, b in zip(first, model.quantized.dequantized))
+        assert not any(a.flags.writeable for a in first)
+        assert not model.quantized.w_q.flags.writeable
+
+    @pytest.mark.parametrize("name", ["w", "b", "beta"])
+    def test_non_finite_weights_rejected(self, name):
+        arrays = dict(w=np.zeros((3, 4)), b=np.zeros(4), beta=np.zeros((4, 1)))
+        arrays[name].flat[0] = np.nan
+        with pytest.raises(ValueError, match=rf"^{name} contains non-finite"):
+            ElmModel(**arrays, c=1.0, codebook=ClassCodebook.from_pairs(np.array([[0, 0]])))
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
+    def test_bad_scale_rejected(self, scale):
+        codes = np.zeros(2, dtype=np.int8)
+        with pytest.raises(ValueError, match="w_scale"):
+            QuantizedWeights(w_q=codes, b_q=codes, beta_q=codes,
+                             w_scale=scale, b_scale=1.0, beta_scale=1.0)
+
+    def test_quantized_shape_checked_against_float_weights(self, rng):
+        x, labels = _toy_problem(rng)
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        q = model.quantized
+        short = QuantizedWeights(w_q=q.w_q[1:], b_q=q.b_q, beta_q=q.beta_q,
+                                 w_scale=q.w_scale, b_scale=q.b_scale,
+                                 beta_scale=q.beta_scale)
+        with pytest.raises(ValueError, match=r"quantized w_q has shape \(7, 10\)"):
+            ElmModel(w=model.w, b=model.b, beta=model.beta, c=model.c,
+                     codebook=model.codebook, quantized=short)
+
+    @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],
+                             ids=["above", "below", "fraction", "huge"])
+    @pytest.mark.parametrize("key", ["w_q", "b_q", "beta_q"])
+    def test_bad_int8_code_rejected(self, rng, key, value):
+        x, labels = _toy_problem(rng)
+        d = model_to_dict(quantize(train_elm(x, labels, L=10, c=1.0, seed=0)))
+        codes = np.asarray(d["quantized"][key], dtype=object)
+        codes.flat[0] = value
+        d["quantized"][key] = codes.tolist()
+        with pytest.raises(ValueError, match=rf"quantized {key} must hold integers"):
+            model_from_dict(d)
+
+    def test_extreme_int8_codes_accepted(self, rng):
+        x, labels = _toy_problem(rng)
+        d = model_to_dict(quantize(train_elm(x, labels, L=10, c=1.0, seed=0)))
+        d["quantized"]["b_q"][:2] = [127, -127.0]
+        assert model_from_dict(d).quantized.b_q[:2].tolist() == [127, -127]
 
 
 class TestSweep:

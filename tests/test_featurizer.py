@@ -45,6 +45,42 @@ def conv_oracle(x, filters):
     return out
 
 
+def conv_pad_window_reference(x, spec):
+    """The np.pad + sliding_window_view conv that conv1d_same replaced."""
+    pad = (spec.kernel_size - 1) // 2
+    padded = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (pad, pad)))
+    windows = sliding_window_view(padded, spec.kernel_size, axis=1)
+    return windows @ spec.filters + spec.filter_bias
+
+
+class TestConvReference:
+    @given(data=st.data(), k=st.sampled_from([1, 3, 5]), f=st.integers(1, 3),
+           rows=st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_conv_and_featurize_bitwise_equal_reference(self, data, k, f, rows):
+        n = data.draw(st.integers(max(k, 2), 16))
+        x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1e3, 1e3)))
+        filters = data.draw(arrays(np.float64, (k, f), elements=st.floats(-2, 2)))
+        bias = data.draw(arrays(np.float64, (f,), elements=st.floats(-2, 2).filter(bool)))
+        spec = FeaturizerSpec(n_filters=f, kernel_size=k, filters=filters,
+                              filter_bias=bias)
+        conv = conv_pad_window_reference(x, spec)
+        assert conv1d_same(x, spec).tobytes() == conv.tobytes()
+        staged = batch_flatten(avg_pool1d_valid(np.abs(conv), spec))
+        assert featurize(x, spec).tobytes() == staged.tobytes()
+
+    def test_input_left_untouched(self, rng):
+        spec = init_featurizer(1, 9)
+        x = rng.normal(size=(2, 9))
+        before = x.copy()
+        featurize(x, spec)
+        assert (x == before).all()
+
+    def test_empty_ap_axis_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            conv1d_same(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0]))
+
+
 class TestConv:
     def test_box_kernel_hand_example(self):
         # (1,1,1) over (1,2,3): edges see one zero pad each

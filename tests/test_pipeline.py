@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +166,56 @@ class TestSaveLoad:
         p.write_text(text)
         with pytest.raises(ValueError, match=r"m\.json"):
             load_model(p)
+
+
+def _edit_w_q_value(value):
+    def edit(elm):
+        elm["quantized"]["w_q"][0][0] = value
+    return edit
+
+
+# Model files whose weights cannot be served; each must fail at load time.
+BAD_WEIGHTS = {
+    "int8_out_of_range": (_edit_w_q_value(300), r"quantized w_q must hold integers"),
+    "int8_fraction": (_edit_w_q_value(1.7), r"quantized w_q must hold integers"),
+    "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(),
+                         r"quantized w_q has shape \(\d+, 60\)"),
+    "nan_weight": (lambda elm: elm["w"][0].__setitem__(0, float("nan")),
+                   r"w contains non-finite"),
+}
+
+
+def write_bad_model(good, bad, case):
+    """Copy the model file ``good`` to ``bad`` with the weights edited by ``case``."""
+    doc = json.loads(good.read_text())
+    BAD_WEIGHTS[case][0](doc["elm"])
+    bad.write_text(json.dumps(doc))
+
+
+class TestBadWeights:
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+    def test_rejected_at_load(self, fitted, tmp_path, case):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        write_bad_model(p, p, case)
+        with pytest.raises(ValueError, match=r"m\.json: bad value under model key 'elm': "
+                                             + BAD_WEIGHTS[case][1]):
+            load_model(p)
+
+
+def test_serving_does_not_import_scipy(fitted, tmp_path):
+    # scipy is needed only to solve for the output weights at training time
+    p = tmp_path / "m.json"
+    save_model(fitted, p)
+    code = (
+        "import sys, numpy as np, elmloc\n"
+        "from elmloc.pipeline import load_model, predict_pipeline\n"
+        f"model = load_model({str(p)!r})\n"
+        "predict_pipeline(np.full((1, model.n_aps), -70.0), model, quantized=True)\n"
+        "predict_pipeline(np.full((2, model.n_aps), -70.0), model)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
