@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from . import evaluation
+from . import evaluation, linalg
 from .dataset import (
     DatasetDescriptor,
     ParseError,
@@ -222,6 +222,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    linalg.load_solver()  # before the data: see load_solver
     resolved = _resolve_run(args)
     root = _data_root(args)
     train = _load_train(args.dataset, root)
@@ -307,6 +308,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    linalg.load_solver()  # before the data: see load_solver
     resolved = _resolve_run(args)
     root = _data_root(args)
     train = _load_train(args.dataset, root)
@@ -321,6 +323,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    linalg.load_solver()  # before the data: see load_solver
     root = _data_root(args)
     datasets = args.datasets.split(",")
     approaches = args.approaches.split(",")

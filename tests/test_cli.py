@@ -301,3 +301,33 @@ class TestErrorSurface:
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # --dataset is required
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--L", "20"],
+    ["sweep", "--L-max", "20", "--step", "10"],
+    ["benchmark", "--approaches", "elm_only", "--seeds", "0"],
+])
+def test_training_commands_load_solver_before_data(data_root, tmp_path, monkeypatch, command):
+    # scipy loaded after the data leaves the peak memory of a run to chance
+    import elmloc.cli as cli
+
+    events = []
+    load_solver, load_train, load_pair = cli.linalg.load_solver, cli._load_train, cli._load_pair
+
+    def traced(tag, fn):
+        def wrapper(*args):
+            events.append(tag)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli.linalg, "load_solver", traced("solver", load_solver))
+    monkeypatch.setattr(cli, "_load_train", traced("data", load_train))
+    monkeypatch.setattr(cli, "_load_pair", traced("data", load_pair))
+    name, *flags = command
+    dataset = ["--datasets" if name == "benchmark" else "--dataset", "TST1"]
+    out = ["--out-dir" if name == "benchmark" else "--out", str(tmp_path / "out")]
+    if name == "sweep":
+        out = []
+    assert main([name, *dataset, "--data-root", str(data_root), *flags, *out]) == 0
+    assert events[0] == "solver" and "data" in events
