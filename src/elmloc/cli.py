@@ -44,7 +44,7 @@ from .dataset import (
 )
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .featurizer import featurize, init_featurizer
-from .pipeline import PipelineConfig, fit_pipeline, load_model, predict_pipeline, save_model
+from .pipeline import PipelineConfig, _fit_pipeline, load_model, predict_pipeline, save_model
 from .preprocess import apply_preprocess, fit_preprocess
 from .synthetic import generate_synthetic
 
@@ -238,9 +238,13 @@ def cmd_train(args) -> int:
     config = _pipeline_config(resolved, resolved["L"])
 
     t0 = time.perf_counter()
-    model = fit_pipeline(train, config, dataset=args.dataset)
+    model, h = _fit_pipeline(train, config, dataset=args.dataset)
     train_s = time.perf_counter() - t0
-    pred = np.column_stack(predict_pipeline(train, model))
+    # Score the training rows from the fit's own activations: H @ beta is
+    # bitwise the float score matrix predict_pipeline(train, model) computes.
+    scores = h @ model.elm.beta
+    del h  # not held through save_model
+    pred = np.column_stack(model.elm.codebook.decode(np.argmax(scores, axis=1)))
     truth = train.label_pairs()
     out_path = Path(args.out) if args.out else Path(f"{args.dataset}.model.json")
     save_model(model, out_path)

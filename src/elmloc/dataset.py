@@ -118,6 +118,13 @@ def check_rss(rss: np.ndarray, what: str) -> None:
         )
 
 
+def check_int(value, key: str) -> int:
+    """A model-file integer: a JSON integer within int64, not a bool or float."""
+    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
+        raise ValueError(f"{key} must hold 64-bit integers, got {value!r}")
+    return value
+
+
 def _as_label_vector(values, what: str, n: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.shape[0] != n:

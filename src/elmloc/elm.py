@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
+from .dataset import check_int
 
 
 @dataclass(frozen=True)
@@ -209,13 +210,31 @@ def train_elm(
     codebook: ClassCodebook | None = None,
 ) -> ElmModel:
     """End-to-end training: codebook, targets, random hidden layer, fit."""
+    return _train_elm(features, pairs, L, c, seed, codebook)[0]
+
+
+def _train_elm(
+    features: np.ndarray,
+    pairs: np.ndarray,
+    L: int,
+    c: float,
+    seed: int,
+    codebook: ClassCodebook | None = None,
+) -> tuple[ElmModel, np.ndarray]:
+    """``train_elm`` plus the training activations H it fitted on.
+
+    ``H @ model.beta`` is bitwise the score matrix ``predict`` computes for
+    the same features, so a caller can score the training rows without a
+    second hidden-layer pass.
+    """
     x = np.asarray(features, dtype=np.float64)
     if codebook is None:
         codebook = ClassCodebook.from_pairs(pairs)
     t = encode_targets(pairs, codebook)
     w, b = init_hidden(seed, x.shape[1], L)
-    beta = fit(hidden_map(x, w, b), t, c)
-    return ElmModel(w=w, b=b, beta=beta, c=c, codebook=codebook, seed=seed)
+    h = hidden_map(x, w, b)
+    beta = fit(h, t, c)
+    return ElmModel(w=w, b=b, beta=beta, c=c, codebook=codebook, seed=seed), h
 
 
 def _scores(
@@ -396,7 +415,9 @@ def model_from_dict(d: dict) -> ElmModel:
         b=np.asarray(d["b"]),
         beta=np.asarray(d["beta"]),
         c=float(d["c"]),
-        codebook=ClassCodebook(pairs=np.asarray(d["codebook"])),
-        seed=int(d["seed"]),
+        codebook=ClassCodebook(
+            pairs=np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
+        ),
+        seed=check_int(d["seed"], "seed"),
         quantized=quantized,
     )

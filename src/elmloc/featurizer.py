@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .dataset import check_int
+
 
 @dataclass(frozen=True)
 class FeaturizerSpec:
@@ -195,13 +197,13 @@ def spec_to_dict(spec: FeaturizerSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> FeaturizerSpec:
+    sizes = {
+        key: check_int(d[key], key)
+        for key in ("n_filters", "kernel_size", "pool_size", "pool_stride", "seed")
+    }
     return FeaturizerSpec(
-        n_filters=int(d["n_filters"]),
-        kernel_size=int(d["kernel_size"]),
-        pool_size=int(d["pool_size"]),
-        pool_stride=int(d["pool_stride"]),
-        seed=int(d["seed"]),
-        n_aps=None if d.get("n_aps") is None else int(d["n_aps"]),
+        **sizes,
+        n_aps=None if d.get("n_aps") is None else check_int(d["n_aps"], "n_aps"),
         filters=np.asarray(d["filters"]),
         filter_bias=np.asarray(d["filter_bias"]),
     )

@@ -1,9 +1,8 @@
 """Small dense linear-algebra layer used by the training path.
 
-Everything is plain float64 ndarrays. The three entry points cover exactly
-what the trainers need: a checked matrix product, a symmetric
-positive-definite solve (Cholesky), and a full-rank pseudoinverse via the
-normal equations with a defining-identity self-check.
+Everything is plain float64 ndarrays. The two entry points cover exactly
+what the trainers need: a checked matrix product and a symmetric
+positive-definite solve (Cholesky).
 """
 
 from __future__ import annotations
@@ -58,31 +57,3 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cho_factor, cho_solve = load_solver()
     c, lower = cho_factor(a)  # raises LinAlgError when not positive definite
     return cho_solve((c, lower), b_arr)
-
-
-def pinv(a: np.ndarray, rtol: float = 1e-6) -> np.ndarray:
-    """Moore-Penrose inverse of a full-rank matrix.
-
-    Tall inputs use (A^T A)^-1 A^T, wide ones A^T (A A^T)^-1; square inputs
-    take the tall route. The result is verified against A P A = A (relative
-    Frobenius error <= rtol) so silent rank deficiency cannot slip through.
-    """
-    a = _as_matrix(a, "a")
-    m, n = a.shape
-    try:
-        if m >= n:
-            p = solve_spd(a.T @ a, a.T)
-        else:
-            p = solve_spd(a @ a.T, a).T
-    except LinAlgError:
-        raise LinAlgError(f"matrix of shape {a.shape} is rank deficient") from None
-    denom = np.linalg.norm(a)
-    if denom == 0.0:
-        raise LinAlgError("cannot invert an all-zero matrix")
-    residual = np.linalg.norm(a @ p @ a - a) / denom
-    if residual > rtol:
-        raise LinAlgError(
-            f"pseudoinverse self-check failed (relative residual {residual:.3e}); "
-            "matrix is rank deficient or too ill-conditioned"
-        )
-    return p

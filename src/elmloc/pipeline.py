@@ -11,13 +11,13 @@ the model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_rss
+from .dataset import RadioMap, check_int, check_rss
 from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
 from .preprocess import (
     DEFAULT_EXPONENT,
@@ -75,6 +75,13 @@ class TrainedModel:
 
 
 def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> TrainedModel:
+    return _fit_pipeline(train, config, dataset)[0]
+
+
+def _fit_pipeline(
+    train: RadioMap, config: PipelineConfig, dataset: str = ""
+) -> tuple[TrainedModel, np.ndarray]:
+    """``fit_pipeline`` plus the training activations H (see ``elm._train_elm``)."""
     params = fit_powed(train, config.exponent, config.norm_mode)
     x = apply_powed(train, params)
     params = fit_unit_norm(x, params)
@@ -90,7 +97,7 @@ def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> 
             pool_stride=config.pool_stride,
         )
         x = featurize(x, fspec)
-    model = elm_mod.train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
+    model, h = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
     if config.quantize:
         model = elm_mod.quantize(model)
     return TrainedModel(
@@ -99,7 +106,7 @@ def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> 
         elm=model,
         config=config,
         dataset=dataset or train.name,
-    )
+    ), h
 
 
 def predict_pipeline(
@@ -148,9 +155,30 @@ def save_model(model: TrainedModel, path) -> None:
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm_mod.model_to_dict(model.elm),
     }
+    # json.dumps, not json.dump: only the one-shot encoder runs in C; it
+    # writes the same bytes in about half the time.
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
+
+
+# JSON types a config field may hold, keyed by its annotation; an integer is
+# also a valid float.
+_CONFIG_TYPES = {"float": (int, float), "str": str, "bool": bool}
+
+
+def _config_from_dict(d: dict) -> PipelineConfig:
+    for f in fields(PipelineConfig):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if f.type == "int":
+            check_int(value, f.name)
+        elif not isinstance(value, _CONFIG_TYPES[f.type]) or (
+            isinstance(value, bool) and f.type != "bool"
+        ):
+            raise ValueError(f"{f.name} must hold a {f.type}, got {value!r}")
+    return PipelineConfig(**d)
 
 
 # Model document sections and their parsers; "featurizer" may also be null.
@@ -158,7 +186,7 @@ _SECTIONS = {
     "preprocess": params_from_dict,
     "featurizer": spec_from_dict,
     "elm": elm_mod.model_from_dict,
-    "config": lambda d: PipelineConfig(**d),
+    "config": _config_from_dict,
 }
 
 

@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from test_pipeline import BAD_WEIGHTS, write_bad_model
+from test_pipeline import BAD_KEYS, BAD_WEIGHTS, write_bad_key_model, write_bad_model
 
-from elmloc.cli import main
+from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor, register_dataset
+from elmloc.evaluation import hit_rate
+from elmloc.pipeline import load_model, predict_pipeline
 from elmloc.synthetic import _write_csv
 
 register_dataset(DatasetDescriptor(
@@ -97,6 +99,27 @@ class TestTrain:
         assert any(l.startswith("config_digest: ") for l in lines)
         assert any("training floor hit" in l for l in lines)
         assert any("train time" in l for l in lines)
+
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_training_hits_come_from_the_fit(self, data_root, tmp_path, capsys,
+                                             monkeypatch, approach):
+        # the hit lines are scored from the fit's activations, not a second pass
+        def second_pass(*args, **kwargs):
+            raise AssertionError("elmloc train ran predict_pipeline on the training rows")
+
+        out = tmp_path / "m.json"
+        monkeypatch.setattr("elmloc.cli.predict_pipeline", second_pass)
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--approach", approach, "--quantize", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        lines = capsys.readouterr().out.splitlines()
+        train = _load_train("TST1", data_root)
+        pred = np.column_stack(predict_pipeline(train, load_model(out)))
+        truth = train.label_pairs()
+        assert [l for l in lines if l.startswith("training ")] == [
+            f"training building hit: {hit_rate(pred, truth, 'building'):.2f}%",
+            f"training floor hit: {hit_rate(pred, truth, 'floor'):.2f}%",
+        ]
 
     def test_flags_override_config_file(self, data_root, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -218,6 +241,16 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(model) in err and re.search(BAD_WEIGHTS[case][1], err)
+
+    @pytest.mark.parametrize("case", sorted(BAD_KEYS))
+    def test_model_file_bad_keys(self, data_root, model_path, tmp_path, capsys, case):
+        model = tmp_path / "bad.model.json"
+        write_bad_key_model(model_path, model, case)
+        rc = main(["predict", "--model", str(model),
+                   "--queries", str(data_root / "TST1" / "test.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and re.search(BAD_KEYS[case][2], err)
 
     def test_missing_query_file(self, model_path, tmp_path, capsys):
         assert main(["predict", "--model", str(model_path),

@@ -196,6 +196,18 @@ class TestTrainPredict:
         m2 = train_elm(x, labels, L=20, c=1.0, seed=4)
         assert (m1.w == m2.w).all() and (m1.beta == m2.beta).all()
 
+    def test_fit_activations_score_like_predict(self, rng):
+        # cmd_train scores the training rows from these instead of predicting again
+        x, labels = _toy_problem(rng)
+        model, h = elm._train_elm(x, labels, L=30, c=1.0, seed=5)
+        ref = train_elm(x, labels, L=30, c=1.0, seed=5)
+        assert (model.w == ref.w).all() and (model.beta == ref.beta).all()
+        assert np.array_equal(h, elm.hidden_map(x, model.w, model.b))
+        assert np.array_equal(h @ model.beta, elm._scores(x, model.w, model.b, model.beta))
+        b, f = model.codebook.decode(np.argmax(h @ model.beta, axis=1))
+        pb, pf = predict(x, model)
+        assert np.array_equal(b, pb) and np.array_equal(f, pf)
+
     def test_argmax_tie_takes_lowest_class_index(self):
         cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 1], [2, 5]]))
         model = ElmModel(
@@ -346,6 +358,21 @@ class TestWeightsHandledOnce:
         codes.flat[0] = value
         d["quantized"][key] = codes.tolist()
         with pytest.raises(ValueError, match=rf"quantized {key} must hold integers"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("codebook", lambda d: d["codebook"][0].__setitem__(1, 1.7)),
+        ("codebook", lambda d: d["codebook"][0].__setitem__(0, True)),
+        ("codebook", lambda d: d["codebook"][0].__setitem__(0, 2 ** 63)),
+        ("seed", lambda d: d.update(seed=0.5)),
+        ("seed", lambda d: d.update(seed="0")),
+    ], ids=["label_fraction", "label_bool", "label_huge", "seed_fraction", "seed_string"])
+    def test_non_integer_key_rejected(self, rng, key, edit):
+        # an int() or int64 cast would load 1.7 as 1, True as 1 and "0" as 0
+        x, labels = _toy_problem(rng)
+        d = model_to_dict(train_elm(x, labels, L=10, c=1.0, seed=0))
+        edit(d)
+        with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
             model_from_dict(d)
 
     def test_extreme_int8_codes_accepted(self, rng):

@@ -212,6 +212,22 @@ class TestInit:
         assert back.pool_size == spec.pool_size
         assert back.n_aps == spec.n_aps
 
+    @pytest.mark.parametrize("key, value", [
+        ("kernel_size", 3.9), ("n_filters", 3.0), ("pool_size", True),
+        ("pool_stride", "2"), ("seed", 0.5), ("n_aps", 30.5),
+    ])
+    def test_non_integer_size_rejected(self, key, value):
+        # int() would load kernel_size 3.9 as 3 and pool_size True as 1
+        d = spec_to_dict(init_featurizer(4, 30, n_filters=3))
+        d[key] = value
+        with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
+            spec_from_dict(d)
+
+    def test_spec_without_n_aps_loads(self):
+        d = spec_to_dict(init_featurizer(4, 30))
+        d["n_aps"] = None
+        assert spec_from_dict(d).n_aps is None
+
 
 class TestWidthAndComposition:
     @pytest.mark.parametrize("name", sorted(registry_names()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elmloc.linalg import matmul, pinv, solve_spd
+from elmloc.linalg import matmul, solve_spd
 
 
 def matmul_oracle(a, b):
@@ -98,43 +98,3 @@ class TestSolveSpd:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.ones((4, 1)))
-
-
-class TestPinv:
-    def test_tall_against_svd_oracle(self, rng):
-        a = rng.normal(size=(9, 4))
-        assert pinv(a) == pytest.approx(np.linalg.pinv(a), rel=1e-8, abs=1e-8)
-
-    def test_wide_against_svd_oracle(self, rng):
-        a = rng.normal(size=(4, 9))
-        assert pinv(a) == pytest.approx(np.linalg.pinv(a), rel=1e-8, abs=1e-8)
-
-    def test_square_against_svd_oracle(self, rng):
-        a = rng.normal(size=(5, 5))
-        assert pinv(a) == pytest.approx(np.linalg.pinv(a), rel=1e-8, abs=1e-8)
-
-    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_penrose_identities(self, n, m, seed):
-        r = np.random.default_rng(seed)
-        a = r.normal(size=(n, m))
-        p = pinv(a)
-        assert a @ p @ a == pytest.approx(a, rel=1e-7, abs=1e-7)
-        assert p @ a @ p == pytest.approx(p, rel=1e-7, abs=1e-7)
-
-    def test_least_squares_solution(self, rng):
-        # pinv(A) @ y minimizes ||A x - y||; compare against lstsq
-        a = rng.normal(size=(12, 3))
-        y = rng.normal(size=(12, 1))
-        expected = np.linalg.lstsq(a, y, rcond=None)[0]
-        assert pinv(a) @ y == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    def test_rank_deficient_rejected(self):
-        a = np.array([[1.0, 2.0, 2.0], [2.0, 4.0, 4.0], [0.0, 1.0, 1.0],
-                      [3.0, 0.0, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            pinv(a)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            pinv(np.zeros((3, 2)))

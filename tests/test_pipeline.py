@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,15 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from elmloc import elm
 from elmloc.evaluation import hit_rate
+from elmloc.featurizer import featurize, spec_to_dict
 from elmloc.pipeline import (
     PipelineConfig,
+    _fit_pipeline,
     fit_pipeline,
     load_model,
     predict_pipeline,
     save_model,
 )
-from elmloc.preprocess import apply_preprocess, fit_preprocess
+from elmloc.preprocess import apply_preprocess, fit_preprocess, params_to_dict
 
 
 def _config(**kw):
@@ -98,7 +102,52 @@ class TestFitPredict:
         assert (f1 == f2).all() and (b1 == b2).all()
 
 
+class TestTrainingActivations:
+    @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_h_scores_the_training_rows_like_predict(self, syn_small, approach, norm_mode):
+        # elmloc train prints its training hit lines from H instead of predicting again
+        train, _ = syn_small
+        config = _config(approach=approach, norm_mode=norm_mode, quantize=True)
+        model, h = _fit_pipeline(train, config)
+        assert (model.elm.beta == fit_pipeline(train, config).elm.beta).all()
+        x = apply_preprocess(train, model.preprocess)
+        if model.featurizer is not None:
+            x = featurize(x, model.featurizer)
+        m = model.elm
+        assert np.array_equal(h @ m.beta, elm._scores(x, m.w, m.b, m.beta))  # bitwise
+        b, f = m.codebook.decode(np.argmax(h @ m.beta, axis=1))
+        pb, pf = predict_pipeline(train, model)
+        assert np.array_equal(b, pb) and np.array_equal(f, pf)
+
+
+def save_model_reference(model, path):
+    """The model file as ``json.dump`` encoded it: the byte oracle for save_model."""
+    doc = {
+        "format": "elmloc-model-v1",
+        "dataset": model.dataset,
+        "config": dataclasses.asdict(model.config),
+        "preprocess": params_to_dict(model.preprocess),
+        "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
+        "elm": elm.model_to_dict(model.elm),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 class TestSaveLoad:
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    @pytest.mark.parametrize("quantize", [False, True], ids=["float", "int8"])
+    def test_file_bytes_match_json_dump(self, syn_small, tmp_path, approach, quantize):
+        train, _ = syn_small
+        model = fit_pipeline(train, _config(approach=approach, quantize=quantize,
+                                            norm_mode="per_sample", c=0.1))
+        save_model(model, tmp_path / "m.json")
+        save_model_reference(model, tmp_path / "ref.json")
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert load_model(tmp_path / "m.json").config == model.config
+
     def test_round_trip_predictions_identical(self, syn_small, fitted, tmp_path):
         _, test = syn_small
         p = tmp_path / "m.json"
@@ -190,6 +239,56 @@ def write_bad_model(good, bad, case):
     doc = json.loads(good.read_text())
     BAD_WEIGHTS[case][0](doc["elm"])
     bad.write_text(json.dumps(doc))
+
+
+# Model files with an integer key that is no JSON integer, or a config field of
+# the wrong type; (section, edit, message) per case, each must fail at load time.
+BAD_KEYS = {
+    "codebook_fraction": ("elm", lambda d: d["codebook"][0].__setitem__(1, 1.7),
+                          r"codebook must hold 64-bit integers, got 1\.7"),
+    "codebook_bool": ("elm", lambda d: d["codebook"][0].__setitem__(1, True),
+                      r"codebook must hold 64-bit integers, got True"),
+    "kernel_size_fraction": ("featurizer", lambda d: d.update(kernel_size=3.9),
+                             r"kernel_size must hold 64-bit integers, got 3\.9"),
+    "n_aps_bool": ("featurizer", lambda d: d.update(n_aps=True),
+                   r"n_aps must hold 64-bit integers, got True"),
+    "config_L_string": ("config", lambda d: d.update(L="60"),
+                        r"L must hold 64-bit integers, got '60'"),
+    "config_seed_fraction": ("config", lambda d: d.update(seed=1.5),
+                             r"seed must hold 64-bit integers, got 1\.5"),
+    "config_c_bool": ("config", lambda d: d.update(c=True),
+                      r"c must hold a float, got True"),
+    "config_approach_number": ("config", lambda d: d.update(approach=1),
+                               r"approach must hold a str, got 1"),
+    "config_quantize_string": ("config", lambda d: d.update(quantize="yes"),
+                               r"quantize must hold a bool, got 'yes'"),
+}
+
+
+def write_bad_key_model(good, bad, case):
+    """Copy the model file ``good`` to ``bad`` with one key edited by ``case``."""
+    section, edit, _ = BAD_KEYS[case]
+    doc = json.loads(good.read_text())
+    edit(doc[section])
+    bad.write_text(json.dumps(doc))
+
+
+class TestBadKeys:
+    @pytest.mark.parametrize("case", sorted(BAD_KEYS))
+    def test_rejected_at_load(self, fitted, tmp_path, case):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        write_bad_key_model(p, p, case)
+        section, _, message = BAD_KEYS[case]
+        with pytest.raises(ValueError, match=rf"m\.json: bad value under model key "
+                                             rf"'{section}': {message}"):
+            load_model(p)
+
+    def test_integer_loads_where_float_expected(self, fitted, tmp_path):
+        p = tmp_path / "m.json"
+        save_model(dataclasses.replace(fitted, config=dataclasses.replace(
+            fitted.config, c=2, exponent=3)), p)
+        assert load_model(p).config.c == 2
 
 
 class TestBadWeights:
