@@ -125,6 +125,19 @@ def check_int(value, key: str) -> int:
     return value
 
 
+def check_float(value, key: str) -> float:
+    """A model-file float: a finite JSON number, not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must hold a float, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
+
+
 def _as_label_vector(values, what: str, n: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.shape[0] != n:

@@ -14,13 +14,14 @@ the deployment path, and a validation sweep picks the hidden-layer size.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .dataset import check_int
+from .dataset import check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,49 @@ class SweepResult:
             raise ValueError("sizes, floor_hits, building_hits must align")
 
 
+def _from_both_ends(task, n: int) -> None:
+    """Call ``task(i)`` for each i in range(n), on exactly two threads.
+
+    The calling thread walks up from 0 and one helper thread walks down from
+    n - 1; each takes its next index under a lock, and they stop where they
+    meet. A sweep's tasks grow with i, so the two in flight are a small and
+    a large one, never the two largest. Failures end like the serial loop:
+    once index i raises, only indices below i still run, and the exception
+    of the lowest failed index is raised.
+    """
+    lock = threading.Lock()
+    lo, hi = 0, n - 1  # next index up, next index down
+    failed: dict[int, Exception] = {}
+
+    def walk(up: bool) -> None:
+        nonlocal lo, hi
+        while True:
+            with lock:
+                if lo > hi:
+                    return
+                if up:
+                    i, lo = lo, lo + 1
+                else:
+                    i, hi = hi, hi - 1
+            try:
+                task(i)
+            except Exception as exc:
+                with lock:
+                    failed[i] = exc
+                    hi = min(hi, i - 1)
+
+    helper = threading.Thread(target=walk, args=(False,), name="sweep-down")
+    helper.start()
+    try:
+        walk(True)
+    finally:
+        with lock:
+            hi = -1  # stops the helper too if this thread was interrupted
+        helper.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def sweep_hidden(
     train_features: np.ndarray,
     train_pairs: np.ndarray,
@@ -323,7 +367,12 @@ def sweep_hidden(
     """Grid search L in {step, 2*step, ..., <= L_max} on validation floor hits.
 
     Returns the whole score curve plus the smallest size attaining the
-    maximum floor hit rate.
+    maximum floor hit rate. The fits run on two threads, one from each end
+    of the grid; the result is bitwise what a serial loop over the grid
+    returns. Each fit holds one N x L activation buffer, where the serial
+    loop briefly held two, and the two fits in flight are the largest one
+    pending and a smaller one, so together they hold less than the serial
+    loop's largest fit did.
     """
     if step < 1 or L_max < step:
         raise ValueError(f"need 1 <= step <= L_max, got step={step}, L_max={L_max}")
@@ -344,13 +393,21 @@ def sweep_hidden(
 
     floor_hits = np.empty(sizes.shape[0])
     building_hits = np.empty(sizes.shape[0])
-    for i, L in enumerate(sizes):
-        _, b = init_hidden(seed, x_tr.shape[1], int(L))
-        beta = fit(tansig(z_tr[:, :L] + b), t, c)
+
+    def score(i: int) -> None:
+        L = int(sizes[i])
+        _, b = init_hidden(seed, x_tr.shape[1], L)
+        # one N x L buffer per fit: bitwise tansig(z_tr[:, :L] + b)
+        h = z_tr[:, :L] + b
+        np.tanh(h, out=h)
+        beta = fit(h, t, c)
+        del h
         scores = tansig(z_val[:, :L] + b) @ beta
         pred_b, pred_f = codebook.decode(np.argmax(scores, axis=1))
         floor_hits[i] = 100.0 * float(np.mean(pred_f == val_pairs[:, 1]))
         building_hits[i] = 100.0 * float(np.mean(pred_b == val_pairs[:, 0]))
+
+    _from_both_ends(score, sizes.shape[0])
     best = int(sizes[int(np.argmax(floor_hits))])  # first max, i.e. smallest L
     return SweepResult(
         sizes=sizes, floor_hits=floor_hits, building_hits=building_hits, best_L=best
@@ -406,15 +463,15 @@ def model_from_dict(d: dict) -> ElmModel:
             w_q=_int8_codes(qd["w_q"], "w_q"),
             b_q=_int8_codes(qd["b_q"], "b_q"),
             beta_q=_int8_codes(qd["beta_q"], "beta_q"),
-            w_scale=float(qd["w_scale"]),
-            b_scale=float(qd["b_scale"]),
-            beta_scale=float(qd["beta_scale"]),
+            w_scale=check_float(qd["w_scale"], "w_scale"),
+            b_scale=check_float(qd["b_scale"], "b_scale"),
+            beta_scale=check_float(qd["beta_scale"], "beta_scale"),
         )
     return ElmModel(
         w=np.asarray(d["w"]),
         b=np.asarray(d["b"]),
         beta=np.asarray(d["beta"]),
-        c=float(d["c"]),
+        c=check_float(d["c"], "c"),
         codebook=ClassCodebook(
             pairs=np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
         ),

@@ -50,8 +50,12 @@ def classify_all(queries: np.ndarray, index: KnnIndex) -> tuple[np.ndarray, np.n
     nearest = np.empty(q.shape[0], dtype=np.int64)
     for start in range(0, q.shape[0], _BLOCK):
         block = q[start : start + _BLOCK]
-        # squared distances up to the constant ||q||^2, which argmin ignores
-        d2 = train_sq - 2.0 * (block @ index.features.T)
+        # squared distances up to the constant ||q||^2, which argmin ignores;
+        # in place, bitwise train_sq - 2.0 * (block @ F.T): scaling by -2 is
+        # exact and a - y == a + (-y)
+        d2 = block @ index.features.T
+        d2 *= -2.0
+        d2 += train_sq
         nearest[start : start + _BLOCK] = np.argmin(d2, axis=1)
     return index.pairs[nearest, 0].copy(), index.pairs[nearest, 1].copy()
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_int, check_rss
+from .dataset import RadioMap, check_float, check_int, check_rss
 from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
 from .preprocess import (
     DEFAULT_EXPONENT,
@@ -162,9 +162,8 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-# JSON types a config field may hold, keyed by its annotation; an integer is
-# also a valid float.
-_CONFIG_TYPES = {"float": (int, float), "str": str, "bool": bool}
+# JSON types of the str and bool config fields, keyed by their annotation.
+_CONFIG_TYPES = {"str": str, "bool": bool}
 
 
 def _config_from_dict(d: dict) -> PipelineConfig:
@@ -174,9 +173,9 @@ def _config_from_dict(d: dict) -> PipelineConfig:
         value = d[f.name]
         if f.type == "int":
             check_int(value, f.name)
-        elif not isinstance(value, _CONFIG_TYPES[f.type]) or (
-            isinstance(value, bool) and f.type != "bool"
-        ):
+        elif f.type == "float":
+            check_float(value, f.name)
+        elif not isinstance(value, _CONFIG_TYPES[f.type]):
             raise ValueError(f"{f.name} must hold a {f.type}, got {value!r}")
     return PipelineConfig(**d)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap
+from .dataset import NOT_DETECTED, RadioMap, check_float
 
 #: Powed exponent: the mathematical constant e (not configurable by default).
 DEFAULT_EXPONENT = math.e
@@ -144,8 +144,8 @@ def params_to_dict(params: PreprocessParams) -> dict:
 
 def params_from_dict(d: dict) -> PreprocessParams:
     return PreprocessParams(
-        min_rss=float(d["min_rss"]),
-        exponent=float(d["exponent"]),
+        min_rss=check_float(d["min_rss"], "min_rss"),
+        exponent=check_float(d["exponent"], "exponent"),
         mode=str(d["mode"]),
         feature_norms=None if d.get("feature_norms") is None else np.asarray(d["feature_norms"]),
     )

@@ -8,6 +8,7 @@ import pytest
 
 from test_pipeline import BAD_KEYS, BAD_WEIGHTS, write_bad_key_model, write_bad_model
 
+from elmloc import cli
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.evaluation import hit_rate
@@ -268,6 +269,21 @@ class TestSweep:
         # one line per grid point
         assert sum(1 for l in captured.splitlines() if l.strip().startswith(
             ("10 ", "20 ", "30 "))) == 3
+
+
+    def test_nan_features_exit_2(self, data_root, monkeypatch, capsys):
+        real = cli._sweep_features
+
+        def with_nan(train, resolved):
+            x_tr, p_tr, x_val, p_val = real(train, resolved)
+            x_tr[0, 0] = np.nan
+            return x_tr, p_tr, x_val, p_val
+
+        monkeypatch.setattr(cli, "_sweep_features", with_nan)
+        rc = main(["sweep", "--dataset", "TST1", "--data-root", str(data_root),
+                   "--L-max", "30", "--step", "10"])
+        assert rc == 2
+        assert "contains non-finite values" in capsys.readouterr().err
 
 
 class TestTrainSplitOnly:

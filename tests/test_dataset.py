@@ -12,6 +12,7 @@ from elmloc.dataset import (
     RadioMap,
     SchemaError,
     UnknownDatasetError,
+    check_float,
     load_csv,
     load_manifest,
     register_dataset,
@@ -372,3 +373,21 @@ class TestSplitValidation:
         for frac in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 split_validation(m, frac, seed=0)
+
+
+class TestCheckFloat:
+    @pytest.mark.parametrize("value", [0.5, -90, 2, -1e308])
+    def test_json_numbers_accepted(self, value):
+        out = check_float(value, "c")
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^c must hold a float, got "):
+            check_float(value, "c")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400])
+    def test_non_finite_rejected(self, value):
+        # json.loads reads NaN and Infinity, and integers of any size
+        with pytest.raises(ValueError, match=r"^c must be finite, got "):
+            check_float(value, "c")

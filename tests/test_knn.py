@@ -85,6 +85,18 @@ class TestClassify:
         b, f = knn.classify_all(queries, idx)
         assert (np.column_stack([b, f]) == nn_oracle(queries, feats, pairs)).all()
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_answers_do_not_depend_on_block_size(self, rng, monkeypatch, block):
+        feats = rng.normal(size=(60, 6))
+        pairs = np.column_stack([np.arange(60) % 3, np.arange(60)])  # floor = row
+        queries = rng.normal(size=(300, 6))
+        # reference: every query in one block, distances out of place
+        d2 = np.einsum("ij,ij->i", feats, feats) - 2.0 * (queries @ feats.T)
+        nearest = np.argmin(d2, axis=1)
+        monkeypatch.setattr(knn, "_BLOCK", block)
+        b, f = knn.classify_all(queries, knn.build_index(feats, pairs))
+        assert (b == pairs[nearest, 0]).all() and (f == nearest).all()
+
     def test_width_mismatch_rejected(self, rng):
         idx = knn.build_index(rng.normal(size=(10, 4)),
                               np.zeros((10, 2), dtype=int))

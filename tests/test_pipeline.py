@@ -262,6 +262,15 @@ BAD_KEYS = {
                                r"approach must hold a str, got 1"),
     "config_quantize_string": ("config", lambda d: d.update(quantize="yes"),
                                r"quantize must hold a bool, got 'yes'"),
+    # a float() cast would load each of these as a number
+    "c_string": ("elm", lambda d: d.update(c="0.5"), r"c must hold a float, got '0\.5'"),
+    "c_bool": ("elm", lambda d: d.update(c=True), r"c must hold a float, got True"),
+    "min_rss_string": ("preprocess", lambda d: d.update(min_rss="-90"),
+                       r"min_rss must hold a float, got '-90'"),
+    "exponent_bool": ("preprocess", lambda d: d.update(exponent=True),
+                      r"exponent must hold a float, got True"),
+    "w_scale_string": ("elm", lambda d: d["quantized"].update(w_scale="0.01"),
+                       r"w_scale must hold a float, got '0\.01'"),
 }
 
 
