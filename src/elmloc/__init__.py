@@ -4,59 +4,13 @@ A lightweight pipeline: powed + unit-norm preprocessing, a fixed seeded
 1-D conv feature stage, and a closed-form regularized ELM classifier over
 joint (building, floor) classes, with a brute-force 1-NN baseline and a
 benchmark harness producing hit-rate/timing reports.
+
+The package namespace holds the pipeline API; the stages live in their
+modules (``elmloc.preprocess``, ``elmloc.featurizer``, ``elmloc.elm``,
+``elmloc.knn``) and the benchmark in ``elmloc.evaluation``.
 """
 
-from .dataset import (
-    NOT_DETECTED,
-    ColumnSchema,
-    DatasetDescriptor,
-    Manifest,
-    ParseError,
-    RadioMap,
-    SchemaError,
-    UnknownDatasetError,
-    load_csv,
-    load_manifest,
-    register_dataset,
-    registry_lookup,
-    registry_names,
-    split_validation,
-)
-from .elm import (
-    ClassCodebook,
-    ElmModel,
-    QuantizedWeights,
-    SweepResult,
-    encode_targets,
-    fit,
-    hidden_map,
-    init_hidden,
-    predict,
-    predict_quantized,
-    quantize,
-    sweep_hidden,
-    tansig,
-    train_elm,
-)
-from .evaluation import (
-    EvalReport,
-    config_digest,
-    hit_rate,
-    normalize,
-    run_benchmark,
-    time_phase,
-)
-from .featurizer import (
-    FeaturizerSpec,
-    abs_activation,
-    avg_pool1d_valid,
-    batch_flatten,
-    conv1d_same,
-    feature_width,
-    featurize,
-    init_featurizer,
-)
-from .knn import KnnIndex, build_index, classify, classify_all
+from .dataset import ParseError, RadioMap, SchemaError, UnknownDatasetError
 from .pipeline import (
     PipelineConfig,
     TrainedModel,
@@ -64,80 +18,23 @@ from .pipeline import (
     load_model,
     predict_pipeline,
     save_model,
+    sweep_pipeline,
 )
-from .preprocess import (
-    PreprocessParams,
-    apply_powed,
-    apply_preprocess,
-    apply_unit_norm,
-    fit_powed,
-    fit_preprocess,
-    fit_unit_norm,
-)
-from .synthetic import generate_synthetic, write_synthetic_dataset
+from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NOT_DETECTED",
-    "ClassCodebook",
-    "ColumnSchema",
-    "DatasetDescriptor",
-    "ElmModel",
-    "EvalReport",
-    "FeaturizerSpec",
-    "KnnIndex",
-    "Manifest",
     "ParseError",
     "PipelineConfig",
-    "PreprocessParams",
-    "QuantizedWeights",
     "RadioMap",
     "SchemaError",
-    "SweepResult",
     "TrainedModel",
     "UnknownDatasetError",
-    "abs_activation",
-    "apply_powed",
-    "apply_preprocess",
-    "apply_unit_norm",
-    "avg_pool1d_valid",
-    "batch_flatten",
-    "build_index",
-    "classify",
-    "classify_all",
-    "config_digest",
-    "conv1d_same",
-    "encode_targets",
-    "feature_width",
-    "featurize",
-    "fit",
     "fit_pipeline",
-    "fit_powed",
-    "fit_preprocess",
-    "fit_unit_norm",
     "generate_synthetic",
-    "hidden_map",
-    "hit_rate",
-    "init_featurizer",
-    "init_hidden",
-    "load_csv",
-    "load_manifest",
     "load_model",
-    "normalize",
-    "predict",
     "predict_pipeline",
-    "predict_quantized",
-    "quantize",
-    "register_dataset",
-    "registry_lookup",
-    "registry_names",
-    "run_benchmark",
     "save_model",
-    "split_validation",
-    "sweep_hidden",
-    "tansig",
-    "time_phase",
-    "train_elm",
-    "write_synthetic_dataset",
+    "sweep_pipeline",
 ]

@@ -8,8 +8,9 @@ Dataset files live under a root directory (flag ``--data-root`` or env var
     <root>/<NAME>/manifest.json
 
 SYN1 is generated in memory when its files are absent. Option precedence is
-CLI flag > config file (``--config``) > registry defaults; the resolved
-configuration and its digest are echoed so every run is reproducible.
+CLI flag > config file (``--config``) > registry defaults; config-file values
+are checked, not cast, and the resolved configuration and its digest are
+echoed so every run is reproducible.
 
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
 wrappers, 2 I/O or configuration errors.
@@ -26,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import elm as elm_mod
 from . import evaluation, linalg
 from .dataset import (
     DatasetDescriptor,
@@ -34,18 +34,24 @@ from .dataset import (
     RadioMap,
     SchemaError,
     UnknownDatasetError,
+    check_float,
+    check_int,
     load_csv,
     load_manifest,
     parse_rows,
     read_lines,
     registry_lookup,
     registry_names,
-    split_validation,
 )
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
-from .featurizer import featurize, init_featurizer
-from .pipeline import PipelineConfig, _fit_pipeline, load_model, predict_pipeline, save_model
-from .preprocess import apply_preprocess, fit_preprocess
+from .pipeline import (
+    PipelineConfig,
+    _fit_pipeline,
+    load_model,
+    predict_pipeline,
+    save_model,
+    sweep_pipeline,
+)
 from .synthetic import generate_synthetic
 
 _DATA_ROOT_ENV = "ELMLOC_DATA_ROOT"
@@ -109,36 +115,80 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _pick(flag_value, file_config: dict, key: str, fallback):
-    """CLI flag > config file > registry/default."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return file_config[key]
-    return fallback
+def _hidden_size(text: str):
+    """Type of the --L flag: an integer or 'auto'."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
+
+
+def _check_hidden_size(value, key: str):
+    return value if value == "auto" else check_int(value, key)
+
+
+def _check_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must hold true or false, got {value!r}")
+    return value
+
+
+def _check_choice(choices):
+    def check(value, key: str) -> str:
+        if value not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
+_APPROACHES = ("cnn_elm", "elm_only")
+_NORM_MODES = ("per_feature", "per_sample")
+
+# Config-file keys and the check each value must pass; flags are typed by argparse.
+_FILE_KEYS = {
+    "approach": _check_choice(_APPROACHES),
+    "L": _check_hidden_size,
+    "c": check_float,
+    "seed": check_int,
+    "norm_mode": _check_choice(_NORM_MODES),
+    "kernel_size": check_int,
+    "n_filters": check_int,
+    "quantize": _check_bool,
+}
 
 
 def _resolve_run(args) -> dict:
-    """Merge flags, config file, and registry into one echoed mapping."""
+    """Merge flags, config file, and registry into one echoed mapping.
+
+    CLI flag > config file > registry/default for every key.
+    """
     cfg_file = _read_config_file(args.config)
     desc = _descriptor(args.dataset)
-    L = _pick(args.L, cfg_file, "L", desc.L_default if desc else None)
-    c = _pick(args.c, cfg_file, "c", desc.c_default if desc else None)
-    if c is None:
-        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --c")
-    if L is None:
-        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     resolved = {
         "dataset": args.dataset,
-        "approach": _pick(args.approach, cfg_file, "approach", "cnn_elm"),
-        "L": L if L == "auto" else int(L),
-        "c": float(c),
-        "seed": int(_pick(args.seed, cfg_file, "seed", 0)),
-        "norm_mode": _pick(args.norm_mode, cfg_file, "norm_mode", "per_feature"),
-        "kernel_size": int(_pick(args.kernel_size, cfg_file, "kernel_size", 3)),
-        "n_filters": int(_pick(args.n_filters, cfg_file, "n_filters", 2)),
-        "quantize": bool(_pick(args.quantize or None, cfg_file, "quantize", False)),
+        "approach": "cnn_elm",
+        "L": desc.L_default if desc else None,
+        "c": desc.c_default if desc else None,
+        "seed": 0,
+        "norm_mode": "per_feature",
+        "kernel_size": 3,
+        "n_filters": 2,
+        "quantize": False,
     }
+    for key, check in _FILE_KEYS.items():
+        if key in cfg_file:
+            try:
+                resolved[key] = check(cfg_file[key], key)
+            except ValueError as exc:
+                raise CliError(f"config file {args.config}: {exc}") from None
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+    if resolved["c"] is None:
+        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --c")
+    if resolved["L"] is None:
+        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     return resolved
 
 
@@ -158,31 +208,6 @@ def _pipeline_config(resolved: dict, L: int) -> PipelineConfig:
         n_filters=resolved["n_filters"],
         kernel_size=resolved["kernel_size"],
         quantize=resolved["quantize"],
-    )
-
-
-def _sweep_features(train: RadioMap, resolved: dict):
-    """Preprocessed (and maybe featurized) train/validation design matrices."""
-    sweep_train, val = split_validation(train, fraction=0.1, seed=resolved["seed"])
-    params = fit_preprocess(sweep_train, mode=resolved["norm_mode"])
-    x_tr = apply_preprocess(sweep_train, params)
-    x_val = apply_preprocess(val, params)
-    if resolved["approach"] == "cnn_elm":
-        spec = init_featurizer(
-            resolved["seed"],
-            train.n_aps,
-            n_filters=resolved["n_filters"],
-            kernel_size=resolved["kernel_size"],
-        )
-        x_tr = featurize(x_tr, spec)
-        x_val = featurize(x_val, spec)
-    return x_tr, sweep_train.label_pairs(), x_val, val.label_pairs()
-
-
-def _run_sweep(train: RadioMap, resolved: dict, L_max: int, step: int) -> elm_mod.SweepResult:
-    x_tr, p_tr, x_val, p_val = _sweep_features(train, resolved)
-    return elm_mod.sweep_hidden(
-        x_tr, p_tr, x_val, p_val, resolved["c"], L_max, step=step, seed=resolved["seed"]
     )
 
 
@@ -227,7 +252,7 @@ def cmd_train(args) -> int:
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
-        result = _run_sweep(train, resolved, args.L_max, args.step)
+        result = sweep_pipeline(train, _pipeline_config(resolved, args.L_max), args.step)
         grid = ", ".join(str(s) for s in result.sizes.tolist())
         print(f"sweep grid: {{{grid}}}")
         best_idx = int(np.nonzero(result.sizes == result.best_L)[0][0])
@@ -317,7 +342,7 @@ def cmd_sweep(args) -> int:
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     _echo(resolved)
-    result = _run_sweep(train, resolved, args.L_max, args.step)
+    result = sweep_pipeline(train, _pipeline_config(resolved, args.L_max), args.step)
     print(f"{'L':>6} {'floor_hit':>10} {'building_hit':>13}")
     for L, fh_, bh in zip(result.sizes, result.floor_hits, result.building_hits):
         marker = "  <- selected" if int(L) == result.best_L else ""
@@ -337,14 +362,7 @@ def cmd_benchmark(args) -> int:
     def loader(name):
         return _load_pair(name, root)
 
-    rows, failures = run_benchmark(
-        datasets,
-        approaches,
-        seeds,
-        loader,
-        end_to_end=args.end_to_end,
-        out_dir=out_dir,
-    )
+    rows, failures = run_benchmark(datasets, approaches, seeds, loader, out_dir=out_dir)
     print(format_table(rows))
     for name, err in failures.items():
         print(f"FAILED {name}: {err}", file=sys.stderr)
@@ -372,14 +390,15 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help=f"one of {', '.join(registry_names())} or a user dataset")
     p.add_argument("--data-root", help=f"dataset root directory (default: ${_DATA_ROOT_ENV} or .)")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--approach", choices=["cnn_elm", "elm_only"])
-    p.add_argument("--L", help="hidden neurons, or 'auto' to sweep")
+    p.add_argument("--approach", choices=_APPROACHES)
+    p.add_argument("--L", type=_hidden_size, help="hidden neurons, or 'auto' to sweep")
     p.add_argument("--c", type=float, help="regularization term")
     p.add_argument("--seed", type=int)
-    p.add_argument("--norm-mode", choices=["per_feature", "per_sample"])
+    p.add_argument("--norm-mode", choices=_NORM_MODES)
     p.add_argument("--kernel-size", type=int)
     p.add_argument("--n-filters", type=int)
-    p.add_argument("--quantize", action="store_true", help="attach int8 weights to the model")
+    p.add_argument("--quantize", action="store_true", default=None,
+                   help="attach int8 weights to the model")
     p.add_argument("--L-max", type=int, default=500, help="sweep upper bound for --L auto")
     p.add_argument("--step", type=int, default=5, help="sweep grid step")
 
@@ -423,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--data-root")
     p.add_argument("--out-dir", default="reports")
-    p.add_argument("--end-to-end", action="store_true",
-                   help="include preprocessing fit in the timed training phase")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("report", help="render a benchmark JSON report as a table")

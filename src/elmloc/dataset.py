@@ -119,14 +119,14 @@ def check_rss(rss: np.ndarray, what: str) -> None:
 
 
 def check_int(value, key: str) -> int:
-    """A model-file integer: a JSON integer within int64, not a bool or float."""
+    """A JSON integer within int64, not a bool or float, under ``key``."""
     if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
         raise ValueError(f"{key} must hold 64-bit integers, got {value!r}")
     return value
 
 
 def check_float(value, key: str) -> float:
-    """A model-file float: a finite JSON number, not a bool or string."""
+    """A finite JSON number, not a bool or string, under ``key``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must hold a float, got {value!r}")
     try:
@@ -271,14 +271,15 @@ def load_manifest(path) -> Manifest:
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
     try:
         ap_lo, ap_hi = raw["ap_columns"]
+        building = raw.get("building_col")
         schema = ColumnSchema(
-            ap_start=int(ap_lo),
-            ap_end=int(ap_hi),
-            floor_col=int(raw["floor_col"]),
-            building_col=None if raw.get("building_col") is None else int(raw["building_col"]),
-            coord_cols=tuple(int(c) for c in raw.get("coord_columns", ())),
+            ap_start=check_int(ap_lo, "ap_columns"),
+            ap_end=check_int(ap_hi, "ap_columns"),
+            floor_col=check_int(raw["floor_col"], "floor_col"),
+            building_col=None if building is None else check_int(building, "building_col"),
+            coord_cols=tuple(check_int(c, "coord_columns") for c in raw.get("coord_columns", ())),
         )
-        sentinel = float(raw["sentinel"])
+        sentinel = check_float(raw["sentinel"], "sentinel")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"invalid manifest {path}: {exc}") from exc
     return Manifest(schema=schema, sentinel=sentinel, name=str(raw.get("name", "")))

@@ -7,12 +7,14 @@ normalized against a baseline row (the 1-NN run of the same dataset).
 appends seed-averaged rows and an over-datasets average row, and can emit
 the table as CSV and JSON.
 
-Timing convention: file I/O and preprocessing *fit* are never inside the
-timed phases (fit time is recorded separately in the JSON metadata);
-prediction phases start from raw RSS, so they include the preprocessing
-apply step. ``end_to_end=True`` folds the preprocessing fit into the
-training phase as well. The 1-NN baseline has no training stage, so its
-train-time cell stays empty.
+Timing convention: the ELM approaches run through the pipeline, so their
+training phase is one ``fit_pipeline`` call on the raw training split
+(preprocessing fit, conv draw and featurization, ELM fit: the fit a user
+waits for) and their prediction phase is one ``predict_pipeline`` call on
+the raw test split. The 1-NN baseline has no training stage, so its
+train-time cell stays empty; its preprocessing fit is timed on its own and
+recorded in the JSON metadata, and its prediction phase starts from raw RSS
+too. File I/O is never inside a timed phase.
 """
 
 from __future__ import annotations
@@ -21,20 +23,17 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import elm as elm_mod
 from . import knn as knn_mod
 from .dataset import ParseError, RadioMap, SchemaError, UnknownDatasetError, registry_lookup
-from .featurizer import FeaturizerSpec, featurize, init_featurizer
-from .preprocess import DEFAULT_EXPONENT, apply_preprocess, fit_preprocess
-
-_FSPEC_FIELDS = ("n_filters", "kernel_size", "pool_size", "pool_stride")
+from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
+from .preprocess import apply_preprocess, fit_preprocess
 
 APPROACHES = ("knn", "elm_only", "cnn_elm")
 
@@ -166,10 +165,6 @@ def run_benchmark(
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     loader: Callable[[str], tuple[RadioMap, RadioMap]] | None = None,
     *,
-    featurizer_spec: FeaturizerSpec | None = None,
-    exponent: float = DEFAULT_EXPONENT,
-    norm_mode: str = "per_feature",
-    end_to_end: bool = False,
     include_published: bool = True,
     out_dir=None,
 ) -> tuple[list[EvalReport], dict[str, str]]:
@@ -189,7 +184,6 @@ def run_benchmark(
         raise ValueError(f"unknown approaches: {sorted(bad)} (choose from {APPROACHES})")
     if not seeds:
         raise ValueError("need at least one seed")
-    fspec = featurizer_spec or FeaturizerSpec()
 
     rows: list[EvalReport] = []
     failures: dict[str, str] = {}
@@ -202,22 +196,12 @@ def run_benchmark(
         except (OSError, ParseError, SchemaError, UnknownDatasetError) as exc:
             failures[name] = str(exc)
             continue
-        ds_rows, fit_s = _run_dataset(
-            name, desc, train, test, approaches, seeds, fspec, exponent, norm_mode, end_to_end
-        )
+        ds_rows, fit_s = _run_dataset(name, desc, train, test, approaches, seeds)
         rows.extend(ds_rows)
         meta[name] = {"preprocess_fit_s": fit_s, "L": desc.L_default, "c": desc.c_default}
         done.append(name)
 
-    run_cfg = {
-        "datasets": list(datasets),
-        "approaches": list(approaches),
-        "seeds": list(seeds),
-        "exponent": exponent,
-        "norm_mode": norm_mode,
-        "end_to_end": end_to_end,
-        "featurizer": _fspec_cfg(fspec),
-    }
+    run_cfg = {"datasets": list(datasets), "approaches": list(approaches), "seeds": list(seeds)}
     if done:
         rows.extend(_average_rows(rows, approaches, config_digest(run_cfg)))
     if include_published:
@@ -230,113 +214,52 @@ def run_benchmark(
     return rows, failures
 
 
-def _fspec_cfg(fspec: FeaturizerSpec) -> dict:
-    return {name: getattr(fspec, name) for name in _FSPEC_FIELDS}
-
-
-def _run_dataset(name, desc, train, test, approaches, seeds, fspec, exponent, norm_mode, end_to_end):
+def _run_dataset(name, desc, train, test, approaches, seeds):
+    """One dataset's rows, and the 1-NN preprocessing fit time (None without 1-NN)."""
     L, c = desc.L_default, desc.c_default
-    t0 = time.perf_counter()
-    params = fit_preprocess(train.rss, exponent, norm_mode)
-    fit_s = time.perf_counter() - t0
-    x_tr = apply_preprocess(train.rss, params)
-    train_pairs = train.label_pairs()
     truth = test.label_pairs()
-    has_building = train.has_building
-    base_cfg = {
-        "dataset": name,
-        "L": L,
-        "c": c,
-        "exponent": exponent,
-        "norm_mode": norm_mode,
-        "end_to_end": end_to_end,
-        "featurizer": _fspec_cfg(fspec),
-    }
 
-    def score(pred_pair) -> tuple[float | None, float]:
+    def row(approach, pred_pair, cfg, **fields) -> EvalReport:
         pred = np.column_stack(pred_pair)
-        zb = hit_rate(pred, truth, "building") if has_building else None
-        return zb, hit_rate(pred, truth, "floor")
+        return EvalReport(
+            dataset=name,
+            approach=approach,
+            building_hit=hit_rate(pred, truth, "building") if train.has_building else None,
+            floor_hit=hit_rate(pred, truth, "floor"),
+            config_digest=config_digest({"dataset": name, **cfg}),
+            **fields,
+        )
 
     rows: list[EvalReport] = []
     baseline: EvalReport | None = None
+    fit_s = None
     for approach in approaches:
         if approach == "knn":
-            index = knn_mod.build_index(x_tr, train_pairs)
+            t0 = time.perf_counter()
+            params = fit_preprocess(train.rss)
+            fit_s = time.perf_counter() - t0
+            index = knn_mod.build_index(apply_preprocess(train.rss, params), train.label_pairs())
             pred_pair, t_te = time_phase(
                 lambda: knn_mod.classify_all(apply_preprocess(test.rss, params), index)
             )
-            zb, zf = score(pred_pair)
-            baseline = EvalReport(
-                dataset=name,
-                approach="knn",
-                seed=None,
-                building_hit=zb,
-                floor_hit=zf,
-                train_time=None,
-                test_time=t_te,
-                config_digest=config_digest({**base_cfg, "approach": "knn"}),
-            )
+            baseline = row("knn", pred_pair, {"approach": "knn"}, test_time=t_te)
             rows.append(baseline)
             continue
 
         per_seed: list[EvalReport] = []
         for seed in seeds:
-            row = _run_stochastic(
-                approach, name, train, test, params, x_tr, train_pairs, score,
-                L, c, seed, fspec, exponent, norm_mode, end_to_end, base_cfg,
+            config = PipelineConfig(L=L, c=c, seed=seed, approach=approach)
+            model, t_tr = time_phase(lambda: fit_pipeline(train, config, dataset=name))
+            pred_pair, t_te = time_phase(lambda: predict_pipeline(test, model))
+            per_seed.append(
+                row(approach, pred_pair, asdict(config), seed=seed, train_time=t_tr, test_time=t_te)
             )
-            per_seed.append(row)
         rows.extend(per_seed)
-        rows.append(_seed_mean(per_seed, {**base_cfg, "approach": approach, "seeds": list(seeds)}))
+        rows.append(_seed_mean(per_seed, {"dataset": name, **asdict(config), "seed": list(seeds)}))
 
     if baseline is not None:
         rows = [normalize(r, baseline) for r in rows]
     return rows, fit_s
-
-
-def _run_stochastic(
-    approach, name, train, test, params, x_tr, train_pairs, score,
-    L, c, seed, fspec, exponent, norm_mode, end_to_end, base_cfg,
-):
-    def train_features():
-        if end_to_end:
-            p = fit_preprocess(train.rss, exponent, norm_mode)
-            return apply_preprocess(train.rss, p)
-        return x_tr
-
-    if approach == "elm_only":
-        model, t_tr = time_phase(
-            lambda: elm_mod.train_elm(train_features(), train_pairs, L, c, seed)
-        )
-        pred_pair, t_te = time_phase(
-            lambda: elm_mod.predict(apply_preprocess(test.rss, params), model)
-        )
-    else:  # cnn_elm
-        arch = _fspec_cfg(fspec)
-
-        def train_phase():
-            rspec = init_featurizer(seed, train.n_aps, **arch)
-            feats = featurize(train_features(), rspec)
-            return rspec, elm_mod.train_elm(feats, train_pairs, L, c, seed)
-
-        (rspec, model), t_tr = time_phase(train_phase)
-        pred_pair, t_te = time_phase(
-            lambda: elm_mod.predict(
-                featurize(apply_preprocess(test.rss, params), rspec), model
-            )
-        )
-    zb, zf = score(pred_pair)
-    return EvalReport(
-        dataset=name,
-        approach=approach,
-        seed=seed,
-        building_hit=zb,
-        floor_hit=zf,
-        train_time=t_tr,
-        test_time=t_te,
-        config_digest=config_digest({**base_cfg, "approach": approach, "seed": seed}),
-    )
 
 
 def _mean_or_none(values) -> float | None:

@@ -136,10 +136,6 @@ def conv1d_same(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     return _correlate(x, spec) + spec.filter_bias
 
 
-def abs_activation(x: np.ndarray) -> np.ndarray:
-    return np.abs(x)
-
-
 def avg_pool1d_valid(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     """Valid average pooling along axis 1 of an (N, n, F) tensor."""
     x = np.asarray(x, dtype=np.float64)

@@ -59,11 +59,3 @@ def classify_all(queries: np.ndarray, index: KnnIndex) -> tuple[np.ndarray, np.n
         nearest[start : start + _BLOCK] = np.argmin(d2, axis=1)
     return index.pairs[nearest, 0].copy(), index.pairs[nearest, 1].copy()
 
-
-def classify(query: np.ndarray, index: KnnIndex) -> tuple[int, int]:
-    """Single-fingerprint variant of classify_all."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError(f"query must be a single feature vector, got shape {q.shape}")
-    b, f = classify_all(q[None, :], index)
-    return int(b[0]), int(f[0])

@@ -1,11 +1,12 @@
-"""End-to-end train/predict bundle.
+"""End-to-end train/predict bundle: the one place the stages are composed.
 
 ``fit_pipeline`` runs the whole off-line phase — preprocessing fit, optional
 fixed conv featurization, closed-form classifier fit — and returns a single
 object that ``save_model``/``load_model`` round-trip through one JSON file.
 The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and filter weights travel with
-the model.
+the model. ``sweep_pipeline`` scores a grid of hidden sizes on a validation
+split with the same stages. The CLI and the benchmark call these three.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_float, check_int, check_rss
+from .dataset import RadioMap, check_float, check_int, check_rss, split_validation
 from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
 from .preprocess import (
     DEFAULT_EXPONENT,
@@ -82,6 +83,27 @@ def _fit_pipeline(
     train: RadioMap, config: PipelineConfig, dataset: str = ""
 ) -> tuple[TrainedModel, np.ndarray]:
     """``fit_pipeline`` plus the training activations H (see ``elm._train_elm``)."""
+    params, fspec, x = _fit_stages(train, config)
+    model, h = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
+    if config.quantize:
+        model = elm_mod.quantize(model)
+    return TrainedModel(
+        preprocess=params,
+        featurizer=fspec,
+        elm=model,
+        config=config,
+        dataset=dataset or train.name,
+    ), h
+
+
+def _fit_stages(
+    train: RadioMap, config: PipelineConfig
+) -> tuple[PreprocessParams, FeaturizerSpec | None, np.ndarray]:
+    """The stages before the ELM, fitted on ``train``, and the ELM's training input.
+
+    The powed transform runs once: its output both fits the unit-norm stage
+    and is normalized. The featurizer is None for ``elm_only``.
+    """
     params = fit_powed(train, config.exponent, config.norm_mode)
     x = apply_powed(train, params)
     params = fit_unit_norm(x, params)
@@ -97,16 +119,34 @@ def _fit_pipeline(
             pool_stride=config.pool_stride,
         )
         x = featurize(x, fspec)
-    model, h = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
-    if config.quantize:
-        model = elm_mod.quantize(model)
-    return TrainedModel(
-        preprocess=params,
-        featurizer=fspec,
-        elm=model,
-        config=config,
-        dataset=dataset or train.name,
-    ), h
+    return params, fspec, x
+
+
+def _apply_stages(
+    rss: np.ndarray, params: PreprocessParams, fspec: FeaturizerSpec | None
+) -> np.ndarray:
+    """Raw RSS rows through the fitted stages: the ELM's input."""
+    x = apply_preprocess(rss, params)
+    return x if fspec is None else featurize(x, fspec)
+
+
+def sweep_pipeline(train: RadioMap, config: PipelineConfig, step: int = 5) -> elm_mod.SweepResult:
+    """Validation floor hits for L = step, 2*step, ..., up to ``config.L``.
+
+    A stratified 10% of ``train`` (seeded with ``config.seed``) is held out;
+    the stages are fitted on the rest exactly as ``fit_pipeline`` fits them,
+    and ``elm.sweep_hidden`` scores each hidden size on the held-out rows.
+    ``replace(config, L=result.best_L)`` is the configuration it selects.
+    ``config.quantize`` is not read.
+    """
+    fit_rows, val = split_validation(train, fraction=0.1, seed=config.seed)
+    params, fspec, x_tr = _fit_stages(fit_rows, config)
+    x_val = _apply_stages(val.rss, params, fspec)
+    p_tr, p_val = fit_rows.label_pairs(), val.label_pairs()
+    del fit_rows, val  # the split is not held through the fits
+    return elm_mod.sweep_hidden(
+        x_tr, p_tr, x_val, p_val, config.c, config.L, step=step, seed=config.seed
+    )
 
 
 def predict_pipeline(
@@ -122,9 +162,7 @@ def predict_pipeline(
         check_rss(rss, "query matrix")
     if rss.shape[1] != model.n_aps:
         raise ValueError(f"model expects {model.n_aps} AP columns, input has {rss.shape[1]}")
-    x = apply_preprocess(rss, model.preprocess)
-    if model.featurizer is not None:
-        x = featurize(x, model.featurizer)
+    x = _apply_stages(rss, model.preprocess, model.featurizer)
     if quantized:
         return elm_mod.predict_quantized(x, model.elm)
     return elm_mod.predict(x, model.elm)

@@ -8,7 +8,7 @@ import pytest
 
 from test_pipeline import BAD_KEYS, BAD_WEIGHTS, write_bad_key_model, write_bad_model
 
-from elmloc import cli
+from elmloc import pipeline
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.evaluation import hit_rate
@@ -134,6 +134,53 @@ class TestTrain:
         assert cfg["L"] == 25      # from file
         assert cfg["c"] == 1.5     # flag wins
         assert cfg["seed"] == 7    # from file
+
+    # each value an int(), float() or bool() cast would have turned into a setting
+    @pytest.mark.parametrize("key, value, message", [
+        ("quantize", "no", r"quantize must hold true or false, got 'no'"),
+        ("L", 1.7, r"L must hold 64-bit integers, got 1\.7"),
+        ("L", "30", r"L must hold 64-bit integers, got '30'"),
+        ("c", True, r"c must hold a float, got True"),
+        ("c", "1.5", r"c must hold a float, got '1\.5'"),
+        ("seed", "3", r"seed must hold 64-bit integers, got '3'"),
+        ("kernel_size", 3.0, r"kernel_size must hold 64-bit integers, got 3\.0"),
+        ("n_filters", False, r"n_filters must hold 64-bit integers, got False"),
+        ("approach", "mlp", r"approach must be one of cnn_elm, elm_only, got 'mlp'"),
+        ("norm_mode", 1, r"norm_mode must be one of per_feature, per_sample, got 1"),
+    ])
+    def test_config_file_values_checked(self, data_root, tmp_path, capsys, key, value,
+                                        message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "m.json"
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert re.search(rf"error: config file .*run\.json: {message}$",
+                         capsys.readouterr().err.strip())
+        assert not out.exists()
+
+    def test_config_file_values_kept(self, data_root, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"L": 20, "c": 2, "seed": 3, "quantize": True,
+                                        "approach": "elm_only", "norm_mode": "per_sample"}))
+        out = tmp_path / "m.json"
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = json.loads(next(l for l in lines if l.startswith("config: "))[8:])
+        assert (cfg["L"], cfg["c"], cfg["seed"], cfg["quantize"]) == (20, 2.0, 3, True)
+        config = load_model(out).config
+        assert (config.L, config.c, config.seed, config.quantize) == (20, 2.0, 3, True)
+        assert (config.approach, config.norm_mode) == ("elm_only", "per_sample")
+
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_bad_hidden_size_flag_named(self, data_root, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                  "--L", value])
+        assert exc.value.code == 2
+        assert re.search(rf"argument --L: expected an integer or 'auto', got '{value}'",
+                         capsys.readouterr().err)
 
     def test_auto_sweep(self, data_root, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -272,14 +319,14 @@ class TestSweep:
 
 
     def test_nan_features_exit_2(self, data_root, monkeypatch, capsys):
-        real = cli._sweep_features
+        real = pipeline._fit_stages
 
-        def with_nan(train, resolved):
-            x_tr, p_tr, x_val, p_val = real(train, resolved)
+        def with_nan(train, config):
+            params, fspec, x_tr = real(train, config)
             x_tr[0, 0] = np.nan
-            return x_tr, p_tr, x_val, p_val
+            return params, fspec, x_tr
 
-        monkeypatch.setattr(cli, "_sweep_features", with_nan)
+        monkeypatch.setattr(pipeline, "_fit_stages", with_nan)
         rc = main(["sweep", "--dataset", "TST1", "--data-root", str(data_root),
                    "--L-max", "30", "--step", "10"])
         assert rc == 2

@@ -169,6 +169,35 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(p)
 
+    # an int() or float() cast would load each of these as some column or number
+    @pytest.mark.parametrize("edit, message", [
+        ({"ap_columns": [0.9, 99]}, r"ap_columns must hold 64-bit integers, got 0\.9"),
+        ({"ap_columns": [0, "99"]}, r"ap_columns must hold 64-bit integers, got '99'"),
+        ({"floor_col": 100.9}, r"floor_col must hold 64-bit integers, got 100\.9"),
+        ({"building_col": True}, r"building_col must hold 64-bit integers, got True"),
+        ({"coord_columns": [102, 103.5]},
+         r"coord_columns must hold 64-bit integers, got 103\.5"),
+        ({"sentinel": True}, r"sentinel must hold a float, got True"),
+        ({"sentinel": "100"}, r"sentinel must hold a float, got '100'"),
+    ], ids=["ap_fraction", "ap_string", "floor_fraction", "building_bool",
+            "coord_fraction", "sentinel_bool", "sentinel_string"])
+    def test_uncast_values_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({
+            "ap_columns": [0, 99], "floor_col": 100, "building_col": 101,
+            "sentinel": 100, **edit,
+        }))
+        with pytest.raises(SchemaError, match=rf"invalid manifest .*manifest\.json: {message}"):
+            load_manifest(p)
+
+    def test_integer_sentinel_and_null_building_load(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({"ap_columns": [0, 3], "floor_col": 4,
+                                 "building_col": None, "sentinel": -110}))
+        m = load_manifest(p)
+        assert m.schema.building_col is None
+        assert type(m.sentinel) is float and m.sentinel == -110.0
+
 
 SCHEMA = ColumnSchema(ap_start=0, ap_end=2, floor_col=3, building_col=4)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from elmloc import elm
 from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.evaluation import (
     APPROACHES,
@@ -22,6 +23,9 @@ from elmloc.evaluation import (
     write_csv,
     write_json,
 )
+from elmloc.featurizer import featurize, init_featurizer
+from elmloc.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
+from elmloc.preprocess import apply_preprocess, fit_preprocess
 
 
 class TestHitRate:
@@ -248,6 +252,32 @@ class TestRunBenchmark:
         assert payload["meta"]["TST1"]["c"] == 1.0
         assert payload["meta"]["TST1"]["preprocess_fit_s"] >= 0
 
+    def test_stochastic_rows_score_the_pipeline(self, syn_small, result):
+        # each row's hit rates are those of fit_pipeline/predict_pipeline for
+        # its seed and approach, and of the stages as the benchmark composed
+        # them before it ran through the pipeline
+        train, test = syn_small
+        rows, _, _ = result
+        stochastic = [r for r in rows if r.dataset == "TST1" and isinstance(r.seed, int)]
+        assert sorted((r.approach, r.seed) for r in stochastic) == [
+            ("cnn_elm", 0), ("cnn_elm", 1), ("elm_only", 0), ("elm_only", 1)]
+        truth = test.label_pairs()
+        for r in stochastic:
+            model = fit_pipeline(train, PipelineConfig(L=60, c=1.0, seed=r.seed,
+                                                       approach=r.approach))
+            pred = np.column_stack(predict_pipeline(test, model))
+            old = np.column_stack(_stages_reference(train, test, r.approach, r.seed))
+            assert pred.tobytes() == old.tobytes()
+            assert r.building_hit == hit_rate(pred, truth, "building")
+            assert r.floor_hit == hit_rate(pred, truth, "floor")
+
+    def test_preprocess_fit_time_is_the_baselines(self, syn_small, tmp_path):
+        # the ELM rows time their preprocessing fit inside fit_pipeline
+        run_benchmark(["TST1"], approaches=("elm_only",), seeds=(0,),
+                      loader=_loader_for(syn_small), out_dir=tmp_path)
+        _, payload = read_json(tmp_path / "report.json")
+        assert payload["meta"]["TST1"]["preprocess_fit_s"] is None
+
     def test_failed_dataset_recorded_and_skipped(self, syn_small):
         rows, failures = run_benchmark(
             ["TST1", "UJI1"], approaches=("knn",), seeds=(0,),
@@ -273,6 +303,18 @@ class TestRunBenchmark:
         a = [r for r in rows1 if r.seed == 0][0]
         b = [r for r in rows2 if r.seed == 0][0]
         assert (a.floor_hit, a.building_hit) == (b.floor_hit, b.building_hit)
+
+
+def _stages_reference(train, test, approach, seed, L=60, c=1.0):
+    """Test-split answers of the stages as the benchmark composed them by hand."""
+    params = fit_preprocess(train.rss)
+    x_tr = apply_preprocess(train.rss, params)
+    x_te = apply_preprocess(test.rss, params)
+    if approach == "cnn_elm":
+        spec = init_featurizer(seed, train.n_aps)
+        x_tr, x_te = featurize(x_tr, spec), featurize(x_te, spec)
+    model = elm.train_elm(x_tr, train.label_pairs(), L, c, seed)
+    return elm.predict(x_te, model)
 
 
 class TestPublishedRows:

@@ -7,7 +7,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from elmloc.dataset import registry_lookup, registry_names
 from elmloc.featurizer import (
     FeaturizerSpec,
-    abs_activation,
     avg_pool1d_valid,
     batch_flatten,
     conv1d_same,
@@ -256,11 +255,8 @@ class TestWidthAndComposition:
         spec = init_featurizer(2, 12)
         x = rng.normal(size=(3, 12))
         staged = batch_flatten(
-            avg_pool1d_valid(abs_activation(conv1d_same(x, spec)), spec))
+            avg_pool1d_valid(np.abs(conv1d_same(x, spec)), spec))
         assert (featurize(x, spec) == staged).all()
-
-    def test_abs_activation(self):
-        assert abs_activation(np.array([-2.0, 0.0, 3.0])).tolist() == [2.0, 0.0, 3.0]
 
     def test_mismatched_input_width_rejected(self):
         spec = init_featurizer(0, 10)

@@ -64,15 +64,6 @@ class TestClassify:
         b, f = knn.classify_all(feats[:10], idx)
         assert f.tolist() == list(range(10))
 
-    def test_single_query_helper(self, rng):
-        feats = rng.normal(size=(25, 4))
-        pairs = rng.integers(0, 3, size=(25, 2))
-        idx = knn.build_index(feats, pairs)
-        all_b, all_f = knn.classify_all(feats[3:4] + 0.01, idx)
-        b, f = knn.classify(feats[3] + 0.01, idx)
-        assert isinstance(b, int) and isinstance(f, int)
-        assert (b, f) == (int(all_b[0]), int(all_f[0]))
-
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_oracle_property(self, seed):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elmloc import elm
+from elmloc.dataset import split_validation
 from elmloc.evaluation import hit_rate
-from elmloc.featurizer import featurize, spec_to_dict
+from elmloc.featurizer import featurize, init_featurizer, spec_to_dict
 from elmloc.pipeline import (
     PipelineConfig,
     _fit_pipeline,
@@ -18,6 +20,7 @@ from elmloc.pipeline import (
     load_model,
     predict_pipeline,
     save_model,
+    sweep_pipeline,
 )
 from elmloc.preprocess import apply_preprocess, fit_preprocess, params_to_dict
 
@@ -119,6 +122,105 @@ class TestTrainingActivations:
         b, f = m.codebook.decode(np.argmax(h @ m.beta, axis=1))
         pb, pf = predict_pipeline(train, model)
         assert np.array_equal(b, pb) and np.array_equal(f, pf)
+
+
+def _scores(rss, model, quantized=False):
+    """Score matrix of the stages recomposed by hand, float or dequantized weights."""
+    x = apply_preprocess(rss, model.preprocess)
+    if model.featurizer is not None:
+        x = featurize(x, model.featurizer)
+    m = model.elm
+    weights = m.quantized.dequantized if quantized else (m.w, m.b, m.beta)
+    return elm._scores(x, *weights)
+
+
+def _queries(test, seed, n):
+    """n rows: test fingerprints plus random ones, some of them all-silent."""
+    rng = np.random.default_rng(seed)
+    rss = test.rss[rng.integers(0, test.n_samples, size=n)].copy()
+    noisy = rng.random(n) < 0.25
+    rss[noisy] = np.where(rng.random((int(noisy.sum()), test.n_aps)) < 0.2,
+                          -rng.uniform(30.0, 100.0, (int(noisy.sum()), test.n_aps)), 0.0)
+    return rss
+
+
+# Scores of the same row may differ by a few ulps with its position and batch
+# (up to 2.3e-15 seen), so answers are compared on rows with a clear top-2 gap.
+_MARGIN = 1e-9
+
+
+def _clear(scores):
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0] > _MARGIN
+
+
+class TestPredictProperties:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80), quantized=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_rows_permutes_answers(self, syn_small, fitted, seed, n, quantized):
+        rss = _queries(syn_small[1], seed, n)
+        perm = np.random.default_rng([seed, 1]).permutation(n)
+        b, f = predict_pipeline(rss, fitted, quantized=quantized)
+        pb, pf = predict_pipeline(rss[perm], fitted, quantized=quantized)
+        clear = _clear(_scores(rss, fitted, quantized))[perm]
+        assert clear.mean() > 0.9  # the property is not checked on a handful of rows
+        assert np.array_equal(pb[clear], b[perm][clear])
+        assert np.array_equal(pf[clear], f[perm][clear])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 80),
+           batch=st.integers(1, 80), quantized=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_answers_do_not_depend_on_batch_size(self, syn_small, fitted, seed, n, batch,
+                                                 quantized):
+        rss = _queries(syn_small[1], seed, n)
+        b, f = predict_pipeline(rss, fitted, quantized=quantized)
+        parts = [predict_pipeline(rss[i : i + batch], fitted, quantized=quantized)
+                 for i in range(0, n, batch)]
+        bb = np.concatenate([p[0] for p in parts])
+        fb = np.concatenate([p[1] for p in parts])
+        clear = _clear(_scores(rss, fitted, quantized))
+        assert clear.mean() > 0.9
+        assert np.array_equal(bb[clear], b[clear]) and np.array_equal(fb[clear], f[clear])
+
+
+def sweep_reference(train, config, step):
+    """The sweep as the CLI composed it before ``sweep_pipeline``: its bitwise oracle."""
+    sweep_train, val = split_validation(train, fraction=0.1, seed=config.seed)
+    params = fit_preprocess(sweep_train, mode=config.norm_mode)
+    x_tr = apply_preprocess(sweep_train, params)
+    x_val = apply_preprocess(val, params)
+    if config.approach == "cnn_elm":
+        spec = init_featurizer(config.seed, train.n_aps, n_filters=config.n_filters,
+                               kernel_size=config.kernel_size)
+        x_tr = featurize(x_tr, spec)
+        x_val = featurize(x_val, spec)
+    return elm.sweep_hidden(x_tr, sweep_train.label_pairs(), x_val, val.label_pairs(),
+                            config.c, config.L, step=step, seed=config.seed)
+
+
+class TestSweepPipeline:
+    @pytest.mark.parametrize("approach, kw", [
+        ("cnn_elm", {}),
+        ("elm_only", {}),
+        ("cnn_elm", dict(norm_mode="per_sample", kernel_size=5, n_filters=3, seed=4, c=0.1)),
+        ("elm_only", dict(norm_mode="per_sample", seed=2, c=10.0)),
+    ], ids=["cnn_elm", "elm_only", "cnn_elm_per_sample", "elm_only_per_sample"])
+    def test_equals_the_old_composition_bitwise(self, syn_small, approach, kw):
+        train, _ = syn_small
+        config = _config(approach=approach, L=70, **kw)
+        res = sweep_pipeline(train, config, step=7)
+        ref = sweep_reference(train, config, step=7)
+        assert res.sizes.tolist() == list(range(7, 71, 7))
+        for name in ("sizes", "floor_hits", "building_hits"):
+            got, want = getattr(res, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert res.best_L == ref.best_L
+
+    def test_reads_no_quantize_flag(self, syn_small):
+        train, _ = syn_small
+        a = sweep_pipeline(train, _config(L=40, quantize=True), step=20)
+        b = sweep_pipeline(train, _config(L=40), step=20)
+        assert a.floor_hits.tobytes() == b.floor_hits.tobytes()
 
 
 def save_model_reference(model, path):
