@@ -8,9 +8,9 @@ Dataset files live under a root directory (flag ``--data-root`` or env var
     <root>/<NAME>/manifest.json
 
 SYN1 is generated in memory when its files are absent. Option precedence is
-CLI flag > config file (``--config``) > registry defaults; config-file values
-are checked, not cast, and the resolved configuration and its digest are
-echoed so every run is reproducible.
+CLI flag > config file (``--config``) > registry defaults; config-file keys
+and values are checked, not cast or dropped, and the resolved configuration
+and its digest are echoed so every run is reproducible.
 
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
 wrappers, 2 I/O or configuration errors.
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, linalg
+from . import evaluation
 from .dataset import (
     DatasetDescriptor,
     ParseError,
@@ -177,6 +177,10 @@ def _resolve_run(args) -> dict:
         "n_filters": 2,
         "quantize": False,
     }
+    unknown = [key for key in cfg_file if key not in _FILE_KEYS]
+    if unknown:
+        raise CliError(f"config file {args.config}: unknown key {', '.join(map(repr, unknown))}; "
+                       f"accepted keys: {', '.join(_FILE_KEYS)}")
     for key, check in _FILE_KEYS.items():
         if key in cfg_file:
             try:
@@ -187,8 +191,6 @@ def _resolve_run(args) -> dict:
             resolved[key] = getattr(args, key)
     if resolved["c"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --c")
-    if resolved["L"] is None:
-        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     return resolved
 
 
@@ -247,8 +249,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    linalg.load_solver()  # before the data: see load_solver
     resolved = _resolve_run(args)
+    if resolved["L"] is None:
+        raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
@@ -337,8 +340,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    linalg.load_solver()  # before the data: see load_solver
     resolved = _resolve_run(args)
+    del resolved["L"]  # the grid, not L, sets the sizes the sweep fits
+    resolved.update(L_max=args.L_max, step=args.step)
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     _echo(resolved)
@@ -352,7 +356,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    linalg.load_solver()  # before the data: see load_solver
     root = _data_root(args)
     datasets = args.datasets.split(",")
     approaches = args.approaches.split(",")

@@ -2,7 +2,7 @@
 
 Everything is plain float64 ndarrays. The two entry points cover exactly
 what the trainers need: a checked matrix product and a symmetric
-positive-definite solve (Cholesky).
+positive-definite solve, numpy's Cholesky factor followed by two solves.
 """
 
 from __future__ import annotations
@@ -29,31 +29,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def load_solver():
-    """scipy's Cholesky pair ``(cho_factor, cho_solve)``, imported on first call.
-
-    scipy.linalg is most of the import time of elmloc and only training
-    solves, so importing elmloc does not import it. A process that is about
-    to train calls this before it allocates its data: imported in the middle
-    of a fit instead, the peak RSS of identical ``elmloc sweep`` runs landed
-    on either of two values 12 MB apart, depending on whether the kernel
-    backed the heap with transparent huge pages.
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    return cho_factor, cho_solve
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for symmetric positive-definite a via Cholesky."""
     a = _as_matrix(a, "a")
-    b_arr = np.asarray(b, dtype=np.float64)
+    b = _as_matrix(b, "b")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"a must be square, got shape {a.shape}")
-    if b_arr.shape[0] != a.shape[0]:
-        raise ValueError(f"b has {b_arr.shape[0]} rows, a is {a.shape[0]}x{a.shape[1]}")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"b has {b.shape[0]} rows, a is {a.shape[0]}x{a.shape[1]}")
     if not np.allclose(a, a.T, rtol=1e-10, atol=1e-12):
         raise LinAlgError("matrix is not symmetric")
-    cho_factor, cho_solve = load_solver()
-    c, lower = cho_factor(a)  # raises LinAlgError when not positive definite
-    return cho_solve((c, lower), b_arr)
+    low = np.linalg.cholesky(a)  # raises LinAlgError when not positive definite
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))

@@ -1,7 +1,12 @@
 """End-to-end command tests, in process via main(argv)."""
 
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +20,11 @@ from elmloc.evaluation import hit_rate
 from elmloc.pipeline import load_model, predict_pipeline
 from elmloc.synthetic import _write_csv
 
-register_dataset(DatasetDescriptor(
+TST1 = DatasetDescriptor(
     name="TST1", train_size=720, test_size=240, n_aps=40,
     L_default=60, c_default=1.0, db_type="MB-MF",
-), overwrite=True)
+)
+register_dataset(TST1, overwrite=True)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +179,25 @@ class TestTrain:
         assert (config.L, config.c, config.seed, config.quantize) == (20, 2.0, 3, True)
         assert (config.approach, config.norm_mode) == ("elm_only", "per_sample")
 
+    # a misspelt key, and keys that exist only as flags (--L-max, --step)
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("cfg, named", [
+        pytest.param({"L": 20, "sed": 3}, "'sed'", id="misspelt"),
+        pytest.param({"L_max": 20, "Lmax": 3, "step": 10}, "'L_max', 'Lmax', 'step'",
+                     id="flag_only"),
+    ])
+    def test_config_file_unknown_keys_rejected(self, data_root, tmp_path, capsys, command,
+                                               cfg, named):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--dataset", "TST1", "--data-root", str(data_root),
+                     "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert "config: " not in captured.out
+        assert re.search(rf"error: config file .*run\.json: unknown key {named}; "
+                         r"accepted keys: approach, L, c, seed, norm_mode, kernel_size, "
+                         r"n_filters, quantize$", captured.err.strip())
+
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_bad_hidden_size_flag_named(self, data_root, capsys, value):
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +343,32 @@ class TestSweep:
             ("10 ", "20 ", "30 "))) == 3
 
 
+    def test_echo_describes_the_grid(self, data_root, capsys):
+        echoed = {}
+        for l_max in (20, 40):
+            assert main(["sweep", "--dataset", "TST1", "--data-root", str(data_root),
+                         "--L-max", str(l_max), "--step", "10"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            cfg = json.loads(next(l for l in lines if l.startswith("config: "))[8:])
+            digest = next(l for l in lines if l.startswith("config_digest: "))
+            echoed[l_max] = cfg, digest
+        assert "L" not in echoed[20][0]
+        assert [(cfg["L_max"], cfg["step"]) for cfg, _ in echoed.values()] == [(20, 10), (40, 10)]
+        assert echoed[20][1] != echoed[40][1]
+
+    def test_unregistered_dataset_needs_only_c(self, data_root, tmp_path, capsys):
+        (tmp_path / "MYDS").symlink_to(data_root / "TST1")
+        flags = ["sweep", "--dataset", "MYDS", "--data-root", str(tmp_path),
+                 "--L-max", "20", "--step", "10"]
+        assert main(flags) == 2
+        assert "pass --c" in capsys.readouterr().err
+        assert main([*flags, "--c", "1"]) == 0
+        assert "selected L = " in capsys.readouterr().out
+        # train still needs the L the sweep does without
+        assert main(["train", "--dataset", "MYDS", "--data-root", str(tmp_path),
+                     "--c", "1", "--out", str(tmp_path / "m.json")]) == 2
+        assert "pass --L" in capsys.readouterr().err
+
     def test_nan_features_exit_2(self, data_root, monkeypatch, capsys):
         real = pipeline._fit_stages
 
@@ -400,30 +451,22 @@ class TestErrorSurface:
 
 
 @pytest.mark.parametrize("command", [
-    ["train", "--L", "20"],
-    ["sweep", "--L-max", "20", "--step", "10"],
-    ["benchmark", "--approaches", "elm_only", "--seeds", "0"],
+    ["train", "--dataset", "TST1", "--L", "20", "--out", "m.json"],
+    ["sweep", "--dataset", "TST1", "--L-max", "20", "--step", "10"],
+    ["benchmark", "--datasets", "TST1", "--approaches", "elm_only", "--seeds", "0",
+     "--out-dir", "reports"],
 ])
-def test_training_commands_load_solver_before_data(data_root, tmp_path, monkeypatch, command):
-    # scipy loaded after the data leaves the peak memory of a run to chance
-    import elmloc.cli as cli
-
-    events = []
-    load_solver, load_train, load_pair = cli.linalg.load_solver, cli._load_train, cli._load_pair
-
-    def traced(tag, fn):
-        def wrapper(*args):
-            events.append(tag)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(cli.linalg, "load_solver", traced("solver", load_solver))
-    monkeypatch.setattr(cli, "_load_train", traced("data", load_train))
-    monkeypatch.setattr(cli, "_load_pair", traced("data", load_pair))
-    name, *flags = command
-    dataset = ["--datasets" if name == "benchmark" else "--dataset", "TST1"]
-    out = ["--out-dir" if name == "benchmark" else "--out", str(tmp_path / "out")]
-    if name == "sweep":
-        out = []
-    assert main([name, *dataset, "--data-root", str(data_root), *flags, *out]) == 0
-    assert events[0] == "solver" and "data" in events
+def test_training_commands_run_without_scipy(data_root, tmp_path, command):
+    # None in sys.modules makes every import of scipy raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from elmloc.cli import main\n"
+        "from elmloc.dataset import DatasetDescriptor, register_dataset\n"
+        f"register_dataset(DatasetDescriptor(**{dataclasses.asdict(TST1)!r}))\n"
+        f"sys.exit(main({[*command, '--data-root', str(data_root)]!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr

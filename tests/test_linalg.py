@@ -98,3 +98,10 @@ class TestSolveSpd:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.ones((4, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        b = np.ones((3, 2))
+        b[1, 0] = bad
+        with pytest.raises(ValueError, match="b contains non-finite values"):
+            solve_spd(np.eye(3), b)

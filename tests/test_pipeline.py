@@ -414,7 +414,7 @@ class TestBadWeights:
 
 
 def test_serving_does_not_import_scipy(fitted, tmp_path):
-    # scipy is needed only to solve for the output weights at training time
+    # elmloc does not depend on scipy; nothing on the serving path may pull it in
     p = tmp_path / "m.json"
     save_model(fitted, p)
     code = (
