@@ -8,9 +8,12 @@ Dataset files live under a root directory (flag ``--data-root`` or env var
     <root>/<NAME>/manifest.json
 
 SYN1 is generated in memory when its files are absent. Option precedence is
-CLI flag > config file (``--config``) > registry defaults; config-file keys
-and values are checked, not cast or dropped, and the resolved configuration
-and its digest are echoed so every run is reproducible.
+CLI flag > config file (``--config``) > registry > ``PipelineConfig``
+defaults. Each command names the settings it reads (``_TRAIN_KEYS``,
+``_SWEEP_KEYS``); any other config-file key is an error, and file values go
+through ``pipeline.check_setting``, so they are checked, not cast or dropped.
+The resolved configuration and its digest are echoed so every run is
+reproducible.
 
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
 wrappers, 2 I/O or configuration errors.
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +38,6 @@ from .dataset import (
     RadioMap,
     SchemaError,
     UnknownDatasetError,
-    check_float,
-    check_int,
     load_csv,
     load_manifest,
     parse_rows,
@@ -45,13 +47,16 @@ from .dataset import (
 )
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
+    APPROACHES,
     PipelineConfig,
     _fit_pipeline,
+    check_setting,
     load_model,
     predict_pipeline,
     save_model,
     sweep_pipeline,
 )
+from .preprocess import NORM_MODES
 from .synthetic import generate_synthetic
 
 _DATA_ROOT_ENV = "ELMLOC_DATA_ROOT"
@@ -125,66 +130,42 @@ def _hidden_size(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
 
 
-def _check_hidden_size(value, key: str):
-    return value if value == "auto" else check_int(value, key)
+def _seed_list(text: str) -> list[int]:
+    """Type of the --seeds flag: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
-def _check_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must hold true or false, got {value!r}")
-    return value
+# The PipelineConfig fields each command reads, from a flag or a config file.
+# The sweep's hidden sizes come from --L-max and --step, and it saves no model.
+_TRAIN_KEYS = ("approach", "L", "c", "seed", "norm_mode", "kernel_size", "n_filters", "quantize")
+_SWEEP_KEYS = tuple(key for key in _TRAIN_KEYS if key not in ("L", "quantize"))
 
 
-def _check_choice(choices):
-    def check(value, key: str) -> str:
-        if value not in choices:
-            raise ValueError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
-        return value
-    return check
+def _resolve_run(args, keys: tuple[str, ...]) -> dict:
+    """Merge flags, config file, and defaults of ``keys`` into one echoed mapping.
 
-
-_APPROACHES = ("cnn_elm", "elm_only")
-_NORM_MODES = ("per_feature", "per_sample")
-
-# Config-file keys and the check each value must pass; flags are typed by argparse.
-_FILE_KEYS = {
-    "approach": _check_choice(_APPROACHES),
-    "L": _check_hidden_size,
-    "c": check_float,
-    "seed": check_int,
-    "norm_mode": _check_choice(_NORM_MODES),
-    "kernel_size": check_int,
-    "n_filters": check_int,
-    "quantize": _check_bool,
-}
-
-
-def _resolve_run(args) -> dict:
-    """Merge flags, config file, and registry into one echoed mapping.
-
-    CLI flag > config file > registry/default for every key.
+    CLI flag > config file > registry (L, c) > ``PipelineConfig`` default for
+    every key. A file's L may also be "auto", as the --L flag may.
     """
     cfg_file = _read_config_file(args.config)
-    desc = _descriptor(args.dataset)
-    resolved = {
-        "dataset": args.dataset,
-        "approach": "cnn_elm",
-        "L": desc.L_default if desc else None,
-        "c": desc.c_default if desc else None,
-        "seed": 0,
-        "norm_mode": "per_feature",
-        "kernel_size": 3,
-        "n_filters": 2,
-        "quantize": False,
-    }
-    unknown = [key for key in cfg_file if key not in _FILE_KEYS]
+    unknown = [key for key in cfg_file if key not in keys]
     if unknown:
         raise CliError(f"config file {args.config}: unknown key {', '.join(map(repr, unknown))}; "
-                       f"accepted keys: {', '.join(_FILE_KEYS)}")
-    for key, check in _FILE_KEYS.items():
+                       f"accepted keys: {', '.join(keys)}")
+    desc = _descriptor(args.dataset)
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
+    defaults.update(L=desc.L_default if desc else None, c=desc.c_default if desc else None)
+    resolved = {"dataset": args.dataset}
+    for key in keys:
+        resolved[key] = defaults[key]
         if key in cfg_file:
+            value = cfg_file[key]
             try:
-                resolved[key] = check(cfg_file[key], key)
+                resolved[key] = value if key == "L" and value == "auto" else check_setting(key, value)
             except ValueError as exc:
                 raise CliError(f"config file {args.config}: {exc}") from None
         if getattr(args, key) is not None:
@@ -194,23 +175,15 @@ def _resolve_run(args) -> dict:
     return resolved
 
 
+def _config(resolved: dict, keys: tuple[str, ...], **override) -> PipelineConfig:
+    """The ``PipelineConfig`` of a resolved run, with ``override`` taking precedence."""
+    return PipelineConfig(**{**{key: resolved[key] for key in keys}, **override})
+
+
 def _echo(resolved: dict) -> None:
     digest = config_digest(resolved)
     print(f"config: {json.dumps(resolved, sort_keys=True)}")
     print(f"config_digest: {digest}")
-
-
-def _pipeline_config(resolved: dict, L: int) -> PipelineConfig:
-    return PipelineConfig(
-        L=L,
-        c=resolved["c"],
-        seed=resolved["seed"],
-        approach=resolved["approach"],
-        norm_mode=resolved["norm_mode"],
-        n_filters=resolved["n_filters"],
-        kernel_size=resolved["kernel_size"],
-        quantize=resolved["quantize"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +222,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve_run(args)
+    resolved = _resolve_run(args, _TRAIN_KEYS)
     if resolved["L"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
-        result = sweep_pipeline(train, _pipeline_config(resolved, args.L_max), args.step)
+        result = sweep_pipeline(train, _config(resolved, _TRAIN_KEYS, L=args.L_max), args.step)
         grid = ", ".join(str(s) for s in result.sizes.tolist())
         print(f"sweep grid: {{{grid}}}")
         best_idx = int(np.nonzero(result.sizes == result.best_L)[0][0])
@@ -263,7 +236,7 @@ def cmd_train(args) -> int:
               f"{result.floor_hits[best_idx]:.2f}%)")
         resolved["L"] = result.best_L
     _echo(resolved)
-    config = _pipeline_config(resolved, resolved["L"])
+    config = _config(resolved, _TRAIN_KEYS)
 
     t0 = time.perf_counter()
     model, h = _fit_pipeline(train, config, dataset=args.dataset)
@@ -316,8 +289,10 @@ def cmd_predict(args) -> int:
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")
     out_path = Path(args.out) if args.out else queries_path.with_suffix(".predictions.csv")
-    with open(queries_path) as fh:
-        has_data = bool(fh.readline()) and bool(fh.readline().strip())
+    with open(queries_path, newline="") as fh:
+        fh.readline()  # the header
+        # parse_rows' rule: blank and whitespace-only lines hold no query
+        has_data = any(not line.isspace() for line in fh)
     if not has_data:
         out_path.write_text("building,floor\n")
         print(f"0 queries; wrote {out_path}")
@@ -340,13 +315,13 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = _resolve_run(args)
-    del resolved["L"]  # the grid, not L, sets the sizes the sweep fits
-    resolved.update(L_max=args.L_max, step=args.step)
+    resolved = _resolve_run(args, _SWEEP_KEYS)
+    config = _config(resolved, _SWEEP_KEYS, L=args.L_max)
+    resolved.update(L_max=args.L_max, step=args.step)  # the grid the sweep fits
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     _echo(resolved)
-    result = sweep_pipeline(train, _pipeline_config(resolved, args.L_max), args.step)
+    result = sweep_pipeline(train, config, args.step)
     print(f"{'L':>6} {'floor_hit':>10} {'building_hit':>13}")
     for L, fh_, bh in zip(result.sizes, result.floor_hits, result.building_hits):
         marker = "  <- selected" if int(L) == result.best_L else ""
@@ -359,7 +334,7 @@ def cmd_benchmark(args) -> int:
     root = _data_root(args)
     datasets = args.datasets.split(",")
     approaches = args.approaches.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = args.seeds
     out_dir = Path(args.out_dir)
 
     def loader(name):
@@ -390,19 +365,17 @@ def cmd_report(args) -> int:
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+    """The flags train and sweep share; train alone adds --L and --quantize."""
     p.add_argument("--dataset", required=True, help=f"one of {', '.join(registry_names())} or a user dataset")
     p.add_argument("--data-root", help=f"dataset root directory (default: ${_DATA_ROOT_ENV} or .)")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--approach", choices=_APPROACHES)
-    p.add_argument("--L", type=_hidden_size, help="hidden neurons, or 'auto' to sweep")
+    p.add_argument("--approach", choices=APPROACHES)
     p.add_argument("--c", type=float, help="regularization term")
     p.add_argument("--seed", type=int)
-    p.add_argument("--norm-mode", choices=_NORM_MODES)
+    p.add_argument("--norm-mode", choices=NORM_MODES)
     p.add_argument("--kernel-size", type=int)
     p.add_argument("--n-filters", type=int)
-    p.add_argument("--quantize", action="store_true", default=None,
-                   help="attach int8 weights to the model")
-    p.add_argument("--L-max", type=int, default=500, help="sweep upper bound for --L auto")
+    p.add_argument("--L-max", type=int, default=500, help="sweep upper bound")
     p.add_argument("--step", type=int, default=5, help="sweep grid step")
 
 
@@ -425,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it to JSON")
     _add_common_train_flags(p)
+    p.add_argument("--L", type=_hidden_size, help="hidden neurons, or 'auto' to sweep")
+    p.add_argument("--quantize", action="store_true", default=None,
+                   help="attach int8 weights to the model")
     p.add_argument("--out", help="model output path (default <dataset>.model.json)")
     p.set_defaults(func=cmd_train)
 
@@ -435,14 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantized", action="store_true", help="use the int8 weight path")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep", help="hidden-size grid search on a validation split")
+    # no abbreviations: --L would otherwise be taken as --L-max
+    p = sub.add_parser("sweep", help="hidden-size grid search on a validation split",
+                       allow_abbrev=False)
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("benchmark", help="run the dataset x approach x seed table")
     p.add_argument("--datasets", required=True, help="comma-separated registered names")
     p.add_argument("--approaches", default="knn,elm_only,cnn_elm")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4",
+                   help="comma-separated integer seeds")
     p.add_argument("--data-root")
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=cmd_benchmark)

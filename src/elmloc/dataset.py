@@ -119,10 +119,14 @@ def check_rss(rss: np.ndarray, what: str) -> None:
 
 
 def check_int(value, key: str) -> int:
-    """A JSON integer within int64, not a bool or float, under ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
+    """An integer within int64 under ``key``, as a Python int.
+
+    JSON integers and numpy integer scalars pass; bools and floats do not.
+    """
+    number = int(value) if isinstance(value, np.integer) else value
+    if isinstance(number, bool) or not isinstance(number, int) or not -2**63 <= number < 2**63:
         raise ValueError(f"{key} must hold 64-bit integers, got {value!r}")
-    return value
+    return number
 
 
 def check_float(value, key: str) -> float:

@@ -7,12 +7,16 @@ The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and filter weights travel with
 the model. ``sweep_pipeline`` scores a grid of hidden sizes on a validation
 split with the same stages. The CLI and the benchmark call these three.
+
+``PipelineConfig`` is the one place that knows what a valid setting is:
+``check_setting`` checks each field, whether it comes from Python code, a
+CLI config file or a model file's ``config`` section.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +26,7 @@ from .dataset import RadioMap, check_float, check_int, check_rss, split_validati
 from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
 from .preprocess import (
     DEFAULT_EXPONENT,
+    NORM_MODES,
     PreprocessParams,
     apply_powed,
     apply_preprocess,
@@ -34,15 +39,17 @@ from .preprocess import (
 
 _FORMAT = "elmloc-model-v1"
 
+APPROACHES = ("cnn_elm", "elm_only")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved training knobs for one run."""
+    """Resolved training knobs for one run, each checked by ``check_setting``."""
 
     L: int
     c: float
     seed: int = 0
-    approach: str = "cnn_elm"  # or "elm_only"
+    approach: str = "cnn_elm"
     exponent: float = DEFAULT_EXPONENT
     norm_mode: str = "per_feature"
     n_filters: int = 2
@@ -52,8 +59,32 @@ class PipelineConfig:
     quantize: bool = False
 
     def __post_init__(self):
-        if self.approach not in ("cnn_elm", "elm_only"):
-            raise ValueError(f"approach must be cnn_elm or elm_only, got {self.approach!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_setting(f.name, getattr(self, f.name)))
+
+
+# The str fields' allowed values; the other fields are checked by their annotation.
+_CHOICES = {"approach": APPROACHES, "norm_mode": NORM_MODES}
+_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+
+def check_setting(name: str, value):
+    """``value`` checked as the ``PipelineConfig`` field ``name``; the value to store.
+
+    Raises ``ValueError`` naming the field. Integers come back as Python ints
+    and numbers as Python floats, so a checked config always serializes.
+    """
+    if name in _CHOICES:
+        if not isinstance(value, str) or value not in _CHOICES[name]:
+            raise ValueError(f"{name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
+        return value
+    if _TYPES[name] == "int":
+        return check_int(value, name)
+    if _TYPES[name] == "float":
+        return check_float(value, name)
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must hold true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -168,27 +199,11 @@ def predict_pipeline(
     return elm_mod.predict(x, model.elm)
 
 
-def _config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "L": config.L,
-        "c": config.c,
-        "seed": config.seed,
-        "approach": config.approach,
-        "exponent": config.exponent,
-        "norm_mode": config.norm_mode,
-        "n_filters": config.n_filters,
-        "kernel_size": config.kernel_size,
-        "pool_size": config.pool_size,
-        "pool_stride": config.pool_stride,
-        "quantize": config.quantize,
-    }
-
-
 def save_model(model: TrainedModel, path) -> None:
     doc = {
         "format": _FORMAT,
         "dataset": model.dataset,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "preprocess": params_to_dict(model.preprocess),
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm_mod.model_to_dict(model.elm),
@@ -200,30 +215,12 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-# JSON types of the str and bool config fields, keyed by their annotation.
-_CONFIG_TYPES = {"str": str, "bool": bool}
-
-
-def _config_from_dict(d: dict) -> PipelineConfig:
-    for f in fields(PipelineConfig):
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        if f.type == "int":
-            check_int(value, f.name)
-        elif f.type == "float":
-            check_float(value, f.name)
-        elif not isinstance(value, _CONFIG_TYPES[f.type]):
-            raise ValueError(f"{f.name} must hold a {f.type}, got {value!r}")
-    return PipelineConfig(**d)
-
-
 # Model document sections and their parsers; "featurizer" may also be null.
 _SECTIONS = {
     "preprocess": params_from_dict,
     "featurizer": spec_from_dict,
     "elm": elm_mod.model_from_dict,
-    "config": _config_from_dict,
+    "config": lambda d: PipelineConfig(**d),
 }
 
 

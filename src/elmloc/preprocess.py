@@ -28,7 +28,7 @@ from .dataset import NOT_DETECTED, RadioMap, check_float
 #: Powed exponent: the mathematical constant e (not configurable by default).
 DEFAULT_EXPONENT = math.e
 
-_MODES = ("per_feature", "per_sample")
+NORM_MODES = ("per_feature", "per_sample")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class PreprocessParams:
     feature_norms: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in NORM_MODES:
+            raise ValueError(f"mode must be one of {NORM_MODES}, got {self.mode!r}")
         if not self.min_rss < 0:
             raise ValueError(f"min_rss must be negative, got {self.min_rss}")
         if self.feature_norms is not None:

@@ -17,7 +17,7 @@ from elmloc import pipeline
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.evaluation import hit_rate
-from elmloc.pipeline import load_model, predict_pipeline
+from elmloc.pipeline import PipelineConfig, load_model, predict_pipeline
 from elmloc.synthetic import _write_csv
 
 TST1 = DatasetDescriptor(
@@ -179,24 +179,30 @@ class TestTrain:
         assert (config.L, config.c, config.seed, config.quantize) == (20, 2.0, 3, True)
         assert (config.approach, config.norm_mode) == ("elm_only", "per_sample")
 
-    # a misspelt key, and keys that exist only as flags (--L-max, --step)
+    # a misspelt key, and keys that exist only as flags (--L-max, --step); the
+    # sweep takes no L, so to it the misspelt case names two keys
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("cfg, named", [
-        pytest.param({"L": 20, "sed": 3}, "'sed'", id="misspelt"),
-        pytest.param({"L_max": 20, "Lmax": 3, "step": 10}, "'L_max', 'Lmax', 'step'",
+        pytest.param({"L": 20, "sed": 3}, {"train": "'sed'", "sweep": "'L', 'sed'"},
+                     id="misspelt"),
+        pytest.param({"L_max": 20, "Lmax": 3, "step": 10},
+                     dict.fromkeys(("train", "sweep"), "'L_max', 'Lmax', 'step'"),
                      id="flag_only"),
     ])
     def test_config_file_unknown_keys_rejected(self, data_root, tmp_path, capsys, command,
                                                cfg, named):
+        accepted = {
+            "train": "approach, L, c, seed, norm_mode, kernel_size, n_filters, quantize",
+            "sweep": "approach, c, seed, norm_mode, kernel_size, n_filters",
+        }[command]
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main([command, "--dataset", "TST1", "--data-root", str(data_root),
                      "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert "config: " not in captured.out
-        assert re.search(rf"error: config file .*run\.json: unknown key {named}; "
-                         r"accepted keys: approach, L, c, seed, norm_mode, kernel_size, "
-                         r"n_filters, quantize$", captured.err.strip())
+        assert re.search(rf"error: config file .*run\.json: unknown key {named[command]}; "
+                         rf"accepted keys: {accepted}$", captured.err.strip())
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_bad_hidden_size_flag_named(self, data_root, capsys, value):
@@ -284,6 +290,23 @@ class TestPredict:
         assert out.read_text() == "building,floor\n"
         assert "0 queries" in capsys.readouterr().out
 
+    def test_blank_lines_after_header_are_skipped(self, data_root, model_path, tmp_path,
+                                                  capsys):
+        # the emptiness check skips blank lines as the parser does
+        rows = [line.rsplit(",", 2)[0] for line in
+                (data_root / "TST1" / "test.csv").read_text().splitlines()[:6]]
+        predictions = []
+        for name, gap in (("plain", []), ("gapped", ["", "   "])):
+            p = tmp_path / f"{name}.csv"
+            p.write_text("\n".join([rows[0], *gap, *rows[1:]]) + "\n")
+            out = tmp_path / f"{name}.out.csv"
+            assert main(["predict", "--model", str(model_path), "--queries", str(p),
+                         "--out", str(out)]) == 0
+            assert "5 predictions written" in capsys.readouterr().out
+            predictions.append(out.read_text())
+        assert predictions[0] == predictions[1]
+        assert len(predictions[0].splitlines()) == 6
+
     @pytest.mark.parametrize("row, message", [
         ("-50,-60", r":3: expected 40 columns, found 2"),
         ("-50," * 39 + "oops", r":3: non-numeric cell 'oops' in column 39"),
@@ -356,6 +379,26 @@ class TestSweep:
         assert [(cfg["L_max"], cfg["step"]) for cfg, _ in echoed.values()] == [(20, 10), (40, 10)]
         assert echoed[20][1] != echoed[40][1]
 
+    @pytest.mark.parametrize("flags", [["--L", "7"], ["--quantize"]])
+    def test_takes_no_L_or_quantize_flag(self, data_root, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dataset", "TST1", "--data-root", str(data_root), *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_takes_no_quantize_key_and_echoes_none(self, data_root, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"quantize": True}))
+        flags = ["sweep", "--dataset", "TST1", "--data-root", str(data_root),
+                 "--L-max", "20", "--step", "10"]
+        assert main([*flags, "--config", str(cfg_path)]) == 2
+        assert "unknown key 'quantize'" in capsys.readouterr().err
+        assert main(flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = json.loads(next(l for l in lines if l.startswith("config: "))[8:])
+        assert sorted(cfg) == ["L_max", "approach", "c", "dataset", "kernel_size",
+                               "n_filters", "norm_mode", "seed", "step"]
+
     def test_unregistered_dataset_needs_only_c(self, data_root, tmp_path, capsys):
         (tmp_path / "MYDS").symlink_to(data_root / "TST1")
         flags = ["sweep", "--dataset", "MYDS", "--data-root", str(tmp_path),
@@ -426,6 +469,16 @@ class TestBenchmarkReport:
         assert "TST1" in rendered
         assert "config_digest:" in rendered
 
+    @pytest.mark.parametrize("seeds", ["a", "0,,1"])
+    def test_bad_seeds_flag_named(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--datasets", "TST1", "--seeds", seeds,
+                  "--out-dir", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert re.search(rf"argument --seeds: expected comma-separated integers, "
+                         rf"got '{seeds}'", capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
     def test_benchmark_all_failed(self, tmp_path, capsys):
         rc = main(["benchmark", "--datasets", "UJI1", "--seeds", "0",
                    "--data-root", str(tmp_path),
@@ -470,3 +523,37 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+# one bad setting gets one message from each entry point: the Python API, a
+# --config file and a model file's config section
+@pytest.mark.parametrize("key, value, message", [
+    ("quantize", "yes", r"quantize must hold true or false, got 'yes'"),
+    ("L", "60", r"L must hold 64-bit integers, got '60'"),
+    ("L", 1.7, r"L must hold 64-bit integers, got 1\.7"),
+    ("approach", 1, r"approach must be one of cnn_elm, elm_only, got 1"),
+    ("norm_mode", "bogus", r"norm_mode must be one of per_feature, per_sample, got 'bogus'"),
+    ("c", True, r"c must hold a float, got True"),
+], ids=["quantize_string", "L_string", "L_fraction", "approach_number", "norm_mode_bogus",
+        "c_bool"])
+def test_bad_setting_same_message_everywhere(data_root, model_path, tmp_path, capsys, key,
+                                             value, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        PipelineConfig(**{"L": 20, "c": 1.0, key: value})
+
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    out = tmp_path / "m.json"
+    assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                 "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert re.search(rf"error: config file .*run\.json: {message}$",
+                     capsys.readouterr().err.strip())
+    assert not out.exists()
+
+    doc = json.loads(model_path.read_text())
+    doc["config"][key] = value
+    bad = tmp_path / "bad.model.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"bad\.model\.json: bad value under model key "
+                                         rf"'config': {message}$"):
+        load_model(bad)

@@ -272,6 +272,19 @@ class TestSaveLoad:
         assert back.preprocess.min_rss == fitted.preprocess.min_rss
         assert back.config == fitted.config
 
+    def test_numpy_integer_settings_round_trip(self, syn_small, tmp_path):
+        # settings read from numpy arrays are stored as Python ints, so the model saves
+        train, test = syn_small
+        config = _config(L=np.int64(20), seed=np.int64(2))
+        assert (type(config.L), type(config.seed)) == (int, int)
+        assert config == _config(L=20, seed=2)
+        model = fit_pipeline(train, config)
+        save_model(model, tmp_path / "m.json")
+        back = load_model(tmp_path / "m.json")
+        assert back.config == config
+        for got, want in zip(predict_pipeline(test, back), predict_pipeline(test, model)):
+            assert (got == want).all()
+
     def test_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"format": "something-else"}')
@@ -361,9 +374,9 @@ BAD_KEYS = {
     "config_c_bool": ("config", lambda d: d.update(c=True),
                       r"c must hold a float, got True"),
     "config_approach_number": ("config", lambda d: d.update(approach=1),
-                               r"approach must hold a str, got 1"),
+                               r"approach must be one of cnn_elm, elm_only, got 1"),
     "config_quantize_string": ("config", lambda d: d.update(quantize="yes"),
-                               r"quantize must hold a bool, got 'yes'"),
+                               r"quantize must hold true or false, got 'yes'"),
     # a float() cast would load each of these as a number
     "c_string": ("elm", lambda d: d.update(c="0.5"), r"c must hold a float, got '0\.5'"),
     "c_bool": ("elm", lambda d: d.update(c=True), r"c must hold a float, got True"),
