@@ -9,11 +9,11 @@ Dataset files live under a root directory (flag ``--data-root`` or env var
 
 SYN1 is generated in memory when its files are absent. Option precedence is
 CLI flag > config file (``--config``) > registry > ``PipelineConfig``
-defaults. Each command names the settings it reads (``_TRAIN_KEYS``,
-``_SWEEP_KEYS``); any other config-file key is an error, and file values go
-through ``pipeline.check_setting``, so they are checked, not cast or dropped.
-The resolved configuration and its digest are echoed so every run is
-reproducible.
+defaults. Each command names the settings it reads (``_TRAIN_KEYS``, every
+``PipelineConfig`` field, and ``_SWEEP_KEYS``); any other config-file key is an
+error, and flag and file values go through ``pipeline.check_setting``, so they
+are checked, not cast or dropped, before any data is read. The resolved
+configuration and its digest are echoed so every run is reproducible.
 
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
 wrappers, 2 I/O or configuration errors.
@@ -45,6 +45,7 @@ from .dataset import (
     registry_lookup,
     registry_names,
 )
+from .elm import check_grid
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
     APPROACHES,
@@ -141,7 +142,7 @@ def _seed_list(text: str) -> list[int]:
 
 # The PipelineConfig fields each command reads, from a flag or a config file.
 # The sweep's hidden sizes come from --L-max and --step, and it saves no model.
-_TRAIN_KEYS = ("approach", "L", "c", "seed", "norm_mode", "kernel_size", "n_filters", "quantize")
+_TRAIN_KEYS = tuple(f.name for f in fields(PipelineConfig))
 _SWEEP_KEYS = tuple(key for key in _TRAIN_KEYS if key not in ("L", "quantize"))
 
 
@@ -163,16 +164,20 @@ def _resolve_run(args, keys: tuple[str, ...]) -> dict:
     for key in keys:
         resolved[key] = defaults[key]
         if key in cfg_file:
-            value = cfg_file[key]
             try:
-                resolved[key] = value if key == "L" and value == "auto" else check_setting(key, value)
+                resolved[key] = _setting(key, cfg_file[key])
             except ValueError as exc:
                 raise CliError(f"config file {args.config}: {exc}") from None
         if getattr(args, key) is not None:
-            resolved[key] = getattr(args, key)
+            resolved[key] = _setting(key, getattr(args, key))
     if resolved["c"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --c")
     return resolved
+
+
+def _setting(key: str, value):
+    """``value`` checked as the setting ``key``; L may also be "auto"."""
+    return value if key == "L" and value == "auto" else check_setting(key, value)
 
 
 def _config(resolved: dict, keys: tuple[str, ...], **override) -> PipelineConfig:
@@ -225,6 +230,8 @@ def cmd_train(args) -> int:
     resolved = _resolve_run(args, _TRAIN_KEYS)
     if resolved["L"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
+    if resolved["L"] == "auto":
+        check_grid(args.step, args.L_max)
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
@@ -316,6 +323,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     resolved = _resolve_run(args, _SWEEP_KEYS)
+    check_grid(args.step, args.L_max)
     config = _config(resolved, _SWEEP_KEYS, L=args.L_max)
     resolved.update(L_max=args.L_max, step=args.step)  # the grid the sweep fits
     root = _data_root(args)

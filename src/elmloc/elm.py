@@ -354,6 +354,12 @@ def _from_both_ends(task, n: int) -> None:
         raise failed[min(failed)]
 
 
+def check_grid(step: int, L_max: int) -> None:
+    """The hidden-size grid ``sweep_hidden`` accepts: 1 <= step <= L_max."""
+    if step < 1 or L_max < step:
+        raise ValueError(f"need 1 <= step <= L_max, got step={step}, L_max={L_max}")
+
+
 def sweep_hidden(
     train_features: np.ndarray,
     train_pairs: np.ndarray,
@@ -374,8 +380,7 @@ def sweep_hidden(
     pending and a smaller one, so together they hold less than the serial
     loop's largest fit did.
     """
-    if step < 1 or L_max < step:
-        raise ValueError(f"need 1 <= step <= L_max, got step={step}, L_max={L_max}")
+    check_grid(step, L_max)
     x_tr = np.asarray(train_features, dtype=np.float64)
     x_val = np.asarray(val_features, dtype=np.float64)
     if x_val.shape[0] == 0:

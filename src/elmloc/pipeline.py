@@ -23,9 +23,16 @@ import numpy as np
 
 from . import elm as elm_mod
 from .dataset import RadioMap, check_float, check_int, check_rss, split_validation
-from .featurizer import FeaturizerSpec, featurize, init_featurizer, spec_from_dict, spec_to_dict
+from .featurizer import (
+    POOL,
+    FeaturizerSpec,
+    featurize,
+    init_featurizer,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .preprocess import (
-    DEFAULT_EXPONENT,
+    EXPONENT,
     NORM_MODES,
     PreprocessParams,
     apply_powed,
@@ -50,12 +57,9 @@ class PipelineConfig:
     c: float
     seed: int = 0
     approach: str = "cnn_elm"
-    exponent: float = DEFAULT_EXPONENT
     norm_mode: str = "per_feature"
     n_filters: int = 2
     kernel_size: int = 3
-    pool_size: int = 2
-    pool_stride: int = 2
     quantize: bool = False
 
     def __post_init__(self):
@@ -66,6 +70,13 @@ class PipelineConfig:
 # The str fields' allowed values; the other fields are checked by their annotation.
 _CHOICES = {"approach": APPROACHES, "norm_mode": NORM_MODES}
 _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# The numeric fields' ranges: (test, what the message says the value must be).
+_RANGES = {
+    "L": (lambda v: v >= 1, ">= 1"),
+    "c": (lambda v: v > 0, "positive"),
+    "n_filters": (lambda v: v >= 1, ">= 1"),
+    "kernel_size": (lambda v: v >= 1 and v % 2 == 1, "odd and positive"),
+}
 
 
 def check_setting(name: str, value):
@@ -79,11 +90,13 @@ def check_setting(name: str, value):
             raise ValueError(f"{name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
         return value
     if _TYPES[name] == "int":
-        return check_int(value, name)
-    if _TYPES[name] == "float":
-        return check_float(value, name)
-    if not isinstance(value, bool):
+        value = check_int(value, name)
+    elif _TYPES[name] == "float":
+        value = check_float(value, name)
+    elif not isinstance(value, bool):
         raise ValueError(f"{name} must hold true or false, got {value!r}")
+    if name in _RANGES and not _RANGES[name][0](value):
+        raise ValueError(f"{name} must be {_RANGES[name][1]}, got {value!r}")
     return value
 
 
@@ -135,19 +148,14 @@ def _fit_stages(
     The powed transform runs once: its output both fits the unit-norm stage
     and is normalized. The featurizer is None for ``elm_only``.
     """
-    params = fit_powed(train, config.exponent, config.norm_mode)
+    params = fit_powed(train, config.norm_mode)
     x = apply_powed(train, params)
     params = fit_unit_norm(x, params)
     x = apply_unit_norm(x, params)
     fspec = None
     if config.approach == "cnn_elm":
         fspec = init_featurizer(
-            config.seed,
-            train.n_aps,
-            n_filters=config.n_filters,
-            kernel_size=config.kernel_size,
-            pool_size=config.pool_size,
-            pool_stride=config.pool_stride,
+            config.seed, train.n_aps, n_filters=config.n_filters, kernel_size=config.kernel_size
         )
         x = featurize(x, fspec)
     return params, fspec, x
@@ -224,6 +232,33 @@ _SECTIONS = {
 }
 
 
+# Keys of files written while the powed exponent, the pooling window and stride
+# and the conv bias were settings. Each loads only at the value the stages now
+# always use; filter_bias must hold that zero once per filter.
+_LEGACY_KEYS = {
+    "config": {"exponent": EXPONENT, "pool_size": POOL, "pool_stride": POOL},
+    "preprocess": {"exponent": EXPONENT},
+    "featurizer": {"pool_size": POOL, "pool_stride": POOL, "filter_bias": 0.0},
+}
+
+
+def _drop_legacy_keys(name: str, section: dict) -> None:
+    """Remove the legacy keys from the model file section ``name``, each checked first."""
+    for key, fixed in _LEGACY_KEYS.get(name, {}).items():
+        if key not in section:
+            continue
+        value = section.pop(key)
+        if key == "filter_bias":
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must hold a list of floats, got {value!r}")
+            got = [check_float(v, key) for v in value]
+            fixed = [fixed] * check_int(section["n_filters"], "n_filters")
+        else:
+            got = (check_float if isinstance(fixed, float) else check_int)(value, key)
+        if got != fixed:
+            raise ValueError(f"{key} is fixed at {fixed!r}, got {value!r}")
+
+
 def load_model(path) -> TrainedModel:
     path = Path(path)
     try:
@@ -248,6 +283,7 @@ def load_model(path) -> TrainedModel:
         if not isinstance(section, dict):
             raise ValueError(f"{path}: model key {key!r} must hold an object")
         try:
+            _drop_legacy_keys(key, section)
             parts[key] = parse(section)
         except KeyError as exc:
             raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None

@@ -4,7 +4,8 @@ Two stages, applied in order:
 
 1. Powed representation: map each detected reading x (negative dBm) to
    ((x - min) / (-min)) ** e where min is the weakest reading seen in the
-   *training* radio map and e is Euler's number. Not-detected entries stay
+   *training* radio map and e is Euler's number (``EXPONENT``, fixed as in
+   Torres-Sospedra et al., Expert Syst. Appl. 2015). Not-detected entries stay
    exactly 0, and test readings below the training minimum clamp to 0, so
    every output lies in [0, 1] with "not detected" and "barely detected"
    both near zero.
@@ -25,8 +26,8 @@ import numpy as np
 
 from .dataset import NOT_DETECTED, RadioMap, check_float
 
-#: Powed exponent: the mathematical constant e (not configurable by default).
-DEFAULT_EXPONENT = math.e
+#: Powed exponent: the mathematical constant e.
+EXPONENT = math.e
 
 NORM_MODES = ("per_feature", "per_sample")
 
@@ -41,7 +42,6 @@ class PreprocessParams:
     """
 
     min_rss: float
-    exponent: float = DEFAULT_EXPONENT
     mode: str = "per_feature"
     feature_norms: np.ndarray | None = None
 
@@ -66,15 +66,13 @@ def _rss_of(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def fit_powed(
-    train, exponent: float = DEFAULT_EXPONENT, mode: str = "per_feature"
-) -> PreprocessParams:
+def fit_powed(train, mode: str = "per_feature") -> PreprocessParams:
     """First-stage fit: record the weakest detected training reading."""
     rss = _rss_of(train)
     detected = rss[rss != NOT_DETECTED]
     if detected.size == 0:
         raise ValueError("training data has no detected readings; cannot fit")
-    return PreprocessParams(min_rss=float(detected.min()), exponent=exponent, mode=mode)
+    return PreprocessParams(min_rss=float(detected.min()), mode=mode)
 
 
 def apply_powed(data, params: PreprocessParams) -> np.ndarray:
@@ -88,7 +86,7 @@ def apply_powed(data, params: PreprocessParams) -> np.ndarray:
     # raising a negative base to a fractional power.
     np.clip(base, 0.0, None, out=base)
     out = np.zeros(rss.shape)
-    out[detected] = base**params.exponent
+    out[detected] = base**EXPONENT
     return out
 
 
@@ -119,11 +117,9 @@ def apply_unit_norm(powed: np.ndarray, params: PreprocessParams) -> np.ndarray:
     return feats / divisors
 
 
-def fit_preprocess(
-    train, exponent: float = DEFAULT_EXPONENT, mode: str = "per_feature"
-) -> PreprocessParams:
+def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:
     """Fit both stages on a training radio map (or raw RSS matrix)."""
-    params = fit_powed(train, exponent, mode)
+    params = fit_powed(train, mode)
     return fit_unit_norm(apply_powed(train, params), params)
 
 
@@ -134,7 +130,6 @@ def apply_preprocess(data, params: PreprocessParams) -> np.ndarray:
 def params_to_dict(params: PreprocessParams) -> dict:
     return {
         "min_rss": params.min_rss,
-        "exponent": params.exponent,
         "mode": params.mode,
         "feature_norms": None
         if params.feature_norms is None
@@ -145,7 +140,6 @@ def params_to_dict(params: PreprocessParams) -> dict:
 def params_from_dict(d: dict) -> PreprocessParams:
     return PreprocessParams(
         min_rss=check_float(d["min_rss"], "min_rss"),
-        exponent=check_float(d["exponent"], "exponent"),
         mode=str(d["mode"]),
         feature_norms=None if d.get("feature_norms") is None else np.asarray(d["feature_norms"]),
     )

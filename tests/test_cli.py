@@ -191,9 +191,10 @@ class TestTrain:
     ])
     def test_config_file_unknown_keys_rejected(self, data_root, tmp_path, capsys, command,
                                                cfg, named):
+        # the PipelineConfig fields, in their declared order
         accepted = {
-            "train": "approach, L, c, seed, norm_mode, kernel_size, n_filters, quantize",
-            "sweep": "approach, c, seed, norm_mode, kernel_size, n_filters",
+            "train": "L, c, seed, approach, norm_mode, n_filters, kernel_size, quantize",
+            "sweep": "c, seed, approach, norm_mode, n_filters, kernel_size",
         }[command]
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -203,6 +204,41 @@ class TestTrain:
         assert "config: " not in captured.out
         assert re.search(rf"error: config file .*run\.json: unknown key {named[command]}; "
                          rf"accepted keys: {accepted}$", captured.err.strip())
+
+    # each fails before any data is read: no config echo, no model
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--c", "-1"], r"c must be positive, got -1\.0"),
+        (["--c", "0"], r"c must be positive, got 0\.0"),
+        (["--kernel-size", "4"], r"kernel_size must be odd and positive, got 4"),
+        (["--kernel-size", "0"], r"kernel_size must be odd and positive, got 0"),
+        (["--n-filters", "0"], r"n_filters must be >= 1, got 0"),
+        (["--step", "0"], r"need 1 <= step <= L_max, got step=0, L_max=500"),
+        (["--L-max", "4"], r"need 1 <= step <= L_max, got step=5, L_max=4"),
+    ], ids=["c_negative", "c_zero", "kernel_even", "kernel_zero", "n_filters_zero",
+            "step_zero", "L_max_below_step"])
+    def test_bad_setting_rejected_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                 command, flags, message):
+        monkeypatch.setattr("elmloc.cli._load_train", None)  # a call would fail
+        argv = [command, "--dataset", "TST1", "--data-root", str(tmp_path), *flags]
+        out = tmp_path / "m.json"
+        if command == "train":
+            # train reads the grid only when it sweeps
+            argv += ["--out", str(out), "--L", "auto" if flags[0] in ("--step", "--L-max")
+                     else "30"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"^error: {message}$", captured.err.strip())
+        assert not out.exists()
+
+    def test_zero_hidden_size_rejected_before_loading(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("elmloc.cli._load_train", None)
+        assert main(["train", "--dataset", "TST1", "--data-root", str(tmp_path),
+                     "--L", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: L must be >= 1, got 0"
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_bad_hidden_size_flag_named(self, data_root, capsys, value):
@@ -534,8 +570,15 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     ("approach", 1, r"approach must be one of cnn_elm, elm_only, got 1"),
     ("norm_mode", "bogus", r"norm_mode must be one of per_feature, per_sample, got 'bogus'"),
     ("c", True, r"c must hold a float, got True"),
+    ("c", 0, r"c must be positive, got 0\.0"),
+    ("c", -1, r"c must be positive, got -1\.0"),
+    ("L", 0, r"L must be >= 1, got 0"),
+    ("n_filters", 0, r"n_filters must be >= 1, got 0"),
+    ("kernel_size", 4, r"kernel_size must be odd and positive, got 4"),
+    ("kernel_size", -1, r"kernel_size must be odd and positive, got -1"),
 ], ids=["quantize_string", "L_string", "L_fraction", "approach_number", "norm_mode_bogus",
-        "c_bool"])
+        "c_bool", "c_zero", "c_negative", "L_zero", "n_filters_zero", "kernel_size_even",
+        "kernel_size_negative"])
 def test_bad_setting_same_message_everywhere(data_root, model_path, tmp_path, capsys, key,
                                              value, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):

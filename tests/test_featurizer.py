@@ -6,10 +6,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from elmloc.dataset import registry_lookup, registry_names
 from elmloc.featurizer import (
+    POOL,
     FeaturizerSpec,
+    _correlate,
     avg_pool1d_valid,
     batch_flatten,
-    conv1d_same,
     feature_width,
     featurize,
     init_featurizer,
@@ -18,14 +19,12 @@ from elmloc.featurizer import (
 )
 
 
-def _spec(filters, **kw):
+def _spec(filters):
     filters = np.asarray(filters, dtype=np.float64)
     if filters.ndim == 1:
         filters = filters[:, None]
-    return FeaturizerSpec(
-        n_filters=filters.shape[1], kernel_size=filters.shape[0],
-        filters=filters, filter_bias=np.zeros(filters.shape[1]), **kw
-    )
+    return FeaturizerSpec(n_filters=filters.shape[1], kernel_size=filters.shape[0],
+                          seed=0, n_aps=None, filters=filters)
 
 
 def conv_oracle(x, filters):
@@ -45,11 +44,11 @@ def conv_oracle(x, filters):
 
 
 def conv_pad_window_reference(x, spec):
-    """The np.pad + sliding_window_view conv that conv1d_same replaced."""
+    """The np.pad + sliding_window_view conv that _correlate replaced."""
     pad = (spec.kernel_size - 1) // 2
     padded = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (pad, pad)))
     windows = sliding_window_view(padded, spec.kernel_size, axis=1)
-    return windows @ spec.filters + spec.filter_bias
+    return windows @ spec.filters
 
 
 class TestConvReference:
@@ -60,12 +59,11 @@ class TestConvReference:
         n = data.draw(st.integers(max(k, 2), 16))
         x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1e3, 1e3)))
         filters = data.draw(arrays(np.float64, (k, f), elements=st.floats(-2, 2)))
-        bias = data.draw(arrays(np.float64, (f,), elements=st.floats(-2, 2).filter(bool)))
-        spec = FeaturizerSpec(n_filters=f, kernel_size=k, filters=filters,
-                              filter_bias=bias)
+        spec = FeaturizerSpec(n_filters=f, kernel_size=k, seed=0, n_aps=n, filters=filters)
         conv = conv_pad_window_reference(x, spec)
-        assert conv1d_same(x, spec).tobytes() == conv.tobytes()
-        staged = batch_flatten(avg_pool1d_valid(np.abs(conv), spec))
+        assert _correlate(x, spec).tobytes() == conv.tobytes()
+        # the stage that added a zero bias before |.|: |z + 0| is bitwise |z|
+        staged = batch_flatten(avg_pool1d_valid(np.abs(conv + np.zeros(f))))
         assert featurize(x, spec).tobytes() == staged.tobytes()
 
     def test_input_left_untouched(self, rng):
@@ -77,85 +75,73 @@ class TestConvReference:
 
     def test_empty_ap_axis_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            conv1d_same(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0]))
+            featurize(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0]))
 
 
 class TestConv:
     def test_box_kernel_hand_example(self):
         # (1,1,1) over (1,2,3): edges see one zero pad each
-        out = conv1d_same(np.array([[1.0, 2.0, 3.0]]), _spec([1.0, 1.0, 1.0]))
+        out = _correlate(np.array([[1.0, 2.0, 3.0]]), _spec([1.0, 1.0, 1.0]))
         assert out[:, :, 0].tolist() == [[3.0, 6.0, 5.0]]
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(4, 9))
-        out = conv1d_same(x, _spec([0.0, 1.0, 0.0]))
+        out = _correlate(x, _spec([0.0, 1.0, 0.0]))
         assert out[:, :, 0] == pytest.approx(x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(5, 11))
         filters = rng.normal(size=(3, 2))
         spec = _spec(filters)
-        assert conv1d_same(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
+        assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
     def test_wide_kernel_matches_oracle(self, rng):
         x = rng.normal(size=(3, 8))
         filters = rng.normal(size=(5, 3))
         spec = _spec(filters)
-        assert conv1d_same(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
+        assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
-    def test_bias_added_per_filter(self, rng):
-        x = rng.normal(size=(2, 6))
-        filters = rng.normal(size=(3, 2))
-        plain = _spec(filters)
-        biased = FeaturizerSpec(
-            n_filters=2, kernel_size=3, filters=filters,
-            filter_bias=np.array([1.0, -2.0]),
-        )
-        diff = conv1d_same(x, biased) - conv1d_same(x, plain)
-        assert diff[:, :, 0] == pytest.approx(np.ones((2, 6)))
-        assert diff[:, :, 1] == pytest.approx(-2 * np.ones((2, 6)))
+    def test_featurize_matches_loop_oracle(self, rng):
+        x = rng.normal(size=(4, 10))
+        spec = init_featurizer(5, 10, n_filters=3, kernel_size=5)
+        z = np.abs(conv_oracle(x, spec.filters))
+        pooled = (z[:, 0::2] + z[:, 1::2]) / 2
+        assert featurize(x, spec) == pytest.approx(pooled.reshape(4, -1), abs=1e-12)
 
 
 class TestPool:
     def test_hand_examples(self):
-        spec = init_featurizer(0, 8)
         x = np.array([1.0, 3.0, 5.0, 7.0])[None, :, None]
-        assert avg_pool1d_valid(x, spec)[0, :, 0].tolist() == [2.0, 6.0]
+        assert avg_pool1d_valid(x)[0, :, 0].tolist() == [2.0, 6.0]
         # odd length: the trailing element does not form a full window
         x = np.array([1.0, 3.0, 5.0])[None, :, None]
-        assert avg_pool1d_valid(x, spec)[0, :, 0].tolist() == [2.0]
+        assert avg_pool1d_valid(x)[0, :, 0].tolist() == [2.0]
 
-    @given(data=st.data(), pool=st.integers(1, 4), stride=st.integers(1, 3),
-           f=st.integers(1, 3))
+    @given(data=st.data(), f=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
-    def test_matches_window_view_reference(self, data, pool, stride, f):
-        n = data.draw(st.integers(pool, 14))
+    def test_matches_window_view_reference(self, data, f):
+        n = data.draw(st.integers(POOL, 14))
         x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), n, f),
                              elements=st.floats(-1e3, 1e3)))
-        spec = FeaturizerSpec(n_filters=f, pool_size=pool, pool_stride=stride)
         # the windowed mean that the strided-slice sum replaced
-        reference = sliding_window_view(x, pool, axis=1)[:, ::stride].mean(axis=-1)
-        out = avg_pool1d_valid(x, spec)
+        reference = sliding_window_view(x, 2, axis=1)[:, ::2].mean(axis=-1)
+        out = avg_pool1d_valid(x)
         assert out.shape == reference.shape
         assert out.tobytes() == reference.tobytes()
 
     def test_negative_zero_pools_to_zero(self):
-        spec = FeaturizerSpec(pool_size=1, pool_stride=1)
-        out = avg_pool1d_valid(np.full((1, 3, 2), -0.0), spec)
+        out = avg_pool1d_valid(np.full((1, 3, 2), -0.0))
         assert not np.signbit(out).any()
 
     def test_channels_pooled_independently(self, rng):
-        spec = init_featurizer(0, 8)
         x = rng.normal(size=(3, 6, 2))
-        out = avg_pool1d_valid(x, spec)
+        out = avg_pool1d_valid(x)
         for c in range(2):
-            assert out[:, :, c] == pytest.approx(
-                avg_pool1d_valid(x[:, :, c:c + 1], spec)[:, :, 0])
+            assert out[:, :, c] == pytest.approx(avg_pool1d_valid(x[:, :, c:c + 1])[:, :, 0])
 
-    def test_overlapping_windows(self):
-        spec = init_featurizer(0, 8, pool_size=3, pool_stride=1)
-        x = np.array([0.0, 3.0, 6.0, 9.0])[None, :, None]
-        assert avg_pool1d_valid(x, spec)[0, :, 0].tolist() == [3.0, 6.0]
+    def test_too_short_rejected(self):
+        with pytest.raises(ValueError, match="shorter than the pooling window 2"):
+            avg_pool1d_valid(np.zeros((1, 1, 2)))
 
 
 class TestFlatten:
@@ -184,7 +170,6 @@ class TestInit:
         spec = init_featurizer(0, 100)
         assert spec.filters.shape == (3, 2)
         assert np.abs(spec.filters).max() < limit
-        assert (spec.filter_bias == 0.0).all()
 
     def test_draws_fill_the_range(self):
         # over many seeds the draws should approach the bound from below
@@ -207,16 +192,13 @@ class TestInit:
         spec = init_featurizer(4, 30, n_filters=3)
         back = spec_from_dict(spec_to_dict(spec))
         assert (back.filters == spec.filters).all()
-        assert (back.filter_bias == spec.filter_bias).all()
-        assert back.pool_size == spec.pool_size
-        assert back.n_aps == spec.n_aps
+        assert (back.n_filters, back.kernel_size, back.seed, back.n_aps) == (3, 3, 4, 30)
 
     @pytest.mark.parametrize("key, value", [
-        ("kernel_size", 3.9), ("n_filters", 3.0), ("pool_size", True),
-        ("pool_stride", "2"), ("seed", 0.5), ("n_aps", 30.5),
+        ("kernel_size", 3.9), ("n_filters", 3.0), ("seed", 0.5), ("n_aps", 30.5),
     ])
     def test_non_integer_size_rejected(self, key, value):
-        # int() would load kernel_size 3.9 as 3 and pool_size True as 1
+        # int() would load kernel_size 3.9 as 3 and n_filters 3.0 as 3
         d = spec_to_dict(init_featurizer(4, 30, n_filters=3))
         d[key] = value
         with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
@@ -238,24 +220,19 @@ class TestWidthAndComposition:
         assert featurize(x, spec).shape == (2, feature_width(d.n_aps, spec))
 
     @given(n=st.integers(min_value=4, max_value=64),
-           pool=st.integers(min_value=1, max_value=4),
-           stride=st.integers(min_value=1, max_value=4),
            f=st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
-    def test_feature_width_law(self, n, pool, stride, f):
-        if pool > n:
-            return
-        spec = init_featurizer(0, n, pool_size=pool, pool_stride=stride, n_filters=f)
+    def test_feature_width_law(self, n, f):
+        spec = init_featurizer(0, n, n_filters=f)
         x = np.zeros((1, n))
-        expected = ((n - pool) // stride + 1) * f
+        expected = ((n - 2) // 2 + 1) * f
         assert feature_width(n, spec) == expected
         assert featurize(x, spec).shape == (1, expected)
 
     def test_featurize_is_the_stage_composition(self, rng):
         spec = init_featurizer(2, 12)
         x = rng.normal(size=(3, 12))
-        staged = batch_flatten(
-            avg_pool1d_valid(np.abs(conv1d_same(x, spec)), spec))
+        staged = batch_flatten(avg_pool1d_valid(np.abs(_correlate(x, spec))))
         assert (featurize(x, spec) == staged).all()
 
     def test_mismatched_input_width_rejected(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elmloc import elm
+from elmloc.cli import main
 from elmloc.dataset import split_validation
 from elmloc.evaluation import hit_rate
 from elmloc.featurizer import featurize, init_featurizer, spec_to_dict
@@ -382,8 +384,21 @@ BAD_KEYS = {
     "c_bool": ("elm", lambda d: d.update(c=True), r"c must hold a float, got True"),
     "min_rss_string": ("preprocess", lambda d: d.update(min_rss="-90"),
                        r"min_rss must hold a float, got '-90'"),
+    # keys of older files, type-checked before their fixed value is
     "exponent_bool": ("preprocess", lambda d: d.update(exponent=True),
                       r"exponent must hold a float, got True"),
+    "pool_size_bool": ("featurizer", lambda d: d.update(pool_size=True),
+                       r"pool_size must hold 64-bit integers, got True"),
+    "pool_stride_string": ("featurizer", lambda d: d.update(pool_stride="2"),
+                           r"pool_stride must hold 64-bit integers, got '2'"),
+    "filter_bias_string": ("featurizer", lambda d: d.update(filter_bias="0"),
+                           r"filter_bias must hold a list of floats, got '0'"),
+    "filter_bias_entry_string": ("featurizer", lambda d: d.update(filter_bias=[0.0, "0"]),
+                                 r"filter_bias must hold a float, got '0'"),
+    # a config the Python API would not build
+    "config_c_negative": ("config", lambda d: d.update(c=-1),
+                          r"c must be positive, got -1\.0"),
+    "config_L_zero": ("config", lambda d: d.update(L=0), r"L must be >= 1, got 0"),
     "w_scale_string": ("elm", lambda d: d["quantized"].update(w_scale="0.01"),
                        r"w_scale must hold a float, got '0\.01'"),
 }
@@ -411,7 +426,7 @@ class TestBadKeys:
     def test_integer_loads_where_float_expected(self, fitted, tmp_path):
         p = tmp_path / "m.json"
         save_model(dataclasses.replace(fitted, config=dataclasses.replace(
-            fitted.config, c=2, exponent=3)), p)
+            fitted.config, c=2)), p)
         assert load_model(p).config.c == 2
 
 
@@ -442,3 +457,135 @@ def test_serving_does_not_import_scipy(fitted, tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+V1_FILES = Path(__file__).parent / "data" / "v1"
+V1_MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample"]
+V1_LEGACY_KEYS = {
+    "config": ["exponent", "pool_size", "pool_stride"],
+    "preprocess": ["exponent"],
+    "featurizer": ["pool_size", "pool_stride", "filter_bias"],
+}
+
+
+@pytest.fixture(scope="module")
+def one_query(tmp_path_factory):
+    """A one-row bare query matrix for the 40-AP model files."""
+    q = tmp_path_factory.mktemp("queries") / "q.csv"
+    q.write_text(",".join(f"AP{j}" for j in range(40)) + "\n"
+                 + ",".join(["100"] * 38 + ["-60", "-70"]) + "\n")
+    return q
+
+
+def _v1_answers(name):
+    return json.loads((V1_FILES / "answers.json").read_text())[name]
+
+
+class TestV1ModelFiles:
+    """Model files written before the powed exponent, the pooling window and
+    stride and the conv bias became constants; they carry those as keys.
+
+    Commit ebffae9 wrote them, with one BLAS thread: ``fit_pipeline`` on the
+    training rows of ``generate_synthetic(seed=3, n_train=720, n_test=240,
+    n_aps=40)`` (the ``syn_small`` fixture) with ``PipelineConfig(L=30, c=1.0,
+    seed=0)`` plus ``quantize=True`` for ``cnn_elm_per_feature_int8`` and
+    ``approach="elm_only", norm_mode="per_sample"`` for ``elm_only_per_sample``,
+    then ``save_model(..., dataset="TST1")``. ``answers.json`` holds that
+    commit's ``predict_pipeline`` answers on the 240 test rows of the loaded
+    file: ``[buildings, floors]`` per model, float and, for the quantized file,
+    int8. A later model format must still load these files.
+    """
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_files_carry_the_legacy_keys(self, name):
+        doc = json.loads((V1_FILES / f"{name}.model.json").read_text())
+        for section, keys in V1_LEGACY_KEYS.items():
+            if doc[section] is not None:
+                assert set(keys) <= set(doc[section]), section
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_answers_bitwise(self, syn_small, name):
+        model = load_model(V1_FILES / f"{name}.model.json")
+        for mode, want in _v1_answers(name).items():
+            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
+            assert [a.tolist() for a in got] == want, mode
+
+    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
+        np.save(tmp_path / "rss.npy", syn_small[1].rss)
+        code = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from elmloc.pipeline import load_model, predict_pipeline\n"
+            "rss = np.load(sys.argv[1])\n"
+            "out = {}\n"
+            "for name in sys.argv[3:]:\n"
+            "    model = load_model(Path(sys.argv[2]) / f'{name}.model.json')\n"
+            "    out[name] = {'float': [a.tolist() for a in predict_pipeline(rss, model)]}\n"
+            "    if model.elm.quantized is not None:\n"
+            "        out[name]['int8'] = [a.tolist() for a in\n"
+            "                             predict_pipeline(rss, model, quantized=True)]\n"
+            "print(json.dumps(out))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(V1_FILES), *V1_MODELS]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120,
+                             check=True)
+        assert json.loads(out.stdout) == json.loads((V1_FILES / "answers.json").read_text())
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_predict_command_answers(self, syn_small, tmp_path, name):
+        rss = syn_small[1].rss
+        q = tmp_path / "q.csv"
+        rows = [",".join("100" if v == 0.0 else repr(float(v)) for v in row) for row in rss]
+        q.write_text(",".join(f"AP{j}" for j in range(rss.shape[1])) + "\n"
+                     + "\n".join(rows) + "\n")
+        for mode, want in _v1_answers(name).items():
+            out = tmp_path / f"{mode}.csv"
+            flags = ["--quantized"] if mode == "int8" else []
+            assert main(["predict", "--model", str(V1_FILES / f"{name}.model.json"),
+                         "--queries", str(q), "--out", str(out), *flags]) == 0
+            got = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+            assert got.T.tolist() == want, mode
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_saved_again_without_the_legacy_keys(self, syn_small, tmp_path, name):
+        model = load_model(V1_FILES / f"{name}.model.json")
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        for section, keys in V1_LEGACY_KEYS.items():
+            if doc[section] is not None:
+                assert not set(keys) & set(doc[section]), section
+        back = load_model(p)
+        assert back.config == model.config
+        for mode, want in _v1_answers(name).items():
+            got = predict_pipeline(syn_small[1], back, quantized=mode == "int8")
+            assert [a.tolist() for a in got] == want, mode
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "exponent", 0.0),
+        ("config", "exponent", -1.0),
+        ("config", "pool_size", 3),
+        ("config", "pool_stride", 1),
+        ("preprocess", "exponent", 0.0),
+        ("preprocess", "exponent", -1.0),
+        ("preprocess", "exponent", 3),
+        ("featurizer", "pool_size", 3),
+        ("featurizer", "pool_stride", 1),
+        ("featurizer", "filter_bias", [0.0, 0.5]),
+        ("featurizer", "filter_bias", [0.0, 0.0, 0.0]),
+    ])
+    def test_legacy_key_at_another_value_rejected(self, one_query, tmp_path, capsys,
+                                                  section, key, value):
+        doc = json.loads((V1_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
+        doc[section][key] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        message = (rf"m\.json: bad value under model key '{section}': {key} is fixed at "
+                   rf".*, got {re.escape(repr(value))}$")
+        with pytest.raises(ValueError, match=message):
+            load_model(p)
+        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
+        assert re.search(message, capsys.readouterr().err)

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from elmloc.dataset import NOT_DETECTED, RadioMap
 from elmloc.preprocess import (
-    DEFAULT_EXPONENT,
+    EXPONENT,
     PreprocessParams,
     apply_powed,
     apply_preprocess,
@@ -24,7 +24,7 @@ HALF_POW_E = 0.15195522325791297  # 0.5 ** e
 
 
 def test_default_exponent_is_e():
-    assert DEFAULT_EXPONENT == math.e
+    assert EXPONENT == math.e
 
 
 class TestPowed:
@@ -94,7 +94,7 @@ class TestPowed:
         params = PreprocessParams(min_rss=min_rss)
         base = (rss - params.min_rss) / (-params.min_rss)
         np.clip(base, 0.0, None, out=base)
-        reference = base**params.exponent
+        reference = base**math.e
         reference[rss == NOT_DETECTED] = 0.0
         out = apply_powed(rss, params)
         assert out.shape == reference.shape
@@ -175,7 +175,6 @@ class TestComposition:
         params = fit_preprocess(train, mode="per_feature")
         back = params_from_dict(params_to_dict(params))
         assert back.min_rss == params.min_rss
-        assert back.exponent == params.exponent
         assert back.mode == params.mode
         assert (back.feature_norms == params.feature_norms).all()
 
