@@ -109,13 +109,18 @@ class RadioMap:
 
 def check_rss(rss: np.ndarray, what: str) -> None:
     """Reject an RSS matrix with non-finite cells or readings above 0 dBm."""
-    if not np.all(np.isfinite(rss)):
-        raise ValueError(f"{what} contains non-finite values")
+    check_finite(rss, what)
     if rss.size and float(rss.max()) > 0.0:
         raise ValueError(
             f"{what}: detected RSS values must be <= 0 dBm; found "
             f"{float(rss.max())} (is the sentinel remapped?)"
         )
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Reject an array holding NaN or an infinity."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
 
 
 def check_int(value, key: str) -> int:
@@ -142,6 +147,20 @@ def check_float(value, key: str) -> float:
     return number
 
 
+# numpy dtype kinds of JSON arrays that hold no numbers. A lone true among
+# numbers still reads as 1; only a Python walk over every entry would see it.
+_NOT_NUMBERS = {"b": "true/false values", "U": "strings"}
+
+
+def check_array(value, key: str) -> np.ndarray:
+    """A JSON array of numbers under ``key``, as numpy reads it, before any float cast."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        what = _NOT_NUMBERS.get(arr.dtype.kind, "nulls or other non-numbers")
+        raise ValueError(f"{key} must hold numbers, got {what}")
+    return arr
+
+
 def _as_label_vector(values, what: str, n: int) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.shape[0] != n:
@@ -159,7 +178,7 @@ def _as_label_vector(values, what: str, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DatasetDescriptor:
-    """Registry entry: sizes, per-dataset ELM hyperparameters, file sentinel."""
+    """Registry entry: sizes and per-dataset ELM hyperparameters."""
 
     name: str
     train_size: int
@@ -168,7 +187,6 @@ class DatasetDescriptor:
     L_default: int
     c_default: float
     db_type: str  # "MF" or "MB-MF"
-    sentinel_raw: float = 100.0
 
     def __post_init__(self):
         if self.L_default <= 0:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .dataset import check_float, check_int
+from .dataset import check_array, check_finite, check_float, check_int
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,6 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     w = rng.uniform(-1.0, 1.0, size=(L, d)).T
     b = rng.uniform(-1.0, 1.0, size=L)
     return np.ascontiguousarray(w), b
-
-
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
 
 
 def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,7 +182,7 @@ class ElmModel:
                     )
         # Checked once here, so the per-query path trusts the weights.
         for name, arr in (("w", w), ("b", b), ("beta", beta)):
-            _check_finite(arr, name)
+            check_finite(arr, name)
             arr.flags.writeable = False
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
@@ -202,25 +197,13 @@ class ElmModel:
         return self.w.shape[0]
 
 
-def train_elm(
-    features: np.ndarray,
-    pairs: np.ndarray,
-    L: int,
-    c: float,
-    seed: int,
-    codebook: ClassCodebook | None = None,
-) -> ElmModel:
+def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int) -> ElmModel:
     """End-to-end training: codebook, targets, random hidden layer, fit."""
-    return _train_elm(features, pairs, L, c, seed, codebook)[0]
+    return _train_elm(features, pairs, L, c, seed)[0]
 
 
 def _train_elm(
-    features: np.ndarray,
-    pairs: np.ndarray,
-    L: int,
-    c: float,
-    seed: int,
-    codebook: ClassCodebook | None = None,
+    features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int
 ) -> tuple[ElmModel, np.ndarray]:
     """``train_elm`` plus the training activations H it fitted on.
 
@@ -229,8 +212,7 @@ def _train_elm(
     second hidden-layer pass.
     """
     x = np.asarray(features, dtype=np.float64)
-    if codebook is None:
-        codebook = ClassCodebook.from_pairs(pairs)
+    codebook = ClassCodebook.from_pairs(pairs)
     t = encode_targets(pairs, codebook)
     w, b = init_hidden(seed, x.shape[1], L)
     h = hidden_map(x, w, b)
@@ -245,7 +227,7 @@ def _scores(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ValueError(f"features must be N x {w.shape[0]}, got shape {x.shape}")
-    _check_finite(x, "features")
+    check_finite(x, "features")
     return tansig(x @ w + b) @ beta
 
 
@@ -427,7 +409,6 @@ def model_to_dict(model: ElmModel) -> dict:
     d = {
         "codebook": model.codebook.pairs.tolist(),
         "seed": model.seed,
-        "L": model.L,
         "c": model.c,
         "w": model.w.tolist(),
         "b": model.b.tolist(),
@@ -448,12 +429,12 @@ def model_to_dict(model: ElmModel) -> dict:
 
 
 def _int8_codes(values, name: str) -> np.ndarray:
-    # Checked before the cast: numpy 2 raises OverflowError on 300 while numpy
-    # 1.x wraps it, and both truncate 1.7 to 1.
+    # Checked before the int8 cast: numpy 2 raises OverflowError on 300 while
+    # numpy 1.x wraps it, and both truncate 1.7 to 1.
     bad = f"quantized {name} must hold integers in [-127, 127]"
     try:
-        codes = np.asarray(values, dtype=np.float64)
-    except OverflowError:  # an integer too large for a float
+        codes = check_array(values, name).astype(np.float64)
+    except ValueError:  # strings, nulls, an integer beyond int64, unequal rows
         raise ValueError(bad) from None
     if not (np.all(np.abs(codes) <= 127) and np.all(codes == np.trunc(codes))):
         raise ValueError(bad)
@@ -473,9 +454,9 @@ def model_from_dict(d: dict) -> ElmModel:
             beta_scale=check_float(qd["beta_scale"], "beta_scale"),
         )
     return ElmModel(
-        w=np.asarray(d["w"]),
-        b=np.asarray(d["b"]),
-        beta=np.asarray(d["beta"]),
+        w=check_array(d["w"], "w"),
+        b=check_array(d["b"], "b"),
+        beta=check_array(d["beta"], "beta"),
         c=check_float(d["c"], "c"),
         codebook=ClassCodebook(
             pairs=np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])

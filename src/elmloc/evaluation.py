@@ -81,20 +81,20 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def time_phase(phase: Callable[[], object], threshold_s: float = 0.1, repeats: int = 5):
+def time_phase(phase: Callable[[], object]):
     """Run a unit of work and return (its result, wall seconds).
 
     Monotonic clock; the phase runs exactly once per measurement. Phases
-    finishing under ``threshold_s`` are re-run and the median of ``repeats``
-    measurements is reported, since a single sub-100 ms sample is noise.
+    finishing under 100 ms are re-run and the median of five measurements is
+    reported, since a single sub-100 ms sample is noise.
     """
     t0 = time.perf_counter()
     result = phase()
     elapsed = time.perf_counter() - t0
-    if elapsed >= threshold_s:
+    if elapsed >= 0.1:
         return result, elapsed
     times = [elapsed]
-    for _ in range(repeats - 1):
+    for _ in range(4):
         t0 = time.perf_counter()
         phase()
         times.append(time.perf_counter() - t0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import check_int
+from .dataset import check_array, check_finite, check_int
 
 #: Average-pooling window, which is also its stride.
 POOL = 2
@@ -29,13 +29,13 @@ class FeaturizerSpec:
     """Architecture parameters and the realized weights.
 
     ``filters`` is (kernel_size, n_filters) — the singleton input-channel
-    axis is dropped.
+    axis is dropped. ``n_aps`` is the input width the spec was drawn for.
     """
 
     n_filters: int
     kernel_size: int
     seed: int
-    n_aps: int | None
+    n_aps: int
     filters: np.ndarray
 
     def __post_init__(self):
@@ -45,6 +45,7 @@ class FeaturizerSpec:
             raise ValueError(
                 f"filters must be ({self.kernel_size}, {self.n_filters}), got {filters.shape}"
             )
+        check_finite(filters, "filters")
         filters.flags.writeable = False
         object.__setattr__(self, "filters", filters)
 
@@ -77,7 +78,7 @@ def _correlate(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (N, n) input with n >= 1, got shape {x.shape}")
-    if spec.n_aps is not None and x.shape[1] != spec.n_aps:
+    if x.shape[1] != spec.n_aps:
         raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
     rows, n = x.shape
     k = spec.kernel_size
@@ -143,9 +144,5 @@ def spec_to_dict(spec: FeaturizerSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> FeaturizerSpec:
-    sizes = {key: check_int(d[key], key) for key in ("n_filters", "kernel_size", "seed")}
-    return FeaturizerSpec(
-        **sizes,
-        n_aps=None if d.get("n_aps") is None else check_int(d["n_aps"], "n_aps"),
-        filters=np.asarray(d["filters"]),
-    )
+    sizes = {key: check_int(d[key], key) for key in ("n_filters", "kernel_size", "seed", "n_aps")}
+    return FeaturizerSpec(**sizes, filters=check_array(d["filters"], "filters"))

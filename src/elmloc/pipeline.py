@@ -10,19 +10,20 @@ split with the same stages. The CLI and the benchmark call these three.
 
 ``PipelineConfig`` is the one place that knows what a valid setting is:
 ``check_setting`` checks each field, whether it comes from Python code, a
-CLI config file or a model file's ``config`` section.
+CLI config file or an older model file's ``config`` section. A trained model
+keeps no config: each setting is read from the part that holds it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_float, check_int, check_rss, split_validation
+from .dataset import RadioMap, check_array, check_float, check_int, check_rss, split_validation
 from .featurizer import (
     POOL,
     FeaturizerSpec,
@@ -102,21 +103,16 @@ def check_setting(name: str, value):
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Everything the on-line phase needs, plus the config that produced it."""
+    """Everything the on-line phase needs: the fitted stages."""
 
     preprocess: PreprocessParams
     featurizer: FeaturizerSpec | None  # None for the no-conv variant
     elm: elm_mod.ElmModel
-    config: PipelineConfig
     dataset: str = ""
 
     @property
     def n_aps(self) -> int:
-        if self.featurizer is not None and self.featurizer.n_aps is not None:
-            return self.featurizer.n_aps
-        if self.preprocess.feature_norms is not None:
-            return self.preprocess.feature_norms.shape[0]
-        return self.elm.n_features
+        return self.elm.n_features if self.featurizer is None else self.featurizer.n_aps
 
 
 def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> TrainedModel:
@@ -132,11 +128,7 @@ def _fit_pipeline(
     if config.quantize:
         model = elm_mod.quantize(model)
     return TrainedModel(
-        preprocess=params,
-        featurizer=fspec,
-        elm=model,
-        config=config,
-        dataset=dataset or train.name,
+        preprocess=params, featurizer=fspec, elm=model, dataset=dataset or train.name
     ), h
 
 
@@ -211,7 +203,6 @@ def save_model(model: TrainedModel, path) -> None:
     doc = {
         "format": _FORMAT,
         "dataset": model.dataset,
-        "config": asdict(model.config),
         "preprocess": params_to_dict(model.preprocess),
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm_mod.model_to_dict(model.elm),
@@ -224,6 +215,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 # Model document sections and their parsers; "featurizer" may also be null.
+# Only older files have "config", which repeats the other sections; it is checked and dropped.
 _SECTIONS = {
     "preprocess": params_from_dict,
     "featurizer": spec_from_dict,
@@ -232,13 +224,15 @@ _SECTIONS = {
 }
 
 
-# Keys of files written while the powed exponent, the pooling window and stride
-# and the conv bias were settings. Each loads only at the value the stages now
-# always use; filter_bias must hold that zero once per filter.
+# Keys of older files. The powed exponent, the pooling window and stride and
+# the conv bias were settings; each loads only at the value the stages now
+# always use, and filter_bias must hold that zero once per filter. elm.L, the
+# hidden size, must be the length of b.
 _LEGACY_KEYS = {
     "config": {"exponent": EXPONENT, "pool_size": POOL, "pool_stride": POOL},
     "preprocess": {"exponent": EXPONENT},
     "featurizer": {"pool_size": POOL, "pool_stride": POOL, "filter_bias": 0.0},
+    "elm": {"L": None},
 }
 
 
@@ -253,6 +247,8 @@ def _drop_legacy_keys(name: str, section: dict) -> None:
                 raise ValueError(f"{key} must hold a list of floats, got {value!r}")
             got = [check_float(v, key) for v in value]
             fixed = [fixed] * check_int(section["n_filters"], "n_filters")
+        elif key == "L":
+            got, fixed = check_int(value, key), check_array(section["b"], "b").size
         else:
             got = (check_float if isinstance(fixed, float) else check_int)(value, key)
         if got != fixed:
@@ -275,6 +271,8 @@ def load_model(path) -> TrainedModel:
     parts = {}
     for key, parse in _SECTIONS.items():
         if key not in doc:
+            if key == "config":
+                continue
             raise ValueError(f"{path}: model document lacks key {key!r}")
         section = doc[key]
         if section is None and key == "featurizer":
@@ -289,4 +287,5 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
+    parts.pop("config", None)
     return TrainedModel(**parts, dataset=dataset)

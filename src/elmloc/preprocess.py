@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_float
+from .dataset import NOT_DETECTED, RadioMap, check_array, check_finite, check_float
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
@@ -54,6 +54,7 @@ class PreprocessParams:
             norms = np.ascontiguousarray(self.feature_norms, dtype=np.float64)
             if norms.ndim != 1:
                 raise ValueError("feature_norms must be a vector")
+            check_finite(norms, "feature_norms")
             if norms.size and float(norms.min()) < 0:
                 raise ValueError("feature_norms must be non-negative")
             norms.flags.writeable = False
@@ -138,8 +139,9 @@ def params_to_dict(params: PreprocessParams) -> dict:
 
 
 def params_from_dict(d: dict) -> PreprocessParams:
+    norms = d.get("feature_norms")
     return PreprocessParams(
         min_rss=check_float(d["min_rss"], "min_rss"),
         mode=str(d["mode"]),
-        feature_norms=None if d.get("feature_norms") is None else np.asarray(d["feature_norms"]),
+        feature_norms=None if norms is None else check_array(norms, "feature_norms"),
     )

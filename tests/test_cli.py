@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_pipeline import BAD_KEYS, BAD_WEIGHTS, write_bad_key_model, write_bad_model
+from test_pipeline import (
+    BAD_KEYS,
+    BAD_WEIGHTS,
+    CONFIG_MODEL,
+    settings_of,
+    write_bad_key_model,
+    write_bad_model,
+)
 
 from elmloc import pipeline
 from elmloc.cli import _load_train, main
@@ -175,9 +182,8 @@ class TestTrain:
         lines = capsys.readouterr().out.splitlines()
         cfg = json.loads(next(l for l in lines if l.startswith("config: "))[8:])
         assert (cfg["L"], cfg["c"], cfg["seed"], cfg["quantize"]) == (20, 2.0, 3, True)
-        config = load_model(out).config
-        assert (config.L, config.c, config.seed, config.quantize) == (20, 2.0, 3, True)
-        assert (config.approach, config.norm_mode) == ("elm_only", "per_sample")
+        assert settings_of(load_model(out)) == dict(L=20, c=2.0, seed=3, approach="elm_only",
+                                                    norm_mode="per_sample", quantize=True)
 
     # a misspelt key, and keys that exist only as flags (--L-max, --step); the
     # sweep takes no L, so to it the misspelt case names two keys
@@ -562,7 +568,7 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
 
 
 # one bad setting gets one message from each entry point: the Python API, a
-# --config file and a model file's config section
+# --config file and the config section of an older model file
 @pytest.mark.parametrize("key, value, message", [
     ("quantize", "yes", r"quantize must hold true or false, got 'yes'"),
     ("L", "60", r"L must hold 64-bit integers, got '60'"),
@@ -579,8 +585,8 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
 ], ids=["quantize_string", "L_string", "L_fraction", "approach_number", "norm_mode_bogus",
         "c_bool", "c_zero", "c_negative", "L_zero", "n_filters_zero", "kernel_size_even",
         "kernel_size_negative"])
-def test_bad_setting_same_message_everywhere(data_root, model_path, tmp_path, capsys, key,
-                                             value, message):
+def test_bad_setting_same_message_everywhere(data_root, tmp_path, capsys, key, value,
+                                             message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         PipelineConfig(**{"L": 20, "c": 1.0, key: value})
 
@@ -593,7 +599,7 @@ def test_bad_setting_same_message_everywhere(data_root, model_path, tmp_path, ca
                      capsys.readouterr().err.strip())
     assert not out.exists()
 
-    doc = json.loads(model_path.read_text())
+    doc = json.loads(CONFIG_MODEL.read_text())
     doc["config"][key] = value
     bad = tmp_path / "bad.model.json"
     bad.write_text(json.dumps(doc))

@@ -12,6 +12,7 @@ from elmloc.dataset import (
     RadioMap,
     SchemaError,
     UnknownDatasetError,
+    check_array,
     check_float,
     load_csv,
     load_manifest,
@@ -420,3 +421,26 @@ class TestCheckFloat:
         # json.loads reads NaN and Infinity, and integers of any size
         with pytest.raises(ValueError, match=r"^c must be finite, got "):
             check_float(value, "c")
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("value", [[0.5, -2], [[1, 2], [3, 4]], [], [2 ** 63]])
+    def test_json_number_arrays_accepted(self, value):
+        out = check_array(value, "w")
+        assert out.dtype.kind in "iuf" and out.tolist() == value
+
+    @pytest.mark.parametrize("value, what", [
+        (["0.25", 1.0], "strings"),
+        ([True, False], "true/false values"),
+        (None, "nulls or other non-numbers"),
+        ([1.0, None], "nulls or other non-numbers"),
+        ([1, 10 ** 400], "nulls or other non-numbers"),
+    ], ids=["string", "all_bool", "null", "null_entry", "huge_int"])
+    def test_non_numbers_rejected(self, value, what):
+        # a float cast would read "0.25" as 0.25 and true as 1.0
+        with pytest.raises(ValueError, match=rf"^w must hold numbers, got {what}$"):
+            check_array(value, "w")
+
+    def test_lone_bool_among_numbers_is_read_as_a_number(self):
+        # the stated limit: numpy gives [1.0, true] a float dtype
+        assert check_array([1.0, True], "w").tolist() == [1.0, 1.0]

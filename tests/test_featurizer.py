@@ -19,12 +19,12 @@ from elmloc.featurizer import (
 )
 
 
-def _spec(filters):
+def _spec(filters, n_aps):
     filters = np.asarray(filters, dtype=np.float64)
     if filters.ndim == 1:
         filters = filters[:, None]
     return FeaturizerSpec(n_filters=filters.shape[1], kernel_size=filters.shape[0],
-                          seed=0, n_aps=None, filters=filters)
+                          seed=0, n_aps=n_aps, filters=filters)
 
 
 def conv_oracle(x, filters):
@@ -75,30 +75,30 @@ class TestConvReference:
 
     def test_empty_ap_axis_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            featurize(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0]))
+            featurize(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0], 3))
 
 
 class TestConv:
     def test_box_kernel_hand_example(self):
         # (1,1,1) over (1,2,3): edges see one zero pad each
-        out = _correlate(np.array([[1.0, 2.0, 3.0]]), _spec([1.0, 1.0, 1.0]))
+        out = _correlate(np.array([[1.0, 2.0, 3.0]]), _spec([1.0, 1.0, 1.0], 3))
         assert out[:, :, 0].tolist() == [[3.0, 6.0, 5.0]]
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(4, 9))
-        out = _correlate(x, _spec([0.0, 1.0, 0.0]))
+        out = _correlate(x, _spec([0.0, 1.0, 0.0], 9))
         assert out[:, :, 0] == pytest.approx(x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(5, 11))
         filters = rng.normal(size=(3, 2))
-        spec = _spec(filters)
+        spec = _spec(filters, 11)
         assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
     def test_wide_kernel_matches_oracle(self, rng):
         x = rng.normal(size=(3, 8))
         filters = rng.normal(size=(5, 3))
-        spec = _spec(filters)
+        spec = _spec(filters, 8)
         assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
     def test_featurize_matches_loop_oracle(self, rng):
@@ -204,10 +204,21 @@ class TestInit:
         with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
             spec_from_dict(d)
 
-    def test_spec_without_n_aps_loads(self):
+    def test_spec_without_n_aps_rejected(self):
         d = spec_to_dict(init_featurizer(4, 30))
         d["n_aps"] = None
-        assert spec_from_dict(d).n_aps is None
+        with pytest.raises(ValueError, match=r"^n_aps must hold 64-bit integers, got None$"):
+            spec_from_dict(d)
+        del d["n_aps"]
+        with pytest.raises(KeyError, match="n_aps"):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_filters_rejected(self, value):
+        filters = init_featurizer(4, 30).filters.copy()
+        filters[1, 0] = value
+        with pytest.raises(ValueError, match=r"^filters contains non-finite values$"):
+            FeaturizerSpec(n_filters=2, kernel_size=3, seed=4, n_aps=30, filters=filters)
 
 
 class TestWidthAndComposition:

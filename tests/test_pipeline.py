@@ -33,6 +33,29 @@ def _config(**kw):
     return PipelineConfig(**base)
 
 
+def settings_of(model):
+    """The ``PipelineConfig`` fields a trained model holds, each read from its part.
+
+    An ``elm_only`` model has no conv stage, so no ``n_filters`` or ``kernel_size``.
+    """
+    settings = dict(L=model.elm.L, c=model.elm.c, seed=model.elm.seed,
+                    approach="elm_only" if model.featurizer is None else "cnn_elm",
+                    norm_mode=model.preprocess.mode, quantize=model.elm.quantized is not None)
+    if model.featurizer is not None:
+        assert model.featurizer.seed == model.elm.seed
+        settings.update(n_filters=model.featurizer.n_filters,
+                        kernel_size=model.featurizer.kernel_size)
+    return settings
+
+
+def settings_in(config):
+    """``settings_of`` for the model ``config`` trains."""
+    settings = dataclasses.asdict(config)
+    if config.approach == "elm_only":
+        del settings["n_filters"], settings["kernel_size"]
+    return settings
+
+
 @pytest.fixture(scope="module")
 def fitted(syn_small):
     train, _ = syn_small
@@ -230,7 +253,6 @@ def save_model_reference(model, path):
     doc = {
         "format": "elmloc-model-v1",
         "dataset": model.dataset,
-        "config": dataclasses.asdict(model.config),
         "preprocess": params_to_dict(model.preprocess),
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm.model_to_dict(model.elm),
@@ -245,12 +267,23 @@ class TestSaveLoad:
     @pytest.mark.parametrize("quantize", [False, True], ids=["float", "int8"])
     def test_file_bytes_match_json_dump(self, syn_small, tmp_path, approach, quantize):
         train, _ = syn_small
-        model = fit_pipeline(train, _config(approach=approach, quantize=quantize,
-                                            norm_mode="per_sample", c=0.1))
+        config = _config(approach=approach, quantize=quantize, norm_mode="per_sample", c=0.1)
+        model = fit_pipeline(train, config)
         save_model(model, tmp_path / "m.json")
         save_model_reference(model, tmp_path / "ref.json")
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
-        assert load_model(tmp_path / "m.json").config == model.config
+        assert settings_of(load_model(tmp_path / "m.json")) == settings_in(config)
+
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_each_setting_written_once(self, syn_small, tmp_path, approach):
+        # no config section, and no elm.L beside b: the parts hold every setting
+        model = fit_pipeline(syn_small[0], _config(approach=approach, quantize=True))
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert list(doc) == ["format", "dataset", "preprocess", "featurizer", "elm"]
+        assert list(doc["elm"]) == ["codebook", "seed", "c", "w", "b", "beta", "quantized"]
+        assert [f.name for f in dataclasses.fields(model)] == [
+            "preprocess", "featurizer", "elm", "dataset"]
 
     def test_round_trip_predictions_identical(self, syn_small, fitted, tmp_path):
         _, test = syn_small
@@ -272,7 +305,7 @@ class TestSaveLoad:
         assert (back.elm.beta == fitted.elm.beta).all()
         assert (back.featurizer.filters == fitted.featurizer.filters).all()
         assert back.preprocess.min_rss == fitted.preprocess.min_rss
-        assert back.config == fitted.config
+        assert settings_of(back) == settings_of(fitted) == settings_in(_config(quantize=True))
 
     def test_numpy_integer_settings_round_trip(self, syn_small, tmp_path):
         # settings read from numpy arrays are stored as Python ints, so the model saves
@@ -283,7 +316,7 @@ class TestSaveLoad:
         model = fit_pipeline(train, config)
         save_model(model, tmp_path / "m.json")
         back = load_model(tmp_path / "m.json")
-        assert back.config == config
+        assert settings_of(back) == settings_in(config)
         for got, want in zip(predict_pipeline(test, back), predict_pipeline(test, model)):
             assert (got == want).all()
 
@@ -299,7 +332,7 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_model(p)
 
-    @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm", "config"])
+    @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm"])
     def test_missing_section_named(self, fitted, tmp_path, key):
         p = tmp_path / "m.json"
         save_model(fitted, p)
@@ -318,7 +351,7 @@ class TestSaveLoad:
     def test_bad_section_named(self, fitted, tmp_path, key, edit, message):
         p = tmp_path / "m.json"
         save_model(fitted, p)
-        doc = json.loads(p.read_text())
+        doc = json.loads((CONFIG_MODEL if key == "config" else p).read_text())
         edit(doc[key])
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
@@ -344,6 +377,7 @@ def _edit_w_q_value(value):
 BAD_WEIGHTS = {
     "int8_out_of_range": (_edit_w_q_value(300), r"quantized w_q must hold integers"),
     "int8_fraction": (_edit_w_q_value(1.7), r"quantized w_q must hold integers"),
+    "int8_string": (_edit_w_q_value("5"), r"quantized w_q must hold integers"),
     "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(),
                          r"quantized w_q has shape \(\d+, 60\)"),
     "nan_weight": (lambda elm: elm["w"][0].__setitem__(0, float("nan")),
@@ -358,8 +392,14 @@ def write_bad_model(good, bad, case):
     bad.write_text(json.dumps(doc))
 
 
-# Model files with an integer key that is no JSON integer, or a config field of
-# the wrong type; (section, edit, message) per case, each must fail at load time.
+V1_FILES = Path(__file__).parent / "data" / "v1"
+# A model file with a config section, which files no longer get.
+CONFIG_MODEL = V1_FILES / "cnn_elm_per_feature_int8.model.json"
+
+# Model files with an integer key that is no JSON integer, an array that is no
+# array of finite numbers, or a config field of the wrong type; (section, edit,
+# message) per case, each must fail at load time. The config cases edit
+# CONFIG_MODEL, the others a freshly saved file.
 BAD_KEYS = {
     "codebook_fraction": ("elm", lambda d: d["codebook"][0].__setitem__(1, 1.7),
                           r"codebook must hold 64-bit integers, got 1\.7"),
@@ -401,13 +441,36 @@ BAD_KEYS = {
     "config_L_zero": ("config", lambda d: d.update(L=0), r"L must be >= 1, got 0"),
     "w_scale_string": ("elm", lambda d: d["quantized"].update(w_scale="0.01"),
                        r"w_scale must hold a float, got '0\.01'"),
+    # the hidden size of older files, type-checked before it is compared with b
+    "elm_L_string": ("elm", lambda d: d.update(L="60"), r"L must hold 64-bit integers, got '60'"),
+    "elm_L_bool": ("elm", lambda d: d.update(L=True), r"L must hold 64-bit integers, got True"),
+    "elm_L_null_b": ("elm", lambda d: d.update(L=len(d["b"]), b=None),
+                     r"b must hold numbers, got nulls or other non-numbers"),
+    # arrays: finite numbers only; a float cast would read "0.25" as 0.25
+    "feature_norms_infinity": ("preprocess", lambda d: d["feature_norms"].__setitem__(
+        slice(None, None, 3), [float("inf")] * len(d["feature_norms"][::3])),
+        r"feature_norms contains non-finite values"),
+    "filters_nan": ("featurizer", lambda d: d["filters"][0].__setitem__(0, float("nan")),
+                    r"filters contains non-finite values"),
+    "w_string": ("elm", lambda d: d["w"][0].__setitem__(0, "0.25"),
+                 r"w must hold numbers, got strings"),
+    "filters_string": ("featurizer", lambda d: d["filters"][0].__setitem__(0, "0.25"),
+                       r"filters must hold numbers, got strings"),
+    "feature_norms_string": ("preprocess", lambda d: d["feature_norms"].__setitem__(0, "0.25"),
+                             r"feature_norms must hold numbers, got strings"),
+    "feature_norms_all_bool": ("preprocess", lambda d: d.update(
+        feature_norms=[True] * len(d["feature_norms"])),
+        r"feature_norms must hold numbers, got true/false values"),
+    "b_null": ("elm", lambda d: d["b"].__setitem__(0, None),
+               r"b must hold numbers, got nulls or other non-numbers"),
 }
 
 
 def write_bad_key_model(good, bad, case):
-    """Copy the model file ``good`` to ``bad`` with one key edited by ``case``."""
+    """Copy the model file ``good`` (``CONFIG_MODEL`` for a config case) to ``bad``
+    with one key edited by ``case``."""
     section, edit, _ = BAD_KEYS[case]
-    doc = json.loads(good.read_text())
+    doc = json.loads((CONFIG_MODEL if section == "config" else good).read_text())
     edit(doc[section])
     bad.write_text(json.dumps(doc))
 
@@ -425,9 +488,12 @@ class TestBadKeys:
 
     def test_integer_loads_where_float_expected(self, fitted, tmp_path):
         p = tmp_path / "m.json"
-        save_model(dataclasses.replace(fitted, config=dataclasses.replace(
-            fitted.config, c=2)), p)
-        assert load_model(p).config.c == 2
+        save_model(dataclasses.replace(fitted, elm=dataclasses.replace(fitted.elm, c=2)), p)
+        assert load_model(p).elm.c == 2
+        doc = json.loads(CONFIG_MODEL.read_text())
+        doc["config"]["c"] = 2
+        p.write_text(json.dumps(doc))
+        assert load_model(p).elm.c == 1.0  # an old config's c is checked, not used
 
 
 class TestBadWeights:
@@ -459,9 +525,11 @@ def test_serving_does_not_import_scipy(fitted, tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-V1_FILES = Path(__file__).parent / "data" / "v1"
-V1_MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample"]
-V1_LEGACY_KEYS = {
+V1_MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample", "cnn_elm_per_sample"]
+# The files written while the powed exponent, the pooling window and stride and
+# the conv bias were settings, and the keys that held those settings.
+V1_CONSTANT_KEY_MODELS = V1_MODELS[:2]
+V1_CONSTANT_KEYS = {
     "config": ["exponent", "pool_size", "pool_stride"],
     "preprocess": ["exponent"],
     "featurizer": ["pool_size", "pool_stride", "filter_bias"],
@@ -482,26 +550,40 @@ def _v1_answers(name):
 
 
 class TestV1ModelFiles:
-    """Model files written before the powed exponent, the pooling window and
-    stride and the conv bias became constants; they carry those as keys.
+    """Model files written while a model stored its config next to its parts.
 
-    Commit ebffae9 wrote them, with one BLAS thread: ``fit_pipeline`` on the
+    Each has a ``config`` section and an ``elm.L`` key. The first two were
+    also written before the powed exponent, the pooling window and stride and
+    the conv bias became constants, and carry those as keys.
+
+    All three were written with one BLAS thread: ``fit_pipeline`` on the
     training rows of ``generate_synthetic(seed=3, n_train=720, n_test=240,
     n_aps=40)`` (the ``syn_small`` fixture) with ``PipelineConfig(L=30, c=1.0,
-    seed=0)`` plus ``quantize=True`` for ``cnn_elm_per_feature_int8`` and
-    ``approach="elm_only", norm_mode="per_sample"`` for ``elm_only_per_sample``,
-    then ``save_model(..., dataset="TST1")``. ``answers.json`` holds that
+    seed=0)`` plus, by commit ebffae9, ``quantize=True`` for
+    ``cnn_elm_per_feature_int8`` and ``approach="elm_only",
+    norm_mode="per_sample"`` for ``elm_only_per_sample``, and by commit
+    f61359e, ``norm_mode="per_sample"`` for ``cnn_elm_per_sample``; then
+    ``save_model(..., dataset="TST1")``. ``answers.json`` holds the writing
     commit's ``predict_pipeline`` answers on the 240 test rows of the loaded
     file: ``[buildings, floors]`` per model, float and, for the quantized file,
     int8. A later model format must still load these files.
     """
 
-    @pytest.mark.parametrize("name", V1_MODELS)
+    @pytest.mark.parametrize("name", V1_CONSTANT_KEY_MODELS)
     def test_files_carry_the_legacy_keys(self, name):
         doc = json.loads((V1_FILES / f"{name}.model.json").read_text())
-        for section, keys in V1_LEGACY_KEYS.items():
+        for section, keys in V1_CONSTANT_KEYS.items():
             if doc[section] is not None:
                 assert set(keys) <= set(doc[section]), section
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_files_carry_config_and_hidden_size(self, name):
+        doc = json.loads((V1_FILES / f"{name}.model.json").read_text())
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} <= set(doc["config"])
+        assert doc["elm"]["L"] == len(doc["elm"]["b"]) == 30
+        if name not in V1_CONSTANT_KEY_MODELS:
+            for section, keys in V1_CONSTANT_KEYS.items():
+                assert not set(keys) & set(doc[section]), section
 
     @pytest.mark.parametrize("name", V1_MODELS)
     def test_answers_bitwise(self, syn_small, name):
@@ -551,17 +633,33 @@ class TestV1ModelFiles:
 
     @pytest.mark.parametrize("name", V1_MODELS)
     def test_saved_again_without_the_legacy_keys(self, syn_small, tmp_path, name):
+        old = json.loads((V1_FILES / f"{name}.model.json").read_text())
         model = load_model(V1_FILES / f"{name}.model.json")
         p = tmp_path / "m.json"
         save_model(model, p)
         doc = json.loads(p.read_text())
-        for section, keys in V1_LEGACY_KEYS.items():
-            if doc[section] is not None:
+        assert "config" not in doc and "L" not in doc["elm"]
+        for section, keys in V1_CONSTANT_KEYS.items():
+            if doc.get(section) is not None:
                 assert not set(keys) & set(doc[section]), section
         back = load_model(p)
-        assert back.config == model.config
+        config = {k: v for k, v in old["config"].items() if k in settings_of(back)}
+        assert settings_of(back) == settings_of(model) == config
         for mode, want in _v1_answers(name).items():
             got = predict_pipeline(syn_small[1], back, quantized=mode == "int8")
+            assert [a.tolist() for a in got] == want, mode
+
+    def test_config_that_misdescribes_the_parts_is_dropped(self, syn_small, tmp_path):
+        # the old config section was never read to answer; it goes after its checks
+        doc = json.loads(CONFIG_MODEL.read_text())
+        doc["config"].update(L=999, approach="elm_only", n_filters=7, kernel_size=5, c=3.0,
+                             norm_mode="per_sample", quantize=False)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        model = load_model(p)
+        assert settings_of(model) == settings_in(PipelineConfig(L=30, c=1.0, quantize=True))
+        for mode, want in _v1_answers("cnn_elm_per_feature_int8").items():
+            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
             assert [a.tolist() for a in got] == want, mode
 
     @pytest.mark.parametrize("section, key, value", [
@@ -576,6 +674,8 @@ class TestV1ModelFiles:
         ("featurizer", "pool_stride", 1),
         ("featurizer", "filter_bias", [0.0, 0.5]),
         ("featurizer", "filter_bias", [0.0, 0.0, 0.0]),
+        ("elm", "L", 31),
+        ("elm", "L", 0),
     ])
     def test_legacy_key_at_another_value_rejected(self, one_query, tmp_path, capsys,
                                                   section, key, value):

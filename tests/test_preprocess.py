@@ -150,6 +150,12 @@ class TestUnitNorm:
         with pytest.raises(ValueError):
             PreprocessParams(min_rss=-110.0, mode="global")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_norms_rejected(self, value):
+        # an infinite norm would divide its AP column to zero
+        with pytest.raises(ValueError, match=r"^feature_norms contains non-finite values$"):
+            PreprocessParams(min_rss=-110.0, feature_norms=np.array([1.0, value, 2.0]))
+
 
 class TestComposition:
     def test_fit_apply_end_to_end(self, syn_small):
