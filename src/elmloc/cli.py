@@ -292,6 +292,8 @@ def _read_queries(path: Path, model) -> tuple[RadioMap | None, np.ndarray | None
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    if args.quantized and model.elm.quantized is None:
+        raise CliError("model has no quantized weights (train with --quantize)")
     queries_path = Path(args.queries)
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")
@@ -305,8 +307,6 @@ def cmd_predict(args) -> int:
         print(f"0 queries; wrote {out_path}")
         return 0
     rmap, truth = _read_queries(queries_path, model)
-    if args.quantized and model.elm.quantized is None:
-        raise CliError("model has no quantized weights (train with --quantize)")
     buildings, floors = predict_pipeline(rmap, model, quantized=args.quantized)
     with open(out_path, "w") as fh:
         fh.write("building,floor\n")

@@ -153,11 +153,12 @@ _NOT_NUMBERS = {"b": "true/false values", "U": "strings"}
 
 
 def check_array(value, key: str) -> np.ndarray:
-    """A JSON array of numbers under ``key``, as numpy reads it, before any float cast."""
+    """A JSON array of finite numbers under ``key``, as numpy reads it, before any float cast."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         what = _NOT_NUMBERS.get(arr.dtype.kind, "nulls or other non-numbers")
         raise ValueError(f"{key} must hold numbers, got {what}")
+    check_finite(arr, key)
     return arr
 
 

@@ -405,62 +405,35 @@ def sweep_hidden(
 # Serialization (single JSON document, assembled by the pipeline layer)
 
 
+CODE_FIELDS = ("w_q", "b_q", "beta_q", "w_scale", "b_scale", "beta_scale")
+
+
 def model_to_dict(model: ElmModel) -> dict:
-    d = {
+    """The learned part of ``model``; raises ``ValueError`` if w, b or the int8
+    copies are not the ones ``model_from_dict`` rebuilds from the seed."""
+    w, b = init_hidden(model.seed, model.n_features, model.L)
+    same = np.array_equal(w, model.w) and np.array_equal(b, model.b)
+    if same and model.quantized is not None:
+        q = quantize(model).quantized
+        same = all(np.array_equal(getattr(q, f), getattr(model.quantized, f)) for f in CODE_FIELDS)
+    if not same:
+        raise ValueError(f"w, b or their int8 copies are not the ones seed {model.seed} rebuilds")
+    return {
         "codebook": model.codebook.pairs.tolist(),
         "seed": model.seed,
         "c": model.c,
-        "w": model.w.tolist(),
-        "b": model.b.tolist(),
         "beta": model.beta.tolist(),
-        "quantized": None,
+        "quantized": model.quantized is not None,
     }
-    if model.quantized is not None:
-        q = model.quantized
-        d["quantized"] = {
-            "w_q": q.w_q.tolist(),
-            "b_q": q.b_q.tolist(),
-            "beta_q": q.beta_q.tolist(),
-            "w_scale": q.w_scale,
-            "b_scale": q.b_scale,
-            "beta_scale": q.beta_scale,
-        }
-    return d
 
 
-def _int8_codes(values, name: str) -> np.ndarray:
-    # Checked before the int8 cast: numpy 2 raises OverflowError on 300 while
-    # numpy 1.x wraps it, and both truncate 1.7 to 1.
-    bad = f"quantized {name} must hold integers in [-127, 127]"
-    try:
-        codes = check_array(values, name).astype(np.float64)
-    except ValueError:  # strings, nulls, an integer beyond int64, unequal rows
-        raise ValueError(bad) from None
-    if not (np.all(np.abs(codes) <= 127) and np.all(codes == np.trunc(codes))):
-        raise ValueError(bad)
-    return codes.astype(np.int8)
-
-
-def model_from_dict(d: dict) -> ElmModel:
-    quantized = None
-    if d.get("quantized") is not None:
-        qd = d["quantized"]
-        quantized = QuantizedWeights(
-            w_q=_int8_codes(qd["w_q"], "w_q"),
-            b_q=_int8_codes(qd["b_q"], "b_q"),
-            beta_q=_int8_codes(qd["beta_q"], "beta_q"),
-            w_scale=check_float(qd["w_scale"], "w_scale"),
-            b_scale=check_float(qd["b_scale"], "b_scale"),
-            beta_scale=check_float(qd["beta_scale"], "beta_scale"),
-        )
-    return ElmModel(
-        w=check_array(d["w"], "w"),
-        b=check_array(d["b"], "b"),
-        beta=check_array(d["beta"], "beta"),
-        c=check_float(d["c"], "c"),
-        codebook=ClassCodebook(
-            pairs=np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
-        ),
-        seed=check_int(d["seed"], "seed"),
-        quantized=quantized,
-    )
+def model_from_dict(d: dict, n_features: int) -> ElmModel:
+    """The model ``model_to_dict`` wrote, for inputs ``n_features`` wide: w and b
+    drawn from the seed with L = len(beta), and ``quantize``'s int8 copies if any."""
+    beta, seed = check_array(d["beta"], "beta"), check_int(d["seed"], "seed")
+    if not isinstance(d["quantized"], bool):
+        raise ValueError(f"quantized must hold true or false, got {d['quantized']!r}")
+    pairs = np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
+    w, b = init_hidden(seed, n_features, len(beta))
+    model = ElmModel(w, b, beta, check_float(d["c"], "c"), ClassCodebook(pairs), seed)
+    return quantize(model) if d["quantized"] else model

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import check_array, check_finite, check_int
+from .dataset import check_finite, check_int
 
 #: Average-pooling window, which is also its stride.
 POOL = 2
@@ -134,15 +134,15 @@ def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
 
 
 def spec_to_dict(spec: FeaturizerSpec) -> dict:
-    return {
-        "n_filters": spec.n_filters,
-        "kernel_size": spec.kernel_size,
-        "seed": spec.seed,
-        "n_aps": spec.n_aps,
-        "filters": spec.filters.tolist(),
-    }
+    """The sizes and seed of ``spec``; raises ``ValueError`` if the filters are not
+    the ones ``spec_from_dict`` redraws from them."""
+    drawn = init_featurizer(spec.seed, spec.n_aps, spec.n_filters, spec.kernel_size)
+    if not np.array_equal(drawn.filters, spec.filters):
+        raise ValueError(f"filters are not the ones seed {spec.seed} draws")
+    return {"n_filters": spec.n_filters, "kernel_size": spec.kernel_size, "seed": spec.seed}
 
 
-def spec_from_dict(d: dict) -> FeaturizerSpec:
-    sizes = {key: check_int(d[key], key) for key in ("n_filters", "kernel_size", "seed", "n_aps")}
-    return FeaturizerSpec(**sizes, filters=check_array(d["filters"], "filters"))
+def spec_from_dict(d: dict, n_aps: int) -> FeaturizerSpec:
+    """The spec ``spec_to_dict`` wrote, drawn for ``n_aps`` input columns."""
+    sizes = {key: check_int(d[key], key) for key in ("n_filters", "kernel_size", "seed")}
+    return init_featurizer(sizes.pop("seed"), n_aps, **sizes)

@@ -16,7 +16,9 @@ keeps no config: each setting is read from the part that holds it.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from .dataset import RadioMap, check_array, check_float, check_int, check_rss, s
 from .featurizer import (
     POOL,
     FeaturizerSpec,
+    feature_width,
     featurize,
     init_featurizer,
     spec_from_dict,
@@ -45,7 +48,8 @@ from .preprocess import (
     params_to_dict,
 )
 
-_FORMAT = "elmloc-model-v1"
+_FORMAT = "elmloc-model-v2"
+_V1 = "elmloc-model-v1"  # still read: its copies of what is now rebuilt are checked, then dropped
 
 APPROACHES = ("cnn_elm", "elm_only")
 
@@ -199,13 +203,30 @@ def predict_pipeline(
     return elm_mod.predict(x, model.elm)
 
 
+def _random_sha256(arrays) -> str:
+    """sha256 of the seed-drawn arrays (w, b, then any filters), as little-endian float64."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def _seed_drawn(model: TrainedModel) -> list:
+    filters = [] if model.featurizer is None else [model.featurizer.filters]
+    return [model.elm.w, model.elm.b, *filters]
+
+
 def save_model(model: TrainedModel, path) -> None:
+    """Write what ``model`` learned and its seeds: not w, b, the filters or the int8
+    copies, which ``load_model`` rebuilds and checks against ``random_sha256``."""
     doc = {
         "format": _FORMAT,
         "dataset": model.dataset,
+        "n_aps": model.n_aps,
         "preprocess": params_to_dict(model.preprocess),
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm_mod.model_to_dict(model.elm),
+        "random_sha256": _random_sha256(_seed_drawn(model)),
     }
     # json.dumps, not json.dump: only the one-shot encoder runs in C; it
     # writes the same bytes in about half the time.
@@ -214,20 +235,10 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-# Model document sections and their parsers; "featurizer" may also be null.
-# Only older files have "config", which repeats the other sections; it is checked and dropped.
-_SECTIONS = {
-    "preprocess": params_from_dict,
-    "featurizer": spec_from_dict,
-    "elm": elm_mod.model_from_dict,
-    "config": lambda d: PipelineConfig(**d),
-}
-
-
 # Keys of older files. The powed exponent, the pooling window and stride and
 # the conv bias were settings; each loads only at the value the stages now
 # always use, and filter_bias must hold that zero once per filter. elm.L, the
-# hidden size, must be the length of b.
+# hidden size, must be the length of beta.
 _LEGACY_KEYS = {
     "config": {"exponent": EXPONENT, "pool_size": POOL, "pool_stride": POOL},
     "preprocess": {"exponent": EXPONENT},
@@ -248,14 +259,52 @@ def _drop_legacy_keys(name: str, section: dict) -> None:
             got = [check_float(v, key) for v in value]
             fixed = [fixed] * check_int(section["n_filters"], "n_filters")
         elif key == "L":
-            got, fixed = check_int(value, key), check_array(section["b"], "b").size
+            got, fixed = check_int(value, key), len(check_array(section["beta"], "beta"))
         else:
             got = (check_float if isinstance(fixed, float) else check_int)(value, key)
         if got != fixed:
             raise ValueError(f"{key} is fixed at {fixed!r}, got {value!r}")
 
 
+@contextmanager
+def _section(path: Path, doc: dict, key: str):
+    """``doc[key]``, legacy keys checked and dropped; errors in the block name the file and key."""
+    try:
+        if isinstance(doc[key], dict):
+            _drop_legacy_keys(key, doc[key])
+        yield doc[key]
+    except KeyError as exc:
+        raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
+
+
+def _upgrade_v1(path: Path, doc: dict):
+    """Make a v1 document a v2 one; return its int8 copies (an object, or None).
+
+    The digest of v1's w, b and filters becomes ``random_sha256``, so they load
+    only if the seeds rebuild them bitwise. The input width was
+    ``featurizer.n_aps``, or without a conv stage the row count of w.
+    """
+    with _section(path, doc, "elm") as elm:
+        arrays = [check_array(elm.pop("w"), "w"), check_array(elm.pop("b"), "b")]
+        doc["n_aps"] = len(arrays[0])
+        int8 = elm.get("quantized")
+        elm["quantized"] = int8 is not None
+    if doc["featurizer"] is not None:
+        with _section(path, doc, "featurizer") as featurizer:
+            arrays.append(check_array(featurizer.pop("filters"), "filters"))
+            doc["n_aps"] = check_int(featurizer.pop("n_aps"), "n_aps")
+    doc["random_sha256"] = _random_sha256(arrays)
+    return int8
+
+
 def load_model(path) -> TrainedModel:
+    """The model in an ``elmloc-model-v2`` file, or in an older ``-v1`` one.
+
+    Raises ``ValueError`` naming the file and the key of a value that cannot be
+    served, including a ``random_sha256`` that the rebuilt arrays do not match.
+    """
     path = Path(path)
     try:
         with open(path) as fh:
@@ -263,29 +312,49 @@ def load_model(path) -> TrainedModel:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not a valid model file: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != _FORMAT:
+    if fmt not in (_FORMAT, _V1):
         raise ValueError(f"{path}: unrecognized model format {fmt!r}")
-    dataset = doc.get("dataset", "")
-    if not isinstance(dataset, str):
+    if not isinstance(doc.get("dataset", ""), str):
         raise ValueError(f"{path}: model key 'dataset' must hold a string")
-    parts = {}
-    for key, parse in _SECTIONS.items():
+    sections = ("preprocess", "featurizer", "elm")
+    for key in sections + (("n_aps", "random_sha256") if fmt == _FORMAT else ()):
         if key not in doc:
-            if key == "config":
-                continue
             raise ValueError(f"{path}: model document lacks key {key!r}")
-        section = doc[key]
-        if section is None and key == "featurizer":
-            parts[key] = None
-            continue
-        if not isinstance(section, dict):
+    for key in sections + ("config",):
+        section = doc.get(key, {})
+        if not (isinstance(section, dict) or key == "featurizer" and section is None):
             raise ValueError(f"{path}: model key {key!r} must hold an object")
-        try:
-            _drop_legacy_keys(key, section)
-            parts[key] = parse(section)
-        except KeyError as exc:
-            raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
-    parts.pop("config", None)
-    return TrainedModel(**parts, dataset=dataset)
+    # config, the settings older files stored next to the parts, is checked and dropped
+    if "config" in doc:
+        with _section(path, doc, "config") as config:
+            PipelineConfig(**config)
+    int8 = _upgrade_v1(path, doc) if fmt == _V1 else None
+    with _section(path, doc, "n_aps") as n_aps:
+        if check_int(n_aps, "n_aps") < 1:
+            raise ValueError(f"n_aps must be >= 1, got {n_aps}")
+    with _section(path, doc, "preprocess") as section:
+        params = params_from_dict(section)
+        norms = params.feature_norms
+        if params.mode == "per_feature" and (norms is None or norms.shape[0] != n_aps):
+            got = None if norms is None else norms.shape[0]
+            raise ValueError(f"feature_norms must hold n_aps = {n_aps} norms, got {got}")
+    with _section(path, doc, "featurizer") as section:
+        featurizer = None if section is None else spec_from_dict(section, n_aps)
+        width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
+    with _section(path, doc, "elm") as section:
+        elm = elm_mod.model_from_dict(section, width)
+    model = TrainedModel(params, featurizer, elm, dataset=doc.get("dataset", ""))
+    if doc["random_sha256"] != _random_sha256(_seed_drawn(model)):
+        stored = ("model key 'random_sha256' does not match" if fmt == _FORMAT else
+                  "the w, b and filters under model keys 'elm' and 'featurizer' differ from")
+        raise ValueError(
+            f"{path}: {stored} the w, b and filters rebuilt from the seeds; numpy "
+            f"{np.__version__} may draw other random streams than the numpy that wrote the file"
+        )
+    if int8 is not None:  # a v1 file's int8 copies: the ones elm.quantize makes
+        with _section(path, doc, "elm"):
+            for field in elm_mod.CODE_FIELDS:
+                got = check_array(int8[field], f"quantized {field}")
+                if not np.array_equal(got, getattr(elm.quantized, field)):
+                    raise ValueError(f"quantized {field} is not the one elm.quantize makes")
+    return model

@@ -37,8 +37,8 @@ class PreprocessParams:
     """Fitted transform state.
 
     ``feature_norms`` holds the raw training-column norms (zeros allowed for
-    never-detected APs; the division guard lives in apply). It is None both
-    in per_sample mode and before the norm stage has been fitted.
+    never-detected APs; the division guard lives in apply). It is None before
+    the norm stage has been fitted, and always in per_sample mode.
     """
 
     min_rss: float
@@ -51,6 +51,8 @@ class PreprocessParams:
         if not self.min_rss < 0:
             raise ValueError(f"min_rss must be negative, got {self.min_rss}")
         if self.feature_norms is not None:
+            if self.mode == "per_sample":
+                raise ValueError("per_sample mode takes no feature_norms")
             norms = np.ascontiguousarray(self.feature_norms, dtype=np.float64)
             if norms.ndim != 1:
                 raise ValueError("feature_norms must be a vector")

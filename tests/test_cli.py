@@ -99,7 +99,7 @@ class TestTrain:
     def test_model_written(self, model_path):
         assert model_path.exists()
         payload = json.loads(model_path.read_text())
-        assert payload["format"] == "elmloc-model-v1"
+        assert payload["format"] == "elmloc-model-v2"
 
     def test_echoes_resolved_config(self, data_root, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -302,6 +302,26 @@ class TestPredict:
         assert rc == 2
         assert "quantized" in capsys.readouterr().err
 
+    def test_quantized_checked_before_the_queries_are_read(self, data_root, tmp_path,
+                                                           capsys):
+        # a bad flag exits 2 before any data is read: a missing, unparsable or
+        # empty query file gets the same message, and no output is written
+        plain = tmp_path / "plain.model.json"
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--L", "20", "--out", str(plain)]) == 0
+        capsys.readouterr()
+        empty = tmp_path / "empty.csv"
+        empty.write_text(",".join(f"AP{j}" for j in range(40)) + "\n")
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_text("a,b\noops,1\n")
+        for queries in (tmp_path / "missing.csv", garbage, empty):
+            out = tmp_path / "p.csv"
+            assert main(["predict", "--model", str(plain), "--quantized",
+                         "--queries", str(queries), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.strip() == (
+                "error: model has no quantized weights (train with --quantize)")
+            assert not out.exists()
+
     def test_bare_matrix_queries(self, model_path, tmp_path, capsys):
         # no manifest next to the file: exactly the AP columns, 100 = silent
         p = tmp_path / "q.csv"
@@ -371,9 +391,9 @@ class TestPredict:
         assert str(model) in err and "'preprocess'" in err
 
     @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
-    def test_model_file_bad_weights(self, data_root, model_path, tmp_path, capsys, case):
+    def test_model_file_bad_weights(self, data_root, tmp_path, capsys, case):
         model = tmp_path / "bad.model.json"
-        write_bad_model(model_path, model, case)
+        write_bad_model(model, case)
         rc = main(["predict", "--model", str(model), "--quantized",
                    "--queries", str(data_root / "TST1" / "test.csv")])
         assert rc == 2

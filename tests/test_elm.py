@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
+import json
 import math
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ from elmloc.elm import (
     tansig,
     train_elm,
 )
+from elmloc.pipeline import load_model
+
+# An older model file that still holds w, b and the int8 codes and scales.
+V1_INT8 = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
 
 
 class TestCodebook:
@@ -106,6 +114,14 @@ class TestInitHidden:
         w1, b1 = init_hidden(3, 10, 8)
         w2, b2 = init_hidden(3, 10, 8)
         assert (w1 == w2).all() and (b1 == b2).all()
+
+    def test_stream_pinned_at_the_uji1_shape(self):
+        # model files store the seed, not w and b; numpy does not promise the
+        # same Generator stream across versions (NEP 19), so a change fails here
+        w, b = init_hidden(7, 520, 530)
+        digest = hashlib.sha256(w.astype("<f8").tobytes() + b.astype("<f8").tobytes())
+        assert digest.hexdigest() == (
+            "8dcb7639308e096bb8db5b8c50df1f2a578cf6569ba3dc0022f6ce65d4ac50b9")
 
     def test_weight_prefix_nests_across_sizes(self):
         # growing L must extend the hidden layer, not reshuffle it: the
@@ -231,14 +247,45 @@ class TestTrainPredict:
     def test_model_round_trip(self, rng):
         x, labels = _toy_problem(rng)
         model = quantize(train_elm(x, labels, L=15, c=0.1, seed=2))
-        back = model_from_dict(model_to_dict(model))
-        assert (back.w == model.w).all()
+        back = model_from_dict(model_to_dict(model), model.n_features)
+        assert (back.w == model.w).all() and (back.b == model.b).all()
         assert (back.beta == model.beta).all()
         assert back.c == model.c
         assert (back.codebook.pairs == model.codebook.pairs).all()
         assert back.quantized.w_q.dtype == np.int8
         assert (back.quantized.w_q == model.quantized.w_q).all()
         assert back.quantized.beta_scale == model.quantized.beta_scale
+
+    def test_dict_holds_what_was_learned(self, rng):
+        # w and b are the seed's, and the int8 copies quantize's: only a flag is kept
+        x, labels = _toy_problem(rng)
+        d = model_to_dict(quantize(train_elm(x, labels, L=15, c=0.1, seed=2)))
+        assert list(d) == ["codebook", "seed", "c", "beta", "quantized"]
+        assert d["quantized"] is True
+        assert model_from_dict(d, x.shape[1]).L == len(d["beta"]) == 15
+
+    @pytest.mark.parametrize("edit", ["w", "b", "codes"])
+    def test_dict_refused_for_weights_no_seed_draws(self, rng, edit):
+        # a file could not restore them, so model_to_dict will not write them
+        x, labels = _toy_problem(rng)
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        if edit == "codes":
+            q = model.quantized
+            model = dataclasses.replace(model, quantized=dataclasses.replace(
+                q, b_q=np.where(q.b_q == 0, 1, 0).astype(np.int8)))
+        else:
+            model = dataclasses.replace(model, **{edit: getattr(model, edit) * 0.5})
+        with pytest.raises(ValueError, match=r"^w, b or their int8 copies are not the ones "
+                                             r"seed 0 rebuilds$"):
+            model_to_dict(model)
+
+    @pytest.mark.parametrize("value", [None, 1, "true", {}])
+    def test_quantized_flag_must_be_bool(self, rng, value):
+        x, labels = _toy_problem(rng)
+        d = model_to_dict(train_elm(x, labels, L=10, c=1.0, seed=0))
+        d["quantized"] = value
+        with pytest.raises(ValueError, match=r"^quantized must hold true or false"):
+            model_from_dict(d, x.shape[1])
 
 
 class TestQuantize:
@@ -354,14 +401,18 @@ class TestWeightsHandledOnce:
     @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],
                              ids=["above", "below", "fraction", "huge"])
     @pytest.mark.parametrize("key", ["w_q", "b_q", "beta_q"])
-    def test_bad_int8_code_rejected(self, rng, key, value):
-        x, labels = _toy_problem(rng)
-        d = model_to_dict(quantize(train_elm(x, labels, L=10, c=1.0, seed=0)))
-        codes = np.asarray(d["quantized"][key], dtype=object)
+    def test_bad_int8_code_rejected(self, tmp_path, key, value):
+        # model files no longer hold int8 codes; an older file's load only as
+        # the ones quantize makes
+        doc = json.loads(V1_INT8.read_text())
+        codes = np.asarray(doc["elm"]["quantized"][key], dtype=object)
         codes.flat[0] = value
-        d["quantized"][key] = codes.tolist()
-        with pytest.raises(ValueError, match=rf"quantized {key} must hold integers"):
-            model_from_dict(d)
+        doc["elm"]["quantized"][key] = codes.tolist()
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"'elm': quantized {key} (is not the one "
+                                             rf"elm\.quantize makes|must hold numbers)"):
+            load_model(p)
 
     @pytest.mark.parametrize("key, edit", [
         ("codebook", lambda d: d["codebook"][0].__setitem__(1, 1.7)),
@@ -376,13 +427,22 @@ class TestWeightsHandledOnce:
         d = model_to_dict(train_elm(x, labels, L=10, c=1.0, seed=0))
         edit(d)
         with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
-            model_from_dict(d)
+            model_from_dict(d, x.shape[1])
 
-    def test_extreme_int8_codes_accepted(self, rng):
+    def test_extreme_int8_codes_accepted(self, rng, tmp_path):
+        # each tensor's largest magnitude takes the extreme code +-127
         x, labels = _toy_problem(rng)
-        d = model_to_dict(quantize(train_elm(x, labels, L=10, c=1.0, seed=0)))
-        d["quantized"]["b_q"][:2] = [127, -127.0]
-        assert model_from_dict(d).quantized.b_q[:2].tolist() == [127, -127]
+        q = quantize(train_elm(x, labels, L=10, c=1.0, seed=0)).quantized
+        for codes in (q.w_q, q.b_q, q.beta_q):
+            assert np.abs(codes.astype(np.int64)).max() == 127
+        # an older file's codes load written as JSON floats too
+        doc = json.loads(V1_INT8.read_text())
+        b_q = doc["elm"]["quantized"]["b_q"]
+        assert 127 in np.abs(b_q)
+        doc["elm"]["quantized"]["b_q"] = [float(v) for v in b_q]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        assert load_model(p).elm.quantized.b_q.tolist() == b_q
 
 
 class TestSweep:

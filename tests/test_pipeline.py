@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -248,14 +249,24 @@ class TestSweepPipeline:
         assert a.floor_hits.tobytes() == b.floor_hits.tobytes()
 
 
+def random_sha256_reference(model):
+    """sha256 of w, b and the filters as little-endian float64, hashed in one buffer."""
+    arrays = [model.elm.w, model.elm.b]
+    if model.featurizer is not None:
+        arrays.append(model.featurizer.filters)
+    return hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
+
+
 def save_model_reference(model, path):
     """The model file as ``json.dump`` encoded it: the byte oracle for save_model."""
     doc = {
-        "format": "elmloc-model-v1",
+        "format": "elmloc-model-v2",
         "dataset": model.dataset,
+        "n_aps": model.n_aps,
         "preprocess": params_to_dict(model.preprocess),
         "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
         "elm": elm.model_to_dict(model.elm),
+        "random_sha256": random_sha256_reference(model),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -276,12 +287,17 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
     def test_each_setting_written_once(self, syn_small, tmp_path, approach):
-        # no config section, and no elm.L beside b: the parts hold every setting
+        # no config section and no elm.L; the input width is recorded once, and
+        # what a seed draws (w, b, the filters, the int8 copies) is not written
         model = fit_pipeline(syn_small[0], _config(approach=approach, quantize=True))
         save_model(model, tmp_path / "m.json")
         doc = json.loads((tmp_path / "m.json").read_text())
-        assert list(doc) == ["format", "dataset", "preprocess", "featurizer", "elm"]
-        assert list(doc["elm"]) == ["codebook", "seed", "c", "w", "b", "beta", "quantized"]
+        assert list(doc) == ["format", "dataset", "n_aps", "preprocess", "featurizer", "elm",
+                             "random_sha256"]
+        assert list(doc["elm"]) == ["codebook", "seed", "c", "beta", "quantized"]
+        assert doc["elm"]["quantized"] is True
+        if approach == "cnn_elm":
+            assert list(doc["featurizer"]) == ["n_filters", "kernel_size", "seed"]
         assert [f.name for f in dataclasses.fields(model)] == [
             "preprocess", "featurizer", "elm", "dataset"]
 
@@ -351,7 +367,8 @@ class TestSaveLoad:
     def test_bad_section_named(self, fitted, tmp_path, key, edit, message):
         p = tmp_path / "m.json"
         save_model(fitted, p)
-        doc = json.loads((CONFIG_MODEL if key == "config" else p).read_text())
+        # config and filters are keys only older files hold
+        doc = json.loads((CONFIG_MODEL if key in ("config", "featurizer") else p).read_text())
         edit(doc[key])
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
@@ -373,21 +390,23 @@ def _edit_w_q_value(value):
     return edit
 
 
-# Model files whose weights cannot be served; each must fail at load time.
+# Older model files whose copies of the seed-drawn weights or of the int8
+# codes are not the ones the seeds rebuild; each must fail at load time.
 BAD_WEIGHTS = {
-    "int8_out_of_range": (_edit_w_q_value(300), r"quantized w_q must hold integers"),
-    "int8_fraction": (_edit_w_q_value(1.7), r"quantized w_q must hold integers"),
-    "int8_string": (_edit_w_q_value("5"), r"quantized w_q must hold integers"),
+    "int8_out_of_range": (_edit_w_q_value(300), r"quantized w_q is not the one elm\.quantize"),
+    "int8_fraction": (_edit_w_q_value(1.7), r"quantized w_q is not the one elm\.quantize"),
+    "int8_string": (_edit_w_q_value("5"), r"quantized w_q must hold numbers, got strings"),
     "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(),
-                         r"quantized w_q has shape \(\d+, 60\)"),
+                         r"quantized w_q is not the one elm\.quantize"),
     "nan_weight": (lambda elm: elm["w"][0].__setitem__(0, float("nan")),
                    r"w contains non-finite"),
 }
 
 
-def write_bad_model(good, bad, case):
-    """Copy the model file ``good`` to ``bad`` with the weights edited by ``case``."""
-    doc = json.loads(good.read_text())
+def write_bad_model(bad, case):
+    """Copy ``CONFIG_MODEL``, an older file that still holds w and the int8
+    codes, to ``bad`` with the weights edited by ``case``."""
+    doc = json.loads(CONFIG_MODEL.read_text())
     BAD_WEIGHTS[case][0](doc["elm"])
     bad.write_text(json.dumps(doc))
 
@@ -398,8 +417,10 @@ CONFIG_MODEL = V1_FILES / "cnn_elm_per_feature_int8.model.json"
 
 # Model files with an integer key that is no JSON integer, an array that is no
 # array of finite numbers, or a config field of the wrong type; (section, edit,
-# message) per case, each must fail at load time. The config cases edit
-# CONFIG_MODEL, the others a freshly saved file.
+# message) per case, each must fail at load time. Section "n_aps" edits the
+# document itself. The cases in V1_KEY_CASES edit keys that only older files
+# hold (config, w, b, filters, the int8 copies) and edit CONFIG_MODEL; the
+# others edit a freshly saved file.
 BAD_KEYS = {
     "codebook_fraction": ("elm", lambda d: d["codebook"][0].__setitem__(1, 1.7),
                           r"codebook must hold 64-bit integers, got 1\.7"),
@@ -409,6 +430,15 @@ BAD_KEYS = {
                              r"kernel_size must hold 64-bit integers, got 3\.9"),
     "n_aps_bool": ("featurizer", lambda d: d.update(n_aps=True),
                    r"n_aps must hold 64-bit integers, got True"),
+    "top_n_aps_bool": ("n_aps", lambda d: d.update(n_aps=True),
+                       r"n_aps must hold 64-bit integers, got True"),
+    "top_n_aps_fraction": ("n_aps", lambda d: d.update(n_aps=40.5),
+                           r"n_aps must hold 64-bit integers, got 40\.5"),
+    "top_n_aps_null": ("n_aps", lambda d: d.update(n_aps=None),
+                       r"n_aps must hold 64-bit integers, got None"),
+    "top_n_aps_zero": ("n_aps", lambda d: d.update(n_aps=0), r"n_aps must be >= 1, got 0"),
+    "quantized_string": ("elm", lambda d: d.update(quantized="yes"),
+                         r"quantized must hold true or false, got 'yes'"),
     "config_L_string": ("config", lambda d: d.update(L="60"),
                         r"L must hold 64-bit integers, got '60'"),
     "config_seed_fraction": ("config", lambda d: d.update(seed=1.5),
@@ -440,8 +470,8 @@ BAD_KEYS = {
                           r"c must be positive, got -1\.0"),
     "config_L_zero": ("config", lambda d: d.update(L=0), r"L must be >= 1, got 0"),
     "w_scale_string": ("elm", lambda d: d["quantized"].update(w_scale="0.01"),
-                       r"w_scale must hold a float, got '0\.01'"),
-    # the hidden size of older files, type-checked before it is compared with b
+                       r"quantized w_scale must hold numbers, got strings"),
+    # the hidden size of older files, type-checked before it is compared with len(beta)
     "elm_L_string": ("elm", lambda d: d.update(L="60"), r"L must hold 64-bit integers, got '60'"),
     "elm_L_bool": ("elm", lambda d: d.update(L=True), r"L must hold 64-bit integers, got True"),
     "elm_L_null_b": ("elm", lambda d: d.update(L=len(d["b"]), b=None),
@@ -466,12 +496,17 @@ BAD_KEYS = {
 }
 
 
+V1_KEY_CASES = {case for case, (section, _, _) in BAD_KEYS.items() if section == "config"} | {
+    "b_null", "elm_L_null_b", "filters_nan", "filters_string", "n_aps_bool", "w_scale_string",
+    "w_string"}
+
+
 def write_bad_key_model(good, bad, case):
-    """Copy the model file ``good`` (``CONFIG_MODEL`` for a config case) to ``bad``
-    with one key edited by ``case``."""
+    """Copy the model file ``good`` (``CONFIG_MODEL`` for a case in
+    ``V1_KEY_CASES``) to ``bad`` with one key edited by ``case``."""
     section, edit, _ = BAD_KEYS[case]
-    doc = json.loads((CONFIG_MODEL if section == "config" else good).read_text())
-    edit(doc[section])
+    doc = json.loads((CONFIG_MODEL if case in V1_KEY_CASES else good).read_text())
+    edit(doc if section == "n_aps" else doc[section])
     bad.write_text(json.dumps(doc))
 
 
@@ -498,10 +533,9 @@ class TestBadKeys:
 
 class TestBadWeights:
     @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
-    def test_rejected_at_load(self, fitted, tmp_path, case):
+    def test_rejected_at_load(self, tmp_path, case):
         p = tmp_path / "m.json"
-        save_model(fitted, p)
-        write_bad_model(p, p, case)
+        write_bad_model(p, case)
         with pytest.raises(ValueError, match=r"m\.json: bad value under model key 'elm': "
                                              + BAD_WEIGHTS[case][1]):
             load_model(p)
@@ -549,6 +583,32 @@ def _v1_answers(name):
     return json.loads((V1_FILES / "answers.json").read_text())[name]
 
 
+def answers_with_one_blas_thread(rss, directory, tmp_path):
+    """``answers.json``'s layout for the model files in ``directory``, answered
+    on ``rss`` by a fresh process with one BLAS thread."""
+    np.save(tmp_path / "rss.npy", rss)
+    code = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from elmloc.pipeline import load_model, predict_pipeline\n"
+        "rss = np.load(sys.argv[1])\n"
+        "out = {}\n"
+        "for name in sys.argv[3:]:\n"
+        "    model = load_model(Path(sys.argv[2]) / f'{name}.model.json')\n"
+        "    out[name] = {'float': [a.tolist() for a in predict_pipeline(rss, model)]}\n"
+        "    if model.elm.quantized is not None:\n"
+        "        out[name]['int8'] = [a.tolist() for a in\n"
+        "                             predict_pipeline(rss, model, quantized=True)]\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(directory), *V1_MODELS]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
 class TestV1ModelFiles:
     """Model files written while a model stored its config next to its parts.
 
@@ -593,28 +653,8 @@ class TestV1ModelFiles:
             assert [a.tolist() for a in got] == want, mode
 
     def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
-        np.save(tmp_path / "rss.npy", syn_small[1].rss)
-        code = (
-            "import json, sys\n"
-            "from pathlib import Path\n"
-            "import numpy as np\n"
-            "from elmloc.pipeline import load_model, predict_pipeline\n"
-            "rss = np.load(sys.argv[1])\n"
-            "out = {}\n"
-            "for name in sys.argv[3:]:\n"
-            "    model = load_model(Path(sys.argv[2]) / f'{name}.model.json')\n"
-            "    out[name] = {'float': [a.tolist() for a in predict_pipeline(rss, model)]}\n"
-            "    if model.elm.quantized is not None:\n"
-            "        out[name]['int8'] = [a.tolist() for a in\n"
-            "                             predict_pipeline(rss, model, quantized=True)]\n"
-            "print(json.dumps(out))\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(V1_FILES), *V1_MODELS]
-        out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120,
-                             check=True)
-        assert json.loads(out.stdout) == json.loads((V1_FILES / "answers.json").read_text())
+        assert answers_with_one_blas_thread(syn_small[1].rss, V1_FILES, tmp_path) == (
+            json.loads((V1_FILES / "answers.json").read_text()))
 
     @pytest.mark.parametrize("name", V1_MODELS)
     def test_predict_command_answers(self, syn_small, tmp_path, name):
@@ -689,3 +729,151 @@ class TestV1ModelFiles:
             load_model(p)
         assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
         assert re.search(message, capsys.readouterr().err)
+
+
+V2_FILES = Path(__file__).parent / "data" / "v2"
+
+
+class TestV2ModelFiles:
+    """Model files that hold what was learned plus the seeds.
+
+    The three files were written like the ``tests/data/v1`` ones, with one
+    BLAS thread: ``fit_pipeline`` on the ``syn_small`` training rows with the
+    same three configs and ``dataset="TST1"``, then ``save_model``. Loading a
+    v1 file and saving it again writes the same bytes. They answer
+    ``tests/data/v1/answers.json`` bitwise.
+    """
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_answers_bitwise(self, syn_small, name):
+        model = load_model(V2_FILES / f"{name}.model.json")
+        assert settings_of(model)["quantize"] == ("int8" in _v1_answers(name))
+        for mode, want in _v1_answers(name).items():
+            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
+            assert [a.tolist() for a in got] == want, mode
+
+    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
+        assert answers_with_one_blas_thread(syn_small[1].rss, V2_FILES, tmp_path) == (
+            json.loads((V1_FILES / "answers.json").read_text()))
+
+    @pytest.mark.parametrize("name", V1_MODELS)
+    def test_v1_file_saved_again_is_the_v2_file(self, tmp_path, name):
+        p = tmp_path / "m.json"
+        save_model(load_model(V1_FILES / f"{name}.model.json"), p)
+        assert p.read_bytes() == (V2_FILES / f"{name}.model.json").read_bytes()
+        save_model(load_model(p), p)  # and saving what was loaded changes nothing
+        assert p.read_bytes() == (V2_FILES / f"{name}.model.json").read_bytes()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "random_sha256", "0" * 64),
+        (None, "random_sha256", None),
+        ("elm", "seed", 12345),
+        ("featurizer", "seed", 999),
+        ("featurizer", "n_filters", 1),
+        ("featurizer", "kernel_size", 5),
+        ("elm", "beta", "drop a row"),
+    ], ids=["digest_zeros", "digest_null", "elm_seed", "featurizer_seed", "n_filters",
+            "kernel_size", "L"])
+    def test_digest_mismatch_rejected(self, one_query, tmp_path, capsys, section, key, value):
+        # a seed, a size or L that draws other arrays than the writer's; numpy
+        # drawing another stream for the same seed fails the same way
+        doc = json.loads((V2_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
+        if value == "drop a row":
+            doc["elm"]["beta"].pop()
+        else:
+            (doc if section is None else doc[section])[key] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        message = (r"m\.json: model key 'random_sha256' does not match the w, b and filters "
+                   r"rebuilt from the seeds; numpy \S+ may draw other random streams")
+        with pytest.raises(ValueError, match=message):
+            load_model(p)
+        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("section, edit", [
+        ("elm", lambda d: d["w"][0].__setitem__(0, 0.5)),
+        ("elm", lambda d: d["b"].__setitem__(-1, 0.5)),
+        ("elm", lambda d: d.update(seed=12345)),
+        ("featurizer", lambda d: d["filters"][2].__setitem__(1, 0.5)),
+        ("featurizer", lambda d: d.update(seed=999)),
+    ], ids=["w", "b", "elm_seed", "filters", "featurizer_seed"])
+    def test_v1_copies_the_seeds_do_not_rebuild_rejected(self, tmp_path, section, edit):
+        # an older file's w, b and filters load only if the seeds rebuild them bitwise
+        doc = json.loads(CONFIG_MODEL.read_text())
+        edit(doc[section])
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"m\.json: the w, b and filters under model keys "
+                                             r"'elm' and 'featurizer' differ from the w, b and "
+                                             r"filters rebuilt from the seeds"):
+            load_model(p)
+
+    @pytest.mark.parametrize("key", ["n_aps", "random_sha256"])
+    def test_missing_top_level_key_named(self, tmp_path, key):
+        doc = json.loads((V2_FILES / "cnn_elm_per_sample.model.json").read_text())
+        del doc[key]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"m\.json: model document lacks key '{key}'$"):
+            load_model(p)
+
+    def test_saving_refuses_weights_no_seed_draws(self, fitted, tmp_path):
+        # a file could not restore them; without the check the file would load
+        # as another model or fail its digest
+        model = dataclasses.replace(fitted, elm=dataclasses.replace(
+            fitted.elm, w=fitted.elm.w * 0.5, quantized=None))
+        with pytest.raises(ValueError, match=r"not the ones seed 0 rebuilds"):
+            save_model(model, tmp_path / "m.json")
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestWidthRecordedOnce:
+    """The input width is the top-level n_aps; ``feature_norms`` must match it."""
+
+    @pytest.mark.parametrize("edit, got", [
+        (lambda doc: doc["preprocess"]["feature_norms"].pop(), 39),
+        (lambda doc: doc["featurizer"].update(n_aps=41), 40),
+    ], ids=["norm_dropped", "featurizer_n_aps_41"])
+    def test_v1_widths_that_disagree_fail_at_load(self, one_query, tmp_path, capsys, edit,
+                                                  got):
+        # both loaded before and failed only at predict, naming no key
+        doc = json.loads(CONFIG_MODEL.read_text())
+        edit(doc)
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        n_aps = doc["featurizer"]["n_aps"]
+        message = (rf"m\.json: bad value under model key 'preprocess': feature_norms must hold "
+                   rf"n_aps = {n_aps} norms, got {got}$")
+        with pytest.raises(ValueError, match=message):
+            load_model(p)
+        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
+        assert re.search(message, capsys.readouterr().err.strip())
+
+    @pytest.mark.parametrize("n_aps, norms", [(41, 40), (40, None)])
+    def test_v2_norms_checked_against_n_aps(self, tmp_path, n_aps, norms):
+        doc = json.loads((V2_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
+        doc["n_aps"] = n_aps
+        if norms is None:
+            doc["preprocess"]["feature_norms"] = None
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"'preprocess': feature_norms must hold "
+                                             rf"n_aps = {n_aps} norms, got {norms}$"):
+            load_model(p)
+
+    @pytest.mark.parametrize("directory", [V1_FILES, V2_FILES], ids=["v1", "v2"])
+    def test_stray_norms_of_a_per_sample_file_rejected(self, tmp_path, directory):
+        # apply_unit_norm would ignore them in per_sample mode
+        doc = json.loads((directory / "cnn_elm_per_sample.model.json").read_text())
+        doc["preprocess"]["feature_norms"] = [1.0, 2.0]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"'preprocess': per_sample mode takes no "
+                                             r"feature_norms$"):
+            load_model(p)
+
+    def test_elm_only_width_is_n_aps(self, syn_small):
+        # without a conv stage, n_aps is the only record of the input width
+        model = load_model(V2_FILES / "elm_only_per_sample.model.json")
+        assert model.n_aps == model.elm.n_features == syn_small[1].n_aps == 40

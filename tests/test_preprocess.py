@@ -150,6 +150,11 @@ class TestUnitNorm:
         with pytest.raises(ValueError):
             PreprocessParams(min_rss=-110.0, mode="global")
 
+    def test_per_sample_takes_no_norms(self):
+        # apply would ignore them, so they are refused rather than kept unread
+        with pytest.raises(ValueError, match=r"^per_sample mode takes no feature_norms$"):
+            PreprocessParams(min_rss=-110.0, mode="per_sample", feature_norms=[1.0, 2.0])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_norms_rejected(self, value):
         # an infinite norm would divide its AP column to zero
