@@ -114,7 +114,7 @@ def _read_config_file(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError(f"config file {path} must hold a JSON object")
@@ -298,10 +298,13 @@ def cmd_predict(args) -> int:
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")
     out_path = Path(args.out) if args.out else queries_path.with_suffix(".predictions.csv")
-    with open(queries_path, newline="") as fh:
-        fh.readline()  # the header
-        # parse_rows' rule: blank and whitespace-only lines hold no query
-        has_data = any(not line.isspace() for line in fh)
+    try:
+        with open(queries_path, newline="") as fh:
+            fh.readline()  # the header
+            # parse_rows' rule: blank and whitespace-only lines hold no query
+            has_data = any(not line.isspace() for line in fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{queries_path}: {exc}") from None
     if not has_data:
         out_path.write_text("building,floor\n")
         print(f"0 queries; wrote {out_path}")

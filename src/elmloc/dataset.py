@@ -290,7 +290,7 @@ def load_manifest(path) -> Manifest:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
     try:
         ap_lo, ap_hi = raw["ap_columns"]
@@ -338,8 +338,11 @@ def load_csv(path, schema: ColumnSchema, sentinel_raw: float, name: str = "") ->
 
 def read_lines(path) -> list[str]:
     """Lines of a CSV file, header first; an empty file raises ParseError."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not lines:
         raise ParseError(f"{path}: empty file (expected a header row)")
     return lines

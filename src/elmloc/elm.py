@@ -1,6 +1,6 @@
 """Single-hidden-layer extreme learning machine over joint building/floor classes.
 
-The hidden layer is random and fixed: weights and biases drawn once from a
+The hidden layer is random and fixed: weights and biases drawn from a
 seeded uniform(-1, 1), tansig activation. Only the output weights are
 learned, in closed form via the regularized least-squares solution
 
@@ -10,6 +10,8 @@ where H is the hidden activation matrix and T the one-hot target matrix.
 Classes are joint (building, floor) pairs, so one argmax yields both labels.
 A per-tensor symmetric 8-bit quantization of the three weight tensors covers
 the deployment path, and a validation sweep picks the hidden-layer size.
+An ``ElmModel`` holds what was learned and the seed: the hidden layer and
+the int8 copies are rebuilt from them on first use.
 """
 
 from __future__ import annotations
@@ -150,51 +152,66 @@ class QuantizedWeights:
 
 @dataclass(frozen=True)
 class ElmModel:
-    w: np.ndarray
-    b: np.ndarray
+    """What an ELM learned (``beta`` over ``codebook`` classes, ridge term ``c``)
+    plus what its random parts are drawn from.
+
+    ``w`` and ``b`` are ``init_hidden(seed, n_features, L)``, and ``quantized``
+    holds int8 copies of w, b and beta when ``int8`` is set. Each is built on
+    first use, once per instance, and read-only, so no model holds random
+    weights its seed does not draw.
+    """
+
     beta: np.ndarray
     c: float
     codebook: ClassCodebook
-    seed: int = 0
-    quantized: QuantizedWeights | None = None
+    seed: int
+    n_features: int
+    int8: bool = False
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        b = np.ascontiguousarray(self.b, dtype=np.float64)
         beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or beta.ndim != 2:
-            raise ValueError("w must be d x L, b length L, beta L x K")
-        if w.shape[1] != b.shape[0] or beta.shape[0] != b.shape[0]:
-            raise ValueError(
-                f"inconsistent shapes: w {w.shape}, b {b.shape}, beta {beta.shape}"
-            )
+        if beta.ndim != 2 or beta.shape[0] < 1:
+            raise ValueError(f"beta must be L x K with L >= 1, got shape {beta.shape}")
         if beta.shape[1] != self.codebook.n_classes:
             raise ValueError("beta columns must match codebook size")
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
-        q = self.quantized
-        if q is not None:
-            pairs = (("w_q", q.w_q, w), ("b_q", q.b_q, b), ("beta_q", q.beta_q, beta))
-            for name, codes, ref in pairs:
-                if codes.shape != ref.shape:
-                    raise ValueError(
-                        f"quantized {name} has shape {codes.shape}, float weights {ref.shape}"
-                    )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
         # Checked once here, so the per-query path trusts the weights.
-        for name, arr in (("w", w), ("b", b), ("beta", beta)):
-            check_finite(arr, name)
-            arr.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
+        check_finite(beta, "beta")
+        beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
 
     @property
     def L(self) -> int:
-        return self.b.shape[0]
+        return self.beta.shape[0]
+
+    @cached_property
+    def _hidden(self) -> tuple[np.ndarray, np.ndarray]:
+        w, b = init_hidden(self.seed, self.n_features, self.L)
+        w.flags.writeable = b.flags.writeable = False
+        return w, b
 
     @property
-    def n_features(self) -> int:
-        return self.w.shape[0]
+    def w(self) -> np.ndarray:
+        return self._hidden[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._hidden[1]
+
+    @cached_property
+    def quantized(self) -> QuantizedWeights | None:
+        """int8 copies of w, b and beta if ``int8`` is set, else None."""
+        if not self.int8:
+            return None
+        w_q, w_scale = _quantize_tensor(self.w)
+        b_q, b_scale = _quantize_tensor(self.b)
+        beta_q, beta_scale = _quantize_tensor(self.beta)
+        return QuantizedWeights(w_q, b_q, beta_q, w_scale, b_scale, beta_scale)
 
 
 def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int) -> ElmModel:
@@ -217,7 +234,7 @@ def _train_elm(
     w, b = init_hidden(seed, x.shape[1], L)
     h = hidden_map(x, w, b)
     beta = fit(h, t, c)
-    return ElmModel(w=w, b=b, beta=beta, c=c, codebook=codebook, seed=seed), h
+    return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1]), h
 
 
 def _scores(
@@ -243,30 +260,24 @@ def predict(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarr
 
 def _quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float]:
     # Symmetric per-tensor scheme: the largest magnitude maps to +-127.
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
-    scale = max_abs / 127.0 if max_abs > 0.0 else 1.0
-    v = x / scale
-    # round half away from zero; np.round ties to even, which is the wrong rule here
-    q = np.copysign(np.floor(np.abs(v) + 0.5), v)
-    return np.clip(q, -127, 127).astype(np.int8), scale
+    scale = float(np.max(np.abs(x))) / 127.0 if x.size else 0.0
+    if not scale > 0.0:  # all zeros, or so close to zero that the division underflows
+        scale = 1.0
+    # round half away from zero; np.round ties to even, which is the wrong rule here.
+    # In place, with x's sign (that of x / scale): the codes are made on the first
+    # int8 query, next to the query data, so one temporary the size of x is live.
+    q = x / scale
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
+    np.clip(q, -127, 127, out=q)
+    return q.astype(np.int8), scale
 
 
 def quantize(model: ElmModel) -> ElmModel:
-    """Model with int8 copies of w, b, beta attached (float weights kept)."""
-    w_q, w_scale = _quantize_tensor(model.w)
-    b_q, b_scale = _quantize_tensor(model.b)
-    beta_q, beta_scale = _quantize_tensor(model.beta)
-    return replace(
-        model,
-        quantized=QuantizedWeights(
-            w_q=w_q,
-            b_q=b_q,
-            beta_q=beta_q,
-            w_scale=w_scale,
-            b_scale=b_scale,
-            beta_scale=beta_scale,
-        ),
-    )
+    """The model with int8 copies of w, b, beta (made on first use; float weights kept)."""
+    return replace(model, int8=True)
 
 
 def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -405,35 +416,22 @@ def sweep_hidden(
 # Serialization (single JSON document, assembled by the pipeline layer)
 
 
-CODE_FIELDS = ("w_q", "b_q", "beta_q", "w_scale", "b_scale", "beta_scale")
-
-
 def model_to_dict(model: ElmModel) -> dict:
-    """The learned part of ``model``; raises ``ValueError`` if w, b or the int8
-    copies are not the ones ``model_from_dict`` rebuilds from the seed."""
-    w, b = init_hidden(model.seed, model.n_features, model.L)
-    same = np.array_equal(w, model.w) and np.array_equal(b, model.b)
-    if same and model.quantized is not None:
-        q = quantize(model).quantized
-        same = all(np.array_equal(getattr(q, f), getattr(model.quantized, f)) for f in CODE_FIELDS)
-    if not same:
-        raise ValueError(f"w, b or their int8 copies are not the ones seed {model.seed} rebuilds")
+    """What ``model`` learned, its seed, and whether it carries int8 copies."""
     return {
         "codebook": model.codebook.pairs.tolist(),
         "seed": model.seed,
         "c": model.c,
         "beta": model.beta.tolist(),
-        "quantized": model.quantized is not None,
+        "quantized": model.int8,
     }
 
 
 def model_from_dict(d: dict, n_features: int) -> ElmModel:
-    """The model ``model_to_dict`` wrote, for inputs ``n_features`` wide: w and b
-    drawn from the seed with L = len(beta), and ``quantize``'s int8 copies if any."""
+    """The model ``model_to_dict`` wrote, for inputs ``n_features`` wide."""
     beta, seed = check_array(d["beta"], "beta"), check_int(d["seed"], "seed")
     if not isinstance(d["quantized"], bool):
         raise ValueError(f"quantized must hold true or false, got {d['quantized']!r}")
     pairs = np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
-    w, b = init_hidden(seed, n_features, len(beta))
-    model = ElmModel(w, b, beta, check_float(d["c"], "c"), ClassCodebook(pairs), seed)
-    return quantize(model) if d["quantized"] else model
+    c = check_float(d["c"], "c")
+    return ElmModel(beta, c, ClassCodebook(pairs), seed, n_features, d["quantized"])

@@ -5,20 +5,22 @@ channel-last layout) to a shorter feature vector: bias-free 1-D convolution
 (zero-padded "same", stride 1), absolute-value activation, average pooling
 over non-overlapping windows of ``POOL`` positions, then flattening with the
 pooled position as the major axis and the filter index as the minor one.
-Filter weights are drawn once from uniform(-limit, limit) with
+Filter weights are drawn from a seeded uniform(-limit, limit) with
 limit = sqrt(6 / (kernel_size + n_filters)), and nothing here is ever
-trained; all the learning happens downstream.
+trained; all the learning happens downstream. A ``FeaturizerSpec`` holds
+the sizes and the seed, and draws the filters on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import check_finite, check_int
+from .dataset import check_int
 
 #: Average-pooling window, which is also its stride.
 POOL = 2
@@ -26,62 +28,50 @@ POOL = 2
 
 @dataclass(frozen=True)
 class FeaturizerSpec:
-    """Architecture parameters and the realized weights.
+    """Architecture parameters and the seed the filters are drawn from.
 
     ``filters`` is (kernel_size, n_filters) — the singleton input-channel
-    axis is dropped. ``n_aps`` is the input width the spec was drawn for.
+    axis is dropped — drawn on first use, once per instance, and read-only.
+    ``n_aps`` is the input width the spec was drawn for.
     """
 
     n_filters: int
     kernel_size: int
     seed: int
     n_aps: int
-    filters: np.ndarray
 
     def __post_init__(self):
-        _check_shape(self.n_filters, self.kernel_size)
-        filters = np.ascontiguousarray(self.filters, dtype=np.float64)
-        if filters.shape != (self.kernel_size, self.n_filters):
-            raise ValueError(
-                f"filters must be ({self.kernel_size}, {self.n_filters}), got {filters.shape}"
-            )
-        check_finite(filters, "filters")
+        if self.n_filters < 1:
+            raise ValueError("n_filters must be >= 1")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            # "same" padding keeps input/output aligned only for odd kernels
+            raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        if self.n_aps < self.kernel_size:
+            raise ValueError(f"kernel_size {self.kernel_size} exceeds the {self.n_aps} AP columns")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    @cached_property
+    def filters(self) -> np.ndarray:
+        limit = math.sqrt(6.0 / (self.kernel_size + self.n_filters))
+        rng = np.random.default_rng(self.seed)
+        filters = rng.uniform(-limit, limit, size=(self.kernel_size, self.n_filters))
         filters.flags.writeable = False
-        object.__setattr__(self, "filters", filters)
-
-
-def _check_shape(n_filters: int, kernel_size: int) -> None:
-    if n_filters < 1:
-        raise ValueError("n_filters must be >= 1")
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        # "same" padding keeps input/output aligned only for odd kernels
-        raise ValueError(f"kernel_size must be odd and positive, got {kernel_size}")
+        return filters
 
 
 def init_featurizer(
     seed: int, n_aps: int, n_filters: int = 2, kernel_size: int = 3
 ) -> FeaturizerSpec:
-    """Build a spec with filters drawn deterministically from the seed."""
-    _check_shape(n_filters, kernel_size)
-    if n_aps < kernel_size:
-        raise ValueError(f"kernel_size {kernel_size} exceeds the {n_aps} AP columns")
-    limit = math.sqrt(6.0 / (kernel_size + n_filters))
-    rng = np.random.default_rng(seed)
-    filters = rng.uniform(-limit, limit, size=(kernel_size, n_filters))
-    return FeaturizerSpec(
-        n_filters=n_filters, kernel_size=kernel_size, seed=seed, n_aps=n_aps, filters=filters
-    )
+    """A spec whose filters are drawn deterministically from the seed."""
+    return FeaturizerSpec(n_filters=n_filters, kernel_size=kernel_size, seed=seed, n_aps=n_aps)
 
 
-def _correlate(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
-    """Stride-1 'same' cross-correlation, zero-padded: a fresh (N, n, n_filters) array."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"expected (N, n) input with n >= 1, got shape {x.shape}")
-    if x.shape[1] != spec.n_aps:
-        raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
+def _correlate(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
+    """Stride-1 'same' cross-correlation of (N, n) rows with (k, n_filters) filters,
+    zero-padded: a fresh (N, n, n_filters) array."""
     rows, n = x.shape
-    k = spec.kernel_size
+    k = filters.shape[0]
     pad = (k - 1) // 2
     # Zero-padded copy and its read-only (N, n, k) window view, built directly:
     # np.pad and sliding_window_view cost tens of microseconds per call.
@@ -91,7 +81,7 @@ def _correlate(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     windows = as_strided(
         padded, shape=(rows, n, k), strides=(row_step, col_step, col_step), writeable=False
     )
-    return windows @ spec.filters
+    return windows @ filters
 
 
 def avg_pool1d_valid(x: np.ndarray) -> np.ndarray:
@@ -128,17 +118,18 @@ def feature_width(n_aps: int, spec: FeaturizerSpec) -> int:
 
 def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     """Full fixed stage: conv -> |.| -> average pool -> flatten."""
-    z = _correlate(x, spec)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"expected (N, n) input with n >= 1, got shape {x.shape}")
+    if x.shape[1] != spec.n_aps:
+        raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
+    z = _correlate(x, spec.filters)
     np.abs(z, out=z)  # in place: no (N, n, F) temporary
     return batch_flatten(avg_pool1d_valid(z))
 
 
 def spec_to_dict(spec: FeaturizerSpec) -> dict:
-    """The sizes and seed of ``spec``; raises ``ValueError`` if the filters are not
-    the ones ``spec_from_dict`` redraws from them."""
-    drawn = init_featurizer(spec.seed, spec.n_aps, spec.n_filters, spec.kernel_size)
-    if not np.array_equal(drawn.filters, spec.filters):
-        raise ValueError(f"filters are not the ones seed {spec.seed} draws")
+    """The sizes and seed of ``spec``; the filters are redrawn from them."""
     return {"n_filters": spec.n_filters, "kernel_size": spec.kernel_size, "seed": spec.seed}
 
 

@@ -4,9 +4,10 @@
 fixed conv featurization, closed-form classifier fit — and returns a single
 object that ``save_model``/``load_model`` round-trip through one JSON file.
 The on-line side (``predict_pipeline``) therefore needs only that artifact
-plus raw RSS rows: stored preprocessing state and filter weights travel with
-the model. ``sweep_pipeline`` scores a grid of hidden sizes on a validation
-split with the same stages. The CLI and the benchmark call these three.
+plus raw RSS rows: stored preprocessing state and the seeds of the random
+layers travel with the model. ``sweep_pipeline`` scores a grid of hidden
+sizes on a validation split with the same stages. The CLI and the benchmark
+call these three.
 
 ``PipelineConfig`` is the one place that knows what a valid setting is:
 ``check_setting`` checks each field, whether it comes from Python code, a
@@ -309,7 +310,7 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not a valid model file: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt not in (_FORMAT, _V1):
@@ -353,8 +354,8 @@ def load_model(path) -> TrainedModel:
         )
     if int8 is not None:  # a v1 file's int8 copies: the ones elm.quantize makes
         with _section(path, doc, "elm"):
-            for field in elm_mod.CODE_FIELDS:
-                got = check_array(int8[field], f"quantized {field}")
-                if not np.array_equal(got, getattr(elm.quantized, field)):
-                    raise ValueError(f"quantized {field} is not the one elm.quantize makes")
+            for field in fields(elm_mod.QuantizedWeights):
+                got = check_array(int8[field.name], f"quantized {field.name}")
+                if not np.array_equal(got, getattr(elm.quantized, field.name)):
+                    raise ValueError(f"quantized {field.name} is not the one elm.quantize makes")
     return model

@@ -550,6 +550,28 @@ class TestBenchmarkReport:
 
 
 class TestErrorSurface:
+    @pytest.mark.parametrize("name", ["model", "config", "manifest", "train_csv", "queries"])
+    def test_undecodable_file_named(self, data_root, model_path, tmp_path, capsys, name):
+        # a byte the text encoding cannot decode is reported with the file that holds it
+        root = tmp_path / "root"
+        (root / "TST1").mkdir(parents=True)
+        for f in (data_root / "TST1").iterdir():
+            (root / "TST1" / f.name).write_bytes(f.read_bytes())
+        bad = {"model": tmp_path / "m.json", "config": tmp_path / "c.json",
+               "manifest": root / "TST1" / "manifest.json",
+               "train_csv": root / "TST1" / "train.csv",
+               "queries": tmp_path / "q.csv"}[name]
+        bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"{}\n"))
+        train = ["train", "--dataset", "TST1", "--data-root", str(root), "--L", "10",
+                 "--out", str(tmp_path / "out.json")]
+        queries = str(root / "TST1" / "test.csv")
+        argv = {"model": ["predict", "--model", str(bad), "--queries", queries],
+                "config": train + ["--config", str(bad)],
+                "queries": ["predict", "--model", str(model_path), "--queries", str(bad)]}
+        assert main(argv.get(name, train)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
+
     def test_error_json_flag(self, tmp_path, capsys):
         rc = main(["--error-json", "ingest", "--dataset", "NOPE",
                    "--data-root", str(tmp_path)])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elmloc import elm, linalg
 from elmloc.elm import (
@@ -229,10 +230,7 @@ class TestTrainPredict:
 
     def test_argmax_tie_takes_lowest_class_index(self):
         cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 1], [2, 5]]))
-        model = ElmModel(
-            w=np.zeros((3, 4)), b=np.zeros(4), beta=np.zeros((4, 3)),
-            c=1.0, codebook=cb,
-        )
+        model = ElmModel(beta=np.zeros((4, 3)), c=1.0, codebook=cb, seed=0, n_features=3)
         # all scores identical -> first codebook entry wins
         b, f = predict(np.ones((2, 3)), model)
         assert b.tolist() == [0, 0]
@@ -264,20 +262,16 @@ class TestTrainPredict:
         assert d["quantized"] is True
         assert model_from_dict(d, x.shape[1]).L == len(d["beta"]) == 15
 
-    @pytest.mark.parametrize("edit", ["w", "b", "codes"])
-    def test_dict_refused_for_weights_no_seed_draws(self, rng, edit):
-        # a file could not restore them, so model_to_dict will not write them
+    @pytest.mark.parametrize("name", ["w", "b", "quantized"])
+    def test_weights_no_seed_draws_cannot_be_built(self, rng, name):
+        # a file could not restore them, so no model may hold them
         x, labels = _toy_problem(rng)
         model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
-        if edit == "codes":
-            q = model.quantized
-            model = dataclasses.replace(model, quantized=dataclasses.replace(
-                q, b_q=np.where(q.b_q == 0, 1, 0).astype(np.int8)))
-        else:
-            model = dataclasses.replace(model, **{edit: getattr(model, edit) * 0.5})
-        with pytest.raises(ValueError, match=r"^w, b or their int8 copies are not the ones "
-                                             r"seed 0 rebuilds$"):
-            model_to_dict(model)
+        value = getattr(model, name)
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{name}'"):
+            dataclasses.replace(model, **{name: value})
+        with pytest.raises(AttributeError):
+            setattr(model, name, value)
 
     @pytest.mark.parametrize("value", [None, 1, "true", {}])
     def test_quantized_flag_must_be_bool(self, rng, value):
@@ -309,6 +303,20 @@ class TestQuantize:
         assert scale == 1.0
         assert (q == 0).all()
 
+    @given(x=arrays(np.float64, st.integers(0, 40),
+                    elements=st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 0.5, -0.5])))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_out_of_place_reference(self, x):
+        # the in-place rounding is bitwise the out-of-place expression
+        q, scale = elm._quantize_tensor(x)
+        want, want_scale = quantize_tensor_reference(x)
+        assert scale == want_scale and q.tobytes() == want.tobytes()
+
+    def test_underflowing_scale_falls_back_to_one(self):
+        # 5e-324 / 127 is 0.0: a zero scale would divide by zero and fail QuantizedWeights
+        q, scale = elm._quantize_tensor(np.array([5e-324, -5e-324]))
+        assert scale == 1.0 and q.tolist() == [0, 0]
+
     def test_round_trip_error_bounded_by_half_scale(self, rng):
         v = rng.normal(size=200)
         q, scale = elm._quantize_tensor(v)
@@ -328,6 +336,14 @@ class TestQuantize:
         model = train_elm(x, labels, L=10, c=1.0, seed=0)
         with pytest.raises(ValueError):
             predict_quantized(x, model)
+
+
+def quantize_tensor_reference(x):
+    """Symmetric int8 codes, rounded half away from zero with one temporary per step."""
+    scale = elm._quantize_tensor(x)[1]
+    v = x / scale
+    q = np.copysign(np.floor(np.abs(v) + 0.5), v)
+    return np.clip(q, -127, 127).astype(np.int8), scale
 
 
 def predict_quantized_reference(features, model):
@@ -374,11 +390,23 @@ class TestWeightsHandledOnce:
         assert not model.quantized.w_q.flags.writeable
 
     @pytest.mark.parametrize("name", ["w", "b", "beta"])
-    def test_non_finite_weights_rejected(self, name):
-        arrays = dict(w=np.zeros((3, 4)), b=np.zeros(4), beta=np.zeros((4, 1)))
-        arrays[name].flat[0] = np.nan
-        with pytest.raises(ValueError, match=rf"^{name} contains non-finite"):
-            ElmModel(**arrays, c=1.0, codebook=ClassCodebook.from_pairs(np.array([[0, 0]])))
+    def test_non_finite_weights_rejected(self, tmp_path, name):
+        # w and b are drawn from the seed; only an older file's copies of them
+        # can hold a non-finite number
+        doc = json.loads(V1_INT8.read_text())
+        weights = np.asarray(doc["elm"][name], dtype=np.float64)
+        weights.flat[0] = np.nan
+        doc["elm"][name] = weights.tolist()
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"'elm': {name} contains non-finite"):
+            load_model(p)
+        if name == "beta":
+            beta = np.zeros((4, 1))
+            beta[0, 0] = np.nan
+            with pytest.raises(ValueError, match=r"^beta contains non-finite"):
+                ElmModel(beta=beta, c=1.0, codebook=ClassCodebook.from_pairs(np.array([[0, 0]])),
+                         seed=0, n_features=3)
 
     @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
     def test_bad_scale_rejected(self, scale):
@@ -388,15 +416,36 @@ class TestWeightsHandledOnce:
                              w_scale=scale, b_scale=1.0, beta_scale=1.0)
 
     def test_quantized_shape_checked_against_float_weights(self, rng):
+        # the codes are made from the float weights, so their shapes cannot differ
         x, labels = _toy_problem(rng)
         model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
         q = model.quantized
-        short = QuantizedWeights(w_q=q.w_q[1:], b_q=q.b_q, beta_q=q.beta_q,
-                                 w_scale=q.w_scale, b_scale=q.b_scale,
-                                 beta_scale=q.beta_scale)
-        with pytest.raises(ValueError, match=r"quantized w_q has shape \(7, 10\)"):
-            ElmModel(w=model.w, b=model.b, beta=model.beta, c=model.c,
-                     codebook=model.codebook, quantized=short)
+        assert (q.w_q.shape, q.b_q.shape, q.beta_q.shape) == (
+            model.w.shape, model.b.shape, model.beta.shape) == ((8, 10), (10,), (10, 3))
+
+    def test_derived_arrays_built_once_and_read_only(self, rng):
+        x, labels = _toy_problem(rng)
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        derived = [model.w, model.b, model.quantized, model.quantized.w_q, model.quantized.b_q,
+                   model.quantized.beta_q]
+        predict(x, model)
+        predict_quantized(x, model)
+        again = [model.w, model.b, model.quantized, model.quantized.w_q, model.quantized.b_q,
+                 model.quantized.beta_q]
+        assert all(a is b for a, b in zip(derived, again))
+        for arr in (model.w, model.b, model.beta, model.quantized.w_q):
+            assert not arr.flags.writeable
+        # each instance draws its own: quantize's copy shares nothing with the original
+        assert quantize(model).w is not model.w
+        assert np.array_equal(quantize(model).w, model.w)
+
+    def test_float_only_model_builds_no_int8_codes(self, rng, monkeypatch):
+        x, labels = _toy_problem(rng)
+        model = train_elm(x, labels, L=10, c=1.0, seed=0)
+        monkeypatch.setattr(elm, "_quantize_tensor", None)  # any call would raise
+        predict(x, model)
+        assert model.quantized is None
+        assert model_to_dict(model)["quantized"] is False
 
     @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],
                              ids=["above", "below", "fraction", "huge"])

@@ -1,4 +1,6 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +21,15 @@ from elmloc.featurizer import (
     spec_from_dict,
     spec_to_dict,
 )
+from elmloc.pipeline import load_model
+
+# An older model file that still holds the filters.
+V1_MODEL = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
 
 
-def _spec(filters, n_aps):
-    filters = np.asarray(filters, dtype=np.float64)
-    if filters.ndim == 1:
-        filters = filters[:, None]
-    return FeaturizerSpec(n_filters=filters.shape[1], kernel_size=filters.shape[0],
-                          seed=0, n_aps=n_aps, filters=filters)
+def _column(filter_taps):
+    """One hand-made filter as a (k, 1) filter bank."""
+    return np.asarray(filter_taps, dtype=np.float64)[:, None]
 
 
 def conv_oracle(x, filters):
@@ -45,25 +48,25 @@ def conv_oracle(x, filters):
     return out
 
 
-def conv_pad_window_reference(x, spec):
+def conv_pad_window_reference(x, filters):
     """The np.pad + sliding_window_view conv that _correlate replaced."""
-    pad = (spec.kernel_size - 1) // 2
+    pad = (filters.shape[0] - 1) // 2
     padded = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (pad, pad)))
-    windows = sliding_window_view(padded, spec.kernel_size, axis=1)
-    return windows @ spec.filters
+    windows = sliding_window_view(padded, filters.shape[0], axis=1)
+    return windows @ filters
 
 
 class TestConvReference:
     @given(data=st.data(), k=st.sampled_from([1, 3, 5]), f=st.integers(1, 3),
-           rows=st.integers(1, 5))
+           rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_conv_and_featurize_bitwise_equal_reference(self, data, k, f, rows):
+    def test_conv_and_featurize_bitwise_equal_reference(self, data, k, f, rows, seed):
         n = data.draw(st.integers(max(k, 2), 16))
         x = data.draw(arrays(np.float64, (rows, n), elements=st.floats(-1e3, 1e3)))
         filters = data.draw(arrays(np.float64, (k, f), elements=st.floats(-2, 2)))
-        spec = FeaturizerSpec(n_filters=f, kernel_size=k, seed=0, n_aps=n, filters=filters)
-        conv = conv_pad_window_reference(x, spec)
-        assert _correlate(x, spec).tobytes() == conv.tobytes()
+        assert _correlate(x, filters).tobytes() == conv_pad_window_reference(x, filters).tobytes()
+        spec = FeaturizerSpec(n_filters=f, kernel_size=k, seed=seed, n_aps=n)
+        conv = conv_pad_window_reference(x, spec.filters)
         # the stage that added a zero bias before |.|: |z + 0| is bitwise |z|
         staged = batch_flatten(avg_pool1d_valid(np.abs(conv + np.zeros(f))))
         assert featurize(x, spec).tobytes() == staged.tobytes()
@@ -77,31 +80,29 @@ class TestConvReference:
 
     def test_empty_ap_axis_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            featurize(np.zeros((2, 0)), _spec([1.0, 1.0, 1.0], 3))
+            featurize(np.zeros((2, 0)), init_featurizer(0, 3))
 
 
 class TestConv:
     def test_box_kernel_hand_example(self):
         # (1,1,1) over (1,2,3): edges see one zero pad each
-        out = _correlate(np.array([[1.0, 2.0, 3.0]]), _spec([1.0, 1.0, 1.0], 3))
+        out = _correlate(np.array([[1.0, 2.0, 3.0]]), _column([1.0, 1.0, 1.0]))
         assert out[:, :, 0].tolist() == [[3.0, 6.0, 5.0]]
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(4, 9))
-        out = _correlate(x, _spec([0.0, 1.0, 0.0], 9))
+        out = _correlate(x, _column([0.0, 1.0, 0.0]))
         assert out[:, :, 0] == pytest.approx(x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.normal(size=(5, 11))
         filters = rng.normal(size=(3, 2))
-        spec = _spec(filters, 11)
-        assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
+        assert _correlate(x, filters) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
     def test_wide_kernel_matches_oracle(self, rng):
         x = rng.normal(size=(3, 8))
         filters = rng.normal(size=(5, 3))
-        spec = _spec(filters, 8)
-        assert _correlate(x, spec) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
+        assert _correlate(x, filters) == pytest.approx(conv_oracle(x, filters), abs=1e-12)
 
     def test_featurize_matches_loop_oracle(self, rng):
         x = rng.normal(size=(4, 10))
@@ -205,13 +206,21 @@ class TestInit:
         assert (back.filters == spec.filters).all()
         assert (back.n_filters, back.kernel_size, back.seed, back.n_aps) == (3, 3, 4, 30)
 
-    def test_spec_refused_for_filters_no_seed_draws(self):
-        # a file could not restore them, so spec_to_dict will not write them
+    def test_spec_takes_no_filters(self):
+        # a file could not restore filters its seed does not draw, so no spec holds them
         spec = init_featurizer(4, 30)
-        spec = FeaturizerSpec(n_filters=2, kernel_size=3, seed=4, n_aps=30,
-                              filters=spec.filters * 0.5)
-        with pytest.raises(ValueError, match=r"^filters are not the ones seed 4 draws$"):
-            spec_to_dict(spec)
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'filters'"):
+            FeaturizerSpec(n_filters=2, kernel_size=3, seed=4, n_aps=30, filters=spec.filters)
+        with pytest.raises(AttributeError):
+            spec.filters = spec.filters * 0.5
+
+    def test_filters_drawn_once_and_read_only(self):
+        spec = init_featurizer(4, 30)
+        assert spec.filters is spec.filters
+        assert not spec.filters.flags.writeable
+        # another instance of the same spec draws the same filters anew
+        again = init_featurizer(4, 30)
+        assert again.filters is not spec.filters and np.array_equal(again.filters, spec.filters)
 
     @pytest.mark.parametrize("key, value", [
         ("kernel_size", 3.9), ("n_filters", 3.0), ("seed", 0.5),
@@ -224,11 +233,16 @@ class TestInit:
             spec_from_dict(d, 30)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_filters_rejected(self, value):
-        filters = init_featurizer(4, 30).filters.copy()
-        filters[1, 0] = value
-        with pytest.raises(ValueError, match=r"^filters contains non-finite values$"):
-            FeaturizerSpec(n_filters=2, kernel_size=3, seed=4, n_aps=30, filters=filters)
+    def test_non_finite_filters_rejected(self, tmp_path, value):
+        # the filters are drawn from the seed; only an older file's copy of
+        # them can hold a non-finite number
+        doc = json.loads(V1_MODEL.read_text())
+        doc["featurizer"]["filters"][1][0] = value
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"'featurizer': filters contains non-finite "
+                                             r"values$"):
+            load_model(p)
 
 
 class TestWidthAndComposition:
@@ -253,7 +267,7 @@ class TestWidthAndComposition:
     def test_featurize_is_the_stage_composition(self, rng):
         spec = init_featurizer(2, 12)
         x = rng.normal(size=(3, 12))
-        staged = batch_flatten(avg_pool1d_valid(np.abs(_correlate(x, spec))))
+        staged = batch_flatten(avg_pool1d_valid(np.abs(_correlate(x, spec.filters))))
         assert (featurize(x, spec) == staged).all()
 
     def test_mismatched_input_width_rejected(self):
