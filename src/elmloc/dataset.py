@@ -198,30 +198,26 @@ class DatasetDescriptor:
             raise ValueError(f"db_type must be 'MF' or 'MB-MF', got {self.db_type!r}")
 
 
-def _d(name, train, test, aps, L, c, kind) -> DatasetDescriptor:
-    return DatasetDescriptor(name, train, test, aps, L, c, kind)
-
-
 # The twelve public benchmark sets with their published sizes and the
 # hidden-neuron count / regularization term selected for each.
 _REGISTRY: dict[str, DatasetDescriptor] = {
     d.name: d
     for d in [
-        _d("LIB1", 576, 3120, 174, 105, 0.05, "MF"),
-        _d("LIB2", 576, 3120, 197, 105, 0.01, "MF"),
-        _d("TUT1", 1476, 490, 309, 75, 0.1, "MF"),
-        _d("TUT2", 584, 176, 354, 160, 0.01, "MF"),
-        _d("TUT3", 697, 3951, 992, 235, 0.05, "MF"),
-        _d("TUT4", 3951, 697, 992, 275, 0.05, "MF"),
-        _d("TUT5", 446, 982, 489, 195, 0.01, "MF"),
-        _d("TUT6", 3116, 7269, 652, 450, 0.1, "MF"),
-        _d("TUT7", 2787, 6504, 801, 200, 1.0, "MF"),
-        _d("UJI1", 19861, 1111, 520, 530, 0.1, "MB-MF"),
-        _d("UJI2", 20972, 5179, 520, 215, 0.01, "MB-MF"),
-        _d("UTS1", 9108, 388, 589, 275, 0.01, "MF"),
+        DatasetDescriptor("LIB1", 576, 3120, 174, 105, 0.05, "MF"),
+        DatasetDescriptor("LIB2", 576, 3120, 197, 105, 0.01, "MF"),
+        DatasetDescriptor("TUT1", 1476, 490, 309, 75, 0.1, "MF"),
+        DatasetDescriptor("TUT2", 584, 176, 354, 160, 0.01, "MF"),
+        DatasetDescriptor("TUT3", 697, 3951, 992, 235, 0.05, "MF"),
+        DatasetDescriptor("TUT4", 3951, 697, 992, 275, 0.05, "MF"),
+        DatasetDescriptor("TUT5", 446, 982, 489, 195, 0.01, "MF"),
+        DatasetDescriptor("TUT6", 3116, 7269, 652, 450, 0.1, "MF"),
+        DatasetDescriptor("TUT7", 2787, 6504, 801, 200, 1.0, "MF"),
+        DatasetDescriptor("UJI1", 19861, 1111, 520, 530, 0.1, "MB-MF"),
+        DatasetDescriptor("UJI2", 20972, 5179, 520, 215, 0.01, "MB-MF"),
+        DatasetDescriptor("UTS1", 9108, 388, 589, 275, 0.01, "MF"),
         # Bundled synthetic benchmark set (3 buildings x 4 floors); defaults
         # chosen by a validation sweep on the generated data.
-        _d("SYN1", 6000, 1000, 100, 500, 1.0, "MB-MF"),
+        DatasetDescriptor("SYN1", 6000, 1000, 100, 500, 1.0, "MB-MF"),
     ]
 }
 
@@ -237,13 +233,6 @@ def registry_lookup(name: str) -> DatasetDescriptor:
 
 def registry_names() -> list[str]:
     return sorted(_REGISTRY)
-
-
-def register_dataset(descriptor: DatasetDescriptor, overwrite: bool = False) -> None:
-    """Add a user dataset to the registry (refuses to clobber unless asked)."""
-    if descriptor.name in _REGISTRY and not overwrite:
-        raise ValueError(f"dataset {descriptor.name!r} already registered")
-    _REGISTRY[descriptor.name] = descriptor
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .dataset import check_array, check_finite, check_float, check_int
+from .dataset import check_finite
 
 
 @dataclass(frozen=True)
@@ -411,27 +411,3 @@ def sweep_hidden(
         sizes=sizes, floor_hits=floor_hits, building_hits=building_hits, best_L=best
     )
 
-
-# ---------------------------------------------------------------------------
-# Serialization (single JSON document, assembled by the pipeline layer)
-
-
-def model_to_dict(model: ElmModel) -> dict:
-    """What ``model`` learned, its seed, and whether it carries int8 copies."""
-    return {
-        "codebook": model.codebook.pairs.tolist(),
-        "seed": model.seed,
-        "c": model.c,
-        "beta": model.beta.tolist(),
-        "quantized": model.int8,
-    }
-
-
-def model_from_dict(d: dict, n_features: int) -> ElmModel:
-    """The model ``model_to_dict`` wrote, for inputs ``n_features`` wide."""
-    beta, seed = check_array(d["beta"], "beta"), check_int(d["seed"], "seed")
-    if not isinstance(d["quantized"], bool):
-        raise ValueError(f"quantized must hold true or false, got {d['quantized']!r}")
-    pairs = np.array([[check_int(v, "codebook") for v in row] for row in d["codebook"]])
-    c = check_float(d["c"], "c")
-    return ElmModel(beta, c, ClassCodebook(pairs), seed, n_features, d["quantized"])

@@ -426,19 +426,44 @@ def write_csv(rows: list[EvalReport], path) -> None:
         writer.writerows(_csv_record(r) for r in rows)
 
 
+# The keys of a report.json row, in the order write_json writes them, each with
+# the types it may hold as JSON loads them; write_json writes each hit rate,
+# time and ratio as a float.
+_FLOAT = (float, type(None))
+_ROW_TYPES = {
+    "dataset": str,
+    "approach": str,
+    "seed": (int, str, type(None)),
+    "building_hit": _FLOAT,
+    "floor_hit": _FLOAT,
+    "train_time": _FLOAT,
+    "test_time": _FLOAT,
+    "normalized": (dict, type(None)),
+    "config_digest": str,
+    "note": str,
+}
+
+
 def _row_dict(r: EvalReport) -> dict:
-    return {
-        "dataset": r.dataset,
-        "approach": r.approach,
-        "seed": r.seed,
-        "building_hit": r.building_hit,
-        "floor_hit": r.floor_hit,
-        "train_time": r.train_time,
-        "test_time": r.test_time,
-        "normalized": r.normalized,
-        "config_digest": r.config_digest,
-        "note": r.note,
-    }
+    return {key: getattr(r, key) for key in _ROW_TYPES}
+
+
+def _check_type(name: str, value, types) -> None:
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"row key {name} cannot hold {value!r}")
+
+
+def _row_from_dict(d) -> EvalReport:
+    """The row ``_row_dict`` wrote; ``ValueError`` for anything else."""
+    if not isinstance(d, dict):
+        raise ValueError(f"rows must hold objects, got {d!r}")
+    if set(d) != set(_ROW_TYPES):
+        raise ValueError(f"a row must hold the keys {', '.join(_ROW_TYPES)}; got {', '.join(d)}")
+    for key, types in _ROW_TYPES.items():
+        _check_type(key, d[key], types)
+    for key, value in (d["normalized"] or {}).items():
+        _check_type(f"normalized.{key}", value, _FLOAT)
+    return EvalReport(**d)
 
 
 def write_json(rows: list[EvalReport], path, config=None, failures=None, meta=None) -> None:
@@ -455,24 +480,20 @@ def write_json(rows: list[EvalReport], path, config=None, failures=None, meta=No
 
 
 def read_json(path) -> tuple[list[EvalReport], dict]:
-    """Load rows written by write_json (for the report command)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    rows = [
-        EvalReport(
-            dataset=d["dataset"],
-            approach=d["approach"],
-            seed=d["seed"],
-            building_hit=d["building_hit"],
-            floor_hit=d["floor_hit"],
-            train_time=d["train_time"],
-            test_time=d["test_time"],
-            normalized=d["normalized"],
-            note=d.get("note", ""),
-            config_digest=d["config_digest"],
-        )
-        for d in payload["rows"]
-    ]
+    """Load rows written by write_json (for the report command).
+
+    Raises ``ValueError`` naming ``path`` if it holds anything else.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
+            raise ValueError("rows must hold a list of objects")
+        if not isinstance(payload.get("failures", {}), dict):
+            raise ValueError("failures must hold an object")
+        rows = [_row_from_dict(d) for d in payload["rows"]]
+    except ValueError as exc:  # bad JSON and undecodable bytes included
+        raise ValueError(f"{path} is not a report written by elmloc benchmark: {exc}") from None
     return rows, payload
 
 

@@ -20,8 +20,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import check_int
-
 #: Average-pooling window, which is also its stride.
 POOL = 2
 
@@ -127,13 +125,3 @@ def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     np.abs(z, out=z)  # in place: no (N, n, F) temporary
     return batch_flatten(avg_pool1d_valid(z))
 
-
-def spec_to_dict(spec: FeaturizerSpec) -> dict:
-    """The sizes and seed of ``spec``; the filters are redrawn from them."""
-    return {"n_filters": spec.n_filters, "kernel_size": spec.kernel_size, "seed": spec.seed}
-
-
-def spec_from_dict(d: dict, n_aps: int) -> FeaturizerSpec:
-    """The spec ``spec_to_dict`` wrote, drawn for ``n_aps`` input columns."""
-    sizes = {key: check_int(d[key], key) for key in ("n_filters", "kernel_size", "seed")}
-    return init_featurizer(sizes.pop("seed"), n_aps, **sizes)

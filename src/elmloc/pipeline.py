@@ -27,15 +27,7 @@ import numpy as np
 
 from . import elm as elm_mod
 from .dataset import RadioMap, check_array, check_float, check_int, check_rss, split_validation
-from .featurizer import (
-    POOL,
-    FeaturizerSpec,
-    feature_width,
-    featurize,
-    init_featurizer,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .featurizer import POOL, FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import (
     EXPONENT,
     NORM_MODES,
@@ -45,8 +37,6 @@ from .preprocess import (
     apply_unit_norm,
     fit_powed,
     fit_unit_norm,
-    params_from_dict,
-    params_to_dict,
 )
 
 _FORMAT = "elmloc-model-v2"
@@ -80,6 +70,7 @@ _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 _RANGES = {
     "L": (lambda v: v >= 1, ">= 1"),
     "c": (lambda v: v > 0, "positive"),
+    "seed": (lambda v: v >= 0, ">= 0"),
     "n_filters": (lambda v: v >= 1, ">= 1"),
     "kernel_size": (lambda v: v >= 1 and v % 2 == 1, "odd and positive"),
 }
@@ -220,13 +211,27 @@ def _seed_drawn(model: TrainedModel) -> list:
 def save_model(model: TrainedModel, path) -> None:
     """Write what ``model`` learned and its seeds: not w, b, the filters or the int8
     copies, which ``load_model`` rebuilds and checks against ``random_sha256``."""
+    params, spec, elm = model.preprocess, model.featurizer, model.elm
+    norms = params.feature_norms
     doc = {
         "format": _FORMAT,
         "dataset": model.dataset,
         "n_aps": model.n_aps,
-        "preprocess": params_to_dict(model.preprocess),
-        "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
-        "elm": elm_mod.model_to_dict(model.elm),
+        "preprocess": {
+            "min_rss": params.min_rss,
+            "mode": params.mode,
+            "feature_norms": None if norms is None else norms.tolist(),
+        },
+        "featurizer": None if spec is None else {
+            "n_filters": spec.n_filters, "kernel_size": spec.kernel_size, "seed": spec.seed
+        },
+        "elm": {
+            "codebook": elm.codebook.pairs.tolist(),
+            "seed": elm.seed,
+            "c": elm.c,
+            "beta": elm.beta.tolist(),
+            "quantized": elm.int8,
+        },
         "random_sha256": _random_sha256(_seed_drawn(model)),
     }
     # json.dumps, not json.dump: only the one-shot encoder runs in C; it
@@ -334,16 +339,29 @@ def load_model(path) -> TrainedModel:
         if check_int(n_aps, "n_aps") < 1:
             raise ValueError(f"n_aps must be >= 1, got {n_aps}")
     with _section(path, doc, "preprocess") as section:
-        params = params_from_dict(section)
-        norms = params.feature_norms
-        if params.mode == "per_feature" and (norms is None or norms.shape[0] != n_aps):
-            got = None if norms is None else norms.shape[0]
+        norms = section.get("feature_norms")
+        params = PreprocessParams(
+            check_float(section["min_rss"], "min_rss"),
+            section["mode"],
+            None if norms is None else check_array(norms, "feature_norms"),
+        )
+        if params.mode == "per_feature" and (norms is None or len(norms) != n_aps):
+            got = None if norms is None else len(norms)
             raise ValueError(f"feature_norms must hold n_aps = {n_aps} norms, got {got}")
     with _section(path, doc, "featurizer") as section:
-        featurizer = None if section is None else spec_from_dict(section, n_aps)
+        featurizer = None if section is None else FeaturizerSpec(
+            **{key: check_int(section[key], key) for key in ("n_filters", "kernel_size", "seed")},
+            n_aps=n_aps,
+        )
         width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
     with _section(path, doc, "elm") as section:
-        elm = elm_mod.model_from_dict(section, width)
+        beta, seed = check_array(section["beta"], "beta"), check_int(section["seed"], "seed")
+        quantized = section["quantized"]
+        if not isinstance(quantized, bool):
+            raise ValueError(f"quantized must hold true or false, got {quantized!r}")
+        pairs = np.array([[check_int(v, "codebook") for v in row] for row in section["codebook"]])
+        c = check_float(section["c"], "c")
+        elm = elm_mod.ElmModel(beta, c, elm_mod.ClassCodebook(pairs), seed, width, quantized)
     model = TrainedModel(params, featurizer, elm, dataset=doc.get("dataset", ""))
     if doc["random_sha256"] != _random_sha256(_seed_drawn(model)):
         stored = ("model key 'random_sha256' does not match" if fmt == _FORMAT else

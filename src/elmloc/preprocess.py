@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_array, check_finite, check_float
+from .dataset import NOT_DETECTED, RadioMap, check_finite
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
@@ -129,21 +129,3 @@ def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:
 def apply_preprocess(data, params: PreprocessParams) -> np.ndarray:
     return apply_unit_norm(apply_powed(data, params), params)
 
-
-def params_to_dict(params: PreprocessParams) -> dict:
-    return {
-        "min_rss": params.min_rss,
-        "mode": params.mode,
-        "feature_norms": None
-        if params.feature_norms is None
-        else params.feature_norms.tolist(),
-    }
-
-
-def params_from_dict(d: dict) -> PreprocessParams:
-    norms = d.get("feature_norms")
-    return PreprocessParams(
-        min_rss=check_float(d["min_rss"], "min_rss"),
-        mode=str(d["mode"]),
-        feature_norms=None if norms is None else check_array(norms, "feature_norms"),
-    )

@@ -24,9 +24,6 @@ instead of unrelated ones.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .dataset import RadioMap
@@ -45,7 +42,6 @@ NOISE_STD = 6.0
 NOISE_CLIP = 12.0
 DETECT_THRESHOLD = -95.0  # dBm
 DROPOUT = 0.12
-SENTINEL_RAW = 100.0
 
 
 def _combo(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,36 +99,3 @@ def generate_synthetic(
     test = _sample_block(rng, n_test, ap_xy, ap_floor, ap_building, "SYN1-test")
     return train, test
 
-
-def write_synthetic_dataset(out_dir, seed: int = DEFAULT_SEED) -> Path:
-    """Materialize SYN1 as CSV files + manifest under ``out_dir``/SYN1."""
-    train, test = generate_synthetic(seed)
-    root = Path(out_dir) / "SYN1"
-    root.mkdir(parents=True, exist_ok=True)
-    for split, rmap in (("train", train), ("test", test)):
-        _write_csv(root / f"{split}.csv", rmap)
-    manifest = {
-        "name": "SYN1",
-        "ap_columns": [0, train.n_aps - 1],
-        "floor_col": train.n_aps,
-        "building_col": train.n_aps + 1,
-        "sentinel": SENTINEL_RAW,
-    }
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return root
-
-
-def _write_csv(path: Path, rmap: RadioMap) -> None:
-    header = [f"AP{j:03d}" for j in range(rmap.n_aps)] + ["FLOOR", "BUILDINGID"]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rmap.n_samples):
-            row = rmap.rss[i]
-            cells = [
-                f"{SENTINEL_RAW:.0f}" if v == 0.0 else repr(float(v)) for v in row
-            ]
-            cells.append(str(int(rmap.floor[i])))
-            cells.append(str(int(rmap.building[i])))
-            fh.write(",".join(cells) + "\n")

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import TST1, _write_csv
 from test_pipeline import (
     BAD_KEYS,
     BAD_WEIGHTS,
@@ -20,18 +21,13 @@ from test_pipeline import (
     write_bad_model,
 )
 
-from elmloc import pipeline
+from elmloc import dataset, pipeline
 from elmloc.cli import _load_train, main
-from elmloc.dataset import DatasetDescriptor, register_dataset
+from elmloc.dataset import DatasetDescriptor
 from elmloc.evaluation import hit_rate
 from elmloc.pipeline import PipelineConfig, load_model, predict_pipeline
-from elmloc.synthetic import _write_csv
 
-TST1 = DatasetDescriptor(
-    name="TST1", train_size=720, test_size=240, n_aps=40,
-    L_default=60, c_default=1.0, db_type="MB-MF",
-)
-register_dataset(TST1, overwrite=True)
+pytestmark = pytest.mark.usefixtures("tst1_registered")
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +68,11 @@ class TestIngest:
         assert summary["matches_registry"] is True
         assert 0.1 < summary["detected_fraction"] < 0.5
 
-    def test_size_mismatch_warns(self, data_root, tmp_path, capsys):
-        register_dataset(DatasetDescriptor(
+    def test_size_mismatch_warns(self, data_root, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(dataset._REGISTRY, "TST2", DatasetDescriptor(
             name="TST2", train_size=9999, test_size=240, n_aps=40,
             L_default=60, c_default=1.0, db_type="MB-MF",
-        ), overwrite=True)
+        ))
         link = tmp_path / "TST2"
         link.symlink_to(data_root / "TST1")
         assert main(["ingest", "--dataset", "TST2",
@@ -219,10 +215,12 @@ class TestTrain:
         (["--kernel-size", "4"], r"kernel_size must be odd and positive, got 4"),
         (["--kernel-size", "0"], r"kernel_size must be odd and positive, got 0"),
         (["--n-filters", "0"], r"n_filters must be >= 1, got 0"),
+        (["--seed", "-1"], r"seed must be >= 0, got -1"),
+        (["--seed", "-1", "--approach", "elm_only"], r"seed must be >= 0, got -1"),
         (["--step", "0"], r"need 1 <= step <= L_max, got step=0, L_max=500"),
         (["--L-max", "4"], r"need 1 <= step <= L_max, got step=5, L_max=4"),
     ], ids=["c_negative", "c_zero", "kernel_even", "kernel_zero", "n_filters_zero",
-            "step_zero", "L_max_below_step"])
+            "seed_negative", "seed_negative_elm_only", "step_zero", "L_max_below_step"])
     def test_bad_setting_rejected_before_loading(self, tmp_path, capsys, monkeypatch,
                                                  command, flags, message):
         monkeypatch.setattr("elmloc.cli._load_train", None)  # a call would fail
@@ -550,7 +548,8 @@ class TestBenchmarkReport:
 
 
 class TestErrorSurface:
-    @pytest.mark.parametrize("name", ["model", "config", "manifest", "train_csv", "queries"])
+    @pytest.mark.parametrize("name", ["model", "config", "manifest", "train_csv", "queries",
+                                      "report"])
     def test_undecodable_file_named(self, data_root, model_path, tmp_path, capsys, name):
         # a byte the text encoding cannot decode is reported with the file that holds it
         root = tmp_path / "root"
@@ -560,14 +559,15 @@ class TestErrorSurface:
         bad = {"model": tmp_path / "m.json", "config": tmp_path / "c.json",
                "manifest": root / "TST1" / "manifest.json",
                "train_csv": root / "TST1" / "train.csv",
-               "queries": tmp_path / "q.csv"}[name]
+               "queries": tmp_path / "q.csv", "report": tmp_path / "r.json"}[name]
         bad.write_bytes(b"\xff" + (bad.read_bytes() if bad.exists() else b"{}\n"))
         train = ["train", "--dataset", "TST1", "--data-root", str(root), "--L", "10",
                  "--out", str(tmp_path / "out.json")]
         queries = str(root / "TST1" / "test.csv")
         argv = {"model": ["predict", "--model", str(bad), "--queries", queries],
                 "config": train + ["--config", str(bad)],
-                "queries": ["predict", "--model", str(model_path), "--queries", str(bad)]}
+                "queries": ["predict", "--model", str(model_path), "--queries", str(bad)],
+                "report": ["report", "--json", str(bad)]}
         assert main(argv.get(name, train)) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
@@ -599,8 +599,8 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from elmloc.cli import main\n"
-        "from elmloc.dataset import DatasetDescriptor, register_dataset\n"
-        f"register_dataset(DatasetDescriptor(**{dataclasses.asdict(TST1)!r}))\n"
+        "from elmloc.dataset import _REGISTRY, DatasetDescriptor\n"
+        f"_REGISTRY['TST1'] = DatasetDescriptor(**{dataclasses.asdict(TST1)!r})\n"
         f"sys.exit(main({[*command, '--data-root', str(data_root)]!r}))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -624,9 +624,10 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     ("n_filters", 0, r"n_filters must be >= 1, got 0"),
     ("kernel_size", 4, r"kernel_size must be odd and positive, got 4"),
     ("kernel_size", -1, r"kernel_size must be odd and positive, got -1"),
+    ("seed", -1, r"seed must be >= 0, got -1"),
 ], ids=["quantize_string", "L_string", "L_fraction", "approach_number", "norm_mode_bogus",
         "c_bool", "c_zero", "c_negative", "L_zero", "n_filters_zero", "kernel_size_even",
-        "kernel_size_negative"])
+        "kernel_size_negative", "seed_negative"])
 def test_bad_setting_same_message_everywhere(data_root, tmp_path, capsys, key, value,
                                              message):
     with pytest.raises(ValueError, match=rf"^{message}$"):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from elmloc.dataset import (
     ColumnSchema,
-    DatasetDescriptor,
     Manifest,
     ParseError,
     RadioMap,
@@ -16,7 +15,6 @@ from elmloc.dataset import (
     check_float,
     load_csv,
     load_manifest,
-    register_dataset,
     registry_lookup,
     registry_names,
     split_validation,
@@ -113,17 +111,6 @@ class TestRegistry:
     def test_unknown_name_lists_known(self):
         with pytest.raises(UnknownDatasetError, match="LIB1"):
             registry_lookup("NOPE")
-
-    def test_register_requires_overwrite(self):
-        d = DatasetDescriptor(
-            name="TMP1", train_size=10, test_size=5, n_aps=4,
-            L_default=20, c_default=1.0, db_type="MF",
-        )
-        register_dataset(d)
-        assert registry_lookup("TMP1").train_size == 10
-        with pytest.raises(ValueError):
-            register_dataset(d)
-        register_dataset(d, overwrite=True)
 
 
 class TestColumnSchema:

@@ -21,8 +21,6 @@ from elmloc.elm import (
     fit,
     hidden_map,
     init_hidden,
-    model_from_dict,
-    model_to_dict,
     predict,
     predict_quantized,
     quantize,
@@ -30,10 +28,25 @@ from elmloc.elm import (
     tansig,
     train_elm,
 )
-from elmloc.pipeline import load_model
+from elmloc.pipeline import TrainedModel, load_model, save_model
+from elmloc.preprocess import PreprocessParams
 
 # An older model file that still holds w, b and the int8 codes and scales.
 V1_INT8 = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
+
+
+def saved_doc(model, path):
+    """The document ``save_model`` writes to ``path`` for an elm_only pipeline
+    around ``model``."""
+    preprocess = PreprocessParams(min_rss=-100.0, mode="per_sample")
+    save_model(TrainedModel(preprocess, None, model), path)
+    return json.loads(path.read_text())
+
+
+def loaded_elm(doc, path):
+    """The ELM ``load_model`` reads from ``doc`` written to ``path``."""
+    path.write_text(json.dumps(doc))
+    return load_model(path).elm
 
 
 class TestCodebook:
@@ -242,10 +255,11 @@ class TestTrainPredict:
         with pytest.raises(ValueError):
             predict(np.ones((2, x.shape[1] + 1)), model)
 
-    def test_model_round_trip(self, rng):
+    def test_model_round_trip(self, rng, tmp_path):
         x, labels = _toy_problem(rng)
         model = quantize(train_elm(x, labels, L=15, c=0.1, seed=2))
-        back = model_from_dict(model_to_dict(model), model.n_features)
+        back = loaded_elm(saved_doc(model, tmp_path / "m.json"), tmp_path / "m.json")
+        assert back.n_features == model.n_features
         assert (back.w == model.w).all() and (back.b == model.b).all()
         assert (back.beta == model.beta).all()
         assert back.c == model.c
@@ -254,13 +268,14 @@ class TestTrainPredict:
         assert (back.quantized.w_q == model.quantized.w_q).all()
         assert back.quantized.beta_scale == model.quantized.beta_scale
 
-    def test_dict_holds_what_was_learned(self, rng):
+    def test_dict_holds_what_was_learned(self, rng, tmp_path):
         # w and b are the seed's, and the int8 copies quantize's: only a flag is kept
         x, labels = _toy_problem(rng)
-        d = model_to_dict(quantize(train_elm(x, labels, L=15, c=0.1, seed=2)))
+        doc = saved_doc(quantize(train_elm(x, labels, L=15, c=0.1, seed=2)), tmp_path / "m.json")
+        d = doc["elm"]
         assert list(d) == ["codebook", "seed", "c", "beta", "quantized"]
         assert d["quantized"] is True
-        assert model_from_dict(d, x.shape[1]).L == len(d["beta"]) == 15
+        assert loaded_elm(doc, tmp_path / "m.json").L == len(d["beta"]) == 15
 
     @pytest.mark.parametrize("name", ["w", "b", "quantized"])
     def test_weights_no_seed_draws_cannot_be_built(self, rng, name):
@@ -274,12 +289,12 @@ class TestTrainPredict:
             setattr(model, name, value)
 
     @pytest.mark.parametrize("value", [None, 1, "true", {}])
-    def test_quantized_flag_must_be_bool(self, rng, value):
+    def test_quantized_flag_must_be_bool(self, rng, tmp_path, value):
         x, labels = _toy_problem(rng)
-        d = model_to_dict(train_elm(x, labels, L=10, c=1.0, seed=0))
-        d["quantized"] = value
-        with pytest.raises(ValueError, match=r"^quantized must hold true or false"):
-            model_from_dict(d, x.shape[1])
+        doc = saved_doc(train_elm(x, labels, L=10, c=1.0, seed=0), tmp_path / "m.json")
+        doc["elm"]["quantized"] = value
+        with pytest.raises(ValueError, match=r"'elm': quantized must hold true or false"):
+            loaded_elm(doc, tmp_path / "m.json")
 
 
 class TestQuantize:
@@ -439,13 +454,13 @@ class TestWeightsHandledOnce:
         assert quantize(model).w is not model.w
         assert np.array_equal(quantize(model).w, model.w)
 
-    def test_float_only_model_builds_no_int8_codes(self, rng, monkeypatch):
+    def test_float_only_model_builds_no_int8_codes(self, rng, monkeypatch, tmp_path):
         x, labels = _toy_problem(rng)
         model = train_elm(x, labels, L=10, c=1.0, seed=0)
         monkeypatch.setattr(elm, "_quantize_tensor", None)  # any call would raise
         predict(x, model)
         assert model.quantized is None
-        assert model_to_dict(model)["quantized"] is False
+        assert saved_doc(model, tmp_path / "m.json")["elm"]["quantized"] is False
 
     @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],
                              ids=["above", "below", "fraction", "huge"])
@@ -470,13 +485,13 @@ class TestWeightsHandledOnce:
         ("seed", lambda d: d.update(seed=0.5)),
         ("seed", lambda d: d.update(seed="0")),
     ], ids=["label_fraction", "label_bool", "label_huge", "seed_fraction", "seed_string"])
-    def test_non_integer_key_rejected(self, rng, key, edit):
+    def test_non_integer_key_rejected(self, rng, tmp_path, key, edit):
         # an int() or int64 cast would load 1.7 as 1, True as 1 and "0" as 0
         x, labels = _toy_problem(rng)
-        d = model_to_dict(train_elm(x, labels, L=10, c=1.0, seed=0))
-        edit(d)
-        with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
-            model_from_dict(d, x.shape[1])
+        doc = saved_doc(train_elm(x, labels, L=10, c=1.0, seed=0), tmp_path / "m.json")
+        edit(doc["elm"])
+        with pytest.raises(ValueError, match=rf"'elm': {key} must hold 64-bit integers"):
+            loaded_elm(doc, tmp_path / "m.json")
 
     def test_extreme_int8_codes_accepted(self, rng, tmp_path):
         # each tensor's largest magnitude takes the extreme code +-127

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import time
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elmloc import elm
-from elmloc.dataset import DatasetDescriptor, register_dataset
 from elmloc.evaluation import (
     APPROACHES,
     CSV_COLUMNS,
@@ -26,6 +26,8 @@ from elmloc.evaluation import (
 from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from elmloc.preprocess import apply_preprocess, fit_preprocess
+
+pytestmark = pytest.mark.usefixtures("tst1_registered")
 
 
 class TestHitRate:
@@ -164,11 +166,6 @@ class TestNormalize:
             normalize(_report(), _report(dataset="OTHER"))
 
 
-# a registered descriptor whose sizes match the syn_small fixture
-register_dataset(DatasetDescriptor(
-    name="TST1", train_size=720, test_size=240, n_aps=40,
-    L_default=60, c_default=1.0, db_type="MB-MF",
-), overwrite=True)
 
 
 def _loader_for(pair):
@@ -367,6 +364,55 @@ class TestEmission:
         assert back[1].building_hit == 97.5
         assert payload["failures"] == {"LIB1": "boom"}
         assert payload["config"] == {"x": 1}
+
+    def test_json_row_keys_in_written_order(self, tmp_path):
+        p = tmp_path / "t.json"
+        write_json([_report()], p)
+        assert list(json.loads(p.read_text())["rows"][0]) == [
+            "dataset", "approach", "seed", "building_hit", "floor_hit", "train_time",
+            "test_time", "normalized", "config_digest", "note"]
+
+    # each must fail with a ValueError that names the file, not a TypeError or KeyError
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: "{oops", r"Expecting property name"),
+        (lambda d: b"\xff" + json.dumps(d).encode(), r"'utf-8' codec can't decode byte 0xff"),
+        (lambda d: [d], r"rows must hold a list of objects"),
+        (lambda d: {**d, "rows": 1}, r"rows must hold a list of objects"),
+        (lambda d: {k: v for k, v in d.items() if k != "rows"}, r"rows must hold a list"),
+        (lambda d: {**d, "rows": [1]}, r"rows must hold objects, got 1"),
+        (lambda d: {**d, "failures": ["LIB1"]}, r"failures must hold an object"),
+        (lambda d: {**d, "rows": [{k: v for k, v in d["rows"][0].items() if k != "note"}]},
+         r"a row must hold the keys dataset, .*note; got dataset, .*config_digest$"),
+        (lambda d: d["rows"][0].update(extra=1) or d, r"a row must hold the keys .*extra$"),
+        (lambda d: d["rows"][0].update(floor_hit="90") or d, r"row key floor_hit cannot "
+                                                             r"hold '90'"),
+        (lambda d: d["rows"][0].update(floor_hit=90) or d, r"row key floor_hit cannot hold 90"),
+        (lambda d: d["rows"][0].update(seed=True) or d, r"row key seed cannot hold True"),
+        (lambda d: d["rows"][0].update(dataset=None) or d, r"row key dataset cannot hold None"),
+        (lambda d: d["rows"][0].update(normalized=[1.0]) or d,
+         r"row key normalized cannot hold \[1\.0\]"),
+        (lambda d: d["rows"][0]["normalized"].update(floor_hit="1") or d,
+         r"row key normalized\.floor_hit cannot hold '1'"),
+        (lambda d: d["rows"][0]["normalized"].update(speed=1.0) or d,
+         r"unknown normalized fields: \['speed'\]"),
+        (lambda d: d["rows"][0].update(floor_hit=101.0) or d,
+         r"floor_hit must be in \[0, 100\], got 101\.0"),
+    ], ids=["bad_json", "not_utf8", "top_level_list", "rows_number", "rows_missing",
+            "row_number", "failures_list", "row_key_missing", "row_key_extra",
+            "hit_string", "hit_integer", "seed_bool", "dataset_null", "normalized_list",
+            "ratio_string", "ratio_unknown", "hit_out_of_range"])
+    def test_json_of_another_shape_rejected(self, tmp_path, edit, message):
+        p = tmp_path / "t.json"
+        write_json([_report(normalized={f: 1.0 for f in ("building_hit", "floor_hit",
+                                                         "train_time", "test_time")})], p)
+        text = edit(json.loads(p.read_text()))
+        if isinstance(text, bytes):
+            p.write_bytes(text)
+        else:
+            p.write_text(text if isinstance(text, str) else json.dumps(text))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))} is not a report "
+                                             rf"written by elmloc benchmark: {message}"):
+            read_json(p)
 
     def test_format_table_dashes_for_absent(self):
         txt = format_table([_report(train_time=None)])

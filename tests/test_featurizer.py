@@ -18,13 +18,18 @@ from elmloc.featurizer import (
     feature_width,
     featurize,
     init_featurizer,
-    spec_from_dict,
-    spec_to_dict,
 )
-from elmloc.pipeline import load_model
+from elmloc.pipeline import PipelineConfig, fit_pipeline, load_model, save_model
 
 # An older model file that still holds the filters.
 V1_MODEL = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
+
+
+def _saved_conv_doc(train, path):
+    """The document ``save_model`` writes to ``path`` for a cnn_elm model fitted
+    on ``train`` with 3 filters drawn from seed 4."""
+    save_model(fit_pipeline(train, PipelineConfig(L=10, c=1.0, seed=4, n_filters=3)), path)
+    return json.loads(path.read_text())
 
 
 def _column(filter_taps):
@@ -198,13 +203,13 @@ class TestInit:
         with pytest.raises(TypeError):
             init_featurizer(0, 50, stride=3)
 
-    def test_spec_round_trip(self):
-        spec = init_featurizer(4, 30, n_filters=3)
-        d = spec_to_dict(spec)
+    def test_spec_round_trip(self, syn_small, tmp_path):
+        p = tmp_path / "m.json"
+        d = _saved_conv_doc(syn_small[0], p)["featurizer"]
         assert d == {"n_filters": 3, "kernel_size": 3, "seed": 4}  # the filters are redrawn
-        back = spec_from_dict(d, 30)
-        assert (back.filters == spec.filters).all()
-        assert (back.n_filters, back.kernel_size, back.seed, back.n_aps) == (3, 3, 4, 30)
+        back = load_model(p).featurizer
+        assert (back.filters == init_featurizer(4, 40, n_filters=3).filters).all()
+        assert (back.n_filters, back.kernel_size, back.seed, back.n_aps) == (3, 3, 4, 40)
 
     def test_spec_takes_no_filters(self):
         # a file could not restore filters its seed does not draw, so no spec holds them
@@ -225,12 +230,14 @@ class TestInit:
     @pytest.mark.parametrize("key, value", [
         ("kernel_size", 3.9), ("n_filters", 3.0), ("seed", 0.5),
     ])
-    def test_non_integer_size_rejected(self, key, value):
+    def test_non_integer_size_rejected(self, syn_small, tmp_path, key, value):
         # int() would load kernel_size 3.9 as 3 and n_filters 3.0 as 3
-        d = spec_to_dict(init_featurizer(4, 30, n_filters=3))
-        d[key] = value
-        with pytest.raises(ValueError, match=rf"^{key} must hold 64-bit integers"):
-            spec_from_dict(d, 30)
+        p = tmp_path / "m.json"
+        doc = _saved_conv_doc(syn_small[0], p)
+        doc["featurizer"][key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"'featurizer': {key} must hold 64-bit integers"):
+            load_model(p)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_filters_rejected(self, tmp_path, value):

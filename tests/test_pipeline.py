@@ -15,7 +15,7 @@ from elmloc import elm
 from elmloc.cli import main
 from elmloc.dataset import split_validation
 from elmloc.evaluation import hit_rate
-from elmloc.featurizer import featurize, init_featurizer, spec_to_dict
+from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import (
     PipelineConfig,
     _fit_pipeline,
@@ -25,7 +25,7 @@ from elmloc.pipeline import (
     save_model,
     sweep_pipeline,
 )
-from elmloc.preprocess import apply_preprocess, fit_preprocess, params_to_dict
+from elmloc.preprocess import apply_preprocess, fit_preprocess
 
 
 def _config(**kw):
@@ -258,14 +258,29 @@ def random_sha256_reference(model):
 
 
 def save_model_reference(model, path):
-    """The model file as ``json.dump`` encoded it: the byte oracle for save_model."""
+    """The model file as ``json.dump`` encodes it, each section written out by
+    hand from the model's parts: the byte oracle for save_model."""
+    pre, conv, readout = model.preprocess, model.featurizer, model.elm
+    norms = pre.feature_norms
     doc = {
         "format": "elmloc-model-v2",
         "dataset": model.dataset,
         "n_aps": model.n_aps,
-        "preprocess": params_to_dict(model.preprocess),
-        "featurizer": None if model.featurizer is None else spec_to_dict(model.featurizer),
-        "elm": elm.model_to_dict(model.elm),
+        "preprocess": {
+            "min_rss": pre.min_rss,
+            "mode": pre.mode,
+            "feature_norms": None if norms is None else [float(v) for v in norms],
+        },
+        "featurizer": None if conv is None else {
+            "n_filters": conv.n_filters, "kernel_size": conv.kernel_size, "seed": conv.seed,
+        },
+        "elm": {
+            "codebook": [[int(b), int(f)] for b, f in readout.codebook.pairs],
+            "seed": readout.seed,
+            "c": readout.c,
+            "beta": [[float(v) for v in row] for row in readout.beta],
+            "quantized": readout.quantized is not None,
+        },
         "random_sha256": random_sha256_reference(model),
     }
     with open(path, "w") as fh:

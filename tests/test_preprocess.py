@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elmloc.dataset import NOT_DETECTED, RadioMap
+from elmloc.pipeline import PipelineConfig, fit_pipeline, load_model, save_model
 from elmloc.preprocess import (
     EXPONENT,
     PreprocessParams,
@@ -15,9 +16,16 @@ from elmloc.preprocess import (
     fit_powed,
     fit_preprocess,
     fit_unit_norm,
-    params_from_dict,
-    params_to_dict,
 )
+
+
+def _round_trip(train, norm_mode, path):
+    """The preprocess state of a model fitted on ``train``, and of it saved to
+    ``path`` and loaded."""
+    model = fit_pipeline(train, PipelineConfig(L=5, c=1.0, norm_mode=norm_mode))
+    save_model(model, path)
+    return model.preprocess, load_model(path).preprocess
+
 
 # Reference values below were computed separately with mpmath at 50 digits.
 HALF_POW_E = 0.15195522325791297  # 0.5 ** e
@@ -181,16 +189,14 @@ class TestComposition:
         params = fit_preprocess(train)
         assert (apply_preprocess(test, params) == apply_preprocess(test.rss, params)).all()
 
-    def test_params_round_trip(self, syn_small):
+    def test_params_round_trip(self, syn_small, tmp_path):
         train, _ = syn_small
-        params = fit_preprocess(train, mode="per_feature")
-        back = params_from_dict(params_to_dict(params))
+        params, back = _round_trip(train, "per_feature", tmp_path / "m.json")
         assert back.min_rss == params.min_rss
         assert back.mode == params.mode
         assert (back.feature_norms == params.feature_norms).all()
 
-    def test_per_sample_round_trip(self):
-        params = fit_preprocess(np.array([[-50.0, 0.0]]), mode="per_sample")
-        back = params_from_dict(params_to_dict(params))
+    def test_per_sample_round_trip(self, syn_small, tmp_path):
+        _, back = _round_trip(syn_small[0], "per_sample", tmp_path / "m.json")
         assert back.mode == "per_sample"
         assert back.feature_norms is None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elmloc.dataset import load_csv, load_manifest, registry_lookup
-from elmloc.synthetic import generate_synthetic, write_synthetic_dataset
+from elmloc.synthetic import generate_synthetic
 
 
 class TestGenerate:
