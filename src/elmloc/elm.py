@@ -101,8 +101,15 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hidden activations H = tansig(x W + b); row = sample, column = neuron."""
-    return tansig(linalg.matmul(x, w) + b)
+    """Hidden activations H = tansig(x W + b); row = sample, column = neuron.
+
+    The bias add and tansig run in place on the product, so H is the only
+    N x L buffer made.
+    """
+    h = linalg.matmul(x, w)
+    h += b
+    np.tanh(h, out=h)  # tansig
+    return h
 
 
 def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:

@@ -23,6 +23,11 @@ from numpy.lib.stride_tricks import as_strided
 #: Average-pooling window, which is also its stride.
 POOL = 2
 
+#: Rows ``featurize`` runs through the conv, |.| and pool at a time. Rows are
+#: independent, so the output is bitwise the one-shot stage's; the padded copy
+#: and the (rows, n, n_filters) intermediate exist for one block only.
+BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class FeaturizerSpec:
@@ -104,7 +109,8 @@ def batch_flatten(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"expected (N, P, F) input, got shape {x.shape}")
-    return x.reshape(x.shape[0], -1)
+    # an explicit width, not -1: numpy cannot infer it when N is 0
+    return x.reshape(x.shape[0], x.shape[1] * x.shape[2])
 
 
 def feature_width(n_aps: int, spec: FeaturizerSpec) -> int:
@@ -115,13 +121,23 @@ def feature_width(n_aps: int, spec: FeaturizerSpec) -> int:
 
 
 def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
-    """Full fixed stage: conv -> |.| -> average pool -> flatten."""
+    """Full fixed stage: conv -> |.| -> average pool -> flatten, a fresh (N, F) matrix.
+
+    The stage runs over blocks of ``BLOCK_ROWS`` rows, each written into the
+    output, so besides its input and output only one block's temporaries are
+    live.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (N, n) input with n >= 1, got shape {x.shape}")
     if x.shape[1] != spec.n_aps:
         raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
-    z = _correlate(x, spec.filters)
-    np.abs(z, out=z)  # in place: no (N, n, F) temporary
-    return batch_flatten(avg_pool1d_valid(z))
+    out = np.empty((x.shape[0], feature_width(x.shape[1], spec)))
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        z = _correlate(x[rows], spec.filters)
+        np.abs(z, out=z)  # in place: no second (rows, n, F) temporary
+        out[rows] = batch_flatten(avg_pool1d_valid(z))
+        del z  # freed before the next block's conv, not after it
+    return out
 

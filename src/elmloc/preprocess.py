@@ -104,11 +104,22 @@ def fit_unit_norm(powed_train: np.ndarray, params: PreprocessParams) -> Preproce
 
 
 def apply_unit_norm(powed: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    feats = np.asarray(powed, dtype=np.float64)
+    """The unit-norm stage as a new array; ``powed`` is not written."""
+    return _unit_norm_in_place(np.array(powed, dtype=np.float64), params)
+
+
+def _unit_norm_in_place(feats: np.ndarray, params: PreprocessParams) -> np.ndarray:
+    """Divide a float64 matrix the caller owns by its norms, in place; returns it.
+
+    Bitwise what ``apply_unit_norm`` returns. ``apply_preprocess`` runs it
+    on the fresh matrix ``apply_powed`` returns, so it holds one N-row
+    matrix, not two.
+    """
     if params.mode == "per_sample":
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        return feats / norms
+        feats /= norms
+        return feats
     if params.feature_norms is None:
         raise ValueError("per_feature mode requires fitted feature_norms")
     if params.feature_norms.shape[0] != feats.shape[1]:
@@ -117,7 +128,8 @@ def apply_unit_norm(powed: np.ndarray, params: PreprocessParams) -> np.ndarray:
             f"input has {feats.shape[1]}"
         )
     divisors = np.where(params.feature_norms == 0.0, 1.0, params.feature_norms)
-    return feats / divisors
+    feats /= divisors
+    return feats
 
 
 def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:
@@ -127,5 +139,5 @@ def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:
 
 
 def apply_preprocess(data, params: PreprocessParams) -> np.ndarray:
-    return apply_unit_norm(apply_powed(data, params), params)
+    return _unit_norm_in_place(apply_powed(data, params), params)
 

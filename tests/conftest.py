@@ -5,9 +5,11 @@
 frozen reference numbers the acceptance tests check. ``write_synthetic_dataset``
 and ``_write_csv`` write radio maps in the on-disk layout the CLI reads, and
 ``tst1_registered`` registers ``TST1``, a dataset the size of ``syn_small``.
+``traced_peak`` measures what a call allocates at its peak.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,25 @@ def _write_csv(path: Path, rmap: RadioMap) -> None:
             cells.append(str(int(rmap.floor[i])))
             cells.append(str(int(rmap.building[i])))
             fh.write(",".join(cells) + "\n")
+
+
+def traced_peak(call):
+    """``call()``'s result and the most bytes it had allocated at any one time.
+
+    Counts what tracemalloc traces, numpy's data buffers included, beyond what
+    was live when the call started.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

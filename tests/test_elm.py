@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from elmloc import elm, linalg
 from elmloc.elm import (
     ClassCodebook,
@@ -155,6 +156,14 @@ class TestInitHidden:
         w, b = init_hidden(0, 6, 10)
         h = hidden_map(rng.random((50, 6)), w, b)
         assert (h > -1.0).all() and (h < 1.0).all()
+
+    def test_hidden_map_holds_one_buffer(self, rng):
+        x = rng.random((3000, 100))
+        w, b = init_hidden(0, 100, 200)
+        h, peak = traced_peak(lambda: hidden_map(x, w, b))
+        # one N x L float64 buffer, plus linalg.matmul's finite-check masks of x and w
+        assert peak < h.nbytes + x.size + w.size
+        assert h.tobytes() == np.tanh(x @ w + b).tobytes()
 
 
 def fit_oracle(h, t, c):

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import traced_peak
 from elmloc.dataset import registry_lookup, registry_names
 from elmloc.featurizer import (
+    BLOCK_ROWS,
     POOL,
     FeaturizerSpec,
     _correlate,
@@ -82,6 +84,17 @@ class TestConvReference:
         before = x.copy()
         featurize(x, spec)
         assert (x == before).all()
+
+    def test_traced_peak_is_the_output_and_one_block(self, rng):
+        # a few blocks of UJI1-width rows: the padded copy and the (N, n, F) conv
+        # output are never made for all rows at once
+        spec = init_featurizer(7, 520)
+        x = np.where(rng.random((4000, 520)) < 0.04, rng.random((4000, 520)), 0.0)
+        out, peak = traced_peak(lambda: featurize(x, spec))
+        n, k, f = spec.n_aps, spec.kernel_size, spec.n_filters
+        # one block's padded copy, conv output and pooled output, each in float64
+        block = BLOCK_ROWS * (n + k - 1 + n * f + n // POOL * f) * 8
+        assert peak < out.nbytes + block
 
     def test_empty_ap_axis_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -271,11 +284,19 @@ class TestWidthAndComposition:
         assert feature_width(n, spec) == expected
         assert featurize(x, spec).shape == (1, expected)
 
-    def test_featurize_is_the_stage_composition(self, rng):
+    @pytest.mark.parametrize("rows", [
+        0, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3,
+    ])
+    def test_featurize_is_the_stage_composition(self, rng, rows):
+        # featurize runs in row blocks; on each side of a block boundary it is
+        # bitwise the stages run once over all rows
         spec = init_featurizer(2, 12)
-        x = rng.normal(size=(3, 12))
-        staged = batch_flatten(avg_pool1d_valid(np.abs(_correlate(x, spec.filters))))
-        assert (featurize(x, spec) == staged).all()
+        x = rng.normal(size=(rows, 12))
+        one_shot = batch_flatten(avg_pool1d_valid(np.abs(
+            conv_pad_window_reference(x, spec.filters))))
+        out = featurize(x, spec)
+        assert out.shape == one_shot.shape == (rows, feature_width(12, spec))
+        assert out.tobytes() == one_shot.tobytes()
 
     def test_mismatched_input_width_rejected(self):
         spec = init_featurizer(0, 10)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from elmloc import elm
 from elmloc.cli import main
-from elmloc.dataset import split_validation
+from elmloc.dataset import RadioMap, split_validation
 from elmloc.evaluation import hit_rate
 from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import (
@@ -102,6 +102,26 @@ class TestFitPredict:
         raw[1, 4] = np.nan
         with pytest.raises(ValueError, match="query matrix contains non-finite"):
             predict_pipeline(raw, fitted)
+
+    @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_caller_matrices_left_untouched(self, syn_small, approach, norm_mode):
+        # the unit-norm stage divides in place, on the matrix apply_powed made
+        train, test = syn_small
+        rss = train.rss.copy()
+        radio_map = RadioMap(rss=rss, floor=train.floor, building=train.building)
+        # RadioMap holds the caller's matrix read-only; make it writeable again
+        # so that a stray write would land instead of raising
+        radio_map.rss.flags.writeable = True
+        assert np.shares_memory(radio_map.rss, rss)
+        model = fit_pipeline(radio_map, _config(approach=approach, norm_mode=norm_mode,
+                                                quantize=True))
+        queries = test.rss.copy()
+        apply_preprocess(queries, model.preprocess)
+        predict_pipeline(queries, model)
+        predict_pipeline(queries, model, quantized=True)
+        assert rss.tobytes() == train.rss.tobytes()
+        assert queries.tobytes() == test.rss.tobytes()
 
     def test_preprocess_state_matches_two_stage_fit(self, syn_small, fitted):
         train, _ = syn_small
