@@ -132,12 +132,16 @@ def _hidden_size(text: str):
 
 
 def _seed_list(text: str) -> list[int]:
-    """Type of the --seeds flag: comma-separated integers."""
+    """Type of the --seeds flag: comma-separated integers, each a valid seed."""
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    try:
+        return [check_setting("seed", seed) for seed in seeds]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # The PipelineConfig fields each command reads, from a flag or a config file.
@@ -351,7 +355,7 @@ def cmd_benchmark(args) -> int:
     def loader(name):
         return _load_pair(name, root)
 
-    rows, failures = run_benchmark(datasets, approaches, seeds, loader, out_dir=out_dir)
+    rows, failures = run_benchmark(datasets, approaches, seeds, loader=loader, out_dir=out_dir)
     print(format_table(rows))
     for name, err in failures.items():
         print(f"FAILED {name}: {err}", file=sys.stderr)
@@ -430,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="run the dataset x approach x seed table")
     p.add_argument("--datasets", required=True, help="comma-separated registered names")
-    p.add_argument("--approaches", default="knn,elm_only,cnn_elm")
-    p.add_argument("--seeds", type=_seed_list, default="0,1,2,3,4",
+    p.add_argument("--approaches", default=",".join(evaluation.APPROACHES))
+    p.add_argument("--seeds", type=_seed_list, default=",".join(map(str, evaluation.SEEDS)),
                    help="comma-separated integer seeds")
     p.add_argument("--data-root")
     p.add_argument("--out-dir", default="reports")

@@ -48,6 +48,9 @@ class RadioMap:
 
     ``rss`` is N x n_aps float64. ``building`` is None for single-building
     datasets; label accessors then report building 0 for every sample.
+    Each stored array is a read-only view: of a converted copy, or of the
+    caller's own array when it already has the stored dtype and layout. The
+    map then shares that buffer, and the caller's array stays writeable.
     """
 
     rss: np.ndarray
@@ -70,13 +73,12 @@ class RadioMap:
             coords = np.ascontiguousarray(self.coords, dtype=np.float64)
             if coords.shape[0] != rss.shape[0]:
                 raise ValueError("coords row count does not match rss")
-        for arr in (rss, floor, building, coords):
+        stored = {"rss": rss, "floor": floor, "building": building, "coords": coords}
+        for name, arr in stored.items():
             if arr is not None:
+                arr = arr.view()  # frozen without freezing the caller's array
                 arr.flags.writeable = False
-        object.__setattr__(self, "rss", rss)
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "building", building)
-        object.__setattr__(self, "coords", coords)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_samples(self) -> int:

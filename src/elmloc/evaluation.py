@@ -7,6 +7,12 @@ normalized against a baseline row (the 1-NN run of the same dataset).
 appends seed-averaged rows and an over-datasets average row, and can emit
 the table as CSV and JSON.
 
+``EvalReport`` is the one schema of a row. Its constructor checks each field's
+JSON type (a hit rate, time or ratio is a finite float or None, never an int)
+and range, so ``read_json`` reads back every row the Python API can build and
+applies no check of its own beyond the keys. ``_CELLS`` lays out the CSV
+columns and the text table from one list.
+
 Timing convention: the ELM approaches run through the pipeline, so their
 training phase is one ``fit_pipeline`` call on the raw training split
 (preprocessing fit, conv draw and featurization, ELM fit: the fit a user
@@ -22,6 +28,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -32,27 +39,29 @@ import numpy as np
 
 from . import knn as knn_mod
 from .dataset import ParseError, RadioMap, SchemaError, UnknownDatasetError, registry_lookup
-from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
+from .pipeline import PipelineConfig, check_setting, fit_pipeline, predict_pipeline
 from .preprocess import apply_preprocess, fit_preprocess
 
 APPROACHES = ("knn", "elm_only", "cnn_elm")
-
-CSV_COLUMNS = (
-    "dataset",
-    "approach",
-    "seed",
-    "zeta_b",
-    "zeta_f",
-    "delta_tr_s",
-    "delta_te_s",
-    "norm_zeta_b",
-    "norm_zeta_f",
-    "norm_delta_tr",
-    "norm_delta_te",
-    "config_digest",
-)
+SEEDS = (0, 1, 2, 3, 4)
 
 _NORM_FIELDS = ("building_hit", "floor_hit", "train_time", "test_time")
+
+# The keys of a report.json row, in the order write_json writes them, each with
+# the types it may hold; every hit rate, time and ratio is a finite float.
+_FLOAT = (float, type(None))
+_ROW_TYPES = {
+    "dataset": str,
+    "approach": str,
+    "seed": (int, str, type(None)),
+    "building_hit": _FLOAT,
+    "floor_hit": _FLOAT,
+    "train_time": _FLOAT,
+    "test_time": _FLOAT,
+    "normalized": (dict, type(None)),
+    "config_digest": str,
+    "note": str,
+}
 
 
 def hit_rate(predicted: np.ndarray, truth: np.ndarray, field: str = "floor") -> float:
@@ -123,6 +132,10 @@ class EvalReport:
     note: str = ""
 
     def __post_init__(self):
+        for key, types in _ROW_TYPES.items():
+            _check_type(key, getattr(self, key), types)
+        for key, value in (self.normalized or {}).items():
+            _check_type(f"normalized.{key}", value, _FLOAT)
         for name in ("building_hit", "floor_hit"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 100.0:
@@ -135,6 +148,12 @@ class EvalReport:
             extra = set(self.normalized) - set(_NORM_FIELDS)
             if extra:
                 raise ValueError(f"unknown normalized fields: {sorted(extra)}")
+
+
+def _check_type(name: str, value, types) -> None:
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ValueError(f"row key {name} cannot hold {value!r}")
 
 
 def normalize(report: EvalReport, baseline: EvalReport) -> EvalReport:
@@ -162,10 +181,9 @@ def normalize(report: EvalReport, baseline: EvalReport) -> EvalReport:
 def run_benchmark(
     datasets: Sequence[str],
     approaches: Sequence[str] = APPROACHES,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    loader: Callable[[str], tuple[RadioMap, RadioMap]] | None = None,
+    seeds: Sequence[int] = SEEDS,
     *,
-    include_published: bool = True,
+    loader: Callable[[str], tuple[RadioMap, RadioMap]],
     out_dir=None,
 ) -> tuple[list[EvalReport], dict[str, str]]:
     """Full cross-product benchmark.
@@ -173,17 +191,17 @@ def run_benchmark(
     ``loader`` maps a registered dataset name to its (train, test) radio
     maps; hyperparameters (L, c) come from the registry. Stochastic
     approaches run once per seed plus a seed-averaged row; 1-NN runs once.
-    A final "Avg." row per approach averages the per-dataset aggregates.
+    A final "Avg." row per approach averages the per-dataset aggregates, and
+    the published comparison rows of the datasets that ran follow it.
     Datasets whose loader fails are recorded in the returned failure map and
     skipped. With ``out_dir`` set, report.csv and report.json are written.
     """
-    if loader is None:
-        raise ValueError("a dataset loader is required")
     bad = set(approaches) - set(APPROACHES)
     if bad:
         raise ValueError(f"unknown approaches: {sorted(bad)} (choose from {APPROACHES})")
     if not seeds:
         raise ValueError("need at least one seed")
+    seeds = [check_setting("seed", seed) for seed in seeds]  # numpy integers become ints
 
     rows: list[EvalReport] = []
     failures: dict[str, str] = {}
@@ -204,8 +222,7 @@ def run_benchmark(
     run_cfg = {"datasets": list(datasets), "approaches": list(approaches), "seeds": list(seeds)}
     if done:
         rows.extend(_average_rows(rows, approaches, config_digest(run_cfg)))
-    if include_published:
-        rows.extend(published_rows(done))
+    rows.extend(published_rows(done))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -255,7 +272,8 @@ def _run_dataset(name, desc, train, test, approaches, seeds):
                 row(approach, pred_pair, asdict(config), seed=seed, train_time=t_tr, test_time=t_te)
             )
         rows.extend(per_seed)
-        rows.append(_seed_mean(per_seed, {"dataset": name, **asdict(config), "seed": list(seeds)}))
+        cfg = {"dataset": name, **asdict(config), "seed": list(seeds)}
+        rows.append(_mean_row(per_seed, name, "mean", config_digest(cfg)))
 
     if baseline is not None:
         rows = [normalize(r, baseline) for r in rows]
@@ -267,16 +285,19 @@ def _mean_or_none(values) -> float | None:
     return fmean(present) if present else None
 
 
-def _seed_mean(per_seed: list[EvalReport], cfg: dict) -> EvalReport:
+def _mean_row(group: list[EvalReport], dataset: str, seed, digest: str) -> EvalReport:
+    """The row of ``group``'s mean hit rates and times, and of its mean ratios
+    when every row of it has ratios; the approach is the group's."""
+    normalized = None
+    if all(r.normalized is not None for r in group):
+        normalized = {f: _mean_or_none([r.normalized.get(f) for r in group]) for f in _NORM_FIELDS}
     return EvalReport(
-        dataset=per_seed[0].dataset,
-        approach=per_seed[0].approach,
-        seed="mean",
-        building_hit=_mean_or_none([r.building_hit for r in per_seed]),
-        floor_hit=_mean_or_none([r.floor_hit for r in per_seed]),
-        train_time=_mean_or_none([r.train_time for r in per_seed]),
-        test_time=_mean_or_none([r.test_time for r in per_seed]),
-        config_digest=config_digest(cfg),
+        dataset=dataset,
+        approach=group[0].approach,
+        seed=seed,
+        normalized=normalized,
+        config_digest=digest,
+        **{f: _mean_or_none([getattr(r, f) for r in group]) for f in _NORM_FIELDS},
     )
 
 
@@ -285,31 +306,9 @@ def _average_rows(rows: list[EvalReport], approaches, digest: str) -> list[EvalR
     # (the knn row itself, or the seed-mean row for stochastic approaches).
     out = []
     for approach in approaches:
-        group = [
-            r
-            for r in rows
-            if r.approach == approach and (r.seed is None or r.seed == "mean")
-        ]
-        if not group:
-            continue
-        normalized = None
-        if all(r.normalized is not None for r in group):
-            normalized = {
-                f: _mean_or_none([r.normalized[f] for r in group]) for f in _NORM_FIELDS
-            }
-        out.append(
-            EvalReport(
-                dataset="Avg.",
-                approach=approach,
-                seed=None if approach == "knn" else "mean",
-                building_hit=_mean_or_none([r.building_hit for r in group]),
-                floor_hit=_mean_or_none([r.floor_hit for r in group]),
-                train_time=_mean_or_none([r.train_time for r in group]),
-                test_time=_mean_or_none([r.test_time for r in group]),
-                normalized=normalized,
-                config_digest=digest,
-            )
-        )
+        group = [r for r in rows if r.approach == approach and r.seed in (None, "mean")]
+        if group:
+            out.append(_mean_row(group, "Avg.", None if approach == "knn" else "mean", digest))
     return out
 
 
@@ -389,80 +388,49 @@ def published_rows(datasets: Sequence[str]) -> list[EvalReport]:
 # Emission
 
 
-def _fmt(value, kind: str) -> str:
+# The cells of a row, in order: (CSV column, table header, table width, row
+# field, number format). "normalized.<name>" is that ratio of the row; a cell
+# without a table header is in the CSV only, and the table ends with the note.
+_CELLS = (
+    ("dataset", "dataset", "9", "dataset", None),
+    ("approach", "approach", "9", "approach", None),
+    ("seed", "seed", "5", "seed", None),
+    ("zeta_b", "zeta_b", ">7", "building_hit", ".2f"),
+    ("zeta_f", "zeta_f", ">7", "floor_hit", ".2f"),
+    ("delta_tr_s", "d_tr[s]", ">8", "train_time", ".3f"),  # millisecond resolution
+    ("delta_te_s", "d_te[s]", ">8", "test_time", ".3f"),
+    ("norm_zeta_b", "~z_b", ">7", "normalized.building_hit", ".4f"),
+    ("norm_zeta_f", "~z_f", ">7", "normalized.floor_hit", ".4f"),
+    ("norm_delta_tr", "~d_tr", ">7", "normalized.train_time", ".4f"),
+    ("norm_delta_te", "~d_te", ">7", "normalized.test_time", ".4f"),
+    ("config_digest", None, None, "config_digest", None),
+)
+CSV_COLUMNS = tuple(cell[0] for cell in _CELLS)
+_TABLE_CELLS = [cell for cell in _CELLS if cell[1] is not None]
+
+
+def _text(r: EvalReport, field: str, number_format) -> str:
+    """A row's cell as text; "" when the value is absent."""
+    key, _, ratio = field.partition(".")
+    value = (r.normalized or {}).get(ratio) if ratio else getattr(r, key)
     if value is None:
         return ""
-    if kind == "hit":
-        return f"{value:.2f}"
-    if kind == "time":  # millisecond resolution
-        return f"{value:.3f}"
-    if kind == "norm":
-        return f"{value:.4f}"
-    return str(value)
-
-
-def _csv_record(r: EvalReport) -> list[str]:
-    norm = r.normalized or {}
-    return [
-        r.dataset,
-        r.approach,
-        "" if r.seed is None else str(r.seed),
-        _fmt(r.building_hit, "hit"),
-        _fmt(r.floor_hit, "hit"),
-        _fmt(r.train_time, "time"),
-        _fmt(r.test_time, "time"),
-        _fmt(norm.get("building_hit"), "norm"),
-        _fmt(norm.get("floor_hit"), "norm"),
-        _fmt(norm.get("train_time"), "norm"),
-        _fmt(norm.get("test_time"), "norm"),
-        r.config_digest,
-    ]
+    return str(value) if number_format is None else format(value, number_format)
 
 
 def write_csv(rows: list[EvalReport], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(_csv_record(r) for r in rows)
-
-
-# The keys of a report.json row, in the order write_json writes them, each with
-# the types it may hold as JSON loads them; write_json writes each hit rate,
-# time and ratio as a float.
-_FLOAT = (float, type(None))
-_ROW_TYPES = {
-    "dataset": str,
-    "approach": str,
-    "seed": (int, str, type(None)),
-    "building_hit": _FLOAT,
-    "floor_hit": _FLOAT,
-    "train_time": _FLOAT,
-    "test_time": _FLOAT,
-    "normalized": (dict, type(None)),
-    "config_digest": str,
-    "note": str,
-}
-
-
-def _row_dict(r: EvalReport) -> dict:
-    return {key: getattr(r, key) for key in _ROW_TYPES}
-
-
-def _check_type(name: str, value, types) -> None:
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"row key {name} cannot hold {value!r}")
+        writer.writerows([_text(r, field, fmt) for _, _, _, field, fmt in _CELLS] for r in rows)
 
 
 def _row_from_dict(d) -> EvalReport:
-    """The row ``_row_dict`` wrote; ``ValueError`` for anything else."""
+    """The row ``write_json`` wrote; ``ValueError`` for anything else."""
     if not isinstance(d, dict):
         raise ValueError(f"rows must hold objects, got {d!r}")
     if set(d) != set(_ROW_TYPES):
         raise ValueError(f"a row must hold the keys {', '.join(_ROW_TYPES)}; got {', '.join(d)}")
-    for key, types in _ROW_TYPES.items():
-        _check_type(key, d[key], types)
-    for key, value in (d["normalized"] or {}).items():
-        _check_type(f"normalized.{key}", value, _FLOAT)
     return EvalReport(**d)
 
 
@@ -472,7 +440,7 @@ def write_json(rows: list[EvalReport], path, config=None, failures=None, meta=No
         "config_digest": config_digest(config or {}),
         "failures": failures or {},
         "meta": meta or {},
-        "rows": [_row_dict(r) for r in rows],
+        "rows": [{key: getattr(r, key) for key in _ROW_TYPES} for r in rows],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -498,21 +466,11 @@ def read_json(path) -> tuple[list[EvalReport], dict]:
 
 
 def format_table(rows: list[EvalReport]) -> str:
-    """Fixed-width human-readable rendering of a report."""
-    header = (
-        f"{'dataset':9} {'approach':9} {'seed':5} {'zeta_b':>7} {'zeta_f':>7} "
-        f"{'d_tr[s]':>8} {'d_te[s]':>8} {'~z_b':>7} {'~z_f':>7} {'~d_tr':>7} {'~d_te':>7}  note"
-    )
+    """Fixed-width human-readable rendering of a report; "-" marks an absent number."""
+    header = " ".join(format(head, width) for _, head, width, _, _ in _TABLE_CELLS) + "  note"
     lines = [header, "-" * len(header)]
     for r in rows:
-        norm = r.normalized or {}
-        lines.append(
-            f"{r.dataset:9} {r.approach:9} {'' if r.seed is None else r.seed!s:5} "
-            f"{_fmt(r.building_hit, 'hit') or '-':>7} {_fmt(r.floor_hit, 'hit') or '-':>7} "
-            f"{_fmt(r.train_time, 'time') or '-':>8} {_fmt(r.test_time, 'time') or '-':>8} "
-            f"{_fmt(norm.get('building_hit'), 'norm') or '-':>7} "
-            f"{_fmt(norm.get('floor_hit'), 'norm') or '-':>7} "
-            f"{_fmt(norm.get('train_time'), 'norm') or '-':>7} "
-            f"{_fmt(norm.get('test_time'), 'norm') or '-':>7}  {r.note}"
-        )
+        cells = (format(_text(r, field, fmt) or ("-" if fmt else ""), width)
+                 for _, _, width, field, fmt in _TABLE_CELLS)
+        lines.append(" ".join(cells) + f"  {r.note}")
     return "\n".join(lines)

@@ -519,15 +519,16 @@ class TestBenchmarkReport:
                    "--approaches", "knn,elm_only", "--seeds", "0,1",
                    "--data-root", str(data_root), "--out-dir", str(out_dir)])
         assert rc == 0
-        captured = capsys.readouterr().out
-        assert "zeta_f" in captured
+        printed = capsys.readouterr().out.splitlines()
+        assert "zeta_f" in printed[0]
         assert (out_dir / "report.csv").exists()
         assert (out_dir / "report.json").exists()
-        capsys.readouterr()
         assert main(["report", "--json", str(out_dir / "report.json")]) == 0
-        rendered = capsys.readouterr().out
-        assert "TST1" in rendered
-        assert "config_digest:" in rendered
+        rendered = capsys.readouterr().out.splitlines()
+        # the report reprints, line for line, the table the benchmark printed
+        assert rendered[:-1] == printed[:-1]
+        assert any(line.startswith("TST1") for line in rendered)
+        assert rendered[-1].startswith("config_digest:")
 
     @pytest.mark.parametrize("seeds", ["a", "0,,1"])
     def test_bad_seeds_flag_named(self, tmp_path, capsys, seeds):
@@ -537,6 +538,17 @@ class TestBenchmarkReport:
         assert exc.value.code == 2
         assert re.search(rf"argument --seeds: expected comma-separated integers, "
                          rf"got '{seeds}'", capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2", str(2 ** 63)])
+    def test_bad_seed_rejected_before_loading(self, tmp_path, capsys, seeds):
+        # SYN1 needs no files, so a late check would generate it and run 1-NN first
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--datasets", "SYN1", f"--seeds={seeds}",
+                  "--out-dir", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert re.search(r"argument --seeds: seed must (be >= 0|hold 64-bit integers), got",
+                         capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
     def test_benchmark_all_failed(self, tmp_path, capsys):

@@ -72,6 +72,18 @@ class TestRadioMap:
         with pytest.raises(ValueError):
             m.floor[0] = 9
 
+    def test_caller_arrays_stay_writeable(self):
+        # arrays that need no conversion are shared with the map, not frozen under the caller
+        given = {"rss": np.full((3, 2), -60.0), "floor": np.arange(3),
+                 "building": np.zeros(3, dtype=np.int64), "coords": np.zeros((3, 2))}
+        m = RadioMap(**given)
+        for name, arr in given.items():
+            stored = getattr(m, name)
+            assert np.shares_memory(stored, arr), name
+            assert arr.flags.writeable and not stored.flags.writeable, name
+        given["rss"][0, 0] = -50.0
+        assert m.rss[0, 0] == -50.0
+
     def test_label_pairs_without_building(self):
         m = _map(buildings=False)
         pairs = m.label_pairs()

@@ -1,17 +1,22 @@
 import csv
 import json
+import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from elmloc import elm
 from elmloc.evaluation import (
+    _NORM_FIELDS,
     APPROACHES,
     CSV_COLUMNS,
     EvalReport,
+    _average_rows,
+    _mean_row,
     config_digest,
     format_table,
     hit_rate,
@@ -127,6 +132,50 @@ class TestEvalReport:
     def test_none_hits_allowed(self):
         r = _report(floor_hit=None, test_time=None)
         assert r.floor_hit is None
+
+    # a row the constructor takes is one write_json writes and read_json reads back
+    @pytest.mark.parametrize("field, value, message", [
+        ("floor_hit", 90, r"row key floor_hit cannot hold 90$"),
+        ("building_hit", math.nan, r"row key building_hit cannot hold nan$"),
+        ("test_time", math.nan, r"row key test_time cannot hold nan$"),
+        ("train_time", math.inf, r"row key train_time cannot hold inf$"),
+        ("normalized", {"test_time": -math.inf},
+         r"row key normalized\.test_time cannot hold -inf$"),
+        ("normalized", {"floor_hit": 1}, r"row key normalized\.floor_hit cannot hold 1$"),
+        ("seed", True, r"row key seed cannot hold True$"),
+        ("seed", np.int64(0), r"row key seed cannot hold "),
+        ("dataset", None, r"row key dataset cannot hold None$"),
+        ("note", None, r"row key note cannot hold None$"),
+    ])
+    def test_row_types_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            _report(**{field: value})
+
+
+# each number field also draws values some rows held before the constructor checked
+# their JSON type: an int, a bool, a non-finite float
+_ODD = st.sampled_from([0, 90, True, math.nan, math.inf, -math.inf])
+_TEXT = st.text(max_size=8)
+_HIT = st.none() | st.floats(-0.0, 100.0) | _ODD
+_TIME = st.none() | st.floats(min_value=-0.0) | _ODD
+_RATIO = st.none() | st.floats() | _ODD
+
+
+@given(st.fixed_dictionaries(dict(
+    dataset=_TEXT, approach=_TEXT, config_digest=_TEXT, note=_TEXT,
+    seed=st.none() | st.integers() | _TEXT,
+    building_hit=_HIT, floor_hit=_HIT, train_time=_TIME, test_time=_TIME,
+    normalized=st.none() | st.dictionaries(st.sampled_from(_NORM_FIELDS), _RATIO))))
+@settings(max_examples=200, deadline=None)
+def test_accepted_row_reads_back_equal(tmp_path_factory, fields):
+    try:
+        row = EvalReport(**fields)
+    except ValueError:
+        reject()
+    p = tmp_path_factory.mktemp("row") / "t.json"
+    write_json([row], p)
+    back, _ = read_json(p)
+    assert back == [row]
 
 
 class TestNormalize:
@@ -288,13 +337,19 @@ class TestRunBenchmark:
             run_benchmark(["TST1"], approaches=("svm",),
                           loader=_loader_for(syn_small))
 
-    def test_loader_required(self):
-        with pytest.raises(ValueError):
-            run_benchmark(["TST1"])
+    def test_seeds_checked_before_loading(self, syn_small, tmp_path):
+        loaded = []
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            run_benchmark(["TST1"], seeds=(0, -1), loader=loaded.append)
+        assert loaded == []
+        # a numpy integer seed is recorded as a JSON integer, so the report is written whole
+        rows, _ = run_benchmark(["TST1"], approaches=("elm_only",), seeds=(np.int64(3),),
+                                loader=_loader_for(syn_small), out_dir=tmp_path)
+        back, payload = read_json(tmp_path / "report.json")
+        assert back == rows and payload["config"]["seeds"] == [3] and back[0].seed == 3
 
     def test_determinism(self, syn_small):
-        kw = dict(approaches=("cnn_elm",), seeds=(0,),
-                  loader=_loader_for(syn_small), include_published=False)
+        kw = dict(approaches=("cnn_elm",), seeds=(0,), loader=_loader_for(syn_small))
         rows1, _ = run_benchmark(["TST1"], **kw)
         rows2, _ = run_benchmark(["TST1"], **kw)
         a = [r for r in rows1 if r.seed == 0][0]
@@ -338,6 +393,60 @@ class TestPublishedRows:
 
     def test_unpublished_dataset_yields_nothing(self):
         assert published_rows(["SYN1"]) == []
+
+
+_GOLDEN = Path(__file__).parent / "data" / "report"
+# per dataset: the 1-NN row's (building hit, floor hit, test time), then
+# (building hit, floor hit, train time, test time) of elm_only per seed
+_GOLDEN_RUNS = {
+    "TST1": ((100.0, 91.25, 0.0123456),
+             [(99.5, 90.125, 0.5, 0.0004), (98.75, 92.0, 1.2345678, 0.00051)]),
+    "SGL1": ((None, 87.5, 1.5),
+             [(None, 88.8, 12345.678, 0.25), (None, 86.66666666666667, None, 1e-07)]),
+}
+_GOLDEN_CONFIG = {"datasets": list(_GOLDEN_RUNS), "approaches": ["knn", "elm_only"],
+                  "seeds": [0, 1]}
+
+
+def _golden_rows() -> list[EvalReport]:
+    """Rows as run_benchmark composes them: per dataset a 1-NN row, per-seed rows and
+    their seed mean, normalized against the 1-NN row; the Avg. rows; published rows."""
+    rows = []
+    for name, ((kb, kf, kte), runs) in _GOLDEN_RUNS.items():
+        knn = EvalReport(dataset=name, approach="knn", building_hit=kb, floor_hit=kf,
+                         test_time=kte, config_digest=config_digest({"dataset": name}))
+        per_seed = [
+            EvalReport(dataset=name, approach="elm_only", seed=seed, building_hit=b,
+                       floor_hit=f, train_time=tr, test_time=te,
+                       config_digest=config_digest({"dataset": name, "seed": seed}))
+            for seed, (b, f, tr, te) in enumerate(runs)
+        ]
+        mean = _mean_row(per_seed, name, "mean", config_digest({"dataset": name, "seed": [0, 1]}))
+        rows += [normalize(r, knn) for r in (knn, *per_seed, mean)]
+    rows += _average_rows(rows, ("knn", "elm_only"), config_digest(_GOLDEN_CONFIG))
+    return rows + published_rows(["UJI1", "TUT3", "UJI2"])
+
+
+class TestGoldenReport:
+    """The report files and table are byte for byte those of tests/data/report."""
+
+    def test_csv(self, tmp_path):
+        write_csv(_golden_rows(), tmp_path / "report.csv")
+        assert (tmp_path / "report.csv").read_bytes() == (_GOLDEN / "report.csv").read_bytes()
+
+    def test_json(self, tmp_path):
+        write_json(_golden_rows(), tmp_path / "report.json", config=_GOLDEN_CONFIG,
+                   failures={"LIB1": "missing file: LIB1/manifest.json"},
+                   meta={name: {"preprocess_fit_s": 0.001, "L": 60, "c": 1.0}
+                         for name in _GOLDEN_RUNS})
+        assert (tmp_path / "report.json").read_bytes() == (_GOLDEN / "report.json").read_bytes()
+
+    def test_table(self):
+        assert (format_table(_golden_rows()) + "\n").encode() == (
+            _GOLDEN / "table.txt").read_bytes()
+
+    def test_read_back_equal(self):
+        assert read_json(_GOLDEN / "report.json")[0] == _golden_rows()
 
 
 class TestEmission:

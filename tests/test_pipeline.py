@@ -110,8 +110,8 @@ class TestFitPredict:
         train, test = syn_small
         rss = train.rss.copy()
         radio_map = RadioMap(rss=rss, floor=train.floor, building=train.building)
-        # RadioMap holds the caller's matrix read-only; make it writeable again
-        # so that a stray write would land instead of raising
+        # RadioMap holds a read-only view of the caller's matrix; make it
+        # writeable so that a stray write would land instead of raising
         radio_map.rss.flags.writeable = True
         assert np.shares_memory(radio_map.rss, rss)
         model = fit_pipeline(radio_map, _config(approach=approach, norm_mode=norm_mode,
