@@ -25,6 +25,11 @@ import numpy as np
 from . import linalg
 from .dataset import check_finite
 
+#: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
+#: may hold: 512 MB. Every registry dataset at its registry L needs under 1% of
+#: it, and so does the CLI's default sweep (L up to 500) on the widest, 992 APs.
+MAX_HIDDEN_WEIGHTS = 2**26
+
 
 @dataclass(frozen=True)
 class ClassCodebook:
@@ -85,15 +90,25 @@ def tansig(z: np.ndarray) -> np.ndarray:
     return np.tanh(z)
 
 
+def check_hidden_size(d: int, L: int) -> None:
+    """Raise ``ValueError`` unless a hidden layer of d inputs and L neurons may be
+    drawn: both positive, and d * L at most ``MAX_HIDDEN_WEIGHTS``."""
+    if d < 1 or L < 1:
+        raise ValueError(f"d and L must be positive, got d={d}, L={L}")
+    if d * L > MAX_HIDDEN_WEIGHTS:
+        raise ValueError(f"a hidden layer of {d} inputs x {L} neurons exceeds the "
+                         f"{MAX_HIDDEN_WEIGHTS} weights that MAX_HIDDEN_WEIGHTS allows")
+
+
 def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Random hidden layer: (W, b) with entries uniform on (-1, 1).
 
     The stream is consumed neuron by neuron (all d weights of neuron 0, then
     neuron 1, ...) followed by the L biases, so for a fixed seed the weight
-    columns of a smaller layer are a prefix of a larger one's.
+    columns of a smaller layer are a prefix of a larger one's. The size is
+    checked by ``check_hidden_size`` before anything is drawn.
     """
-    if d < 1 or L < 1:
-        raise ValueError(f"d and L must be positive, got d={d}, L={L}")
+    check_hidden_size(d, L)
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(L, d)).T
     b = rng.uniform(-1.0, 1.0, size=L)
@@ -165,7 +180,8 @@ class ElmModel:
     ``w`` and ``b`` are ``init_hidden(seed, n_features, L)``, and ``quantized``
     holds int8 copies of w, b and beta when ``int8`` is set. Each is built on
     first use, once per instance, and read-only, so no model holds random
-    weights its seed does not draw.
+    weights its seed does not draw. A layer ``check_hidden_size`` refuses
+    fails here, before it is drawn.
     """
 
     beta: np.ndarray
@@ -185,8 +201,7 @@ class ElmModel:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_features < 1:
-            raise ValueError(f"n_features must be >= 1, got {self.n_features}")
+        check_hidden_size(self.n_features, beta.shape[0])
         # Checked once here, so the per-query path trusts the weights.
         check_finite(beta, "beta")
         beta.flags.writeable = False

@@ -2,7 +2,8 @@
 
 ``fit_pipeline`` runs the whole off-line phase — preprocessing fit, optional
 fixed conv featurization, closed-form classifier fit — and returns a single
-object that ``save_model``/``load_model`` round-trip through one JSON file.
+object that ``save_model``/``load_model`` round-trip through one JSON file,
+written as ``elmloc-model-v3`` (``load_model`` also reads ``-v2``).
 The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and the seeds of the random
 layers travel with the model. ``sweep_pipeline`` scores a grid of hidden
@@ -10,9 +11,9 @@ sizes on a validation split with the same stages. The CLI and the benchmark
 call these three.
 
 ``PipelineConfig`` is the one place that knows what a valid setting is:
-``check_setting`` checks each field, whether it comes from Python code, a
-CLI config file or an older model file's ``config`` section. A trained model
-keeps no config: each setting is read from the part that holds it.
+``check_setting`` checks each field, whether it comes from Python code or a
+CLI config file. A trained model keeps no config: each setting is read from
+the part that holds it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ import numpy as np
 
 from . import elm as elm_mod
 from .dataset import RadioMap, check_array, check_float, check_int, check_rss, split_validation
-from .featurizer import POOL, FeaturizerSpec, feature_width, featurize, init_featurizer
+from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import (
-    EXPONENT,
     NORM_MODES,
     PreprocessParams,
     apply_powed,
@@ -39,8 +39,8 @@ from .preprocess import (
     fit_unit_norm,
 )
 
-_FORMAT = "elmloc-model-v2"
-_V1 = "elmloc-model-v1"  # still read: its copies of what is now rebuilt are checked, then dropped
+_FORMAT = "elmloc-model-v3"
+_V2 = "elmloc-model-v2"  # still read: its random_sha256 leaves n_aps out
 
 APPROACHES = ("cnn_elm", "elm_only")
 
@@ -195,17 +195,16 @@ def predict_pipeline(
     return elm_mod.predict(x, model.elm)
 
 
-def _random_sha256(arrays) -> str:
-    """sha256 of the seed-drawn arrays (w, b, then any filters), as little-endian float64."""
+def _random_sha256(model: TrainedModel, with_width: bool = True) -> str:
+    """sha256 of n_aps as a little-endian int64 (left out for a v2 file), then of
+    the seed-drawn arrays (w, b, then any filters) as little-endian float64."""
     digest = hashlib.sha256()
-    for arr in arrays:
+    if with_width:
+        digest.update(int(model.n_aps).to_bytes(8, "little", signed=True))
+    filters = [] if model.featurizer is None else [model.featurizer.filters]
+    for arr in [model.elm.w, model.elm.b, *filters]:
         digest.update(np.ascontiguousarray(arr, dtype="<f8"))
     return digest.hexdigest()
-
-
-def _seed_drawn(model: TrainedModel) -> list:
-    filters = [] if model.featurizer is None else [model.featurizer.filters]
-    return [model.elm.w, model.elm.b, *filters]
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -232,7 +231,7 @@ def save_model(model: TrainedModel, path) -> None:
             "beta": elm.beta.tolist(),
             "quantized": elm.int8,
         },
-        "random_sha256": _random_sha256(_seed_drawn(model)),
+        "random_sha256": _random_sha256(model),
     }
     # json.dumps, not json.dump: only the one-shot encoder runs in C; it
     # writes the same bytes in about half the time.
@@ -241,75 +240,50 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-# Keys of older files. The powed exponent, the pooling window and stride and
-# the conv bias were settings; each loads only at the value the stages now
-# always use, and filter_bias must hold that zero once per filter. elm.L, the
-# hidden size, must be the length of beta.
-_LEGACY_KEYS = {
-    "config": {"exponent": EXPONENT, "pool_size": POOL, "pool_stride": POOL},
-    "preprocess": {"exponent": EXPONENT},
-    "featurizer": {"pool_size": POOL, "pool_stride": POOL, "filter_bias": 0.0},
-    "elm": {"L": None},
+# The keys save_model writes: the document's (under None) and each section's.
+_KEYS = {
+    None: ("format", "dataset", "n_aps", "preprocess", "featurizer", "elm", "random_sha256"),
+    "preprocess": ("min_rss", "mode", "feature_norms"),
+    "featurizer": ("n_filters", "kernel_size", "seed"),
+    "elm": ("codebook", "seed", "c", "beta", "quantized"),
 }
 
 
-def _drop_legacy_keys(name: str, section: dict) -> None:
-    """Remove the legacy keys from the model file section ``name``, each checked first."""
-    for key, fixed in _LEGACY_KEYS.get(name, {}).items():
-        if key not in section:
+def _check_keys(path: Path, doc: dict) -> None:
+    """The document and each section hold exactly the keys ``save_model`` writes
+    (the featurizer may be null); else ``ValueError`` naming the file, section and key."""
+    for name, keys in _KEYS.items():
+        part = doc if name is None else doc[name]
+        where = "model document" if name is None else f"model key {name!r}"
+        if part is None and name == "featurizer":
             continue
-        value = section.pop(key)
-        if key == "filter_bias":
-            if not isinstance(value, list):
-                raise ValueError(f"{key} must hold a list of floats, got {value!r}")
-            got = [check_float(v, key) for v in value]
-            fixed = [fixed] * check_int(section["n_filters"], "n_filters")
-        elif key == "L":
-            got, fixed = check_int(value, key), len(check_array(section["beta"], "beta"))
-        else:
-            got = (check_float if isinstance(fixed, float) else check_int)(value, key)
-        if got != fixed:
-            raise ValueError(f"{key} is fixed at {fixed!r}, got {value!r}")
+        if not isinstance(part, dict):
+            raise ValueError(f"{path}: {where} must hold an object")
+        for key in keys:
+            if key not in part:
+                raise ValueError(f"{path}: {where} lacks key {key!r}")
+        for key in part:
+            if key not in keys:
+                raise ValueError(f"{path}: {where} holds unknown key {key!r}")
 
 
 @contextmanager
 def _section(path: Path, doc: dict, key: str):
-    """``doc[key]``, legacy keys checked and dropped; errors in the block name the file and key."""
+    """``doc[key]``; errors in the block name the file and the key."""
     try:
-        if isinstance(doc[key], dict):
-            _drop_legacy_keys(key, doc[key])
         yield doc[key]
-    except KeyError as exc:
-        raise ValueError(f"{path}: model key {key!r} lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
 
 
-def _upgrade_v1(path: Path, doc: dict):
-    """Make a v1 document a v2 one; return its int8 copies (an object, or None).
-
-    The digest of v1's w, b and filters becomes ``random_sha256``, so they load
-    only if the seeds rebuild them bitwise. The input width was
-    ``featurizer.n_aps``, or without a conv stage the row count of w.
-    """
-    with _section(path, doc, "elm") as elm:
-        arrays = [check_array(elm.pop("w"), "w"), check_array(elm.pop("b"), "b")]
-        doc["n_aps"] = len(arrays[0])
-        int8 = elm.get("quantized")
-        elm["quantized"] = int8 is not None
-    if doc["featurizer"] is not None:
-        with _section(path, doc, "featurizer") as featurizer:
-            arrays.append(check_array(featurizer.pop("filters"), "filters"))
-            doc["n_aps"] = check_int(featurizer.pop("n_aps"), "n_aps")
-    doc["random_sha256"] = _random_sha256(arrays)
-    return int8
-
-
 def load_model(path) -> TrainedModel:
-    """The model in an ``elmloc-model-v2`` file, or in an older ``-v1`` one.
+    """The model in an ``elmloc-model-v3`` file, or in a ``-v2`` one.
 
     Raises ``ValueError`` naming the file and the key of a value that cannot be
-    served, including a ``random_sha256`` that the rebuilt arrays do not match.
+    served: a key ``save_model`` does not write or a missing one, a hidden layer
+    larger than ``elm.MAX_HIDDEN_WEIGHTS`` (before anything is drawn), or a
+    ``random_sha256`` that n_aps and the rebuilt arrays do not match. A v2
+    file's digest leaves n_aps out.
     """
     path = Path(path)
     try:
@@ -318,28 +292,16 @@ def load_model(path) -> TrainedModel:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not a valid model file: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt not in (_FORMAT, _V1):
+    if fmt not in (_FORMAT, _V2):
         raise ValueError(f"{path}: unrecognized model format {fmt!r}")
-    if not isinstance(doc.get("dataset", ""), str):
+    _check_keys(path, doc)
+    if not isinstance(doc["dataset"], str):
         raise ValueError(f"{path}: model key 'dataset' must hold a string")
-    sections = ("preprocess", "featurizer", "elm")
-    for key in sections + (("n_aps", "random_sha256") if fmt == _FORMAT else ()):
-        if key not in doc:
-            raise ValueError(f"{path}: model document lacks key {key!r}")
-    for key in sections + ("config",):
-        section = doc.get(key, {})
-        if not (isinstance(section, dict) or key == "featurizer" and section is None):
-            raise ValueError(f"{path}: model key {key!r} must hold an object")
-    # config, the settings older files stored next to the parts, is checked and dropped
-    if "config" in doc:
-        with _section(path, doc, "config") as config:
-            PipelineConfig(**config)
-    int8 = _upgrade_v1(path, doc) if fmt == _V1 else None
     with _section(path, doc, "n_aps") as n_aps:
         if check_int(n_aps, "n_aps") < 1:
             raise ValueError(f"n_aps must be >= 1, got {n_aps}")
     with _section(path, doc, "preprocess") as section:
-        norms = section.get("feature_norms")
+        norms = section["feature_norms"]
         params = PreprocessParams(
             check_float(section["min_rss"], "min_rss"),
             section["mode"],
@@ -362,18 +324,12 @@ def load_model(path) -> TrainedModel:
         pairs = np.array([[check_int(v, "codebook") for v in row] for row in section["codebook"]])
         c = check_float(section["c"], "c")
         elm = elm_mod.ElmModel(beta, c, elm_mod.ClassCodebook(pairs), seed, width, quantized)
-    model = TrainedModel(params, featurizer, elm, dataset=doc.get("dataset", ""))
-    if doc["random_sha256"] != _random_sha256(_seed_drawn(model)):
-        stored = ("model key 'random_sha256' does not match" if fmt == _FORMAT else
-                  "the w, b and filters under model keys 'elm' and 'featurizer' differ from")
+    model = TrainedModel(params, featurizer, elm, dataset=doc["dataset"])
+    if doc["random_sha256"] != _random_sha256(model, with_width=fmt == _FORMAT):
+        hashed = "the file's n_aps and the w, b" if fmt == _FORMAT else "the w, b"
         raise ValueError(
-            f"{path}: {stored} the w, b and filters rebuilt from the seeds; numpy "
-            f"{np.__version__} may draw other random streams than the numpy that wrote the file"
+            f"{path}: model key 'random_sha256' does not match {hashed} and filters rebuilt "
+            f"from the seeds; numpy {np.__version__} may draw other random streams than the "
+            "numpy that wrote the file"
         )
-    if int8 is not None:  # a v1 file's int8 copies: the ones elm.quantize makes
-        with _section(path, doc, "elm"):
-            for field in fields(elm_mod.QuantizedWeights):
-                got = check_array(int8[field.name], f"quantized {field.name}")
-                if not np.array_equal(got, getattr(elm.quantized, field.name)):
-                    raise ValueError(f"quantized {field.name} is not the one elm.quantize makes")
     return model

@@ -15,7 +15,6 @@ from conftest import TST1, _write_csv
 from test_pipeline import (
     BAD_KEYS,
     BAD_WEIGHTS,
-    CONFIG_MODEL,
     settings_of,
     write_bad_key_model,
     write_bad_model,
@@ -95,7 +94,7 @@ class TestTrain:
     def test_model_written(self, model_path):
         assert model_path.exists()
         payload = json.loads(model_path.read_text())
-        assert payload["format"] == "elmloc-model-v2"
+        assert payload["format"] == "elmloc-model-v3"
 
     def test_echoes_resolved_config(self, data_root, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -381,12 +380,12 @@ class TestPredict:
 
     def test_model_file_missing_keys(self, data_root, tmp_path, capsys):
         model = tmp_path / "bare.model.json"
-        model.write_text('{"format": "elmloc-model-v1"}')
+        model.write_text('{"format": "elmloc-model-v3"}')
         rc = main(["predict", "--model", str(model),
                    "--queries", str(data_root / "TST1" / "test.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert str(model) in err and "'preprocess'" in err
+        assert str(model) in err and "lacks key 'dataset'" in err
 
     @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
     def test_model_file_bad_weights(self, data_root, tmp_path, capsys, case):
@@ -621,8 +620,8 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     assert out.returncode == 0, out.stderr
 
 
-# one bad setting gets one message from each entry point: the Python API, a
-# --config file and the config section of an older model file
+# one bad setting gets one message from each entry point: the Python API and a
+# --config file
 @pytest.mark.parametrize("key, value, message", [
     ("quantize", "yes", r"quantize must hold true or false, got 'yes'"),
     ("L", "60", r"L must hold 64-bit integers, got '60'"),
@@ -653,11 +652,3 @@ def test_bad_setting_same_message_everywhere(data_root, tmp_path, capsys, key, v
     assert re.search(rf"error: config file .*run\.json: {message}$",
                      capsys.readouterr().err.strip())
     assert not out.exists()
-
-    doc = json.loads(CONFIG_MODEL.read_text())
-    doc["config"][key] = value
-    bad = tmp_path / "bad.model.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=rf"bad\.model\.json: bad value under model key "
-                                         rf"'config': {message}$"):
-        load_model(bad)

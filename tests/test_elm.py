@@ -5,7 +5,6 @@ import math
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
 from elmloc import elm, linalg
+from elmloc.cli import build_parser
+from elmloc.dataset import registry_lookup, registry_names
 from elmloc.elm import (
     ClassCodebook,
     ElmModel,
     QuantizedWeights,
+    check_hidden_size,
     encode_targets,
     fit,
     hidden_map,
@@ -29,11 +31,9 @@ from elmloc.elm import (
     tansig,
     train_elm,
 )
+from elmloc.featurizer import feature_width, init_featurizer
 from elmloc.pipeline import TrainedModel, load_model, save_model
 from elmloc.preprocess import PreprocessParams
-
-# An older model file that still holds w, b and the int8 codes and scales.
-V1_INT8 = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
 
 
 def saved_doc(model, path):
@@ -164,6 +164,39 @@ class TestInitHidden:
         # one N x L float64 buffer, plus linalg.matmul's finite-check masks of x and w
         assert peak < h.nbytes + x.size + w.size
         assert h.tobytes() == np.tanh(x @ w + b).tobytes()
+
+
+class TestHiddenSizeBound:
+    def test_refused_before_anything_is_drawn(self, rng, monkeypatch):
+        monkeypatch.setattr(elm, "MAX_HIDDEN_WEIGHTS", 60)
+        monkeypatch.setattr(elm, "fit", None)  # training must stop before its fit
+        x, labels = _toy_problem(rng)  # 8 features
+        message = (r"^a hidden layer of 8 inputs x 8 neurons exceeds the 60 weights that "
+                   r"MAX_HIDDEN_WEIGHTS allows$")
+        with pytest.raises(ValueError, match=message):
+            train_elm(x, labels, L=8, c=1.0, seed=0)
+        with pytest.raises(ValueError, match=message):
+            init_hidden(0, 8, 8)
+        codebook = ClassCodebook.from_pairs(labels)
+        beta = np.zeros((8, codebook.n_classes))
+        with pytest.raises(ValueError, match=message):
+            ElmModel(beta=beta, c=1.0, codebook=codebook, seed=0, n_features=8)
+        # at the bound itself, both draw
+        assert ElmModel(beta=beta[:6], c=1.0, codebook=codebook, seed=0, n_features=10).w.shape \
+            == init_hidden(0, 10, 6)[0].shape == (10, 6)
+
+    def test_admits_the_registry_and_the_default_sweep(self):
+        # checked without drawing: each registry set at its registry L, plain and
+        # through the default conv stage, and the CLI's default sweep grid's
+        # largest size on the widest set
+        l_max = build_parser().parse_args(["sweep", "--dataset", "SYN1"]).L_max
+        widest = max(registry_lookup(name).n_aps for name in registry_names())
+        for name in registry_names():
+            d = registry_lookup(name)
+            for width in (d.n_aps, feature_width(d.n_aps, init_featurizer(0, d.n_aps))):
+                check_hidden_size(width, d.L_default)
+        check_hidden_size(widest, l_max)
+        assert widest * l_max * 100 < elm.MAX_HIDDEN_WEIGHTS
 
 
 def fit_oracle(h, t, c):
@@ -414,17 +447,19 @@ class TestWeightsHandledOnce:
         assert not model.quantized.w_q.flags.writeable
 
     @pytest.mark.parametrize("name", ["w", "b", "beta"])
-    def test_non_finite_weights_rejected(self, tmp_path, name):
-        # w and b are drawn from the seed; only an older file's copies of them
-        # can hold a non-finite number
-        doc = json.loads(V1_INT8.read_text())
-        weights = np.asarray(doc["elm"][name], dtype=np.float64)
+    def test_non_finite_weights_rejected(self, rng, tmp_path, name):
+        # beta is stored; w and b are drawn from the seed, and a file that holds
+        # a copy of them is rejected for the key, whatever the copy holds
+        x, labels = _toy_problem(rng)
+        model = train_elm(x, labels, L=10, c=1.0, seed=0)
+        doc = saved_doc(model, tmp_path / "m.json")
+        weights = np.array(getattr(model, name))
         weights.flat[0] = np.nan
         doc["elm"][name] = weights.tolist()
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"'elm': {name} contains non-finite"):
-            load_model(p)
+        message = (r"'elm': beta contains non-finite" if name == "beta"
+                   else rf"model key 'elm' holds unknown key '{name}'$")
+        with pytest.raises(ValueError, match=message):
+            loaded_elm(doc, tmp_path / "m.json")
         if name == "beta":
             beta = np.zeros((4, 1))
             beta[0, 0] = np.nan
@@ -474,18 +509,17 @@ class TestWeightsHandledOnce:
     @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],
                              ids=["above", "below", "fraction", "huge"])
     @pytest.mark.parametrize("key", ["w_q", "b_q", "beta_q"])
-    def test_bad_int8_code_rejected(self, tmp_path, key, value):
-        # model files no longer hold int8 codes; an older file's load only as
-        # the ones quantize makes
-        doc = json.loads(V1_INT8.read_text())
-        codes = np.asarray(doc["elm"]["quantized"][key], dtype=object)
+    def test_bad_int8_code_rejected(self, rng, tmp_path, key, value):
+        # model files hold no int8 codes: elm.quantized says only whether to
+        # make them, and codes written there are rejected, whatever they hold
+        x, labels = _toy_problem(rng)
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        doc = saved_doc(model, tmp_path / "m.json")
+        codes = getattr(model.quantized, key).astype(object)
         codes.flat[0] = value
-        doc["elm"]["quantized"][key] = codes.tolist()
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"'elm': quantized {key} (is not the one "
-                                             rf"elm\.quantize makes|must hold numbers)"):
-            load_model(p)
+        doc["elm"]["quantized"] = {key: codes.tolist()}
+        with pytest.raises(ValueError, match=r"'elm': quantized must hold true or false"):
+            loaded_elm(doc, tmp_path / "m.json")
 
     @pytest.mark.parametrize("key, edit", [
         ("codebook", lambda d: d["codebook"][0].__setitem__(1, 1.7)),
@@ -505,17 +539,14 @@ class TestWeightsHandledOnce:
     def test_extreme_int8_codes_accepted(self, rng, tmp_path):
         # each tensor's largest magnitude takes the extreme code +-127
         x, labels = _toy_problem(rng)
-        q = quantize(train_elm(x, labels, L=10, c=1.0, seed=0)).quantized
+        model = quantize(train_elm(x, labels, L=10, c=1.0, seed=0))
+        q = model.quantized
         for codes in (q.w_q, q.b_q, q.beta_q):
             assert np.abs(codes.astype(np.int64)).max() == 127
-        # an older file's codes load written as JSON floats too
-        doc = json.loads(V1_INT8.read_text())
-        b_q = doc["elm"]["quantized"]["b_q"]
-        assert 127 in np.abs(b_q)
-        doc["elm"]["quantized"]["b_q"] = [float(v) for v in b_q]
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        assert load_model(p).elm.quantized.b_q.tolist() == b_q
+        # and a saved model makes the same codes again when loaded
+        back = loaded_elm(saved_doc(model, tmp_path / "m.json"), tmp_path / "m.json").quantized
+        for field in dataclasses.fields(q):
+            assert np.array_equal(getattr(back, field.name), getattr(q, field.name))
 
 
 class TestSweep:

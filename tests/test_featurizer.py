@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +21,6 @@ from elmloc.featurizer import (
     init_featurizer,
 )
 from elmloc.pipeline import PipelineConfig, fit_pipeline, load_model, save_model
-
-# An older model file that still holds the filters.
-V1_MODEL = Path(__file__).parent / "data" / "v1" / "cnn_elm_per_feature_int8.model.json"
 
 
 def _saved_conv_doc(train, path):
@@ -253,15 +249,17 @@ class TestInit:
             load_model(p)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_filters_rejected(self, tmp_path, value):
-        # the filters are drawn from the seed; only an older file's copy of
-        # them can hold a non-finite number
-        doc = json.loads(V1_MODEL.read_text())
-        doc["featurizer"]["filters"][1][0] = value
+    def test_non_finite_filters_rejected(self, syn_small, tmp_path, value):
+        # the filters are drawn from the seed; a file that holds a copy of them
+        # is rejected for the key, whatever the copy holds
         p = tmp_path / "m.json"
+        doc = _saved_conv_doc(syn_small[0], p)
+        filters = load_model(p).featurizer.filters.tolist()
+        filters[1][0] = value
+        doc["featurizer"]["filters"] = filters
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"'featurizer': filters contains non-finite "
-                                             r"values$"):
+        with pytest.raises(ValueError, match=r"model key 'featurizer' holds unknown key "
+                                             r"'filters'$"):
             load_model(p)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from elmloc import elm
@@ -270,11 +271,13 @@ class TestSweepPipeline:
 
 
 def random_sha256_reference(model):
-    """sha256 of w, b and the filters as little-endian float64, hashed in one buffer."""
+    """sha256 of n_aps as a little-endian int64, then of w, b and the filters as
+    little-endian float64, hashed in one buffer."""
     arrays = [model.elm.w, model.elm.b]
     if model.featurizer is not None:
         arrays.append(model.featurizer.filters)
-    return hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
+    width = np.array([model.n_aps], dtype="<i8").tobytes()
+    return hashlib.sha256(width + b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
 
 
 def save_model_reference(model, path):
@@ -283,7 +286,7 @@ def save_model_reference(model, path):
     pre, conv, readout = model.preprocess, model.featurizer, model.elm
     norms = pre.feature_norms
     doc = {
-        "format": "elmloc-model-v2",
+        "format": "elmloc-model-v3",
         "dataset": model.dataset,
         "n_aps": model.n_aps,
         "preprocess": {
@@ -394,28 +397,40 @@ class TestSaveLoad:
             load_model(p)
 
     @pytest.mark.parametrize("key, edit, message", [
-        ("preprocess", lambda d: d.pop("min_rss"), r"'preprocess' lacks 'min_rss'"),
-        ("elm", lambda d: d.update(seed="x"), r"model key 'elm'"),
-        ("config", lambda d: d.update(extra=1), r"model key 'config'"),
-        ("featurizer", lambda d: d.update(filters="x"), r"model key 'featurizer'"),
+        ("preprocess", lambda d: d.pop("min_rss"), r"model key 'preprocess' lacks key 'min_rss'$"),
+        ("elm", lambda d: d.update(seed="x"), r"bad value under model key 'elm'"),
+        ("config", lambda d: d.update(extra=1), r"model document holds unknown key 'config'$"),
+        ("featurizer", lambda d: d.update(filters="x"),
+         r"model key 'featurizer' holds unknown key 'filters'$"),
     ], ids=["missing_nested_key", "bad_int", "unknown_config_field", "bad_array"])
     def test_bad_section_named(self, fitted, tmp_path, key, edit, message):
         p = tmp_path / "m.json"
         save_model(fitted, p)
-        # config and filters are keys only older files hold
-        doc = json.loads((CONFIG_MODEL if key in ("config", "featurizer") else p).read_text())
-        edit(doc[key])
+        doc = json.loads(p.read_text())
+        edit(doc.setdefault(key, {}))  # config and filters are keys only older files held
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"m\.json: {message}"):
             load_model(p)
 
-    @pytest.mark.parametrize("text", ['{"format": "elmloc-model-v1", "elm": [1]}',
-                                      '{"format": "elmloc-model-v1", "dataset": 5}',
+    @pytest.mark.parametrize("text", ['{"format": "elmloc-model-v3", "elm": [1]}',
+                                      '{"format": "elmloc-model-v3", "dataset": 5}',
                                       '[1, 2]'])
     def test_wrongly_typed_document(self, tmp_path, text):
         p = tmp_path / "m.json"
         p.write_text(text)
         with pytest.raises(ValueError, match=r"m\.json"):
+            load_model(p)
+
+    @pytest.mark.parametrize("key, kind", [("dataset", "a string"), ("elm", "an object"),
+                                           ("featurizer", "an object"),
+                                           ("preprocess", "an object")])
+    def test_wrongly_typed_key_named(self, fitted, tmp_path, key, kind):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        doc = json.loads(p.read_text())
+        doc[key] = [1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"m\.json: model key '{key}' must hold {kind}$"):
             load_model(p)
 
 
@@ -425,134 +440,135 @@ def _edit_w_q_value(value):
     return edit
 
 
-# Older model files whose copies of the seed-drawn weights or of the int8
-# codes are not the ones the seeds rebuild; each must fail at load time.
+def bad_value(section, message):
+    """The load error for a value under ``section`` that cannot be served."""
+    return rf"bad value under model key '{section}': {message}"
+
+
+def stray(section, key):
+    """The load error for ``key``, which ``save_model`` does not write, under
+    ``section`` (None: the document itself)."""
+    where = "model document" if section is None else f"model key '{section}'"
+    return rf"{where} holds unknown key '{key}'$"
+
+
+# Copies of the seed-drawn weights and of the int8 codes, as files before v2
+# held them, edited and written into a v3 file. Each must fail at load time:
+# elm.quantized holds true or false, never codes, and w is no key of a file.
 BAD_WEIGHTS = {
-    "int8_out_of_range": (_edit_w_q_value(300), r"quantized w_q is not the one elm\.quantize"),
-    "int8_fraction": (_edit_w_q_value(1.7), r"quantized w_q is not the one elm\.quantize"),
-    "int8_string": (_edit_w_q_value("5"), r"quantized w_q must hold numbers, got strings"),
+    "int8_out_of_range": (_edit_w_q_value(300), bad_value("elm", r"quantized must hold true or false")),
+    "int8_fraction": (_edit_w_q_value(1.7), bad_value("elm", r"quantized must hold true or false")),
+    "int8_string": (_edit_w_q_value("5"), bad_value("elm", r"quantized must hold true or false")),
     "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(),
-                         r"quantized w_q is not the one elm\.quantize"),
-    "nan_weight": (lambda elm: elm["w"][0].__setitem__(0, float("nan")),
-                   r"w contains non-finite"),
+                         bad_value("elm", r"quantized must hold true or false")),
+    "nan_weight": (lambda elm: elm.update(w=[[float("nan")]]), stray("elm", "w")),
 }
 
 
 def write_bad_model(bad, case):
-    """Copy ``CONFIG_MODEL``, an older file that still holds w and the int8
-    codes, to ``bad`` with the weights edited by ``case``."""
-    doc = json.loads(CONFIG_MODEL.read_text())
+    """Copy ``INT8_MODEL`` to ``bad`` with ``elm.quantized`` holding the int8
+    codes and scales, as files before v2 held them, then edited by ``case``."""
+    doc = json.loads(INT8_MODEL.read_text())
+    q = load_model(INT8_MODEL).elm.quantized
+    doc["elm"]["quantized"] = {f.name: np.asarray(getattr(q, f.name)).tolist()
+                               for f in dataclasses.fields(q)}
     BAD_WEIGHTS[case][0](doc["elm"])
     bad.write_text(json.dumps(doc))
 
 
-V1_FILES = Path(__file__).parent / "data" / "v1"
-# A model file with a config section, which files no longer get.
-CONFIG_MODEL = V1_FILES / "cnn_elm_per_feature_int8.model.json"
+V2_FILES = Path(__file__).parent / "data" / "v2"
+V3_FILES = Path(__file__).parent / "data" / "v3"
+INT8_MODEL = V3_FILES / "cnn_elm_per_feature_int8.model.json"
 
 # Model files with an integer key that is no JSON integer, an array that is no
-# array of finite numbers, or a config field of the wrong type; (section, edit,
-# message) per case, each must fail at load time. Section "n_aps" edits the
-# document itself. The cases in V1_KEY_CASES edit keys that only older files
-# hold (config, w, b, filters, the int8 copies) and edit CONFIG_MODEL; the
-# others edit a freshly saved file.
+# array of finite numbers, or a key save_model does not write; (section, edit,
+# message) per case, each must fail at load time. The edit applies to the
+# section, made if absent; section "n_aps" edits the document itself. The keys
+# save_model does not write include each one that older files held: config, w,
+# b, filters, the int8 copies, the input width under featurizer, the hidden
+# size elm.L and the constants that were once settings.
 BAD_KEYS = {
     "codebook_fraction": ("elm", lambda d: d["codebook"][0].__setitem__(1, 1.7),
-                          r"codebook must hold 64-bit integers, got 1\.7"),
+                          bad_value("elm", r"codebook must hold 64-bit integers, got 1\.7")),
     "codebook_bool": ("elm", lambda d: d["codebook"][0].__setitem__(1, True),
-                      r"codebook must hold 64-bit integers, got True"),
+                      bad_value("elm", r"codebook must hold 64-bit integers, got True")),
     "kernel_size_fraction": ("featurizer", lambda d: d.update(kernel_size=3.9),
-                             r"kernel_size must hold 64-bit integers, got 3\.9"),
-    "n_aps_bool": ("featurizer", lambda d: d.update(n_aps=True),
-                   r"n_aps must hold 64-bit integers, got True"),
+                             bad_value("featurizer", r"kernel_size must hold 64-bit integers, got 3\.9")),
+    "n_aps_bool": ("featurizer", lambda d: d.update(n_aps=True), stray("featurizer", "n_aps")),
     "top_n_aps_bool": ("n_aps", lambda d: d.update(n_aps=True),
-                       r"n_aps must hold 64-bit integers, got True"),
+                       bad_value("n_aps", r"n_aps must hold 64-bit integers, got True")),
     "top_n_aps_fraction": ("n_aps", lambda d: d.update(n_aps=40.5),
-                           r"n_aps must hold 64-bit integers, got 40\.5"),
+                           bad_value("n_aps", r"n_aps must hold 64-bit integers, got 40\.5")),
     "top_n_aps_null": ("n_aps", lambda d: d.update(n_aps=None),
-                       r"n_aps must hold 64-bit integers, got None"),
-    "top_n_aps_zero": ("n_aps", lambda d: d.update(n_aps=0), r"n_aps must be >= 1, got 0"),
+                       bad_value("n_aps", r"n_aps must hold 64-bit integers, got None")),
+    "top_n_aps_zero": ("n_aps", lambda d: d.update(n_aps=0), bad_value("n_aps", r"n_aps must be >= 1, got 0")),
     "quantized_string": ("elm", lambda d: d.update(quantized="yes"),
-                         r"quantized must hold true or false, got 'yes'"),
+                         bad_value("elm", r"quantized must hold true or false, got 'yes'")),
     # sizes and seeds the random parts are drawn from: they fail under their
     # section, before anything is drawn for the digest
     "beta_empty": ("elm", lambda d: d.update(beta=[]),
-                   r"beta must be L x K with L >= 1, got shape \(0,\)"),
-    "elm_seed_negative": ("elm", lambda d: d.update(seed=-1), r"seed must be >= 0, got -1"),
+                   bad_value("elm", r"beta must be L x K with L >= 1, got shape \(0,\)")),
+    "elm_seed_negative": ("elm", lambda d: d.update(seed=-1), bad_value("elm", r"seed must be >= 0, got -1")),
     "kernel_size_41": ("featurizer", lambda d: d.update(kernel_size=41),
-                       r"kernel_size 41 exceeds the 40 AP columns"),
+                       bad_value("featurizer", r"kernel_size 41 exceeds the 40 AP columns")),
     "n_filters_zero": ("featurizer", lambda d: d.update(n_filters=0),
-                       r"n_filters must be >= 1"),
+                       bad_value("featurizer", r"n_filters must be >= 1")),
     "featurizer_seed_negative": ("featurizer", lambda d: d.update(seed=-1),
-                                 r"seed must be >= 0, got -1"),
-    "config_L_string": ("config", lambda d: d.update(L="60"),
-                        r"L must hold 64-bit integers, got '60'"),
-    "config_seed_fraction": ("config", lambda d: d.update(seed=1.5),
-                             r"seed must hold 64-bit integers, got 1\.5"),
-    "config_c_bool": ("config", lambda d: d.update(c=True),
-                      r"c must hold a float, got True"),
-    "config_approach_number": ("config", lambda d: d.update(approach=1),
-                               r"approach must be one of cnn_elm, elm_only, got 1"),
+                                 bad_value("featurizer", r"seed must be >= 0, got -1")),
+    # the config section of older files, whatever it holds
+    "config_L_string": ("config", lambda d: d.update(L="60"), stray(None, "config")),
+    "config_seed_fraction": ("config", lambda d: d.update(seed=1.5), stray(None, "config")),
+    "config_c_bool": ("config", lambda d: d.update(c=True), stray(None, "config")),
+    "config_approach_number": ("config", lambda d: d.update(approach=1), stray(None, "config")),
     "config_quantize_string": ("config", lambda d: d.update(quantize="yes"),
-                               r"quantize must hold true or false, got 'yes'"),
+                               stray(None, "config")),
+    "config_c_negative": ("config", lambda d: d.update(c=-1), stray(None, "config")),
+    "config_L_zero": ("config", lambda d: d.update(L=0), stray(None, "config")),
     # a float() cast would load each of these as a number
-    "c_string": ("elm", lambda d: d.update(c="0.5"), r"c must hold a float, got '0\.5'"),
-    "c_bool": ("elm", lambda d: d.update(c=True), r"c must hold a float, got True"),
+    "c_string": ("elm", lambda d: d.update(c="0.5"), bad_value("elm", r"c must hold a float, got '0\.5'")),
+    "c_bool": ("elm", lambda d: d.update(c=True), bad_value("elm", r"c must hold a float, got True")),
     "min_rss_string": ("preprocess", lambda d: d.update(min_rss="-90"),
-                       r"min_rss must hold a float, got '-90'"),
-    # keys of older files, type-checked before their fixed value is
+                       bad_value("preprocess", r"min_rss must hold a float, got '-90'")),
+    # the constants that were once settings, at any value
     "exponent_bool": ("preprocess", lambda d: d.update(exponent=True),
-                      r"exponent must hold a float, got True"),
+                      stray("preprocess", "exponent")),
     "pool_size_bool": ("featurizer", lambda d: d.update(pool_size=True),
-                       r"pool_size must hold 64-bit integers, got True"),
+                       stray("featurizer", "pool_size")),
     "pool_stride_string": ("featurizer", lambda d: d.update(pool_stride="2"),
-                           r"pool_stride must hold 64-bit integers, got '2'"),
+                           stray("featurizer", "pool_stride")),
     "filter_bias_string": ("featurizer", lambda d: d.update(filter_bias="0"),
-                           r"filter_bias must hold a list of floats, got '0'"),
+                           stray("featurizer", "filter_bias")),
     "filter_bias_entry_string": ("featurizer", lambda d: d.update(filter_bias=[0.0, "0"]),
-                                 r"filter_bias must hold a float, got '0'"),
-    # a config the Python API would not build
-    "config_c_negative": ("config", lambda d: d.update(c=-1),
-                          r"c must be positive, got -1\.0"),
-    "config_L_zero": ("config", lambda d: d.update(L=0), r"L must be >= 1, got 0"),
-    "w_scale_string": ("elm", lambda d: d["quantized"].update(w_scale="0.01"),
-                       r"quantized w_scale must hold numbers, got strings"),
-    # the hidden size of older files, type-checked before it is compared with len(beta)
-    "elm_L_string": ("elm", lambda d: d.update(L="60"), r"L must hold 64-bit integers, got '60'"),
-    "elm_L_bool": ("elm", lambda d: d.update(L=True), r"L must hold 64-bit integers, got True"),
-    "elm_L_null_b": ("elm", lambda d: d.update(L=len(d["b"]), b=None),
-                     r"b must hold numbers, got nulls or other non-numbers"),
+                                 stray("featurizer", "filter_bias")),
+    "w_scale_string": ("elm", lambda d: d.update(quantized={"w_scale": "0.01"}),
+                       bad_value("elm", r"quantized must hold true or false, got \{'w_scale'")),
+    # the hidden size is len(beta); an elm.L key is not read, whatever it holds
+    "elm_L_string": ("elm", lambda d: d.update(L="60"), stray("elm", "L")),
+    "elm_L_bool": ("elm", lambda d: d.update(L=True), stray("elm", "L")),
+    "elm_L_null_b": ("elm", lambda d: d.update(L=len(d["beta"]), b=None), stray("elm", "L")),
     # arrays: finite numbers only; a float cast would read "0.25" as 0.25
     "feature_norms_infinity": ("preprocess", lambda d: d["feature_norms"].__setitem__(
         slice(None, None, 3), [float("inf")] * len(d["feature_norms"][::3])),
-        r"feature_norms contains non-finite values"),
-    "filters_nan": ("featurizer", lambda d: d["filters"][0].__setitem__(0, float("nan")),
-                    r"filters contains non-finite values"),
-    "w_string": ("elm", lambda d: d["w"][0].__setitem__(0, "0.25"),
-                 r"w must hold numbers, got strings"),
-    "filters_string": ("featurizer", lambda d: d["filters"][0].__setitem__(0, "0.25"),
-                       r"filters must hold numbers, got strings"),
+        bad_value("preprocess", r"feature_norms contains non-finite values")),
+    "filters_nan": ("featurizer", lambda d: d.update(filters=[[float("nan")]]),
+                    stray("featurizer", "filters")),
+    "w_string": ("elm", lambda d: d.update(w=[["0.25"]]), stray("elm", "w")),
+    "filters_string": ("featurizer", lambda d: d.update(filters=[["0.25"]]),
+                       stray("featurizer", "filters")),
     "feature_norms_string": ("preprocess", lambda d: d["feature_norms"].__setitem__(0, "0.25"),
-                             r"feature_norms must hold numbers, got strings"),
+                             bad_value("preprocess", r"feature_norms must hold numbers, got strings")),
     "feature_norms_all_bool": ("preprocess", lambda d: d.update(
         feature_norms=[True] * len(d["feature_norms"])),
-        r"feature_norms must hold numbers, got true/false values"),
-    "b_null": ("elm", lambda d: d["b"].__setitem__(0, None),
-               r"b must hold numbers, got nulls or other non-numbers"),
+        bad_value("preprocess", r"feature_norms must hold numbers, got true/false values")),
+    "b_null": ("elm", lambda d: d.update(b=[None]), stray("elm", "b")),
 }
 
 
-V1_KEY_CASES = {case for case, (section, _, _) in BAD_KEYS.items() if section == "config"} | {
-    "b_null", "elm_L_null_b", "filters_nan", "filters_string", "n_aps_bool", "w_scale_string",
-    "w_string"}
-
-
 def write_bad_key_model(good, bad, case):
-    """Copy the model file ``good`` (``CONFIG_MODEL`` for a case in
-    ``V1_KEY_CASES``) to ``bad`` with one key edited by ``case``."""
+    """Copy the model file ``good`` to ``bad`` with one key edited by ``case``."""
     section, edit, _ = BAD_KEYS[case]
-    doc = json.loads((CONFIG_MODEL if case in V1_KEY_CASES else good).read_text())
-    edit(doc if section == "n_aps" else doc[section])
+    doc = json.loads(good.read_text())
+    edit(doc if section == "n_aps" else doc.setdefault(section, {}))
     bad.write_text(json.dumps(doc))
 
 
@@ -562,19 +578,13 @@ class TestBadKeys:
         p = tmp_path / "m.json"
         save_model(fitted, p)
         write_bad_key_model(p, p, case)
-        section, _, message = BAD_KEYS[case]
-        with pytest.raises(ValueError, match=rf"m\.json: bad value under model key "
-                                             rf"'{section}': {message}"):
+        with pytest.raises(ValueError, match=rf"m\.json: {BAD_KEYS[case][2]}"):
             load_model(p)
 
     def test_integer_loads_where_float_expected(self, fitted, tmp_path):
         p = tmp_path / "m.json"
         save_model(dataclasses.replace(fitted, elm=dataclasses.replace(fitted.elm, c=2)), p)
         assert load_model(p).elm.c == 2
-        doc = json.loads(CONFIG_MODEL.read_text())
-        doc["config"]["c"] = 2
-        p.write_text(json.dumps(doc))
-        assert load_model(p).elm.c == 1.0  # an old config's c is checked, not used
 
 
 class TestBadWeights:
@@ -582,8 +592,7 @@ class TestBadWeights:
     def test_rejected_at_load(self, tmp_path, case):
         p = tmp_path / "m.json"
         write_bad_model(p, case)
-        with pytest.raises(ValueError, match=r"m\.json: bad value under model key 'elm': "
-                                             + BAD_WEIGHTS[case][1]):
+        with pytest.raises(ValueError, match=r"m\.json: " + BAD_WEIGHTS[case][1]):
             load_model(p)
 
 
@@ -605,15 +614,7 @@ def test_serving_does_not_import_scipy(fitted, tmp_path):
     assert out.stdout.strip() == "[]"
 
 
-V1_MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample", "cnn_elm_per_sample"]
-# The files written while the powed exponent, the pooling window and stride and
-# the conv bias were settings, and the keys that held those settings.
-V1_CONSTANT_KEY_MODELS = V1_MODELS[:2]
-V1_CONSTANT_KEYS = {
-    "config": ["exponent", "pool_size", "pool_stride"],
-    "preprocess": ["exponent"],
-    "featurizer": ["pool_size", "pool_stride", "filter_bias"],
-}
+MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample", "cnn_elm_per_sample"]
 
 
 @pytest.fixture(scope="module")
@@ -625,8 +626,8 @@ def one_query(tmp_path_factory):
     return q
 
 
-def _v1_answers(name):
-    return json.loads((V1_FILES / "answers.json").read_text())[name]
+def _answers(name):
+    return json.loads((V2_FILES / "answers.json").read_text())[name]
 
 
 def answers_with_one_blas_thread(rss, directory, tmp_path):
@@ -650,103 +651,41 @@ def answers_with_one_blas_thread(rss, directory, tmp_path):
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(directory), *V1_MODELS]
+    argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(directory), *MODELS]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout)
 
 
+def write_edited(src, path, edit):
+    """Copy the model file ``src`` to ``path`` with its document edited by ``edit``."""
+    doc = json.loads(src.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def assert_load_fails(path, query, capsys, message):
+    """``load_model(path)`` raises ``message`` and ``elmloc predict`` exits 2 with it."""
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+    assert main(["predict", "--model", str(path), "--queries", str(query)]) == 2
+    assert re.search(message, capsys.readouterr().err.strip())
+
+
 class TestV1ModelFiles:
-    """Model files written while a model stored its config next to its parts.
+    """What ``elmloc-model-v1`` files held, which no model file may hold now.
 
-    Each has a ``config`` section and an ``elm.L`` key. The first two were
-    also written before the powed exponent, the pooling window and stride and
-    the conv bias became constants, and carry those as keys.
-
-    All three were written with one BLAS thread: ``fit_pipeline`` on the
-    training rows of ``generate_synthetic(seed=3, n_train=720, n_test=240,
-    n_aps=40)`` (the ``syn_small`` fixture) with ``PipelineConfig(L=30, c=1.0,
-    seed=0)`` plus, by commit ebffae9, ``quantize=True`` for
-    ``cnn_elm_per_feature_int8`` and ``approach="elm_only",
-    norm_mode="per_sample"`` for ``elm_only_per_sample``, and by commit
-    f61359e, ``norm_mode="per_sample"`` for ``cnn_elm_per_sample``; then
-    ``save_model(..., dataset="TST1")``. ``answers.json`` holds the writing
-    commit's ``predict_pipeline`` answers on the 240 test rows of the loaded
-    file: ``[buildings, floors]`` per model, float and, for the quantized file,
-    int8. A later model format must still load these files.
+    v1 files stored w, b, the filters and the int8 codes, a config section,
+    ``elm.L``, ``featurizer.n_aps`` and the constants that were once settings.
+    elmloc no longer reads them. ``load_model`` and then ``save_model`` at
+    commit b51e6a5, the last that read them, convert one.
     """
 
-    @pytest.mark.parametrize("name", V1_CONSTANT_KEY_MODELS)
-    def test_files_carry_the_legacy_keys(self, name):
-        doc = json.loads((V1_FILES / f"{name}.model.json").read_text())
-        for section, keys in V1_CONSTANT_KEYS.items():
-            if doc[section] is not None:
-                assert set(keys) <= set(doc[section]), section
-
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_files_carry_config_and_hidden_size(self, name):
-        doc = json.loads((V1_FILES / f"{name}.model.json").read_text())
-        assert {f.name for f in dataclasses.fields(PipelineConfig)} <= set(doc["config"])
-        assert doc["elm"]["L"] == len(doc["elm"]["b"]) == 30
-        if name not in V1_CONSTANT_KEY_MODELS:
-            for section, keys in V1_CONSTANT_KEYS.items():
-                assert not set(keys) & set(doc[section]), section
-
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_answers_bitwise(self, syn_small, name):
-        model = load_model(V1_FILES / f"{name}.model.json")
-        for mode, want in _v1_answers(name).items():
-            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
-            assert [a.tolist() for a in got] == want, mode
-
-    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
-        assert answers_with_one_blas_thread(syn_small[1].rss, V1_FILES, tmp_path) == (
-            json.loads((V1_FILES / "answers.json").read_text()))
-
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_predict_command_answers(self, syn_small, tmp_path, name):
-        rss = syn_small[1].rss
-        q = tmp_path / "q.csv"
-        rows = [",".join("100" if v == 0.0 else repr(float(v)) for v in row) for row in rss]
-        q.write_text(",".join(f"AP{j}" for j in range(rss.shape[1])) + "\n"
-                     + "\n".join(rows) + "\n")
-        for mode, want in _v1_answers(name).items():
-            out = tmp_path / f"{mode}.csv"
-            flags = ["--quantized"] if mode == "int8" else []
-            assert main(["predict", "--model", str(V1_FILES / f"{name}.model.json"),
-                         "--queries", str(q), "--out", str(out), *flags]) == 0
-            got = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-            assert got.T.tolist() == want, mode
-
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_saved_again_without_the_legacy_keys(self, syn_small, tmp_path, name):
-        old = json.loads((V1_FILES / f"{name}.model.json").read_text())
-        model = load_model(V1_FILES / f"{name}.model.json")
+    def test_v1_format_refused(self, tmp_path):
         p = tmp_path / "m.json"
-        save_model(model, p)
-        doc = json.loads(p.read_text())
-        assert "config" not in doc and "L" not in doc["elm"]
-        for section, keys in V1_CONSTANT_KEYS.items():
-            if doc.get(section) is not None:
-                assert not set(keys) & set(doc[section]), section
-        back = load_model(p)
-        config = {k: v for k, v in old["config"].items() if k in settings_of(back)}
-        assert settings_of(back) == settings_of(model) == config
-        for mode, want in _v1_answers(name).items():
-            got = predict_pipeline(syn_small[1], back, quantized=mode == "int8")
-            assert [a.tolist() for a in got] == want, mode
-
-    def test_config_that_misdescribes_the_parts_is_dropped(self, syn_small, tmp_path):
-        # the old config section was never read to answer; it goes after its checks
-        doc = json.loads(CONFIG_MODEL.read_text())
-        doc["config"].update(L=999, approach="elm_only", n_filters=7, kernel_size=5, c=3.0,
-                             norm_mode="per_sample", quantize=False)
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        model = load_model(p)
-        assert settings_of(model) == settings_in(PipelineConfig(L=30, c=1.0, quantize=True))
-        for mode, want in _v1_answers("cnn_elm_per_feature_int8").items():
-            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
-            assert [a.tolist() for a in got] == want, mode
+        write_edited(INT8_MODEL, p, lambda doc: doc.update(format="elmloc-model-v1"))
+        with pytest.raises(ValueError, match=r"m\.json: unrecognized model format "
+                                             r"'elmloc-model-v1'$"):
+            load_model(p)
 
     @pytest.mark.parametrize("section, key, value", [
         ("config", "exponent", 0.0),
@@ -765,127 +704,190 @@ class TestV1ModelFiles:
     ])
     def test_legacy_key_at_another_value_rejected(self, one_query, tmp_path, capsys,
                                                   section, key, value):
-        doc = json.loads((V1_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
-        doc[section][key] = value
+        # at these values and at the ones the stages use alike: no file holds them
         p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        message = (rf"m\.json: bad value under model key '{section}': {key} is fixed at "
-                   rf".*, got {re.escape(repr(value))}$")
-        with pytest.raises(ValueError, match=message):
-            load_model(p)
-        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
-        assert re.search(message, capsys.readouterr().err)
+        write_edited(INT8_MODEL, p, lambda doc: doc.setdefault(section, {}).update({key: value}))
+        where = stray(None, "config") if section == "config" else stray(section, key)
+        assert_load_fails(p, one_query, capsys, rf"m\.json: {where}")
 
 
-V2_FILES = Path(__file__).parent / "data" / "v2"
+def assert_answers_bitwise(path, name, rss):
+    model = load_model(path)
+    assert settings_of(model)["quantize"] == ("int8" in _answers(name))
+    for mode, want in _answers(name).items():
+        got = predict_pipeline(rss, model, quantized=mode == "int8")
+        assert [a.tolist() for a in got] == want, mode
 
 
-class TestV2ModelFiles:
-    """Model files that hold what was learned plus the seeds.
+DIGEST_EDITS = {
+    "digest_zeros": (None, "random_sha256", "0" * 64),
+    "digest_null": (None, "random_sha256", None),
+    "elm_seed": ("elm", "seed", 12345),
+    "featurizer_seed": ("featurizer", "seed", 999),
+    "n_filters": ("featurizer", "n_filters", 1),
+    "kernel_size": ("featurizer", "kernel_size", 5),
+    "L": ("elm", "beta", "drop a row"),
+}
 
-    The three files were written like the ``tests/data/v1`` ones, with one
-    BLAS thread: ``fit_pipeline`` on the ``syn_small`` training rows with the
-    same three configs and ``dataset="TST1"``, then ``save_model``. Loading a
-    v1 file and saving it again writes the same bytes. They answer
-    ``tests/data/v1/answers.json`` bitwise.
-    """
 
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_answers_bitwise(self, syn_small, name):
-        model = load_model(V2_FILES / f"{name}.model.json")
-        assert settings_of(model)["quantize"] == ("int8" in _v1_answers(name))
-        for mode, want in _v1_answers(name).items():
-            got = predict_pipeline(syn_small[1], model, quantized=mode == "int8")
-            assert [a.tolist() for a in got] == want, mode
-
-    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
-        assert answers_with_one_blas_thread(syn_small[1].rss, V2_FILES, tmp_path) == (
-            json.loads((V1_FILES / "answers.json").read_text()))
-
-    @pytest.mark.parametrize("name", V1_MODELS)
-    def test_v1_file_saved_again_is_the_v2_file(self, tmp_path, name):
-        p = tmp_path / "m.json"
-        save_model(load_model(V1_FILES / f"{name}.model.json"), p)
-        assert p.read_bytes() == (V2_FILES / f"{name}.model.json").read_bytes()
-        save_model(load_model(p), p)  # and saving what was loaded changes nothing
-        assert p.read_bytes() == (V2_FILES / f"{name}.model.json").read_bytes()
-
-    @pytest.mark.parametrize("section, key, value", [
-        (None, "random_sha256", "0" * 64),
-        (None, "random_sha256", None),
-        ("elm", "seed", 12345),
-        ("featurizer", "seed", 999),
-        ("featurizer", "n_filters", 1),
-        ("featurizer", "kernel_size", 5),
-        ("elm", "beta", "drop a row"),
-    ], ids=["digest_zeros", "digest_null", "elm_seed", "featurizer_seed", "n_filters",
-            "kernel_size", "L"])
-    def test_digest_mismatch_rejected(self, one_query, tmp_path, capsys, section, key, value):
-        # a seed, a size or L that draws other arrays than the writer's; numpy
-        # drawing another stream for the same seed fails the same way
-        doc = json.loads((V2_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
+def edit_digested(section, key, value):
+    """An edit of one key the digest covers: a seed, a size, L or the digest itself."""
+    def edit(doc):
         if value == "drop a row":
             doc["elm"]["beta"].pop()
         else:
             (doc if section is None else doc[section])[key] = value
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        message = (r"m\.json: model key 'random_sha256' does not match the w, b and filters "
-                   r"rebuilt from the seeds; numpy \S+ may draw other random streams")
-        with pytest.raises(ValueError, match=message):
-            load_model(p)
-        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
-        assert re.search(message, capsys.readouterr().err)
+    return edit
 
-    @pytest.mark.parametrize("section, edit", [
-        ("elm", lambda d: d["w"][0].__setitem__(0, 0.5)),
-        ("elm", lambda d: d["b"].__setitem__(-1, 0.5)),
-        ("elm", lambda d: d.update(seed=12345)),
-        ("featurizer", lambda d: d["filters"][2].__setitem__(1, 0.5)),
-        ("featurizer", lambda d: d.update(seed=999)),
-    ], ids=["w", "b", "elm_seed", "filters", "featurizer_seed"])
-    def test_v1_copies_the_seeds_do_not_rebuild_rejected(self, tmp_path, section, edit):
-        # an older file's w, b and filters load only if the seeds rebuild them bitwise
-        doc = json.loads(CONFIG_MODEL.read_text())
-        edit(doc[section])
+
+class TestV2ModelFiles:
+    """Model files whose ``random_sha256`` leaves ``n_aps`` out.
+
+    The three files were written with one BLAS thread: ``fit_pipeline`` on the
+    ``syn_small`` training rows with ``PipelineConfig(L=30, c=1.0, seed=0)``
+    plus, by commit ebffae9, ``quantize=True`` for
+    ``cnn_elm_per_feature_int8`` and ``approach="elm_only",
+    norm_mode="per_sample"`` for ``elm_only_per_sample`` and, by commit
+    f61359e, ``norm_mode="per_sample"`` for ``cnn_elm_per_sample``; then
+    ``save_model(..., dataset="TST1")``, in the format of each commit and
+    loaded and saved again as v2. ``answers.json`` holds the writing commit's
+    ``predict_pipeline`` answers on the 240 ``syn_small`` test rows:
+    ``[buildings, floors]`` per model, float and, for the quantized file, int8.
+    A ``cnn_elm`` ``per_sample`` v2 file's ``n_aps`` is not checked: no digest
+    or norm covers it.
+    """
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_answers_bitwise(self, syn_small, name):
+        assert_answers_bitwise(V2_FILES / f"{name}.model.json", name, syn_small[1])
+
+    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
+        assert answers_with_one_blas_thread(syn_small[1].rss, V2_FILES, tmp_path) == (
+            json.loads((V2_FILES / "answers.json").read_text()))
+
+    @pytest.mark.parametrize("section, key, value", list(DIGEST_EDITS.values()),
+                             ids=list(DIGEST_EDITS))
+    def test_digest_mismatch_rejected(self, one_query, tmp_path, capsys, section, key, value):
+        # a seed, a size or L that draws other arrays than the writer's; numpy
+        # drawing another stream for the same seed fails the same way
         p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"m\.json: the w, b and filters under model keys "
-                                             r"'elm' and 'featurizer' differ from the w, b and "
-                                             r"filters rebuilt from the seeds"):
-            load_model(p)
+        write_edited(V2_FILES / "cnn_elm_per_feature_int8.model.json", p,
+                     edit_digested(section, key, value))
+        assert_load_fails(p, one_query, capsys,
+                          r"m\.json: model key 'random_sha256' does not match the w, b and "
+                          r"filters rebuilt from the seeds; numpy \S+ may draw other random "
+                          r"streams")
 
     @pytest.mark.parametrize("key", ["n_aps", "random_sha256"])
     def test_missing_top_level_key_named(self, tmp_path, key):
-        doc = json.loads((V2_FILES / "cnn_elm_per_sample.model.json").read_text())
-        del doc[key]
         p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
+        write_edited(V2_FILES / "cnn_elm_per_sample.model.json", p, lambda doc: doc.pop(key))
         with pytest.raises(ValueError, match=rf"m\.json: model document lacks key '{key}'$"):
             load_model(p)
+
+
+class TestV3ModelFiles:
+    """The files ``save_model`` writes: ``random_sha256`` covers ``n_aps`` too.
+
+    Each is ``save_model(load_model(...))`` of its ``tests/data/v2`` twin, so
+    it differs from that file only in ``format`` and ``random_sha256`` and
+    answers ``tests/data/v2/answers.json`` bitwise.
+    """
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_answers_bitwise(self, syn_small, name):
+        assert_answers_bitwise(V3_FILES / f"{name}.model.json", name, syn_small[1])
+
+    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
+        assert answers_with_one_blas_thread(syn_small[1].rss, V3_FILES, tmp_path) == (
+            json.loads((V2_FILES / "answers.json").read_text()))
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_predict_command_answers(self, syn_small, tmp_path, name):
+        rss = syn_small[1].rss
+        q = tmp_path / "q.csv"
+        rows = [",".join("100" if v == 0.0 else repr(float(v)) for v in row) for row in rss]
+        q.write_text(",".join(f"AP{j}" for j in range(rss.shape[1])) + "\n"
+                     + "\n".join(rows) + "\n")
+        for mode, want in _answers(name).items():
+            out = tmp_path / f"{mode}.csv"
+            flags = ["--quantized"] if mode == "int8" else []
+            assert main(["predict", "--model", str(V3_FILES / f"{name}.model.json"),
+                         "--queries", str(q), "--out", str(out), *flags]) == 0
+            got = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+            assert got.T.tolist() == want, mode
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_v2_file_saved_again_is_the_v3_file(self, tmp_path, name):
+        p = tmp_path / "m.json"
+        save_model(load_model(V2_FILES / f"{name}.model.json"), p)
+        assert p.read_bytes() == (V3_FILES / f"{name}.model.json").read_bytes()
+        save_model(load_model(p), p)  # and saving what was loaded changes nothing
+        assert p.read_bytes() == (V3_FILES / f"{name}.model.json").read_bytes()
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_only_format_and_digest_differ_from_v2(self, name):
+        v2, v3 = (json.loads((d / f"{name}.model.json").read_text()) for d in (V2_FILES, V3_FILES))
+        assert (v2.pop("format"), v3.pop("format")) == ("elmloc-model-v2", "elmloc-model-v3")
+        assert v2.pop("random_sha256") != v3.pop("random_sha256")
+        assert v2 == v3
+
+    @pytest.mark.parametrize("name, section, key, value", [
+        *[("cnn_elm_per_feature_int8", *edit) for edit in DIGEST_EDITS.values()],
+        # the input width alone: same conv output width, same w, b and filters
+        ("cnn_elm_per_sample", None, "n_aps", 41),
+        ("elm_only_per_sample", None, "n_aps", 41),
+    ], ids=[*DIGEST_EDITS, "conv_n_aps_41", "elm_only_n_aps_41"])
+    def test_digest_mismatch_rejected(self, one_query, tmp_path, capsys, name, section, key,
+                                      value):
+        p = tmp_path / "m.json"
+        write_edited(V3_FILES / f"{name}.model.json", p, edit_digested(section, key, value))
+        assert_load_fails(p, one_query, capsys,
+                          r"m\.json: model key 'random_sha256' does not match the file's n_aps "
+                          r"and the w, b and filters rebuilt from the seeds; numpy \S+ may draw "
+                          r"other random streams")
+
+    @pytest.mark.parametrize("name, section, key", [
+        ("elm_only_per_sample", None, "n_aps"),
+        ("cnn_elm_per_feature_int8", "featurizer", "n_filters"),
+        ("cnn_elm_per_sample", None, "n_aps"),
+    ])
+    def test_oversized_layer_rejected_before_drawing(self, one_query, tmp_path, capsys, name,
+                                                     section, key):
+        # 10**15 x 30 float64 weights would be 240 PB
+        p = tmp_path / "m.json"
+        write_edited(V3_FILES / f"{name}.model.json", p,
+                     lambda doc: (doc if section is None else doc[section]).update({key: 10**15}))
+        message = (r"m\.json: " + bad_value("elm", r"a hidden layer of \d+ inputs x 30 neurons exceeds "
+                                              r"the 67108864 weights that MAX_HIDDEN_WEIGHTS allows$"))
+        _, peak = traced_peak(lambda: pytest.raises(ValueError, load_model, p).match(message))
+        assert peak < 4 * 2**20
+        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
+        assert re.search(message, capsys.readouterr().err.strip())
+
+    @pytest.mark.parametrize("section", [None, "preprocess", "featurizer", "elm"])
+    def test_stray_key_rejected(self, one_query, tmp_path, capsys, section):
+        p = tmp_path / "m.json"
+        write_edited(INT8_MODEL, p,
+                     lambda doc: (doc if section is None else doc[section]).update(extra=0))
+        assert_load_fails(p, one_query, capsys, rf"m\.json: {stray(section, 'extra')}")
 
 
 class TestWidthRecordedOnce:
     """The input width is the top-level n_aps; ``feature_norms`` must match it."""
 
-    @pytest.mark.parametrize("edit, got", [
-        (lambda doc: doc["preprocess"]["feature_norms"].pop(), 39),
-        (lambda doc: doc["featurizer"].update(n_aps=41), 40),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["preprocess"]["feature_norms"].pop(),
+         bad_value("preprocess", r"feature_norms must hold n_aps = 40 norms, got 39$")),
+        (lambda doc: doc["featurizer"].update(n_aps=41), stray("featurizer", "n_aps")),
     ], ids=["norm_dropped", "featurizer_n_aps_41"])
     def test_v1_widths_that_disagree_fail_at_load(self, one_query, tmp_path, capsys, edit,
-                                                  got):
-        # both loaded before and failed only at predict, naming no key
-        doc = json.loads(CONFIG_MODEL.read_text())
-        edit(doc)
+                                                  message):
+        # v1 files held a second width, featurizer.n_aps; both edits once loaded
+        # and failed only at predict, naming no key
         p = tmp_path / "m.json"
-        p.write_text(json.dumps(doc))
-        n_aps = doc["featurizer"]["n_aps"]
-        message = (rf"m\.json: bad value under model key 'preprocess': feature_norms must hold "
-                   rf"n_aps = {n_aps} norms, got {got}$")
-        with pytest.raises(ValueError, match=message):
-            load_model(p)
-        assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
-        assert re.search(message, capsys.readouterr().err.strip())
+        write_edited(INT8_MODEL, p, edit)
+        assert_load_fails(p, one_query, capsys, rf"m\.json: {message}")
 
     @pytest.mark.parametrize("n_aps, norms", [(41, 40), (40, None)])
     def test_v2_norms_checked_against_n_aps(self, tmp_path, n_aps, norms):
@@ -899,7 +901,7 @@ class TestWidthRecordedOnce:
                                              rf"n_aps = {n_aps} norms, got {norms}$"):
             load_model(p)
 
-    @pytest.mark.parametrize("directory", [V1_FILES, V2_FILES], ids=["v1", "v2"])
+    @pytest.mark.parametrize("directory", [V2_FILES, V3_FILES], ids=["v2", "v3"])
     def test_stray_norms_of_a_per_sample_file_rejected(self, tmp_path, directory):
         # apply_unit_norm would ignore them in per_sample mode
         doc = json.loads((directory / "cnn_elm_per_sample.model.json").read_text())
@@ -912,5 +914,5 @@ class TestWidthRecordedOnce:
 
     def test_elm_only_width_is_n_aps(self, syn_small):
         # without a conv stage, n_aps is the only record of the input width
-        model = load_model(V2_FILES / "elm_only_per_sample.model.json")
+        model = load_model(V3_FILES / "elm_only_per_sample.model.json")
         assert model.n_aps == model.elm.n_features == syn_small[1].n_aps == 40
