@@ -455,12 +455,12 @@ def stray(section, key):
 # Copies of the seed-drawn weights and of the int8 codes, as files before v2
 # held them, edited and written into a v3 file. Each must fail at load time:
 # elm.quantized holds true or false, never codes, and w is no key of a file.
+NOT_A_FLAG = bad_value("elm", r"quantized must hold true or false")
 BAD_WEIGHTS = {
-    "int8_out_of_range": (_edit_w_q_value(300), bad_value("elm", r"quantized must hold true or false")),
-    "int8_fraction": (_edit_w_q_value(1.7), bad_value("elm", r"quantized must hold true or false")),
-    "int8_string": (_edit_w_q_value("5"), bad_value("elm", r"quantized must hold true or false")),
-    "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(),
-                         bad_value("elm", r"quantized must hold true or false")),
+    "int8_out_of_range": (_edit_w_q_value(300), NOT_A_FLAG),
+    "int8_fraction": (_edit_w_q_value(1.7), NOT_A_FLAG),
+    "int8_string": (_edit_w_q_value("5"), NOT_A_FLAG),
+    "int8_row_dropped": (lambda elm: elm["quantized"]["w_q"].pop(), NOT_A_FLAG),
     "nan_weight": (lambda elm: elm.update(w=[[float("nan")]]), stray("elm", "w")),
 }
 
@@ -493,7 +493,8 @@ BAD_KEYS = {
     "codebook_bool": ("elm", lambda d: d["codebook"][0].__setitem__(1, True),
                       bad_value("elm", r"codebook must hold 64-bit integers, got True")),
     "kernel_size_fraction": ("featurizer", lambda d: d.update(kernel_size=3.9),
-                             bad_value("featurizer", r"kernel_size must hold 64-bit integers, got 3\.9")),
+                             bad_value("featurizer",
+                                       r"kernel_size must hold 64-bit integers, got 3\.9")),
     "n_aps_bool": ("featurizer", lambda d: d.update(n_aps=True), stray("featurizer", "n_aps")),
     "top_n_aps_bool": ("n_aps", lambda d: d.update(n_aps=True),
                        bad_value("n_aps", r"n_aps must hold 64-bit integers, got True")),
@@ -501,14 +502,16 @@ BAD_KEYS = {
                            bad_value("n_aps", r"n_aps must hold 64-bit integers, got 40\.5")),
     "top_n_aps_null": ("n_aps", lambda d: d.update(n_aps=None),
                        bad_value("n_aps", r"n_aps must hold 64-bit integers, got None")),
-    "top_n_aps_zero": ("n_aps", lambda d: d.update(n_aps=0), bad_value("n_aps", r"n_aps must be >= 1, got 0")),
+    "top_n_aps_zero": ("n_aps", lambda d: d.update(n_aps=0),
+                       bad_value("n_aps", r"n_aps must be >= 1, got 0")),
     "quantized_string": ("elm", lambda d: d.update(quantized="yes"),
                          bad_value("elm", r"quantized must hold true or false, got 'yes'")),
     # sizes and seeds the random parts are drawn from: they fail under their
     # section, before anything is drawn for the digest
     "beta_empty": ("elm", lambda d: d.update(beta=[]),
                    bad_value("elm", r"beta must be L x K with L >= 1, got shape \(0,\)")),
-    "elm_seed_negative": ("elm", lambda d: d.update(seed=-1), bad_value("elm", r"seed must be >= 0, got -1")),
+    "elm_seed_negative": ("elm", lambda d: d.update(seed=-1),
+                          bad_value("elm", r"seed must be >= 0, got -1")),
     "kernel_size_41": ("featurizer", lambda d: d.update(kernel_size=41),
                        bad_value("featurizer", r"kernel_size 41 exceeds the 40 AP columns")),
     "n_filters_zero": ("featurizer", lambda d: d.update(n_filters=0),
@@ -525,8 +528,10 @@ BAD_KEYS = {
     "config_c_negative": ("config", lambda d: d.update(c=-1), stray(None, "config")),
     "config_L_zero": ("config", lambda d: d.update(L=0), stray(None, "config")),
     # a float() cast would load each of these as a number
-    "c_string": ("elm", lambda d: d.update(c="0.5"), bad_value("elm", r"c must hold a float, got '0\.5'")),
-    "c_bool": ("elm", lambda d: d.update(c=True), bad_value("elm", r"c must hold a float, got True")),
+    "c_string": ("elm", lambda d: d.update(c="0.5"),
+                 bad_value("elm", r"c must hold a float, got '0\.5'")),
+    "c_bool": ("elm", lambda d: d.update(c=True),
+               bad_value("elm", r"c must hold a float, got True")),
     "min_rss_string": ("preprocess", lambda d: d.update(min_rss="-90"),
                        bad_value("preprocess", r"min_rss must hold a float, got '-90'")),
     # the constants that were once settings, at any value
@@ -556,7 +561,8 @@ BAD_KEYS = {
     "filters_string": ("featurizer", lambda d: d.update(filters=[["0.25"]]),
                        stray("featurizer", "filters")),
     "feature_norms_string": ("preprocess", lambda d: d["feature_norms"].__setitem__(0, "0.25"),
-                             bad_value("preprocess", r"feature_norms must hold numbers, got strings")),
+                             bad_value("preprocess",
+                                       r"feature_norms must hold numbers, got strings")),
     "feature_norms_all_bool": ("preprocess", lambda d: d.update(
         feature_norms=[True] * len(d["feature_norms"])),
         bad_value("preprocess", r"feature_norms must hold numbers, got true/false values")),
@@ -858,8 +864,9 @@ class TestV3ModelFiles:
         p = tmp_path / "m.json"
         write_edited(V3_FILES / f"{name}.model.json", p,
                      lambda doc: (doc if section is None else doc[section]).update({key: 10**15}))
-        message = (r"m\.json: " + bad_value("elm", r"a hidden layer of \d+ inputs x 30 neurons exceeds "
-                                              r"the 67108864 weights that MAX_HIDDEN_WEIGHTS allows$"))
+        message = r"m\.json: " + bad_value(
+            "elm", r"a hidden layer of \d+ inputs x 30 neurons exceeds the 67108864 weights "
+                   r"that MAX_HIDDEN_WEIGHTS allows$")
         _, peak = traced_peak(lambda: pytest.raises(ValueError, load_model, p).match(message))
         assert peak < 4 * 2**20
         assert main(["predict", "--model", str(p), "--queries", str(one_query)]) == 2
