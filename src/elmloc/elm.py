@@ -9,14 +9,15 @@ learned, in closed form via the regularized least-squares solution
 where H is the hidden activation matrix and T the one-hot target matrix.
 Classes are joint (building, floor) pairs, so one argmax yields both labels.
 A per-tensor symmetric 8-bit quantization of the three weight tensors covers
-the deployment path, and a validation sweep picks the hidden-layer size.
+the deployment path, and a validation sweep picks the hidden-layer size: it
+scores the first L neurons of one layer, so one Gram matrix and one Cholesky
+factor serve every size on its grid.
 An ``ElmModel`` holds what was learned and the seed: the hidden layer and
 the int8 copies are rebuilt from them on first use.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -127,13 +128,20 @@ def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
-    """Regularized least-squares output weights (L x n_classes)."""
+def _normal_equations(
+    h: np.ndarray, t: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ridge system (H^T H + I / c, H^T T) whose solution is beta."""
     if c <= 0:
         raise ValueError(f"regularization term c must be positive, got {c}")
     gram = linalg.matmul(h.T, h)
     gram += np.eye(gram.shape[0]) / c
-    return linalg.solve_spd(gram, linalg.matmul(h.T, t))
+    return gram, linalg.matmul(h.T, t)
+
+
+def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
+    """Regularized least-squares output weights (L x n_classes)."""
+    return linalg.solve_spd(*_normal_equations(h, t, c))
 
 
 @dataclass(frozen=True)
@@ -326,49 +334,6 @@ class SweepResult:
             raise ValueError("sizes, floor_hits, building_hits must align")
 
 
-def _from_both_ends(task, n: int) -> None:
-    """Call ``task(i)`` for each i in range(n), on exactly two threads.
-
-    The calling thread walks up from 0 and one helper thread walks down from
-    n - 1; each takes its next index under a lock, and they stop where they
-    meet. A sweep's tasks grow with i, so the two in flight are a small and
-    a large one, never the two largest. Failures end like the serial loop:
-    once index i raises, only indices below i still run, and the exception
-    of the lowest failed index is raised.
-    """
-    lock = threading.Lock()
-    lo, hi = 0, n - 1  # next index up, next index down
-    failed: dict[int, Exception] = {}
-
-    def walk(up: bool) -> None:
-        nonlocal lo, hi
-        while True:
-            with lock:
-                if lo > hi:
-                    return
-                if up:
-                    i, lo = lo, lo + 1
-                else:
-                    i, hi = hi, hi - 1
-            try:
-                task(i)
-            except Exception as exc:
-                with lock:
-                    failed[i] = exc
-                    hi = min(hi, i - 1)
-
-    helper = threading.Thread(target=walk, args=(False,), name="sweep-down")
-    helper.start()
-    try:
-        walk(True)
-    finally:
-        with lock:
-            hi = -1  # stops the helper too if this thread was interrupted
-        helper.join()
-    if failed:
-        raise failed[min(failed)]
-
-
 def check_grid(step: int, L_max: int) -> None:
     """The hidden-size grid ``sweep_hidden`` accepts: 1 <= step <= L_max."""
     if step < 1 or L_max < step:
@@ -388,48 +353,48 @@ def sweep_hidden(
     """Grid search L in {step, 2*step, ..., <= L_max} on validation floor hits.
 
     Returns the whole score curve plus the smallest size attaining the
-    maximum floor hit rate. The fits run on two threads, one from each end
-    of the grid; the result is bitwise what a serial loop over the grid
-    returns. Each fit holds one N x L activation buffer, where the serial
-    loop briefly held two, and the two fits in flight are the largest one
-    pending and a smaller one, so together they hold less than the serial
-    loop's largest fit did.
+    maximum floor hit rate. Size L scores the first L neurons of the one
+    layer ``init_hidden(seed, d, L_max)`` draws. Their weights are the ones
+    ``train_elm`` draws at L, but their biases are the first L of the L_max
+    biases, so only at L_max is the layer the one ``train_elm`` fits. Each
+    size's beta is the ridge fit on its prefix layer, solved from the leading
+    blocks of one Gram matrix and one Cholesky factor.
+
+    Raises ``ValueError`` naming the argument for non-finite validation
+    features, pairs that are not one (building, floor) row per feature row,
+    and feature matrices that are empty or differ in width between the splits.
     """
     check_grid(step, L_max)
     x_tr = np.asarray(train_features, dtype=np.float64)
     x_val = np.asarray(val_features, dtype=np.float64)
-    if x_val.shape[0] == 0:
-        raise ValueError("validation set is empty")
+    train_pairs = np.asarray(train_pairs, dtype=np.int64)
     val_pairs = np.asarray(val_pairs, dtype=np.int64)
+    d = x_tr.shape[1] if x_tr.ndim == 2 else "d"
+    for split, x, pairs in (("train", x_tr, train_pairs), ("val", x_val, val_pairs)):
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != d:
+            raise ValueError(f"{split}_features must be N x {d} with N >= 1, "
+                             f"got shape {x.shape}")
+        if pairs.shape != (x.shape[0], 2):
+            raise ValueError(f"{split}_pairs must be {x.shape[0]} x 2 to match "
+                             f"{split}_features, got shape {pairs.shape}")
+    check_finite(x_val, "val_features")  # the training features are checked by hidden_map
     codebook = ClassCodebook.from_pairs(train_pairs)
-    t = encode_targets(train_pairs, codebook)
-
     sizes = np.arange(step, L_max + 1, step)
-    # Weight columns are seed-nested across sizes, so the big products are
-    # computed once and sliced per candidate; only the bias redraws per L.
-    w_full, _ = init_hidden(seed, x_tr.shape[1], int(sizes[-1]))
-    z_tr = x_tr @ w_full
-    z_val = x_val @ w_full
+    w, b = init_hidden(seed, x_tr.shape[1], L_max)
+    gram, rhs = _normal_equations(
+        hidden_map(x_tr, w, b), encode_targets(train_pairs, codebook), c
+    )
+    low = linalg.cholesky(gram)
+    h_val = hidden_map(x_val, w, b)
 
     floor_hits = np.empty(sizes.shape[0])
     building_hits = np.empty(sizes.shape[0])
-
-    def score(i: int) -> None:
-        L = int(sizes[i])
-        _, b = init_hidden(seed, x_tr.shape[1], L)
-        # one N x L buffer per fit: bitwise tansig(z_tr[:, :L] + b)
-        h = z_tr[:, :L] + b
-        np.tanh(h, out=h)
-        beta = fit(h, t, c)
-        del h
-        scores = tansig(z_val[:, :L] + b) @ beta
-        pred_b, pred_f = codebook.decode(np.argmax(scores, axis=1))
+    for i, L in enumerate(sizes):
+        beta = linalg.solve_cholesky(low[:L, :L], rhs[:L])
+        pred_b, pred_f = codebook.decode(np.argmax(h_val[:, :L] @ beta, axis=1))
         floor_hits[i] = 100.0 * float(np.mean(pred_f == val_pairs[:, 1]))
         building_hits[i] = 100.0 * float(np.mean(pred_b == val_pairs[:, 0]))
-
-    _from_both_ends(score, sizes.shape[0])
     best = int(sizes[int(np.argmax(floor_hits))])  # first max, i.e. smallest L
     return SweepResult(
         sizes=sizes, floor_hits=floor_hits, building_hits=building_hits, best_L=best
     )
-

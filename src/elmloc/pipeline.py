@@ -133,18 +133,23 @@ def _fit_stages(
 ) -> tuple[PreprocessParams, FeaturizerSpec | None, np.ndarray]:
     """The stages before the ELM, fitted on ``train``, and the ELM's training input.
 
-    The powed transform runs once: its output both fits the unit-norm stage
-    and is normalized. The featurizer is None for ``elm_only``.
+    A hidden layer of ``config.L`` neurons that ``elm.check_hidden_size``
+    refuses is refused before any stage runs. The powed transform runs once:
+    its output both fits the unit-norm stage and is normalized. The
+    featurizer is None for ``elm_only``.
     """
-    params = fit_powed(train, config.norm_mode)
-    x = apply_powed(train, params)
-    params = fit_unit_norm(x, params)
-    x = apply_unit_norm(x, params)
-    fspec = None
+    fspec, width = None, train.n_aps
     if config.approach == "cnn_elm":
         fspec = init_featurizer(
             config.seed, train.n_aps, n_filters=config.n_filters, kernel_size=config.kernel_size
         )
+        width = feature_width(train.n_aps, fspec)
+    elm_mod.check_hidden_size(width, config.L)
+    params = fit_powed(train, config.norm_mode)
+    x = apply_powed(train, params)
+    params = fit_unit_norm(x, params)
+    x = apply_unit_norm(x, params)
+    if fspec is not None:
         x = featurize(x, fspec)
     return params, fspec, x
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elmloc.linalg import matmul, solve_spd
+from elmloc.linalg import cholesky, matmul, solve_cholesky, solve_spd
 
 
 def matmul_oracle(a, b):
@@ -85,16 +85,6 @@ class TestSolveSpd:
         b = np.arange(6.0).reshape(3, 2)
         assert solve_spd(np.eye(3), b) == pytest.approx(b)
 
-    def test_asymmetric_rejected(self, rng):
-        a = rng.normal(size=(4, 4))
-        with pytest.raises(np.linalg.LinAlgError, match="symmetric"):
-            solve_spd(a, np.ones((4, 1)))
-
-    def test_not_positive_definite_rejected(self):
-        a = np.array([[1.0, 0.0], [0.0, -2.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_spd(a, np.ones((2, 1)))
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_spd(np.eye(3), np.ones((4, 1)))
@@ -105,3 +95,34 @@ class TestSolveSpd:
         b[1, 0] = bad
         with pytest.raises(ValueError, match="b contains non-finite values"):
             solve_spd(np.eye(3), b)
+
+
+#: Relative (Frobenius) residual allowed when a leading block of one factor
+#: solves the leading block of the system; the test matrices are well conditioned.
+BLOCK_RTOL = 1e-10
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("a, error, message", [
+        (np.ones((2, 3)), ValueError, r"^a must be square, got shape \(2, 3\)$"),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), np.linalg.LinAlgError, r"^matrix is not symmetric$"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), ValueError, r"^a contains non-finite values$"),
+        (np.array([[1.0, 0.0], [0.0, -2.0]]), np.linalg.LinAlgError, None),
+    ], ids=["non_square", "non_symmetric", "non_finite", "not_positive_definite"])
+    def test_rejected(self, a, error, message):
+        # solve_spd factors first, so it rejects each of these alike
+        with pytest.raises(error, match=message):
+            cholesky(a)
+        with pytest.raises(error, match=message):
+            solve_spd(a, np.ones((a.shape[0], 1)))
+
+    @given(st.integers(2, 12), st.data(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_leading_block_solves_leading_system(self, n, data, seed):
+        k = data.draw(st.integers(1, n), label="k")
+        r = np.random.default_rng(seed)
+        a = _spd(r, n)
+        b = r.normal(size=(n, 3))
+        x = solve_cholesky(cholesky(a)[:k, :k], b[:k])
+        residual = a[:k, :k] @ x - b[:k]
+        assert np.linalg.norm(residual) <= BLOCK_RTOL * np.linalg.norm(b[:k])

@@ -12,7 +12,7 @@ import pytest
 from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
-from elmloc import elm
+from elmloc import elm, pipeline
 from elmloc.cli import main
 from elmloc.dataset import RadioMap, split_validation
 from elmloc.evaluation import hit_rate
@@ -268,6 +268,28 @@ class TestSweepPipeline:
         a = sweep_pipeline(train, _config(L=40, quantize=True), step=20)
         b = sweep_pipeline(train, _config(L=40), step=20)
         assert a.floor_hits.tobytes() == b.floor_hits.tobytes()
+
+
+class TestHiddenSizeBoundFirst:
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_refused_before_any_stage_runs(self, syn_small, monkeypatch, approach):
+        # the ELM input is 40 wide either way: syn_small's 40 APs, or the default
+        # conv stage's 20 pooled positions x 2 filters
+        train, _ = syn_small
+        monkeypatch.setattr(elm, "MAX_HIDDEN_WEIGHTS", 40 * 60 - 1)
+
+        def stage(*args):
+            raise AssertionError("a stage ran before the hidden-size bound was checked")
+
+        monkeypatch.setattr(pipeline, "apply_powed", stage)
+        monkeypatch.setattr(pipeline, "featurize", stage)
+        message = (r"^a hidden layer of 40 inputs x 60 neurons exceeds the 2399 weights "
+                   r"that MAX_HIDDEN_WEIGHTS allows$")
+        config = _config(approach=approach, L=60)
+        with pytest.raises(ValueError, match=message):
+            fit_pipeline(train, config)
+        with pytest.raises(ValueError, match=message):
+            sweep_pipeline(train, config, step=20)
 
 
 def random_sha256_reference(model):
