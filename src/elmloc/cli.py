@@ -250,13 +250,8 @@ def cmd_train(args) -> int:
     config = _config(resolved, _TRAIN_KEYS)
 
     t0 = time.perf_counter()
-    model, h = _fit_pipeline(train, config, dataset=args.dataset)
+    model, pred = _fit_pipeline(train, config, dataset=args.dataset)
     train_s = time.perf_counter() - t0
-    # Score the training rows from the fit's own activations: H @ beta is
-    # bitwise the float score matrix predict_pipeline(train, model) computes.
-    scores = h @ model.elm.beta
-    del h  # not held through save_model
-    pred = np.column_stack(model.elm.codebook.decode(np.argmax(scores, axis=1)))
     truth = train.label_pairs()
     out_path = Path(args.out) if args.out else Path(f"{args.dataset}.model.json")
     save_model(model, out_path)

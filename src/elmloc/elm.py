@@ -1,13 +1,16 @@
 """Single-hidden-layer extreme learning machine over joint building/floor classes.
 
 The hidden layer is random and fixed: weights and biases drawn from a
-seeded uniform(-1, 1), tansig activation. Only the output weights are
-learned, in closed form via the regularized least-squares solution
+seeded uniform(-1, 1), tansig activation; ``hidden_map`` computes it for
+fit, predict and the sweep alike. Only the output weights are learned, in
+closed form via the regularized least-squares solution
 
     beta = (H^T H + I / c)^-1 H^T T
 
 where H is the hidden activation matrix and T the one-hot target matrix.
 Classes are joint (building, floor) pairs, so one argmax yields both labels.
+Training decodes the training rows' answers from its own H, so H never
+leaves this module.
 A per-tensor symmetric 8-bit quantization of the three weight tensors covers
 the deployment path, and a validation sweep picks the hidden-layer size: it
 scores the first L neurons of one layer, so one Gram matrix and one Cholesky
@@ -86,11 +89,6 @@ def encode_targets(pairs: np.ndarray, codebook: ClassCodebook) -> np.ndarray:
     return t
 
 
-def tansig(z: np.ndarray) -> np.ndarray:
-    """2 / (1 + exp(-2 z)) - 1, computed as tanh: identical values, no overflow."""
-    return np.tanh(z)
-
-
 def check_hidden_size(d: int, L: int) -> None:
     """Raise ``ValueError`` unless a hidden layer of d inputs and L neurons may be
     drawn: both positive, and d * L at most ``MAX_HIDDEN_WEIGHTS``."""
@@ -119,12 +117,19 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hidden activations H = tansig(x W + b); row = sample, column = neuron.
 
-    The bias add and tansig run in place on the product, so H is the only
-    N x L buffer made.
+    ``x`` is checked as ``features`` (2-D, as wide as ``w`` has rows, finite);
+    ``w`` and ``b`` come from ``init_hidden`` or an ``ElmModel`` and are
+    trusted. The bias add and tansig (2 / (1 + exp(-2 z)) - 1, computed as
+    tanh: the same values, no overflow) run in place on the product, so H is
+    the only N x L buffer made.
     """
-    h = linalg.matmul(x, w)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"features must be N x {w.shape[0]}, got shape {x.shape}")
+    check_finite(x, "features")
+    h = x @ w
     h += b
-    np.tanh(h, out=h)  # tansig
+    np.tanh(h, out=h)
     return h
 
 
@@ -252,11 +257,10 @@ def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: i
 def _train_elm(
     features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int
 ) -> tuple[ElmModel, np.ndarray]:
-    """``train_elm`` plus the training activations H it fitted on.
+    """``train_elm`` plus the training rows' predicted (building, floor) pairs (N x 2).
 
-    ``H @ model.beta`` is bitwise the score matrix ``predict`` computes for
-    the same features, so a caller can score the training rows without a
-    second hidden-layer pass.
+    They are decoded from the fit's own H, bitwise what ``predict`` answers
+    for the same features, so no caller runs a second hidden-layer pass.
     """
     x = np.asarray(features, dtype=np.float64)
     codebook = ClassCodebook.from_pairs(pairs)
@@ -264,18 +268,15 @@ def _train_elm(
     w, b = init_hidden(seed, x.shape[1], L)
     h = hidden_map(x, w, b)
     beta = fit(h, t, c)
-    return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1]), h
+    pred = np.column_stack(codebook.decode(np.argmax(h @ beta, axis=1)))
+    return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1]), pred
 
 
 def _scores(
     features: np.ndarray, w: np.ndarray, b: np.ndarray, beta: np.ndarray
 ) -> np.ndarray:
     """tansig(x w + b) beta for weights an ElmModel has already validated."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"features must be N x {w.shape[0]}, got shape {x.shape}")
-    check_finite(x, "features")
-    return tansig(x @ w + b) @ beta
+    return hidden_map(features, w, b) @ beta
 
 
 def predict(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -360,9 +361,9 @@ def sweep_hidden(
     size's beta is the ridge fit on its prefix layer, solved from the leading
     blocks of one Gram matrix and one Cholesky factor.
 
-    Raises ``ValueError`` naming the argument for non-finite validation
-    features, pairs that are not one (building, floor) row per feature row,
-    and feature matrices that are empty or differ in width between the splits.
+    Raises ``ValueError`` naming the argument for non-finite features, pairs
+    that are not one (building, floor) row per feature row, and feature
+    matrices that are empty or differ in width between the splits.
     """
     check_grid(step, L_max)
     x_tr = np.asarray(train_features, dtype=np.float64)
@@ -377,7 +378,8 @@ def sweep_hidden(
         if pairs.shape != (x.shape[0], 2):
             raise ValueError(f"{split}_pairs must be {x.shape[0]} x 2 to match "
                              f"{split}_features, got shape {pairs.shape}")
-    check_finite(x_val, "val_features")  # the training features are checked by hidden_map
+    check_finite(x_tr, "train_features")
+    check_finite(x_val, "val_features")
     codebook = ClassCodebook.from_pairs(train_pairs)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)

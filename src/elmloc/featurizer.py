@@ -8,7 +8,9 @@ pooled position as the major axis and the filter index as the minor one.
 Filter weights are drawn from a seeded uniform(-limit, limit) with
 limit = sqrt(6 / (kernel_size + n_filters)), and nothing here is ever
 trained; all the learning happens downstream. A ``FeaturizerSpec`` holds
-the sizes and the seed, and draws the filters on first use.
+the sizes and the seed, and draws the filters on first use. ``featurize``
+is the one implementation of the stage: it pools each block of rows
+directly into its output, whose row-major layout is the flattening.
 """
 
 from __future__ import annotations
@@ -87,32 +89,6 @@ def _correlate(x: np.ndarray, filters: np.ndarray) -> np.ndarray:
     return windows @ filters
 
 
-def avg_pool1d_valid(x: np.ndarray) -> np.ndarray:
-    """Average pooling along axis 1 of an (N, n, F) tensor; a partial last window is dropped."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"expected (N, n, F) input, got shape {x.shape}")
-    n = x.shape[1]
-    if n < POOL:
-        raise ValueError(f"input length {n} shorter than the pooling window {POOL}")
-    stop = n - n % POOL  # one past the last full window
-    # Adding 0.0 turns -0.0 into 0.0, as the mean's reduction from 0 did.
-    total = x[:, :stop:POOL] + 0.0
-    for offset in range(1, POOL):
-        total += x[:, offset:stop:POOL]
-    total /= POOL
-    return total
-
-
-def batch_flatten(x: np.ndarray) -> np.ndarray:
-    """(N, P, F) -> (N, P*F), position-major with the filter index fastest."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError(f"expected (N, P, F) input, got shape {x.shape}")
-    # an explicit width, not -1: numpy cannot infer it when N is 0
-    return x.reshape(x.shape[0], x.shape[1] * x.shape[2])
-
-
 def feature_width(n_aps: int, spec: FeaturizerSpec) -> int:
     """Flattened output width for an n-AP input (no data needed)."""
     if n_aps < POOL:
@@ -123,9 +99,10 @@ def feature_width(n_aps: int, spec: FeaturizerSpec) -> int:
 def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     """Full fixed stage: conv -> |.| -> average pool -> flatten, a fresh (N, F) matrix.
 
-    The stage runs over blocks of ``BLOCK_ROWS`` rows, each written into the
-    output, so besides its input and output only one block's temporaries are
-    live.
+    The stage runs over blocks of ``BLOCK_ROWS`` rows. Each block's pooled
+    |conv| is summed straight into the block's rows of the output, viewed as
+    (rows, P, F), so besides its input and output only one block's
+    temporaries are live.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -133,11 +110,18 @@ def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     if x.shape[1] != spec.n_aps:
         raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
     out = np.empty((x.shape[0], feature_width(x.shape[1], spec)))
+    n_pooled = x.shape[1] // POOL
+    stop = n_pooled * POOL  # one past the last full window; a partial one is dropped
     for start in range(0, x.shape[0], BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         z = _correlate(x[rows], spec.filters)
         np.abs(z, out=z)  # in place: no second (rows, n, F) temporary
-        out[rows] = batch_flatten(avg_pool1d_valid(z))
+        # The block's rows of the output as (rows, P, F): flattening is this view.
+        pooled = out[rows].reshape(z.shape[0], n_pooled, spec.n_filters)
+        pooled[...] = z[:, :stop:POOL]
+        for offset in range(1, POOL):
+            pooled += z[:, offset:stop:POOL]
+        pooled /= POOL
         del z  # freed before the next block's conv, not after it
     return out
 

@@ -27,17 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_array, check_float, check_int, check_rss, split_validation
+from .dataset import RadioMap, check_array, check_float, check_int, split_validation
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
-from .preprocess import (
-    NORM_MODES,
-    PreprocessParams,
-    apply_powed,
-    apply_preprocess,
-    apply_unit_norm,
-    fit_powed,
-    fit_unit_norm,
-)
+from .preprocess import NORM_MODES, PreprocessParams, _fit_transform, _rss_of, _transform
 
 _FORMAT = "elmloc-model-v3"
 _V2 = "elmloc-model-v2"  # still read: its random_sha256 leaves n_aps out
@@ -118,14 +110,15 @@ def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> 
 def _fit_pipeline(
     train: RadioMap, config: PipelineConfig, dataset: str = ""
 ) -> tuple[TrainedModel, np.ndarray]:
-    """``fit_pipeline`` plus the training activations H (see ``elm._train_elm``)."""
+    """``fit_pipeline`` plus the training rows' predicted (building, floor) pairs,
+    bitwise what ``predict_pipeline(train, model)`` answers (see ``elm._train_elm``)."""
     params, fspec, x = _fit_stages(train, config)
-    model, h = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
+    model, pred = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
     if config.quantize:
         model = elm_mod.quantize(model)
     return TrainedModel(
         preprocess=params, featurizer=fspec, elm=model, dataset=dataset or train.name
-    ), h
+    ), pred
 
 
 def _fit_stages(
@@ -134,9 +127,8 @@ def _fit_stages(
     """The stages before the ELM, fitted on ``train``, and the ELM's training input.
 
     A hidden layer of ``config.L`` neurons that ``elm.check_hidden_size``
-    refuses is refused before any stage runs. The powed transform runs once:
-    its output both fits the unit-norm stage and is normalized. The
-    featurizer is None for ``elm_only``.
+    refuses is refused before any stage runs. The featurizer is None for
+    ``elm_only``.
     """
     fspec, width = None, train.n_aps
     if config.approach == "cnn_elm":
@@ -145,10 +137,7 @@ def _fit_stages(
         )
         width = feature_width(train.n_aps, fspec)
     elm_mod.check_hidden_size(width, config.L)
-    params = fit_powed(train, config.norm_mode)
-    x = apply_powed(train, params)
-    params = fit_unit_norm(x, params)
-    x = apply_unit_norm(x, params)
+    params, x = _fit_transform(train, config.norm_mode)
     if fspec is not None:
         x = featurize(x, fspec)
     return params, fspec, x
@@ -157,8 +146,8 @@ def _fit_stages(
 def _apply_stages(
     rss: np.ndarray, params: PreprocessParams, fspec: FeaturizerSpec | None
 ) -> np.ndarray:
-    """Raw RSS rows through the fitted stages: the ELM's input."""
-    x = apply_preprocess(rss, params)
+    """Checked raw RSS rows through the fitted stages: the ELM's input."""
+    x = _transform(rss, params)
     return x if fspec is None else featurize(x, fspec)
 
 
@@ -185,13 +174,7 @@ def predict_pipeline(
     data, model: TrainedModel, quantized: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(buildings, floors) for raw RSS rows (matrix or RadioMap)."""
-    if isinstance(data, RadioMap):
-        rss = data.rss  # validated on construction
-    else:
-        rss = np.asarray(data, dtype=np.float64)
-        if rss.ndim != 2:
-            raise ValueError(f"expected a 2-D RSS matrix, got shape {rss.shape}")
-        check_rss(rss, "query matrix")
+    rss = _rss_of(data, "query matrix")
     if rss.shape[1] != model.n_aps:
         raise ValueError(f"model expects {model.n_aps} AP columns, input has {rss.shape[1]}")
     x = _apply_stages(rss, model.preprocess, model.featurizer)

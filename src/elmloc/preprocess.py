@@ -14,7 +14,12 @@ Two stages, applied in order:
    default) or per sample row. Zero-norm columns/rows pass through.
 
 Fitting never reads test data; applying is a pure function of the fitted
-``PreprocessParams`` and the input matrix.
+``PreprocessParams`` and the input matrix. Each function takes a ``RadioMap``
+(checked when it was built) or a raw RSS matrix, which is checked with
+``dataset.check_rss`` under the argument's name. One private fit,
+``_fit_transform``, fits both stages and returns the training matrix passed
+through them: the powed transform runs once, and the unit norm divides its
+output in place.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_finite
+from .dataset import NOT_DETECTED, RadioMap, check_finite, check_rss
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
@@ -63,15 +68,24 @@ class PreprocessParams:
             object.__setattr__(self, "feature_norms", norms)
 
 
-def _rss_of(data) -> np.ndarray:
+def _rss_of(data, what: str) -> np.ndarray:
+    """The RSS matrix of a ``RadioMap`` (checked when it was built), or a raw
+    matrix checked with ``check_rss`` under the argument name ``what``."""
     if isinstance(data, RadioMap):
         return data.rss
-    return np.asarray(data, dtype=np.float64)
+    rss = np.asarray(data, dtype=np.float64)
+    if rss.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D RSS matrix, got shape {rss.shape}")
+    check_rss(rss, what)
+    return rss
 
 
 def fit_powed(train, mode: str = "per_feature") -> PreprocessParams:
     """First-stage fit: record the weakest detected training reading."""
-    rss = _rss_of(train)
+    return _fit_powed(_rss_of(train, "train"), mode)
+
+
+def _fit_powed(rss: np.ndarray, mode: str) -> PreprocessParams:
     detected = rss[rss != NOT_DETECTED]
     if detected.size == 0:
         raise ValueError("training data has no detected readings; cannot fit")
@@ -80,7 +94,10 @@ def fit_powed(train, mode: str = "per_feature") -> PreprocessParams:
 
 def apply_powed(data, params: PreprocessParams) -> np.ndarray:
     """Powed representation of an RSS matrix; output in [0, 1]."""
-    rss = _rss_of(data)
+    return _powed(_rss_of(data, "data"), params)
+
+
+def _powed(rss: np.ndarray, params: PreprocessParams) -> np.ndarray:
     # Only detected cells are transformed; on real radio maps they are a few
     # percent of the matrix.
     detected = rss != NOT_DETECTED
@@ -93,28 +110,8 @@ def apply_powed(data, params: PreprocessParams) -> np.ndarray:
     return out
 
 
-def fit_unit_norm(powed_train: np.ndarray, params: PreprocessParams) -> PreprocessParams:
-    """Second-stage fit: per-column norms (a no-op in per_sample mode)."""
-    if params.mode == "per_sample":
-        return params
-    feats = np.asarray(powed_train, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError(f"powed training matrix must be non-empty 2-D, got {feats.shape}")
-    return replace(params, feature_norms=np.linalg.norm(feats, axis=0))
-
-
-def apply_unit_norm(powed: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    """The unit-norm stage as a new array; ``powed`` is not written."""
-    return _unit_norm_in_place(np.array(powed, dtype=np.float64), params)
-
-
 def _unit_norm_in_place(feats: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    """Divide a float64 matrix the caller owns by its norms, in place; returns it.
-
-    Bitwise what ``apply_unit_norm`` returns. ``apply_preprocess`` runs it
-    on the fresh matrix ``apply_powed`` returns, so it holds one N-row
-    matrix, not two.
-    """
+    """Divide a fresh float64 matrix by its norms, in place; returns it."""
     if params.mode == "per_sample":
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
@@ -132,12 +129,31 @@ def _unit_norm_in_place(feats: np.ndarray, params: PreprocessParams) -> np.ndarr
     return feats
 
 
+def _fit_transform(train, mode: str) -> tuple[PreprocessParams, np.ndarray]:
+    """Both stages fitted on ``train``, and ``train`` passed through them.
+
+    The powed transform runs once: its output fits the norms and is then
+    divided by them in place, bitwise what ``apply_preprocess`` returns for
+    ``train``.
+    """
+    rss = _rss_of(train, "train")
+    params = _fit_powed(rss, mode)
+    x = _powed(rss, params)
+    if mode == "per_feature":
+        params = replace(params, feature_norms=np.linalg.norm(x, axis=0))
+    return params, _unit_norm_in_place(x, params)
+
+
+def _transform(rss: np.ndarray, params: PreprocessParams) -> np.ndarray:
+    """``apply_preprocess`` for an RSS matrix the caller has already checked."""
+    return _unit_norm_in_place(_powed(rss, params), params)
+
+
 def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:
     """Fit both stages on a training radio map (or raw RSS matrix)."""
-    params = fit_powed(train, mode)
-    return fit_unit_norm(apply_powed(train, params), params)
+    return _fit_transform(train, mode)[0]
 
 
 def apply_preprocess(data, params: PreprocessParams) -> np.ndarray:
-    return _unit_norm_in_place(apply_powed(data, params), params)
-
+    """Both fitted stages applied to a radio map (or raw RSS matrix)."""
+    return _transform(_rss_of(data, "data"), params)

@@ -25,7 +25,6 @@ from elmloc.elm import (
     predict_quantized,
     quantize,
     sweep_hidden,
-    tansig,
     train_elm,
 )
 from elmloc.featurizer import feature_width, init_featurizer
@@ -98,16 +97,22 @@ class TestTargets:
         assert (t.sum(axis=1) == 1.0).all()
 
 
+def tansig(z):
+    """The activation alone: ``hidden_map`` of the row z with identity weights
+    and a zero bias (x @ I + 0 is exactly x)."""
+    z = np.asarray(z, dtype=np.float64)
+    return hidden_map(z[None, :], np.eye(z.size), np.zeros(z.size))[0]
+
+
 class TestTansig:
     def test_reference_value(self):
         # frozen reference: tanh(1) at 50-digit precision
-        assert tansig(np.array([1.0]))[0] == pytest.approx(
-            0.7615941559557649, abs=1e-15)
+        assert tansig([1.0])[0] == pytest.approx(0.7615941559557649, abs=1e-15)
 
     @given(st.floats(min_value=-20.0, max_value=20.0))
     def test_equals_logistic_form(self, z):
         expected = 2.0 / (1.0 + math.exp(-2.0 * z)) - 1.0
-        assert tansig(np.array([z]))[0] == pytest.approx(expected, abs=1e-12)
+        assert tansig([z])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_odd_function(self, rng):
         z = rng.normal(size=32)
@@ -158,8 +163,8 @@ class TestInitHidden:
         x = rng.random((3000, 100))
         w, b = init_hidden(0, 100, 200)
         h, peak = traced_peak(lambda: hidden_map(x, w, b))
-        # one N x L float64 buffer, plus linalg.matmul's finite-check masks of x and w
-        assert peak < h.nbytes + x.size + w.size
+        # one N x L float64 buffer, plus the finite-check mask of x (w is trusted)
+        assert peak < h.nbytes + x.size
         assert h.tobytes() == np.tanh(x @ w + b).tobytes()
 
 
@@ -269,16 +274,19 @@ class TestTrainPredict:
         assert (m1.w == m2.w).all() and (m1.beta == m2.beta).all()
 
     def test_fit_activations_score_like_predict(self, rng):
-        # cmd_train scores the training rows from these instead of predicting again
+        # cmd_train takes its training hit lines from the pairs the fit decodes
+        # from its own activations instead of predicting again
         x, labels = _toy_problem(rng)
-        model, h = elm._train_elm(x, labels, L=30, c=1.0, seed=5)
+        model, pred = elm._train_elm(x, labels, L=30, c=1.0, seed=5)
         ref = train_elm(x, labels, L=30, c=1.0, seed=5)
         assert (model.w == ref.w).all() and (model.beta == ref.beta).all()
-        assert np.array_equal(h, elm.hidden_map(x, model.w, model.b))
-        assert np.array_equal(h @ model.beta, elm._scores(x, model.w, model.b, model.beta))
-        b, f = model.codebook.decode(np.argmax(h @ model.beta, axis=1))
-        pb, pf = predict(x, model)
-        assert np.array_equal(b, pb) and np.array_equal(f, pf)
+        assert pred.tobytes() == np.column_stack(predict(x, model)).tobytes()
+
+    def test_non_finite_features_named(self, rng):
+        x, labels = _toy_problem(rng)
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^features contains non-finite values$"):
+            train_elm(x, labels, L=10, c=1.0, seed=0)
 
     def test_argmax_tie_takes_lowest_class_index(self):
         cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 1], [2, 5]]))
@@ -573,6 +581,8 @@ class TestSweep:
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a.update(x_val=np.full_like(a["x_val"], np.nan)),
          r"val_features contains non-finite values"),
+        (lambda a: a.update(x_tr=np.full_like(a["x_tr"], np.nan)),
+         r"train_features contains non-finite values"),
         (lambda a: a.update(p_val=a["p_val"][:1]),
          r"val_pairs must be 50 x 2 to match val_features, got shape \(1, 2\)"),
         (lambda a: a.update(p_tr=a["p_tr"][:-1]),
@@ -581,7 +591,8 @@ class TestSweep:
          r"val_features must be N x 8 with N >= 1, got shape \(50, 7\)"),
         (lambda a: a.update(x_tr=a["x_tr"][:, :7]),
          r"val_features must be N x 7 with N >= 1, got shape \(50, 8\)"),
-    ], ids=["nan_val", "one_val_pair", "train_pairs_short", "val_narrow", "train_narrow"])
+    ], ids=["nan_val", "nan_train", "one_val_pair", "train_pairs_short", "val_narrow",
+            "train_narrow"])
     def test_mismatched_inputs_rejected_by_name(self, rng, edit, message):
         x, labels = _toy_problem(rng, n=200)
         args = dict(x_tr=x[:150], p_tr=labels[:150], x_val=x[150:], p_val=labels[150:])
@@ -662,4 +673,6 @@ class TestThreadedSweep:
             sweep_reference(x_tr, p_tr, x_val, p_val, c=0.5, L_max=50, step=10, seed=0)
         with pytest.raises(ValueError) as got:
             sweep_hidden(x_tr, p_tr, x_val, p_val, c=0.5, L_max=50, step=10, seed=0)
-        assert str(got.value) == str(want.value)
+        # the same check, reported under the sweep's argument name
+        assert str(want.value) == "features contains non-finite values"
+        assert str(got.value) == f"train_{want.value}"

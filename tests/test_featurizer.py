@@ -14,8 +14,6 @@ from elmloc.featurizer import (
     POOL,
     FeaturizerSpec,
     _correlate,
-    avg_pool1d_valid,
-    batch_flatten,
     feature_width,
     featurize,
     init_featurizer,
@@ -51,6 +49,24 @@ def conv_oracle(x, filters):
     return out
 
 
+def _spec_with(filters, n_aps):
+    """A spec whose (k, F) filter bank is ``filters``, set by hand in place of
+    the seeded draw."""
+    filters = np.asarray(filters, dtype=np.float64)
+    spec = FeaturizerSpec(n_filters=filters.shape[1], kernel_size=filters.shape[0], seed=0,
+                          n_aps=n_aps)
+    spec.__dict__["filters"] = filters  # the cached property's slot
+    return spec
+
+
+def pool_flatten_reference(z):
+    """Average pooling over the full windows of POOL along axis 1 of an (N, n, F)
+    tensor, then position-major flattening: one reshape-mean over all rows."""
+    rows, n, f = z.shape
+    p = n // POOL
+    return z[:, :p * POOL].reshape(rows, p, POOL, f).mean(axis=2).reshape(rows, p * f)
+
+
 def conv_pad_window_reference(x, filters):
     """The np.pad + sliding_window_view conv that _correlate replaced."""
     pad = (filters.shape[0] - 1) // 2
@@ -71,7 +87,7 @@ class TestConvReference:
         spec = FeaturizerSpec(n_filters=f, kernel_size=k, seed=seed, n_aps=n)
         conv = conv_pad_window_reference(x, spec.filters)
         # the stage that added a zero bias before |.|: |z + 0| is bitwise |z|
-        staged = batch_flatten(avg_pool1d_valid(np.abs(conv + np.zeros(f))))
+        staged = pool_flatten_reference(np.abs(conv + np.zeros(f)))
         assert featurize(x, spec).tobytes() == staged.tobytes()
 
     def test_input_left_untouched(self, rng):
@@ -88,9 +104,10 @@ class TestConvReference:
         x = np.where(rng.random((4000, 520)) < 0.04, rng.random((4000, 520)), 0.0)
         out, peak = traced_peak(lambda: featurize(x, spec))
         n, k, f = spec.n_aps, spec.kernel_size, spec.n_filters
-        # one block's padded copy, conv output and pooled output, each in float64
-        block = BLOCK_ROWS * (n + k - 1 + n * f + n // POOL * f) * 8
-        assert peak < out.nbytes + block
+        # one block's padded copy and conv output, each in float64, plus 64 KiB
+        # of small objects; the pooled windows are summed into the output itself
+        block = BLOCK_ROWS * (n + k - 1 + n * f) * 8
+        assert peak < out.nbytes + block + 2**16
 
     def test_empty_ap_axis_rejected(self):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -128,50 +145,59 @@ class TestConv:
 
 class TestPool:
     def test_hand_examples(self):
-        x = np.array([1.0, 3.0, 5.0, 7.0])[None, :, None]
-        assert avg_pool1d_valid(x)[0, :, 0].tolist() == [2.0, 6.0]
+        spec = _spec_with([[1.0]], 4)  # one identity tap: featurize pools |x|
+        assert featurize(np.array([[1.0, -3.0, 5.0, 7.0]]), spec)[0].tolist() == [2.0, 6.0]
         # odd length: the trailing element does not form a full window
-        x = np.array([1.0, 3.0, 5.0])[None, :, None]
-        assert avg_pool1d_valid(x)[0, :, 0].tolist() == [2.0]
+        spec = _spec_with([[1.0]], 3)
+        assert featurize(np.array([[1.0, 3.0, 5.0]]), spec)[0].tolist() == [2.0]
 
-    @given(data=st.data(), f=st.integers(1, 3))
+    @given(data=st.data(), k=st.sampled_from([1, 3]), f=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_matches_window_view_reference(self, data, f):
-        n = data.draw(st.integers(POOL, 14))
-        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), n, f),
+    def test_matches_window_view_reference(self, data, k, f, seed):
+        n = data.draw(st.integers(max(k, POOL), 14))
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 3)), n),
                              elements=st.floats(-1e3, 1e3)))
+        spec = FeaturizerSpec(n_filters=f, kernel_size=k, seed=seed, n_aps=n)
+        z = np.abs(conv_pad_window_reference(x, spec.filters))
         # the windowed mean that the strided-slice sum replaced
-        reference = sliding_window_view(x, 2, axis=1)[:, ::2].mean(axis=-1)
-        out = avg_pool1d_valid(x)
-        assert out.shape == reference.shape
-        assert out.tobytes() == reference.tobytes()
+        reference = sliding_window_view(z, 2, axis=1)[:, ::2].mean(axis=-1)
+        assert featurize(x, spec).tobytes() == reference.reshape(x.shape[0], -1).tobytes()
 
     def test_negative_zero_pools_to_zero(self):
-        out = avg_pool1d_valid(np.full((1, 3, 2), -0.0))
+        # 0 * -1 is -0.0 in the conv; |.| leaves no -0.0 to pool
+        out = featurize(np.zeros((1, 3)), _spec_with(-np.ones((1, 2)), 3))
         assert not np.signbit(out).any()
 
     def test_channels_pooled_independently(self, rng):
-        x = rng.normal(size=(3, 6, 2))
-        out = avg_pool1d_valid(x)
+        filters = rng.normal(size=(3, 2))
+        x = rng.normal(size=(3, 6))
+        out = featurize(x, _spec_with(filters, 6)).reshape(3, 3, 2)
         for c in range(2):
-            assert out[:, :, c] == pytest.approx(avg_pool1d_valid(x[:, :, c:c + 1])[:, :, 0])
+            alone = featurize(x, _spec_with(filters[:, c:c + 1], 6))
+            assert out[:, :, c] == pytest.approx(alone)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="shorter than the pooling window 2"):
-            avg_pool1d_valid(np.zeros((1, 1, 2)))
+            featurize(np.zeros((1, 1)), _spec_with([[1.0]], 1))
 
 
 class TestFlatten:
     def test_position_major_filter_minor(self):
         # row layout: (pos0,f0), (pos0,f1), (pos1,f0), ...
-        x = np.array([[[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]])
-        assert batch_flatten(x)[0].tolist() == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0]
+        spec = _spec_with([[1.0, 10.0]], 6)
+        out = featurize(np.array([[1.0, 1.0, 2.0, 2.0, 3.0, 3.0]]), spec)
+        assert out[0].tolist() == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0]
 
     def test_bijective(self, rng):
-        x = rng.normal(size=(4, 5, 3))
-        flat = batch_flatten(x)
-        assert flat.shape == (4, 15)
-        assert (flat.reshape(4, 5, 3) == x).all()
+        # each (position, filter) cell of the pooled tensor is one output column
+        spec = init_featurizer(3, 11, n_filters=3)
+        x = rng.normal(size=(4, 11))
+        z = np.abs(conv_pad_window_reference(x, spec.filters))
+        pooled = (z[:, 0:10:2] + z[:, 1:10:2]) / 2
+        out = featurize(x, spec)
+        assert out.shape == (4, 15)
+        assert (out.reshape(4, 5, 3) == pooled).all()
 
 
 class TestInit:
@@ -290,8 +316,7 @@ class TestWidthAndComposition:
         # bitwise the stages run once over all rows
         spec = init_featurizer(2, 12)
         x = rng.normal(size=(rows, 12))
-        one_shot = batch_flatten(avg_pool1d_valid(np.abs(
-            conv_pad_window_reference(x, spec.filters))))
+        one_shot = pool_flatten_reference(np.abs(conv_pad_window_reference(x, spec.filters)))
         out = featurize(x, spec)
         assert out.shape == one_shot.shape == (rows, feature_width(12, spec))
         assert out.tobytes() == one_shot.tobytes()

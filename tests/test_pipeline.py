@@ -156,19 +156,13 @@ class TestTrainingActivations:
     @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
     @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
     def test_h_scores_the_training_rows_like_predict(self, syn_small, approach, norm_mode):
-        # elmloc train prints its training hit lines from H instead of predicting again
+        # elmloc train prints its training hit lines from the pairs the fit decodes
+        # from its own H instead of predicting again
         train, _ = syn_small
         config = _config(approach=approach, norm_mode=norm_mode, quantize=True)
-        model, h = _fit_pipeline(train, config)
+        model, pred = _fit_pipeline(train, config)
         assert (model.elm.beta == fit_pipeline(train, config).elm.beta).all()
-        x = apply_preprocess(train, model.preprocess)
-        if model.featurizer is not None:
-            x = featurize(x, model.featurizer)
-        m = model.elm
-        assert np.array_equal(h @ m.beta, elm._scores(x, m.w, m.b, m.beta))  # bitwise
-        b, f = m.codebook.decode(np.argmax(h @ m.beta, axis=1))
-        pb, pf = predict_pipeline(train, model)
-        assert np.array_equal(b, pb) and np.array_equal(f, pf)
+        assert pred.tobytes() == np.column_stack(predict_pipeline(train, model)).tobytes()
 
 
 def _scores(rss, model, quantized=False):
@@ -281,7 +275,7 @@ class TestHiddenSizeBoundFirst:
         def stage(*args):
             raise AssertionError("a stage ran before the hidden-size bound was checked")
 
-        monkeypatch.setattr(pipeline, "apply_powed", stage)
+        monkeypatch.setattr(pipeline, "_fit_transform", stage)
         monkeypatch.setattr(pipeline, "featurize", stage)
         message = (r"^a hidden layer of 40 inputs x 60 neurons exceeds the 2399 weights "
                    r"that MAX_HIDDEN_WEIGHTS allows$")
@@ -644,6 +638,14 @@ def test_serving_does_not_import_scipy(fitted, tmp_path):
 
 MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample", "cnn_elm_per_sample"]
 
+#: The setting each model file was trained with on the syn_small training rows,
+#: beyond PipelineConfig(L=30, c=1.0, seed=0) (see TestV2ModelFiles).
+SETTINGS = {
+    "cnn_elm_per_feature_int8": {"quantize": True},
+    "elm_only_per_sample": {"approach": "elm_only", "norm_mode": "per_sample"},
+    "cnn_elm_per_sample": {"norm_mode": "per_sample"},
+}
+
 
 @pytest.fixture(scope="module")
 def one_query(tmp_path_factory):
@@ -854,6 +856,20 @@ class TestV3ModelFiles:
         assert p.read_bytes() == (V3_FILES / f"{name}.model.json").read_bytes()
 
     @pytest.mark.parametrize("name", MODELS)
+    def test_training_again_writes_the_file(self, syn_small, tmp_path, name):
+        p = tmp_path / "m.json"
+        config = PipelineConfig(L=30, c=1.0, seed=0, **SETTINGS[name])
+        save_model(fit_pipeline(syn_small[0], config, dataset="TST1"), p)
+        got, want = (json.loads(f.read_text()) for f in (p, V3_FILES / f"{name}.model.json"))
+        # the learned floats may differ in their last bits across BLAS builds
+        for section, key in (("elm", "beta"), ("preprocess", "feature_norms")):
+            g, w = got[section].pop(key), want[section].pop(key)
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert np.linalg.norm(np.subtract(g, w)) <= 1e-12 * np.linalg.norm(w)
+        assert got == want  # random_sha256 included
+
+    @pytest.mark.parametrize("name", MODELS)
     def test_only_format_and_digest_differ_from_v2(self, name):
         v2, v3 = (json.loads((d / f"{name}.model.json").read_text()) for d in (V2_FILES, V3_FILES))
         assert (v2.pop("format"), v3.pop("format")) == ("elmloc-model-v2", "elmloc-model-v3")
@@ -932,7 +948,7 @@ class TestWidthRecordedOnce:
 
     @pytest.mark.parametrize("directory", [V2_FILES, V3_FILES], ids=["v2", "v3"])
     def test_stray_norms_of_a_per_sample_file_rejected(self, tmp_path, directory):
-        # apply_unit_norm would ignore them in per_sample mode
+        # apply_preprocess would ignore them in per_sample mode
         doc = json.loads((directory / "cnn_elm_per_sample.model.json").read_text())
         doc["preprocess"]["feature_norms"] = [1.0, 2.0]
         p = tmp_path / "m.json"

@@ -12,10 +12,8 @@ from elmloc.preprocess import (
     PreprocessParams,
     apply_powed,
     apply_preprocess,
-    apply_unit_norm,
     fit_powed,
     fit_preprocess,
-    fit_unit_norm,
 )
 
 
@@ -109,50 +107,53 @@ class TestPowed:
         assert out.tobytes() == reference.tobytes()
 
 
+def _detected(rng, shape):
+    """RSS readings, all detected: uniform on [-100, -30) dBm."""
+    return rng.uniform(-100.0, -30.0, size=shape)
+
+
 class TestUnitNorm:
     def test_per_feature_columns_normalized(self, rng):
-        x = rng.random((20, 5))
-        params = fit_powed(-np.ones((1, 5)))
-        params = fit_unit_norm(x, params)
-        out = apply_unit_norm(x, params)
+        rss = _detected(rng, (20, 5))
+        out = apply_preprocess(rss, fit_preprocess(rss))
         assert np.linalg.norm(out, axis=0) == pytest.approx(np.ones(5), abs=1e-9)
 
     def test_all_zero_column_stays_zero(self):
-        x = np.array([[0.0, 0.5], [0.0, 0.5]])
-        params = fit_unit_norm(x, fit_powed(-np.ones((1, 2))))
-        out = apply_unit_norm(x, params)
+        rss = np.array([[NOT_DETECTED, -55.0], [NOT_DETECTED, -110.0]])
+        out = apply_preprocess(rss, fit_preprocess(rss))
         assert (out[:, 0] == 0.0).all()
         assert np.isfinite(out).all()
 
     def test_stored_norms_are_raw(self):
         # the zero-column guard must happen at apply time, not in the stored
-        # vector, so the params faithfully describe the training columns
-        x = np.array([[0.0, 3.0], [0.0, 4.0]])
-        params = fit_unit_norm(x, fit_powed(-np.ones((1, 2))))
-        assert params.feature_norms.tolist() == [0.0, 5.0]
+        # vector, so the params faithfully describe the training columns;
+        # the powed column is (0.5 ** e, 0), whose norm is 0.5 ** e
+        params = fit_preprocess(np.array([[NOT_DETECTED, -55.0], [NOT_DETECTED, -110.0]]))
+        assert params.feature_norms[0] == 0.0
+        assert params.feature_norms[1] == pytest.approx(HALF_POW_E, abs=1e-15)
 
     def test_per_sample_reference_row(self):
         params = PreprocessParams(min_rss=-110.0, mode="per_sample")
-        out = apply_unit_norm(np.array([[1.0, 3.0]]), params)
-        # (1, 3) / sqrt(10), high-precision reference
-        assert out[0, 0] == pytest.approx(0.31622776601683794, abs=1e-15)
-        assert out[0, 1] == pytest.approx(0.9486832980505138, abs=1e-15)
+        out = apply_preprocess(np.array([[-55.0, -20.0, NOT_DETECTED]]), params)
+        # (0.5 ** e, (90 / 110) ** e, 0) / its norm, high-precision reference
+        assert out[0, 0] == pytest.approx(0.25361662676548493, abs=1e-15)
+        assert out[0, 1] == pytest.approx(0.9673048157784064, abs=1e-15)
+        assert out[0, 2] == 0.0
 
     def test_per_sample_zero_row_guarded(self):
         params = PreprocessParams(min_rss=-110.0, mode="per_sample")
-        out = apply_unit_norm(np.zeros((2, 3)), params)
-        assert np.isfinite(out).all()
+        out = apply_preprocess(np.zeros((2, 3)), params)  # nothing detected
+        assert (out == 0.0).all()
 
     def test_per_sample_rows_normalized(self, rng):
         params = PreprocessParams(min_rss=-110.0, mode="per_sample")
-        x = rng.random((10, 4)) + 0.1
-        out = apply_unit_norm(x, params)
+        out = apply_preprocess(_detected(rng, (10, 4)), params)
         assert np.linalg.norm(out, axis=1) == pytest.approx(np.ones(10), abs=1e-9)
 
     def test_per_feature_requires_fit(self):
         params = PreprocessParams(min_rss=-110.0)
         with pytest.raises(ValueError, match="norm"):
-            apply_unit_norm(np.ones((2, 2)), params)
+            apply_preprocess(-np.ones((2, 2)), params)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -168,6 +169,26 @@ class TestUnitNorm:
         # an infinite norm would divide its AP column to zero
         with pytest.raises(ValueError, match=r"^feature_norms contains non-finite values$"):
             PreprocessParams(min_rss=-110.0, feature_norms=np.array([1.0, value, 2.0]))
+
+
+class TestRawMatrixChecked:
+    @pytest.mark.parametrize("bad, message", [
+        (100.0, r"^{}: detected RSS values must be <= 0 dBm; found 100.0 "),
+        (np.nan, r"^{} contains non-finite values$"),
+        (np.inf, r"^{} contains non-finite values$"),
+    ], ids=["sentinel", "nan", "inf"])
+    @pytest.mark.parametrize("stage", ["fit", "apply"])
+    def test_rejected_by_argument_name(self, stage, bad, message):
+        # a sentinel that was never remapped would otherwise pass through powed
+        # as a value above 1, and NaN as NaN
+        raw = np.array([[bad, -50.0, NOT_DETECTED]])
+        if stage == "fit":
+            call, name = (lambda: fit_preprocess(raw)), "train"
+        else:
+            params = fit_preprocess(np.array([[-80.0, -40.0, 0.0], [-60.0, 0.0, -70.0]]))
+            call, name = (lambda: apply_preprocess(raw, params)), "data"
+        with pytest.raises(ValueError, match=message.format(name)):
+            call()
 
 
 class TestComposition:
