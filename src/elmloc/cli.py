@@ -15,6 +15,10 @@ error, and flag and file values go through ``pipeline.check_setting``, so they
 are checked, not cast or dropped, before any data is read. The resolved
 configuration and its digest are echoed so every run is reproducible.
 
+``predict`` reads its query file once: mapped by a ``manifest.json`` beside it,
+whose labels are then scored, or else exactly the model's AP columns with 100
+for an AP not heard. Its header is checked even when the file has no rows.
+
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
 wrappers, 2 I/O or configuration errors.
 """
@@ -38,10 +42,11 @@ from .dataset import (
     RadioMap,
     SchemaError,
     UnknownDatasetError,
+    _read_map,
+    _read_matrix,
+    check_rss,
     load_csv,
     load_manifest,
-    parse_rows,
-    read_lines,
     registry_lookup,
     registry_names,
 )
@@ -263,8 +268,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_queries(path: Path, model) -> tuple[RadioMap | None, np.ndarray | None]:
-    """Query matrix plus truth labels when the file carries them."""
+def _read_queries(path: Path, model) -> RadioMap | np.ndarray:
+    """The query file's rows: a RadioMap, labels included, when a manifest maps
+    its columns, else the bare RSS matrix. Either may have no rows."""
     manifest_path = path.parent / "manifest.json"
     if manifest_path.exists():
         manifest = load_manifest(manifest_path)
@@ -273,20 +279,23 @@ def _read_queries(path: Path, model) -> tuple[RadioMap | None, np.ndarray | None
                 f"manifest maps {manifest.schema.n_aps} AP columns, "
                 f"model expects {model.n_aps}"
             )
-        rmap = load_csv(path, manifest.schema, manifest.sentinel, name=path.stem)
-        return rmap, rmap.label_pairs()
+        return _read_map(path, manifest.schema, manifest.sentinel, path.stem)
+
     # No manifest: the file must be exactly the AP columns, UJI-style sentinel.
-    lines = read_lines(path)
-    width = len(lines[0].split(","))
-    if width != model.n_aps:
-        raise CliError(
-            f"{path} has {width} columns but the model expects {model.n_aps} "
-            "AP columns; place a manifest.json next to the file to map columns"
-        )
-    data = parse_rows(lines, path)
+    def check_width(width):
+        if width != model.n_aps:
+            raise CliError(
+                f"{path} has {width} columns but the model expects {model.n_aps} "
+                "AP columns; place a manifest.json next to the file to map columns"
+            )
+
+    data = _read_matrix(path, check_width)
     data[data == 100.0] = 0.0
-    rmap = RadioMap(rss=data, floor=np.zeros(data.shape[0], dtype=np.int64))
-    return rmap, None
+    try:
+        check_rss(data, "rss")
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return data
 
 
 def cmd_predict(args) -> int:
@@ -297,27 +306,22 @@ def cmd_predict(args) -> int:
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")
     out_path = Path(args.out) if args.out else queries_path.with_suffix(".predictions.csv")
-    try:
-        with open(queries_path, newline="") as fh:
-            fh.readline()  # the header
-            # parse_rows' rule: blank and whitespace-only lines hold no query
-            has_data = any(not line.isspace() for line in fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{queries_path}: {exc}") from None
-    if not has_data:
+    queries = _read_queries(queries_path, model)
+    labeled = isinstance(queries, RadioMap)
+    if len(queries.rss if labeled else queries) == 0:
         out_path.write_text("building,floor\n")
         print(f"0 queries; wrote {out_path}")
         return 0
-    rmap, truth = _read_queries(queries_path, model)
-    buildings, floors = predict_pipeline(rmap, model, quantized=args.quantized)
+    buildings, floors = predict_pipeline(queries, model, quantized=args.quantized)
     with open(out_path, "w") as fh:
         fh.write("building,floor\n")
         for b, f in zip(buildings, floors):
             fh.write(f"{int(b)},{int(f)}\n")
     print(f"{len(floors)} predictions written to {out_path}")
-    if truth is not None:
+    if labeled:
         pred = np.column_stack([buildings, floors])
-        if rmap.has_building:
+        truth = queries.label_pairs()
+        if queries.has_building:
             print(f"building hit: {hit_rate(pred, truth, 'building'):.2f}%")
         print(f"floor hit: {hit_rate(pred, truth, 'floor'):.2f}%")
     return 0

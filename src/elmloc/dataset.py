@@ -11,9 +11,12 @@ Column layout is supplied per dataset through a small JSON manifest:
     {"ap_columns": [first, last], "floor_col": i, "building_col": j | null,
      "sentinel": 100}
 
-``ap_columns`` bounds are inclusive. An optional ``coord_columns`` list names
-coordinate columns, which are parsed and kept as opaque metadata but never
-used for classification.
+``ap_columns`` bounds are inclusive; any other key is ignored.
+
+Every fingerprint file, a training split or a query file, is opened once by
+one reader: the caller checks the header's width before any row is parsed,
+and numpy's C parser reads the open stream. Only input it cannot vouch for is
+read again and split line by line, which names the offending line.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ class RadioMap:
     floor: np.ndarray
     building: np.ndarray | None = None
     name: str = ""
-    coords: np.ndarray | None = None
 
     def __post_init__(self):
         rss = np.ascontiguousarray(self.rss, dtype=np.float64)
@@ -68,12 +70,7 @@ class RadioMap:
         building = None
         if self.building is not None:
             building = _as_label_vector(self.building, "building", rss.shape[0])
-        coords = None
-        if self.coords is not None:
-            coords = np.ascontiguousarray(self.coords, dtype=np.float64)
-            if coords.shape[0] != rss.shape[0]:
-                raise ValueError("coords row count does not match rss")
-        stored = {"rss": rss, "floor": floor, "building": building, "coords": coords}
+        stored = {"rss": rss, "floor": floor, "building": building}
         for name, arr in stored.items():
             if arr is not None:
                 arr = arr.view()  # frozen without freezing the caller's array
@@ -105,7 +102,6 @@ class RadioMap:
             floor=self.floor[idx],
             building=None if self.building is None else self.building[idx],
             name=self.name,
-            coords=None if self.coords is None else self.coords[idx],
         )
 
 
@@ -189,15 +185,12 @@ class DatasetDescriptor:
     n_aps: int
     L_default: int
     c_default: float
-    db_type: str  # "MF" or "MB-MF"
 
     def __post_init__(self):
         if self.L_default <= 0:
             raise ValueError("L_default must be positive")
         if self.c_default <= 0:
             raise ValueError("c_default must be positive")
-        if self.db_type not in ("MF", "MB-MF"):
-            raise ValueError(f"db_type must be 'MF' or 'MB-MF', got {self.db_type!r}")
 
 
 # The twelve public benchmark sets with their published sizes and the
@@ -205,21 +198,21 @@ class DatasetDescriptor:
 _REGISTRY: dict[str, DatasetDescriptor] = {
     d.name: d
     for d in [
-        DatasetDescriptor("LIB1", 576, 3120, 174, 105, 0.05, "MF"),
-        DatasetDescriptor("LIB2", 576, 3120, 197, 105, 0.01, "MF"),
-        DatasetDescriptor("TUT1", 1476, 490, 309, 75, 0.1, "MF"),
-        DatasetDescriptor("TUT2", 584, 176, 354, 160, 0.01, "MF"),
-        DatasetDescriptor("TUT3", 697, 3951, 992, 235, 0.05, "MF"),
-        DatasetDescriptor("TUT4", 3951, 697, 992, 275, 0.05, "MF"),
-        DatasetDescriptor("TUT5", 446, 982, 489, 195, 0.01, "MF"),
-        DatasetDescriptor("TUT6", 3116, 7269, 652, 450, 0.1, "MF"),
-        DatasetDescriptor("TUT7", 2787, 6504, 801, 200, 1.0, "MF"),
-        DatasetDescriptor("UJI1", 19861, 1111, 520, 530, 0.1, "MB-MF"),
-        DatasetDescriptor("UJI2", 20972, 5179, 520, 215, 0.01, "MB-MF"),
-        DatasetDescriptor("UTS1", 9108, 388, 589, 275, 0.01, "MF"),
+        DatasetDescriptor("LIB1", 576, 3120, 174, 105, 0.05),
+        DatasetDescriptor("LIB2", 576, 3120, 197, 105, 0.01),
+        DatasetDescriptor("TUT1", 1476, 490, 309, 75, 0.1),
+        DatasetDescriptor("TUT2", 584, 176, 354, 160, 0.01),
+        DatasetDescriptor("TUT3", 697, 3951, 992, 235, 0.05),
+        DatasetDescriptor("TUT4", 3951, 697, 992, 275, 0.05),
+        DatasetDescriptor("TUT5", 446, 982, 489, 195, 0.01),
+        DatasetDescriptor("TUT6", 3116, 7269, 652, 450, 0.1),
+        DatasetDescriptor("TUT7", 2787, 6504, 801, 200, 1.0),
+        DatasetDescriptor("UJI1", 19861, 1111, 520, 530, 0.1),
+        DatasetDescriptor("UJI2", 20972, 5179, 520, 215, 0.01),
+        DatasetDescriptor("UTS1", 9108, 388, 589, 275, 0.01),
         # Bundled synthetic benchmark set (3 buildings x 4 floors); defaults
         # chosen by a validation sweep on the generated data.
-        DatasetDescriptor("SYN1", 6000, 1000, 100, 500, 1.0, "MB-MF"),
+        DatasetDescriptor("SYN1", 6000, 1000, 100, 500, 1.0),
     ]
 }
 
@@ -245,16 +238,12 @@ class ColumnSchema:
     ap_end: int
     floor_col: int
     building_col: int | None = None
-    coord_cols: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.ap_start < 0 or self.ap_end < self.ap_start:
             raise SchemaError(f"bad AP column range [{self.ap_start}, {self.ap_end}]")
-        labels = [self.floor_col, *self.coord_cols]
-        if self.building_col is not None:
-            labels.append(self.building_col)
-        for col in labels:
-            if self.ap_start <= col <= self.ap_end:
+        for col in (self.floor_col, self.building_col):
+            if col is not None and self.ap_start <= col <= self.ap_end:
                 raise SchemaError(f"column {col} falls inside the AP range")
 
     @property
@@ -262,17 +251,13 @@ class ColumnSchema:
         return self.ap_end - self.ap_start + 1
 
     def max_col(self) -> int:
-        cols = [self.ap_end, self.floor_col, *self.coord_cols]
-        if self.building_col is not None:
-            cols.append(self.building_col)
-        return max(cols)
+        return max(self.ap_end, self.floor_col, self.building_col or 0)
 
 
 @dataclass(frozen=True)
 class Manifest:
     schema: ColumnSchema
     sentinel: float
-    name: str = ""
 
 
 def load_manifest(path) -> Manifest:
@@ -291,12 +276,11 @@ def load_manifest(path) -> Manifest:
             ap_end=check_int(ap_hi, "ap_columns"),
             floor_col=check_int(raw["floor_col"], "floor_col"),
             building_col=None if building is None else check_int(building, "building_col"),
-            coord_cols=tuple(check_int(c, "coord_columns") for c in raw.get("coord_columns", ())),
         )
         sentinel = check_float(raw["sentinel"], "sentinel")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"invalid manifest {path}: {exc}") from exc
-    return Manifest(schema=schema, sentinel=sentinel, name=str(raw.get("name", "")))
+    return Manifest(schema=schema, sentinel=sentinel)
 
 
 def load_csv(path, schema: ColumnSchema, sentinel_raw: float, name: str = "") -> RadioMap:
@@ -307,94 +291,105 @@ def load_csv(path, schema: ColumnSchema, sentinel_raw: float, name: str = "") ->
     report the 1-based line number of the offending row.
     """
     path = Path(path)
-    lines = read_lines(path)
-    width = len(lines[0].split(","))
-    if schema.max_col() >= width:
-        raise SchemaError(
-            f"{path}: schema references column {schema.max_col()} "
-            f"but the file has {width} columns"
-        )
-    data = parse_rows(lines, path)
+    radio_map = _read_map(path, schema, sentinel_raw, name or path.stem)
+    if radio_map.n_samples == 0:
+        raise ParseError(f"{path}: no data rows")
+    return radio_map
 
+
+def _read_map(path, schema: ColumnSchema, sentinel_raw: float, name: str) -> RadioMap:
+    """``load_csv`` without its row check: the map may have no rows."""
+    def check_width(width):
+        if schema.max_col() >= width:
+            raise SchemaError(
+                f"{path}: schema references column {schema.max_col()} "
+                f"but the file has {width} columns"
+            )
+
+    data = _read_matrix(path, check_width)
     rss = data[:, schema.ap_start : schema.ap_end + 1].copy()
     rss[rss == sentinel_raw] = NOT_DETECTED
     floor = data[:, schema.floor_col]
     building = None if schema.building_col is None else data[:, schema.building_col]
-    coords = data[:, list(schema.coord_cols)] if schema.coord_cols else None
     try:
-        return RadioMap(rss=rss, floor=floor, building=building, name=name or path.stem, coords=coords)
+        return RadioMap(rss=rss, floor=floor, building=building, name=name)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def read_lines(path) -> list[str]:
-    """Lines of a CSV file, header first; an empty file raises ParseError."""
+def _read_matrix(path, check_width) -> np.ndarray:
+    """Data rows of a CSV file as an N x width float matrix; N may be 0.
+
+    ``width`` is the header's cell count, and ``check_width(width)`` runs
+    before any row is parsed. Blank and whitespace-only lines are skipped. A
+    ragged row, a non-numeric cell or a non-finite value raises ParseError
+    naming its 1-based line number; so does an empty file or one that does not
+    decode.
+    """
     try:
         with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
+            header = fh.readline().splitlines()
+            if not header:
+                raise ParseError(f"{path}: empty file (expected a header row)")
+            width = len(header[0].split(","))
+            check_width(width)
+            # a header that str.splitlines cuts in two moves every later line
+            data = _load_rows(fh) if len(header) == 1 else None
+        if data is None or data.shape[1] != width or not np.all(np.isfinite(data)):
+            with open(path, newline="") as fh:
+                data = _parse_lines(fh.read().splitlines(), width, path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not lines:
-        raise ParseError(f"{path}: empty file (expected a header row)")
-    return lines
-
-
-def parse_rows(lines: list[str], path) -> np.ndarray:
-    """Data rows of ``read_lines`` output as an N x width float matrix.
-
-    ``width`` is the header's cell count. Blank and whitespace-only lines are
-    skipped. A ragged row, a non-numeric cell or a non-finite value raises
-    ParseError naming its 1-based line number.
-    """
-    width = len(lines[0].split(","))
-    rows = [line for line in lines[1:] if line and not line.isspace()]
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    # numpy's C parser takes the common, well-formed file. It accepts a subset
-    # of what float() does (no "1_0" cells), so anything it rejects or reads
-    # into another shape goes through the line-split path below, which either
-    # parses it the same way as before or locates the offending line.
-    try:
-        data = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(rows), width):
-        data = _parse_lines_slow(lines, width, path)
-    if not np.all(np.isfinite(data)):
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise ParseError(f"{path}:{int(bad[0]) + 2}: non-finite value in column {int(bad[1])}")
     return data
 
 
-def _parse_lines_slow(lines: list[str], width: int, path) -> np.ndarray:
-    rows = []
+def _load_rows(fh) -> np.ndarray | None:
+    r"""numpy's C parse of the rest of ``fh``, or None where it raised. It
+    accepts less than float() does (no "1_0"), and it reads \v, \f, \x1c-\x1e,
+    \x85, \u2028 and \u2029 as blanks around a cell, where str.splitlines ends
+    the line; so a line holding one of them stops the parse too."""
+    def lines():
+        for line in fh:
+            if len(line.splitlines()) > 1:
+                raise ValueError("line break inside a line")
+            if not line.isspace():
+                yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            return np.loadtxt(lines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _parse_lines(lines: list[str], width: int, path) -> np.ndarray:
+    """The data rows of ``lines`` (header first), each cell read by float()."""
+    rows = {}  # 1-based line number -> cells
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         cells = line.split(",")
         if len(cells) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
-            )
-        rows.append(cells)
-    try:
-        return np.asarray(rows, dtype=np.float64)
-    except ValueError:
-        return _parse_cells_slow(rows, path)
-
-
-def _parse_cells_slow(rows, path) -> np.ndarray:
-    # Fallback taken only when the bulk conversion fails: find the culprit cell.
-    out = np.empty((len(rows), len(rows[0])), dtype=np.float64)
-    for i, cells in enumerate(rows):
-        for j, cell in enumerate(cells):
-            try:
-                out[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{i + 2}: non-numeric cell {cell!r} in column {j}"
-                ) from None
-    return out
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
+        rows[lineno] = cells
+    data = np.empty((len(rows), width), dtype=np.float64)
+    for i, (lineno, cells) in enumerate(rows.items()):
+        try:
+            data[i] = [float(cell) for cell in cells]
+        except ValueError:
+            for j, cell in enumerate(cells):  # find the culprit
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {j}"
+                    ) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        lineno = list(rows)[bad[0, 0]]
+        raise ParseError(f"{path}:{lineno}: non-finite value in column {int(bad[0, 1])}")
+    return data
 
 
 def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[RadioMap, RadioMap]:

@@ -78,7 +78,6 @@ def _sample_block(rng, n, ap_xy, ap_floor, ap_building, name) -> RadioMap:
         floor=floor,
         building=building,
         name=name,
-        coords=xy,
     )
 
 

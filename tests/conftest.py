@@ -23,7 +23,7 @@ SENTINEL_RAW = 100.0
 
 TST1 = DatasetDescriptor(
     name="TST1", train_size=720, test_size=240, n_aps=40,
-    L_default=60, c_default=1.0, db_type="MB-MF",
+    L_default=60, c_default=1.0,
 )
 
 

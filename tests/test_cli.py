@@ -15,6 +15,7 @@ from conftest import TST1, _write_csv
 from test_pipeline import (
     BAD_KEYS,
     BAD_WEIGHTS,
+    V3_FILES,
     settings_of,
     write_bad_key_model,
     write_bad_model,
@@ -70,7 +71,7 @@ class TestIngest:
     def test_size_mismatch_warns(self, data_root, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(dataset._REGISTRY, "TST2", DatasetDescriptor(
             name="TST2", train_size=9999, test_size=240, n_aps=40,
-            L_default=60, c_default=1.0, db_type="MB-MF",
+            L_default=60, c_default=1.0,
         ))
         link = tmp_path / "TST2"
         link.symlink_to(data_root / "TST1")
@@ -365,6 +366,38 @@ class TestPredict:
             predictions.append(out.read_text())
         assert predictions[0] == predictions[1]
         assert len(predictions[0].splitlines()) == 6
+
+    @pytest.mark.parametrize("text, manifest, rc, message", [
+        ("a,b,c\n", False, 2, "has 3 columns but the model expects 40"),
+        ("a,b,c\n\n  \n", False, 2, "has 3 columns but the model expects 40"),
+        ("", False, 2, "empty file (expected a header row)"),
+        ("a,b,c\n", True, 2, "schema references column 41 but the file has 3 columns"),
+        (",".join(f"AP{j}" for j in range(40)) + "\n\n", False, 0, "0 queries"),
+    ], ids=["narrow", "narrow_blank_lines", "zero_bytes", "narrow_manifest", "right_width"])
+    def test_header_only_file_is_checked(self, tmp_path, capsys, text, manifest, rc, message):
+        # a file without rows still has its header checked against the model
+        model = V3_FILES / "cnn_elm_per_sample.model.json"
+        p = tmp_path / "q.csv"
+        p.write_text(text)
+        if manifest:
+            (tmp_path / "manifest.json").write_text(json.dumps(
+                {"ap_columns": [0, 39], "floor_col": 40, "building_col": 41, "sentinel": 100}))
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", str(model), "--queries", str(p),
+                     "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert message in (captured.err if rc else captured.out)
+        assert out.exists() == (rc == 0)
+        if rc == 0:
+            assert out.read_text() == "building,floor\n"
+
+    def test_bare_matrix_bad_reading_names_the_file(self, model_path, tmp_path, capsys):
+        p = tmp_path / "q.csv"
+        p.write_text(",".join(f"AP{j}" for j in range(40)) + "\n"
+                     + ",".join(["100"] * 39 + ["5"]) + "\n")
+        assert main(["predict", "--model", str(model_path), "--queries", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {p}: rss: detected RSS values must be <= 0 dBm; found 5.0")
 
     @pytest.mark.parametrize("row, message", [
         ("-50,-60", r":3: expected 40 columns, found 2"),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestRadioMap:
     def test_caller_arrays_stay_writeable(self):
         # arrays that need no conversion are shared with the map, not frozen under the caller
         given = {"rss": np.full((3, 2), -60.0), "floor": np.arange(3),
-                 "building": np.zeros(3, dtype=np.int64), "coords": np.zeros((3, 2))}
+                 "building": np.zeros(3, dtype=np.int64)}
         m = RadioMap(**given)
         for name, arr in given.items():
             stored = getattr(m, name)
@@ -114,7 +115,6 @@ class TestRegistry:
         assert d.n_aps == 520
         assert d.L_default == 530
         assert d.c_default == 0.1
-        assert d.db_type == "MB-MF"
 
     def test_tut3_defaults(self):
         d = registry_lookup("TUT3")
@@ -132,9 +132,10 @@ class TestColumnSchema:
         assert s.max_col() == 4
 
     def test_max_col_spans_all_fields(self):
-        s = ColumnSchema(ap_start=0, ap_end=3, floor_col=4, building_col=5,
-                         coord_cols=(6, 7))
-        assert s.max_col() == 7
+        s = ColumnSchema(ap_start=0, ap_end=3, floor_col=5, building_col=4)
+        assert s.max_col() == 5
+        s = ColumnSchema(ap_start=1, ap_end=3, floor_col=4, building_col=0)
+        assert s.max_col() == 4
 
     def test_overlapping_label_column_rejected(self):
         with pytest.raises(ValueError):
@@ -175,12 +176,10 @@ class TestManifest:
         ({"ap_columns": [0, "99"]}, r"ap_columns must hold 64-bit integers, got '99'"),
         ({"floor_col": 100.9}, r"floor_col must hold 64-bit integers, got 100\.9"),
         ({"building_col": True}, r"building_col must hold 64-bit integers, got True"),
-        ({"coord_columns": [102, 103.5]},
-         r"coord_columns must hold 64-bit integers, got 103\.5"),
         ({"sentinel": True}, r"sentinel must hold a float, got True"),
         ({"sentinel": "100"}, r"sentinel must hold a float, got '100'"),
     ], ids=["ap_fraction", "ap_string", "floor_fraction", "building_bool",
-            "coord_fraction", "sentinel_bool", "sentinel_string"])
+            "sentinel_bool", "sentinel_string"])
     def test_uncast_values_rejected(self, tmp_path, edit, message):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({
@@ -241,11 +240,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(p, SCHEMA, sentinel_raw=100.0)
 
-    def test_coords_extracted(self, tmp_path):
-        schema = ColumnSchema(ap_start=0, ap_end=1, floor_col=2, coord_cols=(3, 4))
-        p = _write(tmp_path, "a,b,f,x,y\n-30,-40,1,12.5,-3.25\n")
-        m = load_csv(p, schema, sentinel_raw=100.0)
-        assert m.coords.tolist() == [[12.5, -3.25]]
+    def test_traced_peak_keeps_no_text(self, tmp_path):
+        # The file is streamed into the parser: at its peak load_csv holds the
+        # parsed matrix, the rss copy and masks an eighth their size, not the
+        # text or its lines (which would take the peak to about 1.2x the bound)
+        rng = np.random.default_rng(0)
+        n, aps = 3000, 150
+        readings = np.round(-rng.uniform(30, 100, (n, aps)), 2)
+        cells = np.where(rng.random((n, aps)) < 0.1, readings, 100).astype(str)
+        labels = np.column_stack([np.arange(n) % 4, np.arange(n) % 3]).astype(str)
+        p = tmp_path / "wide.csv"
+        p.write_text(",".join(f"c{j}" for j in range(aps + 2)) + "\n"
+                     + "\n".join(",".join(row) for row in np.hstack([cells, labels]).tolist())
+                     + "\n")
+        tracemalloc.start()
+        try:
+            m = load_csv(p, ColumnSchema(0, aps - 1, aps, aps + 1), sentinel_raw=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.rss.shape == (n, aps)
+        matrix = n * (aps + 2) * 8
+        assert peak < matrix + m.rss.nbytes + p.stat().st_size / 2
 
 
 def reference_load_csv(path, schema, sentinel_raw, name=""):
@@ -280,11 +296,14 @@ def reference_load_csv(path, schema, sentinel_raw, name=""):
                     data[i, j] = float(cell)
                 except ValueError:
                     raise ParseError(
-                        f"{path}:{i + 2}: non-numeric cell {cell!r} in column {j}"
+                        f"{path}:{[k for k, s in enumerate(lines) if k and s.strip()][i] + 1}: "
+                        f"non-numeric cell {cell!r} in column {j}"
                     ) from None
     if not np.all(np.isfinite(data)):
         bad = np.argwhere(~np.isfinite(data))[0]
-        raise ParseError(f"{path}:{int(bad[0]) + 2}: non-finite value in column {int(bad[1])}")
+        raise ParseError(
+            f"{path}:{[k for k, s in enumerate(lines) if k and s.strip()][int(bad[0])] + 1}: "
+            f"non-finite value in column {int(bad[1])}")
     rss = data[:, schema.ap_start : schema.ap_end + 1].copy()
     rss[rss == sentinel_raw] = 0.0
     floor = data[:, schema.floor_col]
@@ -349,10 +368,29 @@ class TestLoadCsvReference:
             "a,b,c,f,bl\n-30,x,-50,1,0\n",
             "a,b,c,f,bl\n",
             "a,b,c,f,bl\n-30,-40,-50,1,0",
+            # line breaks that str.splitlines knows and the file object does not,
+            # in the header and in rows, and whitespace-only lines
+            "a,b,c,f,bl\x0c\n-30,-40,-50,1,0\n",
+            "a,b,c\x0bf,bl\n-30,-40,-50,1,0\n",
+            "a,b,c,f,bl\x1c-30,-40,-50,1,0\n-30,-40,-50,2,1\n",
+            "a,b,c,f,bl\u2028\n-30,-40,-50,1,0\n-30,x,-50,1,0\n",
+            "a,b,c,f,bl\n-30\x0c,-40,-50,1,0\n",
+            "a,b,c,f,bl\n-30,\u2028-40,-50,1,0\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0\x85-20,-40,-50,1,0\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0\x1c\n-30,-40,-50,2,1\x0b\n",
+            "a,b,c,f,bl\n-30,-40,-50,1,0\x0b\n-30,x,-50,1,0\n",
+            "a,b,c,f,bl\n \t \n-30,-40,-50,1,0\n\x0c\n \x85 \n-30,-40,-50,2,1\n",
+            "a,b,c,f,bl\n\u2028\n\t\n",
         ]
         for text in cases:
             p = _write(tmp_path, text)
             assert _outcome(load_csv, p, SCHEMA) == _outcome(reference_load_csv, p, SCHEMA), text
+        # blank lines before a bad cell still count towards its line number
+        for cell, message in [("oops", "non-numeric cell 'oops'"), ("nan", "non-finite value")]:
+            p = _write(tmp_path, f"a,b,c,f,bl\n\n\n-30,{cell},-50,1,0\n")
+            outcome = _outcome(load_csv, p, SCHEMA)
+            assert outcome == _outcome(reference_load_csv, p, SCHEMA)
+            assert outcome == (ParseError, f"{p}:4: {message} in column 1")
 
 
 class TestSplitValidation:

@@ -53,10 +53,6 @@ class TestGenerate:
         assert detected.min() >= -95.0
         assert detected.max() < 0.0
 
-    def test_coords_attached(self, syn_full):
-        train, _ = syn_full
-        assert train.coords.shape == (train.n_samples, 2)
-
 
 class TestWriteDataset:
     def test_layout(self, syn1_dir):
