@@ -55,8 +55,8 @@ from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
     APPROACHES,
     PipelineConfig,
-    _fit_pipeline,
     check_setting,
+    fit_pipeline,
     load_model,
     predict_pipeline,
     save_model,
@@ -255,15 +255,11 @@ def cmd_train(args) -> int:
     config = _config(resolved, _TRAIN_KEYS)
 
     t0 = time.perf_counter()
-    model, pred = _fit_pipeline(train, config, dataset=args.dataset)
+    model = fit_pipeline(train, config, dataset=args.dataset)
     train_s = time.perf_counter() - t0
-    truth = train.label_pairs()
     out_path = Path(args.out) if args.out else Path(f"{args.dataset}.model.json")
     save_model(model, out_path)
     print(f"train time: {train_s:.3f} s")
-    if train.has_building:
-        print(f"training building hit: {hit_rate(pred, truth, 'building'):.2f}%")
-    print(f"training floor hit: {hit_rate(pred, truth, 'floor'):.2f}%")
     print(f"model written to {out_path}")
     return 0
 

@@ -9,12 +9,13 @@ closed form via the regularized least-squares solution
 
 where H is the hidden activation matrix and T the one-hot target matrix.
 Classes are joint (building, floor) pairs, so one argmax yields both labels.
-Training decodes the training rows' answers from its own H, so H never
-leaves this module.
+This module owns the ridge solve: one lower Cholesky factor of the Gram
+matrix and one forward solve through it, which ``fit`` finishes with one
+back-solve.
 A per-tensor symmetric 8-bit quantization of the three weight tensors covers
 the deployment path, and a validation sweep picks the hidden-layer size: it
-scores the first L neurons of one layer, so one Gram matrix and one Cholesky
-factor serve every size on its grid.
+scores the first L neurons of one layer, so the same factor and forward
+solve give every size on its grid.
 An ``ElmModel`` holds what was learned and the seed: the hidden layer and
 the int8 copies are rebuilt from them on first use.
 """
@@ -26,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .dataset import check_finite
 
 #: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
@@ -133,20 +133,42 @@ def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def _normal_equations(
-    h: np.ndarray, t: np.ndarray, c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ridge system (H^T H + I / c, H^T T) whose solution is beta."""
-    if c <= 0:
+def _factor(h: np.ndarray, t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor ``low`` of H^T H + I / c and u = low^-1 H^T T.
+
+    beta is low^-T u. Forward substitution works on prefixes: ``low[:L, :L]``
+    and ``u[:L]`` are the same pair for the first L columns of H. ``h`` and
+    ``t`` are trusted; a Gram matrix that is not positive definite raises
+    ``ValueError`` naming L and c.
+    """
+    if not c > 0:
         raise ValueError(f"regularization term c must be positive, got {c}")
-    gram = linalg.matmul(h.T, h)
+    gram = h.T @ h
     gram += np.eye(gram.shape[0]) / c
-    return gram, linalg.matmul(h.T, t)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"H^T H + I / c is not positive definite at L = {h.shape[1]}, "
+                         f"c = {c}; lower c") from None
+    return low, np.linalg.solve(low, h.T @ t)
 
 
 def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
-    """Regularized least-squares output weights (L x n_classes)."""
-    return linalg.solve_spd(*_normal_equations(h, t, c))
+    """Regularized least-squares output weights (L x n_classes).
+
+    Raises ``ValueError`` naming ``h`` or ``t`` unless both are finite 2-D
+    matrices with one row per sample, and for a ``c`` ``_factor`` refuses.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if h.ndim != 2:
+        raise ValueError(f"h must be N x L, got shape {h.shape}")
+    if t.ndim != 2 or t.shape[0] != h.shape[0]:
+        raise ValueError(f"t must be {h.shape[0]} x K to match h, got shape {t.shape}")
+    check_finite(h, "h")
+    check_finite(t, "t")
+    low, u = _factor(h, t, c)
+    return np.linalg.solve(low.T, u)
 
 
 @dataclass(frozen=True)
@@ -251,25 +273,19 @@ class ElmModel:
 
 def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int) -> ElmModel:
     """End-to-end training: codebook, targets, random hidden layer, fit."""
-    return _train_elm(features, pairs, L, c, seed)[0]
-
-
-def _train_elm(
-    features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int
-) -> tuple[ElmModel, np.ndarray]:
-    """``train_elm`` plus the training rows' predicted (building, floor) pairs (N x 2).
-
-    They are decoded from the fit's own H, bitwise what ``predict`` answers
-    for the same features, so no caller runs a second hidden-layer pass.
-    """
     x = np.asarray(features, dtype=np.float64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be N x d, got shape {x.shape}")
+    if pairs.shape != (x.shape[0], 2):
+        raise ValueError(f"pairs must be {x.shape[0]} x 2 to match features, "
+                         f"got shape {pairs.shape}")
     codebook = ClassCodebook.from_pairs(pairs)
-    t = encode_targets(pairs, codebook)
     w, b = init_hidden(seed, x.shape[1], L)
-    h = hidden_map(x, w, b)
-    beta = fit(h, t, c)
-    pred = np.column_stack(codebook.decode(np.argmax(h @ beta, axis=1)))
-    return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1]), pred
+    # H is finite and as tall as T: hidden_map checks x, and tanh is bounded
+    low, u = _factor(hidden_map(x, w, b), encode_targets(pairs, codebook), c)
+    beta = np.linalg.solve(low.T, u)
+    return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1])
 
 
 def _scores(
@@ -358,8 +374,9 @@ def sweep_hidden(
     layer ``init_hidden(seed, d, L_max)`` draws. Their weights are the ones
     ``train_elm`` draws at L, but their biases are the first L of the L_max
     biases, so only at L_max is the layer the one ``train_elm`` fits. Each
-    size's beta is the ridge fit on its prefix layer, solved from the leading
-    blocks of one Gram matrix and one Cholesky factor.
+    size scores with the ridge fit on its prefix layer without solving it:
+    one Cholesky factor and one forward solve serve the whole grid, and the
+    validation scores grow by a block of columns per step.
 
     Raises ``ValueError`` naming the argument for non-finite features, pairs
     that are not one (building, floor) row per feature row, and feature
@@ -383,20 +400,28 @@ def sweep_hidden(
     codebook = ClassCodebook.from_pairs(train_pairs)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)
-    gram, rhs = _normal_equations(
-        hidden_map(x_tr, w, b), encode_targets(train_pairs, codebook), c
-    )
-    low = linalg.cholesky(gram)
-    h_val = hidden_map(x_val, w, b)
+    low, u = _factor(hidden_map(x_tr, w, b), encode_targets(train_pairs, codebook), c)
+    # the training H is freed; V = H_val low^-T, and size L's scores are V[:, :L] u[:L]
+    v = np.linalg.solve(low, hidden_map(x_val, w, b).T).T
 
+    scores = np.zeros((v.shape[0], u.shape[1]))
     floor_hits = np.empty(sizes.shape[0])
     building_hits = np.empty(sizes.shape[0])
+    prev = 0
     for i, L in enumerate(sizes):
-        beta = linalg.solve_cholesky(low[:L, :L], rhs[:L])
-        pred_b, pred_f = codebook.decode(np.argmax(h_val[:, :L] @ beta, axis=1))
-        floor_hits[i] = 100.0 * float(np.mean(pred_f == val_pairs[:, 1]))
-        building_hits[i] = 100.0 * float(np.mean(pred_b == val_pairs[:, 0]))
+        scores += v[:, prev:L] @ u[prev:L]
+        prev = L
+        floor_hits[i], building_hits[i] = _hit_pcts(scores, codebook, val_pairs)
     best = int(sizes[int(np.argmax(floor_hits))])  # first max, i.e. smallest L
     return SweepResult(
         sizes=sizes, floor_hits=floor_hits, building_hits=building_hits, best_L=best
     )
+
+
+def _hit_pcts(
+    scores: np.ndarray, codebook: ClassCodebook, pairs: np.ndarray
+) -> tuple[float, float]:
+    """Percent of rows whose top-scoring class holds their floor, and their building."""
+    pred_b, pred_f = codebook.decode(np.argmax(scores, axis=1))
+    return (100.0 * float(np.mean(pred_f == pairs[:, 1])),
+            100.0 * float(np.mean(pred_b == pairs[:, 0])))

@@ -8,7 +8,8 @@ The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and the seeds of the random
 layers travel with the model. ``sweep_pipeline`` scores a grid of hidden
 sizes on a validation split with the same stages. The CLI and the benchmark
-call these three.
+call these three and do not rebuild the stages themselves; ``elmloc train``
+is one ``fit_pipeline`` call.
 
 ``PipelineConfig`` is the one place that knows what a valid setting is:
 ``check_setting`` checks each field, whether it comes from Python code or a
@@ -104,21 +105,14 @@ class TrainedModel:
 
 
 def fit_pipeline(train: RadioMap, config: PipelineConfig, dataset: str = "") -> TrainedModel:
-    return _fit_pipeline(train, config, dataset)[0]
-
-
-def _fit_pipeline(
-    train: RadioMap, config: PipelineConfig, dataset: str = ""
-) -> tuple[TrainedModel, np.ndarray]:
-    """``fit_pipeline`` plus the training rows' predicted (building, floor) pairs,
-    bitwise what ``predict_pipeline(train, model)`` answers (see ``elm._train_elm``)."""
+    """Every stage fitted on ``train`` with ``config``; ``dataset`` defaults to its name."""
     params, fspec, x = _fit_stages(train, config)
-    model, pred = elm_mod._train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
+    model = elm_mod.train_elm(x, train.label_pairs(), config.L, config.c, config.seed)
     if config.quantize:
         model = elm_mod.quantize(model)
     return TrainedModel(
         preprocess=params, featurizer=fspec, elm=model, dataset=dataset or train.name
-    ), pred
+    )
 
 
 def _fit_stages(

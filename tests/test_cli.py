@@ -24,8 +24,7 @@ from test_pipeline import (
 from elmloc import dataset, pipeline
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor
-from elmloc.evaluation import hit_rate
-from elmloc.pipeline import PipelineConfig, load_model, predict_pipeline
+from elmloc.pipeline import PipelineConfig, load_model
 
 pytestmark = pytest.mark.usefixtures("tst1_registered")
 
@@ -107,29 +106,29 @@ class TestTrain:
         assert cfg["seed"] == 2
         assert cfg["c"] == 1.0  # registry default fills the gap
         assert any(l.startswith("config_digest: ") for l in lines)
-        assert any("training floor hit" in l for l in lines)
+        assert not any(l.startswith("training ") for l in lines)
         assert any("train time" in l for l in lines)
 
     @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
-    def test_training_hits_come_from_the_fit(self, data_root, tmp_path, capsys,
-                                             monkeypatch, approach):
-        # the hit lines are scored from the fit's activations, not a second pass
-        def second_pass(*args, **kwargs):
-            raise AssertionError("elmloc train ran predict_pipeline on the training rows")
+    def test_fits_through_fit_pipeline(self, data_root, tmp_path, capsys, monkeypatch,
+                                       approach):
+        # one train path: the file holds fit_pipeline's model, and no line scores
+        # the rows the model was fitted to
+        configs = []
+
+        def recording(train, config, **kwargs):
+            configs.append(config)
+            return pipeline.fit_pipeline(train, config, **kwargs)
 
         out = tmp_path / "m.json"
-        monkeypatch.setattr("elmloc.cli.predict_pipeline", second_pass)
+        monkeypatch.setattr("elmloc.cli.fit_pipeline", recording)
         assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
                      "--approach", approach, "--quantize", "--out", str(out)]) == 0
-        monkeypatch.undo()
         lines = capsys.readouterr().out.splitlines()
-        train = _load_train("TST1", data_root)
-        pred = np.column_stack(predict_pipeline(train, load_model(out)))
-        truth = train.label_pairs()
-        assert [l for l in lines if l.startswith("training ")] == [
-            f"training building hit: {hit_rate(pred, truth, 'building'):.2f}%",
-            f"training floor hit: {hit_rate(pred, truth, 'floor'):.2f}%",
-        ]
+        assert not [l for l in lines if l.startswith("training ")]
+        assert len(configs) == 1 and configs[0].approach == approach
+        want = pipeline.fit_pipeline(_load_train("TST1", data_root), configs[0])
+        assert load_model(out).elm.beta.tobytes() == want.elm.beta.tobytes()
 
     def test_flags_override_config_file(self, data_root, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -457,6 +456,19 @@ class TestSweep:
         assert sum(1 for l in captured.splitlines() if l.strip().startswith(
             ("10 ", "20 ", "30 "))) == 3
 
+    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
+    def test_train_auto_selects_the_sweeps_L(self, data_root, tmp_path, capsys, approach):
+        # train --L auto and sweep over the same grid both choose through sweep_pipeline
+        grid = ["--dataset", "TST1", "--data-root", str(data_root), "--approach", approach,
+                "--L-max", "50", "--step", "10"]
+        assert main(["sweep", *grid]) == 0
+        swept = [l for l in capsys.readouterr().out.splitlines() if l.startswith("selected L = ")]
+        out = tmp_path / "m.json"
+        assert main(["train", *grid, "--L", "auto", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        chosen = [l.partition(" (")[0] for l in lines if l.startswith("selected L = ")]
+        assert len(swept) == 1 and chosen == swept
+        assert f"selected L = {load_model(out).elm.L}" == swept[0]
 
     def test_echo_describes_the_grid(self, data_root, capsys):
         echoed = {}
@@ -615,6 +627,28 @@ class TestErrorSurface:
         assert main(argv.get(name, train)) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--L", "50", "--approach", "elm_only", "--out", "m.json"],
+        ["sweep", "--L-max", "50", "--step", "10"],
+    ], ids=["train", "sweep"])
+    def test_rank_deficient_gram_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # 20 rows cannot fill 50 neurons, and I / c is too small to make up for it
+        rng = np.random.default_rng(0)
+        d = tmp_path / "TINY"
+        d.mkdir()
+        rows = [",".join([*(str(v) for v in rng.integers(-90, -30, 6)), str(i % 2), "0"])
+                for i in range(20)]
+        (d / "train.csv").write_text("\n".join(
+            [",".join([*(f"AP{j}" for j in range(6)), "FLOOR", "BUILDINGID"]), *rows, ""]))
+        (d / "manifest.json").write_text(json.dumps(
+            {"ap_columns": [0, 5], "floor_col": 6, "building_col": 7, "sentinel": 100}))
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--dataset", "TINY", "--data-root", str(tmp_path),
+                     "--c", "1e300", *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "not positive definite at L = 50, c = 1e+300; lower c" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_error_json_flag(self, tmp_path, capsys):
         rc = main(["--error-json", "ingest", "--dataset", "NOPE",

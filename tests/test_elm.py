@@ -2,14 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
-from elmloc import elm, linalg
+from elmloc import elm
 from elmloc.cli import build_parser
 from elmloc.dataset import registry_lookup, registry_names
 from elmloc.elm import (
@@ -171,7 +172,7 @@ class TestInitHidden:
 class TestHiddenSizeBound:
     def test_refused_before_anything_is_drawn(self, rng, monkeypatch):
         monkeypatch.setattr(elm, "MAX_HIDDEN_WEIGHTS", 60)
-        monkeypatch.setattr(elm, "fit", None)  # training must stop before its fit
+        monkeypatch.setattr(elm, "_factor", None)  # training must stop before its fit
         x, labels = _toy_problem(rng)  # 8 features
         message = (r"^a hidden layer of 8 inputs x 8 neurons exceeds the 60 weights that "
                    r"MAX_HIDDEN_WEIGHTS allows$")
@@ -205,6 +206,20 @@ def fit_oracle(h, t, c):
     """Regularized least squares via an explicit inverse (independent route)."""
     L = h.shape[1]
     return np.linalg.inv(h.T @ h + np.eye(L) / c) @ (h.T @ t)
+
+
+def gauss_jordan_inverse(a):
+    """Textbook row-reduction inverse with partial pivoting."""
+    n = a.shape[0]
+    aug = np.hstack([a.astype(np.float64), np.eye(n)])
+    for col in range(n):
+        p = col + np.argmax(np.abs(aug[col:, col]))
+        aug[[col, p]] = aug[[p, col]]
+        aug[col] /= aug[col, col]
+        for row in range(n):
+            if row != col:
+                aug[row] -= aug[row, col] * aug[col]
+    return aug[:, n:]
 
 
 class TestFit:
@@ -246,9 +261,67 @@ class TestFit:
         grad = 2.0 * h.T @ (h @ beta - t) + (2.0 / c) * beta
         assert np.abs(grad).max() < 1e-6
 
+    def test_matches_gauss_jordan_oracle(self, rng):
+        # no LAPACK on the oracle's side: the ridge matrix inverted by row reduction
+        h = rng.normal(size=(40, 8))
+        t = rng.normal(size=(40, 3))
+        for c in (0.05, 1.0, 20.0):
+            want = gauss_jordan_inverse(h.T @ h + np.eye(8) / c) @ (h.T @ t)
+            assert fit(h, t, c) == pytest.approx(want, rel=1e-9, abs=1e-10)
+
+    def test_more_neurons_than_rows(self, rng):
+        # H^T H has rank 6 of 20; I / c alone makes the ridge matrix positive definite
+        h = rng.normal(size=(6, 20))
+        t = rng.normal(size=(6, 2))
+        for c in (0.1, 1e4):
+            want = gauss_jordan_inverse(h.T @ h + np.eye(20) / c) @ (h.T @ t)
+            assert fit(h, t, c) == pytest.approx(want, rel=1e-7, abs=1e-9)
+
     def test_c_must_be_positive(self):
-        with pytest.raises(ValueError):
-            fit(np.eye(2), np.eye(2), 0.0)
+        for c in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=rf"^regularization term c must be positive, got {c}$"):
+                fit(np.eye(2), np.eye(2), c)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_leading_blocks_fit_the_leading_columns(self, seed, data):
+        # what the sweep rests on: the factor and forward solve of H's first k
+        # columns are the leading block and first k rows of H's own
+        r = np.random.default_rng(seed)
+        n, L = int(r.integers(2, 40)), int(r.integers(1, 16))
+        k = data.draw(st.integers(1, L), label="k")
+        h, t = r.normal(size=(n, L)), r.normal(size=(n, 3))
+        low, u = elm._factor(h, t, 0.5)
+        low_k, u_k = elm._factor(h[:, :k], t, 0.5)
+        assert np.linalg.norm(low[:k, :k] - low_k) <= 1e-10 * np.linalg.norm(low_k)
+        assert np.linalg.norm(u[:k] - u_k) <= 1e-10 * np.linalg.norm(u_k)
+        assert fit(h[:, :k], t, 0.5) == pytest.approx(
+            np.linalg.solve(low[:k, :k].T, u[:k]), rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("h, t, message", [
+        (np.ones(3), np.ones((3, 2)), r"h must be N x L, got shape \(3,\)"),
+        (np.ones((5, 3, 1)), np.ones((5, 2)), r"h must be N x L, got shape \(5, 3, 1\)"),
+        (np.ones((5, 3)), np.ones((4, 2)), r"t must be 5 x K to match h, got shape \(4, 2\)"),
+        (np.ones((5, 3)), np.ones(5), r"t must be 5 x K to match h, got shape \(5,\)"),
+        (np.ones((5, 3)), np.ones((5, 2, 1)), r"t must be 5 x K to match h, got shape \(5, 2, 1\)"),
+        (np.array([[1.0, np.nan]]), np.ones((1, 2)), r"h contains non-finite values"),
+        (np.array([[1.0, -np.inf]]), np.ones((1, 2)), r"h contains non-finite values"),
+        (np.ones((2, 2)), np.array([[1.0, 0.0], [np.inf, 1.0]]), r"t contains non-finite values"),
+        (np.ones((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]]), r"t contains non-finite values"),
+    ], ids=["h_1d", "h_3d", "t_rows", "t_1d", "t_3d", "h_nan", "h_inf", "t_inf", "t_nan"])
+    def test_arguments_checked_by_name(self, h, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(h, t, 1.0)
+
+    def test_rank_deficient_gram_names_L_and_c(self):
+        # I / c vanishes next to a rank-1 Gram matrix, which then has no Cholesky factor
+        message = (r"^H\^T H \+ I / c is not positive definite at L = 5, c = 1e\+300; "
+                   r"lower c$")
+        with pytest.raises(ValueError, match=message):
+            fit(np.ones((3, 5)), np.ones((3, 2)), 1e300)
+        x, labels = _toy_problem(np.random.default_rng(0), n=20, d=4)
+        with pytest.raises(ValueError, match=message.replace("L = 5", "L = 50")):
+            train_elm(x, labels, L=50, c=1e300, seed=0)
 
 
 def _toy_problem(rng, n=160, d=8):
@@ -273,14 +346,15 @@ class TestTrainPredict:
         m2 = train_elm(x, labels, L=20, c=1.0, seed=4)
         assert (m1.w == m2.w).all() and (m1.beta == m2.beta).all()
 
-    def test_fit_activations_score_like_predict(self, rng):
-        # cmd_train takes its training hit lines from the pairs the fit decodes
-        # from its own activations instead of predicting again
-        x, labels = _toy_problem(rng)
-        model, pred = elm._train_elm(x, labels, L=30, c=1.0, seed=5)
-        ref = train_elm(x, labels, L=30, c=1.0, seed=5)
-        assert (model.w == ref.w).all() and (model.beta == ref.beta).all()
-        assert pred.tobytes() == np.column_stack(predict(x, model)).tobytes()
+    @pytest.mark.parametrize("cut, message", [
+        (lambda x, labels: (x, labels[:-1]),
+         r"pairs must be 160 x 2 to match features, got shape \(159, 2\)"),
+        (lambda x, labels: (x[:, 0], labels),
+         r"features must be N x d, got shape \(160,\)"),
+    ], ids=["pairs_short", "features_1d"])
+    def test_shapes_named(self, rng, cut, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_elm(*cut(*_toy_problem(rng)), L=10, c=1.0, seed=0)
 
     def test_non_finite_features_named(self, rng):
         x, labels = _toy_problem(rng)
@@ -409,12 +483,12 @@ def quantize_tensor_reference(x):
 
 
 def predict_quantized_reference(features, model):
-    """Per-call dequantize through the checked product, as before the cache."""
+    """Per-call dequantize, as before the cache."""
     q = model.quantized
     w = q.w_q.astype(np.float64) * q.w_scale
     b = q.b_q.astype(np.float64) * q.b_scale
     beta = q.beta_q.astype(np.float64) * q.beta_scale
-    scores = linalg.matmul(hidden_map(features, w, b), beta)
+    scores = hidden_map(features, w, b) @ beta
     return model.codebook.decode(np.argmax(scores, axis=1))
 
 
@@ -435,7 +509,7 @@ class TestWeightsHandledOnce:
     def test_float_predict_matches_checked_product(self, rng):
         x, labels = _toy_problem(rng)
         model = train_elm(x, labels, L=25, c=1.0, seed=3)
-        scores = linalg.matmul(hidden_map(x, model.w, model.b), model.beta)
+        scores = hidden_map(x, model.w, model.b) @ model.beta
         b, f = model.codebook.decode(np.argmax(scores, axis=1))
         pb, pf = predict(x, model)
         assert pb.tobytes() == b.tobytes() and pf.tobytes() == f.tobytes()
@@ -573,6 +647,12 @@ class TestSweep:
                            c=1.0, L_max=25, step=10, seed=0)
         assert res.sizes.tolist() == [10, 20]
 
+    def test_rank_deficient_gram_names_L_max(self, rng):
+        # 15 training rows cannot fill 40 neurons once I / c vanishes
+        x, labels = _toy_problem(rng, n=20)
+        with pytest.raises(ValueError, match=r"not positive definite at L = 40, c = 1e\+300"):
+            sweep_hidden(x[:15], labels[:15], x[15:], labels[15:], c=1e300, L_max=40, step=10)
+
     def test_empty_validation_rejected(self, rng):
         x, labels = _toy_problem(rng, n=30)
         with pytest.raises(ValueError, match=r"^val_features must be N x 8 with N >= 1, "):
@@ -606,22 +686,22 @@ def sweep_reference(x_tr, p_tr, x_val, p_val, c, L_max, step, seed):
     """One direct fit per grid size on the first L neurons of the L_max layer.
 
     Returns the sizes, the floor and building hit curves, the selected size,
-    and each size's beta and validation score matrix.
+    and each size's validation score matrix.
     """
     codebook = ClassCodebook.from_pairs(p_tr)
     t = encode_targets(p_tr, codebook)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)
     floor_hits, building_hits = np.empty(len(sizes)), np.empty(len(sizes))
-    betas, scores = [], []
+    scores = []
     for i, L in enumerate(sizes):
-        betas.append(fit(hidden_map(x_tr, w[:, :L], b[:L]), t, c))
-        scores.append(hidden_map(x_val, w[:, :L], b[:L]) @ betas[-1])
+        beta = fit(hidden_map(x_tr, w[:, :L], b[:L]), t, c)
+        scores.append(hidden_map(x_val, w[:, :L], b[:L]) @ beta)
         pred_b, pred_f = codebook.decode(np.argmax(scores[-1], axis=1))
         floor_hits[i] = 100.0 * float(np.mean(pred_f == p_val[:, 1]))
         building_hits[i] = 100.0 * float(np.mean(pred_b == p_val[:, 0]))
     best = int(sizes[int(np.argmax(floor_hits))])
-    return sizes, floor_hits, building_hits, best, betas, scores
+    return sizes, floor_hits, building_hits, best, scores
 
 
 def _noisy_split(rng, n=400, d=10):
@@ -633,40 +713,54 @@ def _noisy_split(rng, n=400, d=10):
     return x[:cut], labels[:cut], x[cut:], labels[cut:]
 
 
-#: Relative (Frobenius) gap allowed between the sweep's beta, or its validation
-#: scores, and the reference's at each size: both solve the same well-conditioned
-#: ridge system, the sweep from a block of one factor, the reference from its own.
+#: Relative (Frobenius) gap allowed between the sweep's validation scores and the
+#: reference's at each size: both solve the same well-conditioned ridge system,
+#: the sweep from a block of one factor, the reference from its own.
 RTOL = 1e-10
 
 
-class TestThreadedSweep:
+def sweep_with_scores(*split, **kwargs):
+    """``sweep_hidden``'s result and the validation score matrix of each grid size."""
+    scores = []
+    real = elm._hit_pcts
+
+    def recording(s, codebook, pairs):
+        scores.append(s.copy())
+        return real(s, codebook, pairs)
+
+    with mock.patch.object(elm, "_hit_pcts", recording):
+        return sweep_hidden(*split, **kwargs), scores
+
+
+def assert_sweep_matches_reference(split, c, L_max, step, seed):
+    # scores agree to RTOL in norm; the hit curves and the selected size exactly
+    ref = sweep_reference(*split, c=c, L_max=L_max, step=step, seed=seed)
+    res, scores = sweep_with_scores(*split, c=c, L_max=L_max, step=step, seed=seed)
+    assert len(scores) == len(ref[4])
+    for got, want in zip(scores, ref[4]):
+        assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+    for got, want in zip((res.sizes, res.floor_hits, res.building_hits), ref[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert res.best_L == ref[3]
+
+
+class TestSweepAgainstReference:
     @pytest.mark.parametrize("L_max, step", [(10, 10), (20, 10), (50, 10), (47, 5)],
                              ids=["one", "two", "odd", "ragged"])
-    def test_equals_serial_loop(self, rng, L_max, step, monkeypatch):
-        # betas and scores agree to RTOL in norm; the hit curves and the selected
-        # size exactly
-        split = _noisy_split(rng)
-        ref = sweep_reference(*split, c=0.5, L_max=L_max, step=step, seed=3)
-        betas = []
-        real = linalg.solve_cholesky
+    def test_equals_per_size_fits(self, rng, L_max, step):
+        assert_sweep_matches_reference(_noisy_split(rng), c=0.5, L_max=L_max, step=step, seed=3)
 
-        def recording(low, rhs):
-            betas.append(real(low, rhs))
-            return betas[-1]
+    @given(seed=st.integers(0, 2 ** 31 - 1), step=st.integers(1, 12),
+           extra=st.integers(0, 28), c=st.sampled_from([0.1, 1.0, 10.0]))
+    @example(seed=1, step=1, extra=28, c=1.0)  # every size from 1 to 29
+    @example(seed=2, step=9, extra=0, c=1.0)  # L_max = step: one size
+    @example(seed=3, step=7, extra=16, c=0.1)  # ragged: 7, 14, 21 up to 23
+    @settings(max_examples=30, deadline=None)
+    def test_random_splits_and_grids(self, seed, step, extra, c):
+        split = _noisy_split(np.random.default_rng(seed), n=int(seed % 120) + 80)
+        assert_sweep_matches_reference(split, c=c, L_max=step + extra, step=step, seed=seed % 7)
 
-        monkeypatch.setattr(linalg, "solve_cholesky", recording)
-        res = sweep_hidden(*split, c=0.5, L_max=L_max, step=step, seed=3)
-        w, b = init_hidden(3, split[0].shape[1], L_max)
-        h_val = hidden_map(split[2], w, b)
-        assert len(betas) == len(ref[4])
-        for beta, want_beta, want_scores in zip(betas, ref[4], ref[5]):
-            for got, want in ((beta, want_beta), (h_val[:, :len(beta)] @ beta, want_scores)):
-                assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
-        for got, want in zip((res.sizes, res.floor_hits, res.building_hits), ref[:3]):
-            assert got.tobytes() == want.tobytes()
-        assert res.best_L == ref[3]
-
-    def test_nan_features_raise_like_the_serial_loop(self, rng):
+    def test_nan_features_raise_like_the_reference(self, rng):
         x_tr, p_tr, x_val, p_val = _noisy_split(rng)
         x_tr[7, 2] = np.nan
         with pytest.raises(ValueError) as want:

@@ -19,7 +19,6 @@ from elmloc.evaluation import hit_rate
 from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import (
     PipelineConfig,
-    _fit_pipeline,
     fit_pipeline,
     load_model,
     predict_pipeline,
@@ -150,19 +149,6 @@ class TestFitPredict:
         b1, f1 = predict_pipeline(test, m1)
         b2, f2 = predict_pipeline(test, m2)
         assert (f1 == f2).all() and (b1 == b2).all()
-
-
-class TestTrainingActivations:
-    @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
-    @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
-    def test_h_scores_the_training_rows_like_predict(self, syn_small, approach, norm_mode):
-        # elmloc train prints its training hit lines from the pairs the fit decodes
-        # from its own H instead of predicting again
-        train, _ = syn_small
-        config = _config(approach=approach, norm_mode=norm_mode, quantize=True)
-        model, pred = _fit_pipeline(train, config)
-        assert (model.elm.beta == fit_pipeline(train, config).elm.beta).all()
-        assert pred.tobytes() == np.column_stack(predict_pipeline(train, model)).tobytes()
 
 
 def _scores(rss, model, quantized=False):
