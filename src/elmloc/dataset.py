@@ -13,10 +13,11 @@ Column layout is supplied per dataset through a small JSON manifest:
 
 ``ap_columns`` bounds are inclusive; any other key is ignored.
 
-Every fingerprint file, a training split or a query file, is opened once by
-one reader: the caller checks the header's width before any row is parsed,
-and numpy's C parser reads the open stream. Only input it cannot vouch for is
-read again and split line by line, which names the offending line.
+Every fingerprint file, a training split or a query file, goes through one
+reader, which cuts lines where str.splitlines cuts them: the caller checks the
+header's width before any row is parsed, and numpy's C parser reads the rows
+as they stream. Only input it cannot vouch for is read again, twice, row by
+row with float(), which names the offending line.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +244,10 @@ class ColumnSchema:
     def __post_init__(self):
         if self.ap_start < 0 or self.ap_end < self.ap_start:
             raise SchemaError(f"bad AP column range [{self.ap_start}, {self.ap_end}]")
-        for col in (self.floor_col, self.building_col):
+        # a negative index would count from the right, onto some other column
+        for key, col in (("floor_col", self.floor_col), ("building_col", self.building_col)):
+            if col is not None and col < 0:
+                raise SchemaError(f"{key} must be >= 0, got {col}")
             if col is not None and self.ap_start <= col <= self.ap_end:
                 raise SchemaError(f"column {col} falls inside the AP range")
 
@@ -320,75 +325,75 @@ def _read_map(path, schema: ColumnSchema, sentinel_raw: float, name: str) -> Rad
 def _read_matrix(path, check_width) -> np.ndarray:
     """Data rows of a CSV file as an N x width float matrix; N may be 0.
 
-    ``width`` is the header's cell count, and ``check_width(width)`` runs
-    before any row is parsed. Blank and whitespace-only lines are skipped. A
-    ragged row, a non-numeric cell or a non-finite value raises ParseError
-    naming its 1-based line number; so does an empty file or one that does not
-    decode.
+    Line 1 is the header, ``width`` its cell count; ``check_width(width)``
+    runs before any row is parsed. Blank and whitespace-only lines are skipped
+    but counted. numpy parses the rows; where it raises (it reads no "1_0"), a
+    width differs or a value is not finite, ``_parse_rows`` reads them again.
+    A ragged row, a non-numeric cell or a non-finite value raises ParseError
+    naming its 1-based line number; so does an empty file or one that does
+    not decode.
     """
     try:
         with open(path, newline="") as fh:
-            header = fh.readline().splitlines()
-            if not header:
+            lines = _lines(fh)
+            header = next(lines, (1, None))[1]
+            if header is None:
                 raise ParseError(f"{path}: empty file (expected a header row)")
-            width = len(header[0].split(","))
+            width = len(header.split(","))
             check_width(width)
-            # a header that str.splitlines cuts in two moves every later line
-            data = _load_rows(fh) if len(header) == 1 else None
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+                    data = np.loadtxt((line for _, line in _rows(lines)), dtype=np.float64,
+                                      delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
         if data is None or data.shape[1] != width or not np.all(np.isfinite(data)):
-            with open(path, newline="") as fh:
-                data = _parse_lines(fh.read().splitlines(), width, path)
+            data = _parse_rows(path, width)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return data
 
 
-def _load_rows(fh) -> np.ndarray | None:
-    r"""numpy's C parse of the rest of ``fh``, or None where it raised. It
-    accepts less than float() does (no "1_0"), and it reads \v, \f, \x1c-\x1e,
-    \x85, \u2028 and \u2029 as blanks around a cell, where str.splitlines ends
-    the line; so a line holding one of them stops the parse too."""
-    def lines():
-        for line in fh:
-            if len(line.splitlines()) > 1:
-                raise ValueError("line break inside a line")
-            if not line.isspace():
-                yield line
-
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-            return np.loadtxt(lines(), dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
+def _lines(fh):
+    r"""(line number, text) for each line of ``fh``, counted from 1, cut where
+    str.splitlines cuts the whole text: a physical line keeps "\r\n" whole."""
+    return enumerate(chain.from_iterable(map(str.splitlines, fh)), start=1)
 
 
-def _parse_lines(lines: list[str], width: int, path) -> np.ndarray:
-    """The data rows of ``lines`` (header first), each cell read by float()."""
-    rows = {}  # 1-based line number -> cells
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.isspace():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
-        rows[lineno] = cells
-    data = np.empty((len(rows), width), dtype=np.float64)
-    for i, (lineno, cells) in enumerate(rows.items()):
-        try:
-            data[i] = [float(cell) for cell in cells]
-        except ValueError:
-            for j, cell in enumerate(cells):  # find the culprit
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r} in column {j}"
-                    ) from None
+def _rows(lines):
+    """The data rows among ``lines``: not the header, not blank."""
+    return ((n, line) for n, line in lines if n > 1 and line and not line.isspace())
+
+
+def _parse_rows(path, width: int) -> np.ndarray:
+    """The data rows of ``path`` read by float(), in two passes over its lines:
+    one checks every row's width, the next fills the matrix row by row."""
+    with open(path, newline="") as fh:
+        linenos = []
+        for lineno, line in _rows(_lines(fh)):
+            found = line.count(",") + 1
+            if found != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} columns, found {found}")
+            linenos.append(lineno)
+    data = np.empty((len(linenos), width), dtype=np.float64)
+    with open(path, newline="") as fh:
+        for row, (lineno, line) in zip(data, _rows(_lines(fh))):
+            cells = line.split(",")
+            try:
+                row[:] = [float(cell) for cell in cells]
+            except ValueError:
+                for j, cell in enumerate(cells):  # find the culprit
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}:{lineno}: non-numeric cell {cell!r} in column {j}"
+                        ) from None
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
-        lineno = list(rows)[bad[0, 0]]
-        raise ParseError(f"{path}:{lineno}: non-finite value in column {int(bad[0, 1])}")
+        lineno, col = linenos[bad[0, 0]], int(bad[0, 1])
+        raise ParseError(f"{path}:{lineno}: non-finite value in column {col}")
     return data
 
 

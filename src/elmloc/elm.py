@@ -22,6 +22,7 @@ the int8 copies are rebuilt from them on first use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -133,6 +134,16 @@ def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
+def c_fault(c) -> str | None:
+    """What the ridge term ``c`` must be instead, or None: positive, and large
+    enough that 1 / c is finite (a subnormal c would add inf to the Gram)."""
+    if not c > 0:
+        return "positive"
+    if not math.isfinite(1.0 / float(c)):
+        return "large enough for a finite 1 / c"
+    return None
+
+
 def _factor(h: np.ndarray, t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor ``low`` of H^T H + I / c and u = low^-1 H^T T.
 
@@ -141,8 +152,9 @@ def _factor(h: np.ndarray, t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndar
     ``t`` are trusted; a Gram matrix that is not positive definite raises
     ``ValueError`` naming L and c.
     """
-    if not c > 0:
-        raise ValueError(f"regularization term c must be positive, got {c}")
+    fault = c_fault(c)
+    if fault:
+        raise ValueError(f"regularization term c must be {fault}, got {c}")
     gram = h.T @ h
     gram += np.eye(gram.shape[0]) / c
     try:
@@ -232,8 +244,9 @@ class ElmModel:
             raise ValueError(f"beta must be L x K with L >= 1, got shape {beta.shape}")
         if beta.shape[1] != self.codebook.n_classes:
             raise ValueError("beta columns must match codebook size")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        fault = c_fault(self.c)
+        if fault:
+            raise ValueError(f"c must be {fault}, got {self.c}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_hidden_size(self.n_features, beta.shape[0])

@@ -59,13 +59,13 @@ class PipelineConfig:
 # The str fields' allowed values; the other fields are checked by their annotation.
 _CHOICES = {"approach": APPROACHES, "norm_mode": NORM_MODES}
 _TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-# The numeric fields' ranges: (test, what the message says the value must be).
+# The numeric fields' ranges: each maps a value to what it must be instead, or None.
 _RANGES = {
-    "L": (lambda v: v >= 1, ">= 1"),
-    "c": (lambda v: v > 0, "positive"),
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "n_filters": (lambda v: v >= 1, ">= 1"),
-    "kernel_size": (lambda v: v >= 1 and v % 2 == 1, "odd and positive"),
+    "L": lambda v: None if v >= 1 else ">= 1",
+    "c": elm_mod.c_fault,
+    "seed": lambda v: None if v >= 0 else ">= 0",
+    "n_filters": lambda v: None if v >= 1 else ">= 1",
+    "kernel_size": lambda v: None if v >= 1 and v % 2 == 1 else "odd and positive",
 }
 
 
@@ -85,8 +85,9 @@ def check_setting(name: str, value):
         value = check_float(value, name)
     elif not isinstance(value, bool):
         raise ValueError(f"{name} must hold true or false, got {value!r}")
-    if name in _RANGES and not _RANGES[name][0](value):
-        raise ValueError(f"{name} must be {_RANGES[name][1]}, got {value!r}")
+    fault = _RANGES[name](value) if name in _RANGES else None
+    if fault:
+        raise ValueError(f"{name} must be {fault}, got {value!r}")
     return value
 
 

@@ -211,6 +211,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags, message", [
         (["--c", "-1"], r"c must be positive, got -1\.0"),
         (["--c", "0"], r"c must be positive, got 0\.0"),
+        (["--c", "1e-320"], r"c must be large enough for a finite 1 / c, got 1e-320"),
         (["--kernel-size", "4"], r"kernel_size must be odd and positive, got 4"),
         (["--kernel-size", "0"], r"kernel_size must be odd and positive, got 0"),
         (["--n-filters", "0"], r"n_filters must be >= 1, got 0"),
@@ -218,8 +219,9 @@ class TestTrain:
         (["--seed", "-1", "--approach", "elm_only"], r"seed must be >= 0, got -1"),
         (["--step", "0"], r"need 1 <= step <= L_max, got step=0, L_max=500"),
         (["--L-max", "4"], r"need 1 <= step <= L_max, got step=5, L_max=4"),
-    ], ids=["c_negative", "c_zero", "kernel_even", "kernel_zero", "n_filters_zero",
-            "seed_negative", "seed_negative_elm_only", "step_zero", "L_max_below_step"])
+    ], ids=["c_negative", "c_zero", "c_subnormal", "kernel_even", "kernel_zero",
+            "n_filters_zero", "seed_negative", "seed_negative_elm_only", "step_zero",
+            "L_max_below_step"])
     def test_bad_setting_rejected_before_loading(self, tmp_path, capsys, monkeypatch,
                                                  command, flags, message):
         monkeypatch.setattr("elmloc.cli._load_train", None)  # a call would fail
@@ -698,13 +700,14 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     ("c", True, r"c must hold a float, got True"),
     ("c", 0, r"c must be positive, got 0\.0"),
     ("c", -1, r"c must be positive, got -1\.0"),
+    ("c", 1e-320, r"c must be large enough for a finite 1 / c, got 1e-320"),
     ("L", 0, r"L must be >= 1, got 0"),
     ("n_filters", 0, r"n_filters must be >= 1, got 0"),
     ("kernel_size", 4, r"kernel_size must be odd and positive, got 4"),
     ("kernel_size", -1, r"kernel_size must be odd and positive, got -1"),
     ("seed", -1, r"seed must be >= 0, got -1"),
 ], ids=["quantize_string", "L_string", "L_fraction", "approach_number", "norm_mode_bogus",
-        "c_bool", "c_zero", "c_negative", "L_zero", "n_filters_zero", "kernel_size_even",
+        "c_bool", "c_zero", "c_negative", "c_subnormal", "L_zero", "n_filters_zero", "kernel_size_even",
         "kernel_size_negative", "seed_negative"])
 def test_bad_setting_same_message_everywhere(data_root, tmp_path, capsys, key, value,
                                              message):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from elmloc.dataset import (
     ColumnSchema,
     Manifest,
@@ -170,7 +171,9 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(p)
 
-    # an int() or float() cast would load each of these as some column or number
+    # an int() or float() cast would load each of these as some column or number,
+    # and a negative index counts from the right: in a 102-column file -2 and -1
+    # are the label columns, and -102 is AP column 0
     @pytest.mark.parametrize("edit, message", [
         ({"ap_columns": [0.9, 99]}, r"ap_columns must hold 64-bit integers, got 0\.9"),
         ({"ap_columns": [0, "99"]}, r"ap_columns must hold 64-bit integers, got '99'"),
@@ -178,8 +181,12 @@ class TestManifest:
         ({"building_col": True}, r"building_col must hold 64-bit integers, got True"),
         ({"sentinel": True}, r"sentinel must hold a float, got True"),
         ({"sentinel": "100"}, r"sentinel must hold a float, got '100'"),
+        ({"floor_col": -2, "building_col": -1}, r"floor_col must be >= 0, got -2"),
+        ({"building_col": -1}, r"building_col must be >= 0, got -1"),
+        ({"floor_col": -102}, r"floor_col must be >= 0, got -102"),
     ], ids=["ap_fraction", "ap_string", "floor_fraction", "building_bool",
-            "sentinel_bool", "sentinel_string"])
+            "sentinel_bool", "sentinel_string", "labels_negative", "building_negative",
+            "floor_onto_ap"])
     def test_uncast_values_rejected(self, tmp_path, edit, message):
         p = tmp_path / "manifest.json"
         p.write_text(json.dumps({
@@ -240,28 +247,56 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(p, SCHEMA, sentinel_raw=100.0)
 
+    WIDE_N, WIDE_APS = 3000, 150
+    WIDE_SCHEMA = ColumnSchema(0, WIDE_APS - 1, WIDE_APS, WIDE_APS + 1)
+
+    def _wide(self, tmp_path, cell=None, row=0):
+        """A WIDE_N-row file with WIDE_APS AP columns, ``cell`` written into
+        column 5 of data row ``row``; its path and the bound on load_csv's
+        traced peak: the parsed matrix, the rss copy and half the text."""
+        n, aps = self.WIDE_N, self.WIDE_APS
+        rng = np.random.default_rng(0)
+        readings = np.round(-rng.uniform(30, 100, (n, aps)), 2)
+        cells = np.where(rng.random((n, aps)) < 0.1, readings, 100).astype(str)
+        labels = np.column_stack([np.arange(n) % 4, np.arange(n) % 3]).astype(str)
+        rows = np.hstack([cells, labels]).tolist()
+        if cell is not None:
+            rows[row][5] = cell
+        p = tmp_path / "wide.csv"
+        p.write_text(",".join(f"c{j}" for j in range(aps + 2)) + "\n"
+                     + "\n".join(",".join(r) for r in rows) + "\n")
+        return p, n * (aps + 2) * 8 + n * aps * 8 + p.stat().st_size / 2
+
     def test_traced_peak_keeps_no_text(self, tmp_path):
         # The file is streamed into the parser: at its peak load_csv holds the
         # parsed matrix, the rss copy and masks an eighth their size, not the
         # text or its lines (which would take the peak to about 1.2x the bound)
-        rng = np.random.default_rng(0)
-        n, aps = 3000, 150
-        readings = np.round(-rng.uniform(30, 100, (n, aps)), 2)
-        cells = np.where(rng.random((n, aps)) < 0.1, readings, 100).astype(str)
-        labels = np.column_stack([np.arange(n) % 4, np.arange(n) % 3]).astype(str)
-        p = tmp_path / "wide.csv"
-        p.write_text(",".join(f"c{j}" for j in range(aps + 2)) + "\n"
-                     + "\n".join(",".join(row) for row in np.hstack([cells, labels]).tolist())
-                     + "\n")
+        p, bound = self._wide(tmp_path)
         tracemalloc.start()
         try:
-            m = load_csv(p, ColumnSchema(0, aps - 1, aps, aps + 1), sentinel_raw=100.0)
+            m = load_csv(p, self.WIDE_SCHEMA, sentinel_raw=100.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert m.rss.shape == (n, aps)
-        matrix = n * (aps + 2) * 8
-        assert peak < matrix + m.rss.nbytes + p.stat().st_size / 2
+        assert m.rss.shape == (self.WIDE_N, self.WIDE_APS)
+        assert peak < bound
+
+    @pytest.mark.parametrize("cell, row, error", [
+        ("-7_0", 0, None),
+        ("oops", -1, r":3001: non-numeric cell 'oops' in column 5$"),
+    ], ids=["underscore", "bad_last_row"])
+    def test_fallback_traced_peak_keeps_no_text(self, tmp_path, cell, row, error):
+        # numpy refuses these files, so float() reads them again in two passes
+        # over the lines: the matrix is filled a row at a time, and neither the
+        # text, its lines nor their cells are held
+        p, bound = self._wide(tmp_path, cell, row)
+        if error is None:
+            m, peak = traced_peak(lambda: load_csv(p, self.WIDE_SCHEMA, sentinel_raw=100.0))
+            assert m.rss.shape == (self.WIDE_N, self.WIDE_APS) and m.rss[0, 5] == -70.0
+        else:
+            _, peak = traced_peak(lambda: pytest.raises(
+                ParseError, load_csv, p, self.WIDE_SCHEMA, 100.0).match(error))
+        assert peak < bound
 
 
 def reference_load_csv(path, schema, sentinel_raw, name=""):
@@ -322,6 +357,11 @@ _cell = st.sampled_from(_GOOD_CELLS * 6 + _BAD_CELLS)
 _blank = st.sampled_from(["", " ", "\t", "  \t "])
 
 
+# every line end str.splitlines knows
+_eol = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                        "\u2028", "\u2029"])
+
+
 @st.composite
 def _csv_text(draw):
     width = draw(st.integers(1, 5))
@@ -333,7 +373,11 @@ def _csv_text(draw):
             continue
         n_cells = width + draw(st.sampled_from([0] * 12 + [-1, 1]))
         lines.append(",".join(draw(st.lists(_cell, min_size=n_cells, max_size=n_cells))))
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    for i, line in enumerate(lines):
+        if draw(st.integers(0, 9)) == 0:  # a line end inside the line
+            at = draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + draw(_eol) + line[at:]
+    eol = draw(_eol)
     return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
 
 

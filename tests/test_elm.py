@@ -282,6 +282,14 @@ class TestFit:
             with pytest.raises(ValueError, match=rf"^regularization term c must be positive, got {c}$"):
                 fit(np.eye(2), np.eye(2), c)
 
+    def test_c_with_infinite_inverse_refused(self):
+        # I / c would overflow to inf, and the factor and solves would still
+        # return an all-zero beta
+        for c in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match=rf"^regularization term c must be large enough "
+                                                 rf"for a finite 1 / c, got {c}$"):
+                fit(np.eye(2), np.eye(2), c)
+
     @given(st.integers(0, 2 ** 31 - 1), st.data())
     @settings(max_examples=40, deadline=None)
     def test_leading_blocks_fit_the_leading_columns(self, seed, data):
