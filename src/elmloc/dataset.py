@@ -171,10 +171,12 @@ def _as_label_vector(values, what: str, n: int) -> np.ndarray:
         if not np.allclose(arr, rounded, rtol=0, atol=0):
             raise ValueError(f"{what} labels must be integers")
         arr = rounded
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    if arr.size and int(arr.min()) < 0:
-        raise ValueError(f"{what} labels must be non-negative, found {int(arr.min())}")
-    return arr
+    lo, hi = (arr.min().item(), arr.max().item()) if arr.size else (0, 0)
+    if hi >= 2**63 or lo < -(2**63):  # as Python numbers, before the cast would wrap or warn
+        raise ValueError(f"{what} labels must lie within int64, found {hi if hi >= 2**63 else lo}")
+    if lo < 0:
+        raise ValueError(f"{what} labels must be non-negative, found {int(lo)}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -402,13 +404,11 @@ def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[R
 
     Within each group, ceil(fraction * group_size) samples go to validation,
     drawn without replacement from a generator seeded with ``seed``. Groups
-    with fewer than 2 samples stay whole in training (with a warning). Row
-    order of the input is preserved in both outputs.
+    with fewer than 2 samples stay in training (with a warning); a map with no
+    larger group raises ``ValueError``. Both outputs keep the input's row order.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if radio_map.n_samples == 0:
-        raise ValueError("cannot split an empty radio map")
     pairs = radio_map.label_pairs()
     rng = np.random.default_rng(seed)
     val_mask = np.zeros(radio_map.n_samples, dtype=bool)
@@ -424,6 +424,9 @@ def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[R
         k = math.ceil(fraction * idx.size)
         chosen = rng.choice(idx, size=k, replace=False)
         val_mask[chosen] = True
+    if not val_mask.any():  # an empty map included
+        raise ValueError(f"radio map {radio_map.name!r} has no (building, floor) group with "
+                         "the 2 samples a validation split needs")
     train = radio_map.take(np.flatnonzero(~val_mask))
     val = radio_map.take(np.flatnonzero(val_mask))
     return train, val

@@ -3,7 +3,7 @@
 ``fit_pipeline`` runs the whole off-line phase — preprocessing fit, optional
 fixed conv featurization, closed-form classifier fit — and returns a single
 object that ``save_model``/``load_model`` round-trip through one JSON file,
-written as ``elmloc-model-v3`` (``load_model`` also reads ``-v2``).
+written as ``elmloc-model-v3``, the one format ``load_model`` reads.
 The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and the seeds of the random
 layers travel with the model. ``sweep_pipeline`` scores a grid of hidden
@@ -33,7 +33,6 @@ from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurize
 from .preprocess import NORM_MODES, PreprocessParams, _fit_transform, _rss_of, _transform
 
 _FORMAT = "elmloc-model-v3"
-_V2 = "elmloc-model-v2"  # still read: its random_sha256 leaves n_aps out
 
 APPROACHES = ("cnn_elm", "elm_only")
 
@@ -178,12 +177,10 @@ def predict_pipeline(
     return elm_mod.predict(x, model.elm)
 
 
-def _random_sha256(model: TrainedModel, with_width: bool = True) -> str:
-    """sha256 of n_aps as a little-endian int64 (left out for a v2 file), then of
-    the seed-drawn arrays (w, b, then any filters) as little-endian float64."""
-    digest = hashlib.sha256()
-    if with_width:
-        digest.update(int(model.n_aps).to_bytes(8, "little", signed=True))
+def _random_sha256(model: TrainedModel) -> str:
+    """sha256 of n_aps as a little-endian int64, then of the seed-drawn arrays
+    (w, b, then any filters) as little-endian float64."""
+    digest = hashlib.sha256(int(model.n_aps).to_bytes(8, "little", signed=True))
     filters = [] if model.featurizer is None else [model.featurizer.filters]
     for arr in [model.elm.w, model.elm.b, *filters]:
         digest.update(np.ascontiguousarray(arr, dtype="<f8"))
@@ -260,13 +257,13 @@ def _section(path: Path, doc: dict, key: str):
 
 
 def load_model(path) -> TrainedModel:
-    """The model in an ``elmloc-model-v3`` file, or in a ``-v2`` one.
+    """The model in an ``elmloc-model-v3`` file.
 
     Raises ``ValueError`` naming the file and the key of a value that cannot be
-    served: a key ``save_model`` does not write or a missing one, a hidden layer
-    larger than ``elm.MAX_HIDDEN_WEIGHTS`` (before anything is drawn), or a
-    ``random_sha256`` that n_aps and the rebuilt arrays do not match. A v2
-    file's digest leaves n_aps out.
+    served: another format, a key ``save_model`` does not write or a missing
+    one, a hidden layer larger than ``elm.MAX_HIDDEN_WEIGHTS`` (before anything
+    is drawn), or a ``random_sha256`` that n_aps and the rebuilt arrays do not
+    match.
     """
     path = Path(path)
     try:
@@ -275,7 +272,7 @@ def load_model(path) -> TrainedModel:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path} is not a valid model file: {exc}") from exc
     fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt not in (_FORMAT, _V2):
+    if fmt != _FORMAT:
         raise ValueError(f"{path}: unrecognized model format {fmt!r}")
     _check_keys(path, doc)
     if not isinstance(doc["dataset"], str):
@@ -308,11 +305,10 @@ def load_model(path) -> TrainedModel:
         c = check_float(section["c"], "c")
         elm = elm_mod.ElmModel(beta, c, elm_mod.ClassCodebook(pairs), seed, width, quantized)
     model = TrainedModel(params, featurizer, elm, dataset=doc["dataset"])
-    if doc["random_sha256"] != _random_sha256(model, with_width=fmt == _FORMAT):
-        hashed = "the file's n_aps and the w, b" if fmt == _FORMAT else "the w, b"
+    if doc["random_sha256"] != _random_sha256(model):
         raise ValueError(
-            f"{path}: model key 'random_sha256' does not match {hashed} and filters rebuilt "
-            f"from the seeds; numpy {np.__version__} may draw other random streams than the "
-            "numpy that wrote the file"
+            f"{path}: model key 'random_sha256' does not match the file's n_aps and the w, b "
+            f"and filters rebuilt from the seeds; numpy {np.__version__} may draw other random "
+            "streams than the numpy that wrote the file"
         )
     return model

@@ -89,6 +89,21 @@ class TestIngest:
         assert main(["ingest", "--dataset", "NOPE",
                      "--data-root", str(tmp_path)]) == 2
 
+    def test_label_beyond_int64_exits_2(self, data_root, tmp_path, capsys):
+        # numpy's cast would warn and report a wrapped label the file does not hold
+        d = tmp_path / "BIG"
+        d.mkdir()
+        for f in (data_root / "TST1").iterdir():
+            (d / f.name).write_bytes(f.read_bytes())
+        lines = (d / "train.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[40] = "1e20"
+        lines[1] = ",".join(cells)
+        (d / "train.csv").write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--dataset", "BIG", "--data-root", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {d / 'train.csv'}: floor labels must lie within int64, found 1e+20\n")
+
 
 class TestTrain:
     def test_model_written(self, model_path):
@@ -517,6 +532,25 @@ class TestSweep:
         assert main(["train", "--dataset", "MYDS", "--data-root", str(tmp_path),
                      "--c", "1", "--out", str(tmp_path / "m.json")]) == 2
         assert "pass --L" in capsys.readouterr().err
+
+    def test_no_validation_rows_exits_2(self, tmp_path, capsys):
+        # six rows on six floors: no (building, floor) group can give a row to validation
+        d = tmp_path / "SIX"
+        d.mkdir()
+        rows = [f"-{50 + i},-60,100,{i},0" for i in range(6)]
+        (d / "train.csv").write_text("\n".join(["AP0,AP1,AP2,FLOOR,BUILDINGID", *rows, ""]))
+        (d / "manifest.json").write_text(json.dumps(
+            {"ap_columns": [0, 2], "floor_col": 3, "building_col": 4, "sentinel": 100}))
+        flags = ["--dataset", "SIX", "--data-root", str(tmp_path), "--c", "1",
+                 "--L-max", "10", "--step", "5"]
+        for argv in (["sweep", *flags], ["train", *flags, "--L", "auto",
+                                         "--out", str(tmp_path / "m.json")]):
+            with pytest.warns(UserWarning, match="kept in training"):
+                assert main(argv) == 2
+            assert capsys.readouterr().err.endswith(
+                "error: radio map 'SIX-train' has no (building, floor) group with the 2 "
+                "samples a validation split needs\n")
+        assert not (tmp_path / "m.json").exists()
 
     def test_nan_features_exit_2(self, data_root, monkeypatch, capsys):
         real = pipeline._fit_stages

@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -58,6 +60,26 @@ class TestRadioMap:
         # exact integral floats are fine
         m = RadioMap(rss=np.zeros((1, 2)), floor=np.array([2.0]))
         assert m.floor.dtype == np.int64
+
+    @pytest.mark.parametrize("label, shown", [
+        (1e20, "1e+20"), (-1e20, "-1e+20"), (9.3e18, "9.3e+18"), (np.inf, "inf"),
+        (np.uint64(2**63), "9223372036854775808"),
+    ])
+    @pytest.mark.parametrize("what", ["floor", "building"])
+    def test_labels_beyond_int64_refused_before_the_cast(self, label, shown, what):
+        # the cast would warn and wrap them to a label the input does not hold
+        labels = {"floor": np.array([0]), what: np.array([label])}
+        with pytest.raises(ValueError, match=rf"^{what} labels must lie within int64, "
+                                             rf"found {re.escape(shown)}$"):
+            RadioMap(rss=np.zeros((1, 2)), **labels)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([2**63 - 1]), np.array([2**63 - 1], dtype=np.uint64),
+        np.array([True, False]), np.array([3.0, 1.0], dtype=np.float16),
+    ], ids=["int64_max", "uint64", "bool", "float16"])
+    def test_labels_within_int64_kept(self, labels):
+        m = RadioMap(rss=np.zeros((len(labels), 2)), floor=labels)
+        assert m.floor.tolist() == [int(v) for v in labels.tolist()]
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -478,6 +500,16 @@ class TestSplitValidation:
             tr, val = split_validation(m, 0.1, seed=0)
         assert 1 in tr.floor
         assert 1 not in val.floor
+
+    @pytest.mark.parametrize("n", [6, 0])
+    def test_no_group_of_two_refused(self, n):
+        # every floor has at most one sample, so nothing can be held out
+        m = RadioMap(rss=-np.ones((n, 3)), floor=np.arange(n), name="tiny")
+        with pytest.warns(UserWarning, match="kept in training") if n else nullcontext():
+            with pytest.raises(ValueError, match=r"^radio map 'tiny' has no \(building, floor\) "
+                                                 r"group with the 2 samples a validation split "
+                                                 r"needs$"):
+                split_validation(m, 0.1, seed=0)
 
     def test_bad_fraction(self):
         m = RadioMap(rss=-np.ones((10, 3)), floor=np.zeros(10, dtype=int))

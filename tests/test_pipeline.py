@@ -388,7 +388,7 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_model(p)
 
-    @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm"])
+    @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm", "n_aps", "random_sha256"])
     def test_missing_section_named(self, fitted, tmp_path, key):
         p = tmp_path / "m.json"
         save_model(fitted, p)
@@ -478,7 +478,6 @@ def write_bad_model(bad, case):
     bad.write_text(json.dumps(doc))
 
 
-V2_FILES = Path(__file__).parent / "data" / "v2"
 V3_FILES = Path(__file__).parent / "data" / "v3"
 INT8_MODEL = V3_FILES / "cnn_elm_per_feature_int8.model.json"
 
@@ -625,7 +624,7 @@ def test_serving_does_not_import_scipy(fitted, tmp_path):
 MODELS = ["cnn_elm_per_feature_int8", "elm_only_per_sample", "cnn_elm_per_sample"]
 
 #: The setting each model file was trained with on the syn_small training rows,
-#: beyond PipelineConfig(L=30, c=1.0, seed=0) (see TestV2ModelFiles).
+#: beyond PipelineConfig(L=30, c=1.0, seed=0) (see TestV3ModelFiles).
 SETTINGS = {
     "cnn_elm_per_feature_int8": {"quantize": True},
     "elm_only_per_sample": {"approach": "elm_only", "norm_mode": "per_sample"},
@@ -643,7 +642,7 @@ def one_query(tmp_path_factory):
 
 
 def _answers(name):
-    return json.loads((V2_FILES / "answers.json").read_text())[name]
+    return json.loads((V3_FILES / "answers.json").read_text())[name]
 
 
 def answers_with_one_blas_thread(rss, directory, tmp_path):
@@ -692,16 +691,18 @@ class TestV1ModelFiles:
 
     v1 files stored w, b, the filters and the int8 codes, a config section,
     ``elm.L``, ``featurizer.n_aps`` and the constants that were once settings.
-    elmloc no longer reads them. ``load_model`` and then ``save_model`` at
-    commit b51e6a5, the last that read them, convert one.
+    elmloc no longer reads them, nor ``elmloc-model-v2`` files, whose
+    ``random_sha256`` left ``n_aps`` out. ``save_model(load_model(path), path)``
+    at commit b51e6a5, the last that read v1, converts a v1 file to v2, and at
+    commit 4e7bea2, the last that read v2, a v2 file to v3.
     """
 
-    def test_v1_format_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_v1_format_refused(self, one_query, tmp_path, capsys, version):
         p = tmp_path / "m.json"
-        write_edited(INT8_MODEL, p, lambda doc: doc.update(format="elmloc-model-v1"))
-        with pytest.raises(ValueError, match=r"m\.json: unrecognized model format "
-                                             r"'elmloc-model-v1'$"):
-            load_model(p)
+        write_edited(INT8_MODEL, p, lambda doc: doc.update(format=f"elmloc-model-{version}"))
+        assert_load_fails(p, one_query, capsys,
+                          rf"m\.json: unrecognized model format 'elmloc-model-{version}'$")
 
     @pytest.mark.parametrize("section, key, value", [
         ("config", "exponent", 0.0),
@@ -756,8 +757,8 @@ def edit_digested(section, key, value):
     return edit
 
 
-class TestV2ModelFiles:
-    """Model files whose ``random_sha256`` leaves ``n_aps`` out.
+class TestV3ModelFiles:
+    """The files ``save_model`` writes: ``random_sha256`` covers ``n_aps`` too.
 
     The three files were written with one BLAS thread: ``fit_pipeline`` on the
     ``syn_small`` training rows with ``PipelineConfig(L=30, c=1.0, seed=0)``
@@ -766,48 +767,10 @@ class TestV2ModelFiles:
     norm_mode="per_sample"`` for ``elm_only_per_sample`` and, by commit
     f61359e, ``norm_mode="per_sample"`` for ``cnn_elm_per_sample``; then
     ``save_model(..., dataset="TST1")``, in the format of each commit and
-    loaded and saved again as v2. ``answers.json`` holds the writing commit's
-    ``predict_pipeline`` answers on the 240 ``syn_small`` test rows:
-    ``[buildings, floors]`` per model, float and, for the quantized file, int8.
-    A ``cnn_elm`` ``per_sample`` v2 file's ``n_aps`` is not checked: no digest
-    or norm covers it.
-    """
-
-    @pytest.mark.parametrize("name", MODELS)
-    def test_answers_bitwise(self, syn_small, name):
-        assert_answers_bitwise(V2_FILES / f"{name}.model.json", name, syn_small[1])
-
-    def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
-        assert answers_with_one_blas_thread(syn_small[1].rss, V2_FILES, tmp_path) == (
-            json.loads((V2_FILES / "answers.json").read_text()))
-
-    @pytest.mark.parametrize("section, key, value", list(DIGEST_EDITS.values()),
-                             ids=list(DIGEST_EDITS))
-    def test_digest_mismatch_rejected(self, one_query, tmp_path, capsys, section, key, value):
-        # a seed, a size or L that draws other arrays than the writer's; numpy
-        # drawing another stream for the same seed fails the same way
-        p = tmp_path / "m.json"
-        write_edited(V2_FILES / "cnn_elm_per_feature_int8.model.json", p,
-                     edit_digested(section, key, value))
-        assert_load_fails(p, one_query, capsys,
-                          r"m\.json: model key 'random_sha256' does not match the w, b and "
-                          r"filters rebuilt from the seeds; numpy \S+ may draw other random "
-                          r"streams")
-
-    @pytest.mark.parametrize("key", ["n_aps", "random_sha256"])
-    def test_missing_top_level_key_named(self, tmp_path, key):
-        p = tmp_path / "m.json"
-        write_edited(V2_FILES / "cnn_elm_per_sample.model.json", p, lambda doc: doc.pop(key))
-        with pytest.raises(ValueError, match=rf"m\.json: model document lacks key '{key}'$"):
-            load_model(p)
-
-
-class TestV3ModelFiles:
-    """The files ``save_model`` writes: ``random_sha256`` covers ``n_aps`` too.
-
-    Each is ``save_model(load_model(...))`` of its ``tests/data/v2`` twin, so
-    it differs from that file only in ``format`` and ``random_sha256`` and
-    answers ``tests/data/v2/answers.json`` bitwise.
+    loaded and saved again as each later format. ``answers.json`` holds the
+    writing commit's ``predict_pipeline`` answers on the 240 ``syn_small`` test
+    rows: ``[buildings, floors]`` per model, float and, for the quantized file,
+    int8.
     """
 
     @pytest.mark.parametrize("name", MODELS)
@@ -816,7 +779,7 @@ class TestV3ModelFiles:
 
     def test_answers_with_one_blas_thread(self, syn_small, tmp_path):
         assert answers_with_one_blas_thread(syn_small[1].rss, V3_FILES, tmp_path) == (
-            json.loads((V2_FILES / "answers.json").read_text()))
+            json.loads((V3_FILES / "answers.json").read_text()))
 
     @pytest.mark.parametrize("name", MODELS)
     def test_predict_command_answers(self, syn_small, tmp_path, name):
@@ -834,11 +797,9 @@ class TestV3ModelFiles:
             assert got.T.tolist() == want, mode
 
     @pytest.mark.parametrize("name", MODELS)
-    def test_v2_file_saved_again_is_the_v3_file(self, tmp_path, name):
+    def test_saved_again_is_the_same_file(self, tmp_path, name):
         p = tmp_path / "m.json"
-        save_model(load_model(V2_FILES / f"{name}.model.json"), p)
-        assert p.read_bytes() == (V3_FILES / f"{name}.model.json").read_bytes()
-        save_model(load_model(p), p)  # and saving what was loaded changes nothing
+        save_model(load_model(V3_FILES / f"{name}.model.json"), p)
         assert p.read_bytes() == (V3_FILES / f"{name}.model.json").read_bytes()
 
     @pytest.mark.parametrize("name", MODELS)
@@ -854,13 +815,6 @@ class TestV3ModelFiles:
             if w is not None:
                 assert np.linalg.norm(np.subtract(g, w)) <= 1e-12 * np.linalg.norm(w)
         assert got == want  # random_sha256 included
-
-    @pytest.mark.parametrize("name", MODELS)
-    def test_only_format_and_digest_differ_from_v2(self, name):
-        v2, v3 = (json.loads((d / f"{name}.model.json").read_text()) for d in (V2_FILES, V3_FILES))
-        assert (v2.pop("format"), v3.pop("format")) == ("elmloc-model-v2", "elmloc-model-v3")
-        assert v2.pop("random_sha256") != v3.pop("random_sha256")
-        assert v2 == v3
 
     @pytest.mark.parametrize("name, section, key, value", [
         *[("cnn_elm_per_feature_int8", *edit) for edit in DIGEST_EDITS.values()],
@@ -921,8 +875,9 @@ class TestWidthRecordedOnce:
         assert_load_fails(p, one_query, capsys, rf"m\.json: {message}")
 
     @pytest.mark.parametrize("n_aps, norms", [(41, 40), (40, None)])
-    def test_v2_norms_checked_against_n_aps(self, tmp_path, n_aps, norms):
-        doc = json.loads((V2_FILES / "cnn_elm_per_feature_int8.model.json").read_text())
+    def test_norms_checked_against_n_aps(self, tmp_path, n_aps, norms):
+        # checked before the digest, which does not cover the norms
+        doc = json.loads(INT8_MODEL.read_text())
         doc["n_aps"] = n_aps
         if norms is None:
             doc["preprocess"]["feature_norms"] = None
@@ -932,10 +887,9 @@ class TestWidthRecordedOnce:
                                              rf"n_aps = {n_aps} norms, got {norms}$"):
             load_model(p)
 
-    @pytest.mark.parametrize("directory", [V2_FILES, V3_FILES], ids=["v2", "v3"])
-    def test_stray_norms_of_a_per_sample_file_rejected(self, tmp_path, directory):
+    def test_stray_norms_of_a_per_sample_file_rejected(self, tmp_path):
         # apply_preprocess would ignore them in per_sample mode
-        doc = json.loads((directory / "cnn_elm_per_sample.model.json").read_text())
+        doc = json.loads((V3_FILES / "cnn_elm_per_sample.model.json").read_text())
         doc["preprocess"]["feature_norms"] = [1.0, 2.0]
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))
