@@ -45,6 +45,7 @@ from .dataset import (
     _read_map,
     _read_matrix,
     check_rss,
+    class_index,
     load_csv,
     load_manifest,
     registry_lookup,
@@ -215,7 +216,7 @@ def cmd_ingest(args) -> int:
         "n_aps": train.n_aps,
         "buildings": int(train.building.max()) + 1 if train.has_building else 1,
         "floors": sorted(int(f) for f in np.unique(train.floor)),
-        "classes": int(np.unique(train.label_pairs(), axis=0).shape[0]),
+        "classes": len(class_index(train.label_pairs())[0]),
         "detected_fraction": round(float(np.mean(train.rss != 0.0)), 4),
     }
     if test.n_aps != train.n_aps:

@@ -68,10 +68,10 @@ class RadioMap:
         if rss.ndim != 2:
             raise ValueError(f"rss must be 2-D, got shape {rss.shape}")
         check_rss(rss, "rss")
-        floor = _as_label_vector(self.floor, "floor", rss.shape[0])
+        floor = check_labels(self.floor, "floor", rss.shape[0])
         building = None
         if self.building is not None:
-            building = _as_label_vector(self.building, "building", rss.shape[0])
+            building = check_labels(self.building, "building", rss.shape[0])
         stored = {"rss": rss, "floor": floor, "building": building}
         for name, arr in stored.items():
             if arr is not None:
@@ -162,10 +162,14 @@ def check_array(value, key: str) -> np.ndarray:
     return arr
 
 
-def _as_label_vector(values, what: str, n: int) -> np.ndarray:
+def check_labels(values, what: str, n: int) -> np.ndarray:
+    """``values`` as a length-``n`` int64 vector of whole, non-negative numbers
+    within int64; anything else raises ``ValueError`` naming ``what``."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValueError(f"{what} labels must be a length-{n} vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":  # np.round raises a bare TypeError on the rest
+        raise ValueError(f"{what} labels must be numbers, got dtype {arr.dtype}")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.round(arr)
         if not np.allclose(arr, rounded, rtol=0, atol=0):
@@ -177,6 +181,13 @@ def _as_label_vector(values, what: str, n: int) -> np.ndarray:
     if lo < 0:
         raise ValueError(f"{what} labels must be non-negative, found {int(lo)}")
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def class_index(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of N x 2 (building, floor) label rows, sorted by building
+    then floor, and each row's index among them: ``classes[index]`` is ``pairs``."""
+    classes, index = np.unique(np.asarray(pairs, dtype=np.int64), axis=0, return_inverse=True)
+    return classes, index.reshape(-1)  # numpy 2.0.0 returns the index as N x 1
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,8 @@ class ColumnSchema:
                 raise SchemaError(f"{key} must be >= 0, got {col}")
             if col is not None and self.ap_start <= col <= self.ap_end:
                 raise SchemaError(f"column {col} falls inside the AP range")
+        if self.floor_col == self.building_col:
+            raise SchemaError(f"floor_col and building_col are both {self.floor_col}")
 
     @property
     def n_aps(self) -> int:
@@ -409,12 +422,11 @@ def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[R
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    pairs = radio_map.label_pairs()
+    classes, index = class_index(radio_map.label_pairs())
     rng = np.random.default_rng(seed)
     val_mask = np.zeros(radio_map.n_samples, dtype=bool)
-    groups = sorted({(int(b), int(f)) for b, f in pairs})
-    for b, f in groups:
-        idx = np.flatnonzero((pairs[:, 0] == b) & (pairs[:, 1] == f))
+    for g, (b, f) in enumerate(classes.tolist()):
+        idx = np.flatnonzero(index == g)
         if idx.size < 2:
             warnings.warn(
                 f"group (building={b}, floor={f}) has {idx.size} sample(s); kept in training",

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import check_finite
+from .dataset import check_finite, check_labels, class_index
 
 #: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
 #: may hold: 512 MB. Every registry dataset at its registry L needs under 1% of
@@ -38,41 +38,24 @@ MAX_HIDDEN_WEIGHTS = 2**26
 
 @dataclass(frozen=True)
 class ClassCodebook:
-    """Joint (building, floor) label pairs, sorted by building then floor."""
+    """Distinct joint (building, floor) label pairs, sorted by building then floor."""
 
     pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.ascontiguousarray(self.pairs, dtype=np.int64)
+        pairs = np.asarray(self.pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"pairs must be K x 2, got shape {pairs.shape}")
-        if len({(int(b), int(f)) for b, f in pairs}) != pairs.shape[0]:
-            raise ValueError("codebook pairs must be unique")
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        if not np.array_equal(order, np.arange(pairs.shape[0])):
-            raise ValueError("codebook pairs must be sorted by building then floor")
+        pairs = np.column_stack([check_labels(pairs[:, 0], "building", pairs.shape[0]),
+                                 check_labels(pairs[:, 1], "floor", pairs.shape[0])])
+        if not np.array_equal(class_index(pairs)[0], pairs):
+            raise ValueError("codebook pairs must be distinct and sorted by building then floor")
         pairs.flags.writeable = False
         object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs: np.ndarray) -> "ClassCodebook":
-        """Codebook of the distinct pairs occurring in N x 2 label rows."""
-        uniq = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-        # np.unique sorts rows lexicographically, i.e. building-major already
-        return cls(pairs=uniq)
 
     @property
     def n_classes(self) -> int:
         return self.pairs.shape[0]
-
-    def encode(self, pairs: np.ndarray) -> np.ndarray:
-        """Class index of each (building, floor) row; unknown pairs raise."""
-        lookup = {(int(b), int(f)): k for k, (b, f) in enumerate(self.pairs)}
-        pairs = np.asarray(pairs, dtype=np.int64)
-        try:
-            return np.array([lookup[(int(b), int(f))] for b, f in pairs], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"label pair {exc.args[0]} not in codebook") from None
 
     def decode(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(buildings, floors) for a vector of class indices."""
@@ -82,12 +65,13 @@ class ClassCodebook:
         return self.pairs[idx, 0].copy(), self.pairs[idx, 1].copy()
 
 
-def encode_targets(pairs: np.ndarray, codebook: ClassCodebook) -> np.ndarray:
-    """One-hot {0, 1} target matrix (N x n_classes, float64)."""
-    idx = codebook.encode(pairs)
-    t = np.zeros((idx.shape[0], codebook.n_classes))
-    t[np.arange(idx.shape[0]), idx] = 1.0
-    return t
+def _targets(pairs: np.ndarray) -> tuple[ClassCodebook, np.ndarray]:
+    """The codebook of the label rows' classes and their one-hot {0, 1} target
+    matrix (N x n_classes, float64)."""
+    classes, index = class_index(pairs)
+    t = np.zeros((index.shape[0], classes.shape[0]))
+    t[np.arange(index.shape[0]), index] = 1.0
+    return ClassCodebook(classes), t
 
 
 def check_hidden_size(d: int, L: int) -> None:
@@ -293,10 +277,10 @@ def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: i
     if pairs.shape != (x.shape[0], 2):
         raise ValueError(f"pairs must be {x.shape[0]} x 2 to match features, "
                          f"got shape {pairs.shape}")
-    codebook = ClassCodebook.from_pairs(pairs)
+    codebook, t = _targets(pairs)
     w, b = init_hidden(seed, x.shape[1], L)
     # H is finite and as tall as T: hidden_map checks x, and tanh is bounded
-    low, u = _factor(hidden_map(x, w, b), encode_targets(pairs, codebook), c)
+    low, u = _factor(hidden_map(x, w, b), t, c)
     beta = np.linalg.solve(low.T, u)
     return ElmModel(beta=beta, c=c, codebook=codebook, seed=seed, n_features=x.shape[1])
 
@@ -410,10 +394,10 @@ def sweep_hidden(
                              f"{split}_features, got shape {pairs.shape}")
     check_finite(x_tr, "train_features")
     check_finite(x_val, "val_features")
-    codebook = ClassCodebook.from_pairs(train_pairs)
+    codebook, t = _targets(train_pairs)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)
-    low, u = _factor(hidden_map(x_tr, w, b), encode_targets(train_pairs, codebook), c)
+    low, u = _factor(hidden_map(x_tr, w, b), t, c)
     # the training H is freed; V = H_val low^-T, and size L's scores are V[:, :L] u[:L]
     v = np.linalg.solve(low, hidden_map(x_val, w, b).T).T
 

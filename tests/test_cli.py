@@ -104,6 +104,19 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {d / 'train.csv'}: floor labels must lie within int64, found 1e+20\n")
 
+    def test_one_column_for_both_labels_exits_2(self, tmp_path, capsys):
+        # both labels read from one column would count each floor as a building
+        d = tmp_path / "ONE"
+        d.mkdir()
+        for split in ("train", "test"):
+            (d / f"{split}.csv").write_text("AP0,AP1,LABEL\n-60,100,0\n100,-70,1\n-50,-80,2\n")
+        (d / "manifest.json").write_text(json.dumps(
+            {"ap_columns": [0, 1], "floor_col": 2, "building_col": 2, "sentinel": 100}))
+        assert main(["ingest", "--dataset", "ONE", "--data-root", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid manifest ")
+        assert err.endswith("floor_col and building_col are both 2\n")
+
 
 class TestTrain:
     def test_model_written(self, model_path):

@@ -1,11 +1,13 @@
 import json
+import math
 import re
 import tracemalloc
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import traced_peak
 from elmloc.dataset import (
@@ -17,6 +19,7 @@ from elmloc.dataset import (
     UnknownDatasetError,
     check_array,
     check_float,
+    class_index,
     load_csv,
     load_manifest,
     registry_lookup,
@@ -71,6 +74,18 @@ class TestRadioMap:
         labels = {"floor": np.array([0]), what: np.array([label])}
         with pytest.raises(ValueError, match=rf"^{what} labels must lie within int64, "
                                              rf"found {re.escape(shown)}$"):
+            RadioMap(rss=np.zeros((1, 2)), **labels)
+
+    @pytest.mark.parametrize("label, dtype", [
+        ("3", "<U1"), (None, "object"), (2**64, "object"), (np.array(1.0, dtype=object), "object"),
+        (1 + 0j, "complex128"),
+    ], ids=["string", "none", "beyond_uint64", "object_float", "complex"])
+    @pytest.mark.parametrize("what", ["floor", "building"])
+    def test_non_numeric_labels_refused(self, label, dtype, what):
+        # np.round would raise a bare TypeError on them, naming no label
+        labels = {"floor": np.array([0]), what: np.array([label])}
+        with pytest.raises(ValueError, match=rf"^{what} labels must be numbers, got dtype "
+                                             rf"{dtype}$"):
             RadioMap(rss=np.zeros((1, 2)), **labels)
 
     @pytest.mark.parametrize("labels", [
@@ -168,6 +183,10 @@ class TestColumnSchema:
         with pytest.raises(ValueError):
             ColumnSchema(ap_start=3, ap_end=0, floor_col=4)
 
+    def test_one_column_for_both_labels_rejected(self):
+        with pytest.raises(SchemaError, match=r"^floor_col and building_col are both 4$"):
+            ColumnSchema(ap_start=0, ap_end=3, floor_col=4, building_col=4)
+
 
 class TestManifest:
     def test_load(self, tmp_path):
@@ -180,6 +199,15 @@ class TestManifest:
         assert m.schema.n_aps == 520
         assert m.schema.floor_col == 522
         assert m.sentinel == 100.0
+
+    def test_one_column_for_both_labels(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps({
+            "ap_columns": [0, 1], "floor_col": 2, "building_col": 2, "sentinel": 100,
+        }))
+        with pytest.raises(SchemaError, match=r"^invalid manifest .*manifest\.json: floor_col "
+                                              r"and building_col are both 2$"):
+            load_manifest(p)
 
     def test_missing_key(self, tmp_path):
         p = tmp_path / "manifest.json"
@@ -459,6 +487,11 @@ class TestLoadCsvReference:
             assert outcome == (ParseError, f"{p}:4: {message} in column 1")
 
 
+def label_rows(labels):
+    """Lists of one to 40 (building, floor) tuples drawn from ``labels``."""
+    return st.lists(st.tuples(labels, labels), min_size=1, max_size=40)
+
+
 class TestSplitValidation:
     def test_sizes_single_group(self):
         m = RadioMap(rss=-np.ones((100, 3)), floor=np.zeros(100, dtype=int))
@@ -516,6 +549,54 @@ class TestSplitValidation:
         for frac in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 split_validation(m, frac, seed=0)
+
+    @given(label_rows(st.integers(0, 3)), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example([(0, 0)] * 5, 0.1, 3)
+    @example([(1, 0), (0, 2), (1, 0), (0, 2), (0, 1)], 0.5, 0)
+    def test_same_rows_as_a_mask_per_group(self, rows, fraction, seed):
+        # rss column 0 reads -row, so each output row names its input row
+        pairs = np.array(rows)
+        m = RadioMap(rss=-np.arange(len(rows), dtype=float)[:, None],
+                     floor=pairs[:, 1], building=pairs[:, 0])
+        want = split_reference(pairs, fraction, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # groups of one stay in training
+            if not want.any():
+                with pytest.raises(ValueError, match="no \\(building, floor\\) group"):
+                    split_validation(m, fraction, seed)
+                return
+            train, val = split_validation(m, fraction, seed)
+        assert (-val.rss[:, 0]).tolist() == np.flatnonzero(want).tolist()
+        assert (-train.rss[:, 0]).tolist() == np.flatnonzero(~want).tolist()
+
+
+def split_reference(pairs, fraction, seed):
+    """The validation mask of a stratified split, drawn over a sorted set of
+    (building, floor) tuples with one two-column mask per group."""
+    rng = np.random.default_rng(seed)
+    val = np.zeros(len(pairs), dtype=bool)
+    for b, f in sorted({(int(b), int(f)) for b, f in pairs}):
+        idx = np.flatnonzero((pairs[:, 0] == b) & (pairs[:, 1] == f))
+        if idx.size >= 2:
+            val[rng.choice(idx, size=math.ceil(fraction * idx.size), replace=False)] = True
+    return val
+
+
+class TestClassIndex:
+    @given(label_rows(st.integers(0, 3) | st.integers(0, 2**63 - 1)))
+    @settings(max_examples=100, deadline=None)
+    @example([(0, 0)])  # one row
+    @example([(2, 1)] * 4)  # one class
+    @example([(2, 0), (0, 3), (1, 1), (0, 3), (2, 0), (1, 0)])  # several buildings
+    def test_matches_a_sorted_set_and_a_dict(self, rows):
+        classes, index = class_index(np.array(rows))
+        want = sorted(set(rows))
+        lookup = {pair: k for k, pair in enumerate(want)}
+        assert classes.dtype == np.int64 and classes.shape == (len(want), 2)
+        assert [tuple(pair) for pair in classes.tolist()] == want
+        assert index.shape == (len(rows),)
+        assert index.tolist() == [lookup[pair] for pair in rows]
 
 
 class TestCheckFloat:

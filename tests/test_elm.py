@@ -12,13 +12,12 @@ from hypothesis.extra.numpy import arrays
 from conftest import traced_peak
 from elmloc import elm
 from elmloc.cli import build_parser
-from elmloc.dataset import registry_lookup, registry_names
+from elmloc.dataset import class_index, registry_lookup, registry_names
 from elmloc.elm import (
     ClassCodebook,
     ElmModel,
     QuantizedWeights,
     check_hidden_size,
-    encode_targets,
     fit,
     hidden_map,
     init_hidden,
@@ -49,42 +48,48 @@ def loaded_elm(doc, path):
 
 class TestCodebook:
     def test_sorted_building_major(self):
-        pairs = np.array([[1, 0], [0, 2], [0, 1], [1, 0]])
-        cb = ClassCodebook.from_pairs(pairs)
+        classes, _ = class_index(np.array([[1, 0], [0, 2], [0, 1], [1, 0]]))
+        cb = ClassCodebook(classes)
         assert cb.pairs.tolist() == [[0, 1], [0, 2], [1, 0]]
         assert cb.n_classes == 3
 
-    def test_encode_decode_round_trip(self):
-        cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 3], [2, 1]]))
-        idx = cb.encode(np.array([[2, 1], [0, 0], [0, 3]]))
-        assert idx.tolist() == [2, 0, 1]
-        b, f = cb.decode(idx)
-        assert b.tolist() == [2, 0, 0]
-        assert f.tolist() == [1, 0, 3]
-
-    def test_unknown_pair_named_in_error(self):
-        cb = ClassCodebook.from_pairs(np.array([[0, 0]]))
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            cb.encode(np.array([[1, 2]]))
+    def test_index_decode_round_trip(self):
+        pairs = np.array([[2, 1], [0, 0], [0, 3], [2, 1]])
+        classes, index = class_index(pairs)
+        assert index.tolist() == [2, 0, 1, 2]
+        b, f = ClassCodebook(classes).decode(index)
+        assert b.tolist() == [2, 0, 0, 2]
+        assert f.tolist() == [1, 0, 3, 1]
 
     def test_unsorted_construction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted by building then floor"):
             ClassCodebook(pairs=np.array([[1, 0], [0, 0]]))
 
     def test_duplicate_construction_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             ClassCodebook(pairs=np.array([[0, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([[-5, -7], [0, 1]], r"building labels must be non-negative, found -5"),
+        ([[0, -1], [0, 1]], r"floor labels must be non-negative, found -1"),
+        ([[0, 0.5]], r"floor labels must be integers"),
+        ([["0", "1"]], r"building labels must be numbers, got dtype <U1"),
+    ], ids=["negative_building", "negative_floor", "fraction", "strings"])
+    def test_labels_follow_the_label_rule(self, pairs, message):
+        # the rule RadioMap applies to its floor and building columns
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassCodebook(pairs=np.array(pairs))
+
     def test_decode_out_of_range(self):
-        cb = ClassCodebook.from_pairs(np.array([[0, 0]]))
+        cb = ClassCodebook(np.array([[0, 0]]))
         with pytest.raises(ValueError):
             cb.decode(np.array([1]))
 
 
 class TestTargets:
     def test_one_hot_zero_one(self):
-        cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 1], [1, 0]]))
-        t = encode_targets(np.array([[0, 1], [1, 0], [0, 0]]), cb)
+        cb, t = elm._targets(np.array([[0, 1], [1, 0], [0, 0]]))
+        assert cb.pairs.tolist() == [[0, 0], [0, 1], [1, 0]]
         assert t.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         assert set(np.unique(t)) == {0.0, 1.0}
 
@@ -93,9 +98,11 @@ class TestTargets:
     def test_rows_sum_to_one(self, seed):
         r = np.random.default_rng(seed)
         pairs = r.integers(0, 3, size=(20, 2))
-        cb = ClassCodebook.from_pairs(pairs)
-        t = encode_targets(pairs, cb)
+        cb, t = elm._targets(pairs)
+        classes, index = class_index(pairs)
+        assert cb.pairs.tobytes() == classes.tobytes()
         assert (t.sum(axis=1) == 1.0).all()
+        assert (np.argmax(t, axis=1) == index).all()
 
 
 def tansig(z):
@@ -180,7 +187,7 @@ class TestHiddenSizeBound:
             train_elm(x, labels, L=8, c=1.0, seed=0)
         with pytest.raises(ValueError, match=message):
             init_hidden(0, 8, 8)
-        codebook = ClassCodebook.from_pairs(labels)
+        codebook = ClassCodebook(class_index(labels)[0])
         beta = np.zeros((8, codebook.n_classes))
         with pytest.raises(ValueError, match=message):
             ElmModel(beta=beta, c=1.0, codebook=codebook, seed=0, n_features=8)
@@ -371,7 +378,7 @@ class TestTrainPredict:
             train_elm(x, labels, L=10, c=1.0, seed=0)
 
     def test_argmax_tie_takes_lowest_class_index(self):
-        cb = ClassCodebook.from_pairs(np.array([[0, 0], [0, 1], [2, 5]]))
+        cb = ClassCodebook(np.array([[0, 0], [0, 1], [2, 5]]))
         model = ElmModel(beta=np.zeros((4, 3)), c=1.0, codebook=cb, seed=0, n_features=3)
         # all scores identical -> first codebook entry wins
         b, f = predict(np.ones((2, 3)), model)
@@ -551,7 +558,7 @@ class TestWeightsHandledOnce:
             beta = np.zeros((4, 1))
             beta[0, 0] = np.nan
             with pytest.raises(ValueError, match=r"^beta contains non-finite"):
-                ElmModel(beta=beta, c=1.0, codebook=ClassCodebook.from_pairs(np.array([[0, 0]])),
+                ElmModel(beta=beta, c=1.0, codebook=ClassCodebook(np.array([[0, 0]])),
                          seed=0, n_features=3)
 
     @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
@@ -690,14 +697,24 @@ class TestSweep:
                          c=1.0, L_max=20, step=10)
 
 
+def targets_reference(pairs):
+    """The classes of label rows, by a sorted set of tuples, and their one-hot
+    targets, by a dict lookup per row."""
+    classes = sorted({(int(b), int(f)) for b, f in pairs})
+    lookup = {pair: k for k, pair in enumerate(classes)}
+    t = np.zeros((len(pairs), len(classes)))
+    for row, (b, f) in zip(t, pairs):
+        row[lookup[(int(b), int(f))]] = 1.0
+    return np.array(classes), t
+
+
 def sweep_reference(x_tr, p_tr, x_val, p_val, c, L_max, step, seed):
     """One direct fit per grid size on the first L neurons of the L_max layer.
 
     Returns the sizes, the floor and building hit curves, the selected size,
     and each size's validation score matrix.
     """
-    codebook = ClassCodebook.from_pairs(p_tr)
-    t = encode_targets(p_tr, codebook)
+    classes, t = targets_reference(p_tr)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)
     floor_hits, building_hits = np.empty(len(sizes)), np.empty(len(sizes))
@@ -705,9 +722,9 @@ def sweep_reference(x_tr, p_tr, x_val, p_val, c, L_max, step, seed):
     for i, L in enumerate(sizes):
         beta = fit(hidden_map(x_tr, w[:, :L], b[:L]), t, c)
         scores.append(hidden_map(x_val, w[:, :L], b[:L]) @ beta)
-        pred_b, pred_f = codebook.decode(np.argmax(scores[-1], axis=1))
-        floor_hits[i] = 100.0 * float(np.mean(pred_f == p_val[:, 1]))
-        building_hits[i] = 100.0 * float(np.mean(pred_b == p_val[:, 0]))
+        pred = classes[np.argmax(scores[-1], axis=1)]
+        floor_hits[i] = 100.0 * float(np.mean(pred[:, 1] == p_val[:, 1]))
+        building_hits[i] = 100.0 * float(np.mean(pred[:, 0] == p_val[:, 0]))
     best = int(sizes[int(np.argmax(floor_hits))])
     return sizes, floor_hits, building_hits, best, scores
 

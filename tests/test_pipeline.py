@@ -491,6 +491,10 @@ INT8_MODEL = V3_FILES / "cnn_elm_per_feature_int8.model.json"
 BAD_KEYS = {
     "codebook_fraction": ("elm", lambda d: d["codebook"][0].__setitem__(1, 1.7),
                           bad_value("elm", r"codebook must hold 64-bit integers, got 1\.7")),
+    # a codebook label follows the rule RadioMap's labels do; random_sha256 does
+    # not cover the codebook
+    "codebook_negative": ("elm", lambda d: d["codebook"].__setitem__(0, [-5, -7]),
+                          bad_value("elm", r"building labels must be non-negative, found -5")),
     "codebook_bool": ("elm", lambda d: d["codebook"][0].__setitem__(1, True),
                       bad_value("elm", r"codebook must hold 64-bit integers, got True")),
     "kernel_size_fraction": ("featurizer", lambda d: d.update(kernel_size=3.9),
