@@ -209,14 +209,15 @@ def cmd_ingest(args) -> int:
     root = _data_root(args)
     train, test = _load_pair(args.dataset, root)
     desc = _descriptor(args.dataset)
+    classes = class_index(train.label_pairs())[0]
     summary = {
         "dataset": args.dataset,
         "train_samples": train.n_samples,
         "test_samples": test.n_samples,
         "n_aps": train.n_aps,
-        "buildings": int(train.building.max()) + 1 if train.has_building else 1,
+        "buildings": len(np.unique(classes[:, 0])),
         "floors": sorted(int(f) for f in np.unique(train.floor)),
-        "classes": len(class_index(train.label_pairs())[0]),
+        "classes": len(classes),
         "detected_fraction": round(float(np.mean(train.rss != 0.0)), 4),
     }
     if test.n_aps != train.n_aps:

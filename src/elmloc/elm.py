@@ -17,7 +17,13 @@ the deployment path, and a validation sweep picks the hidden-layer size: it
 scores the first L neurons of one layer, so the same factor and forward
 solve give every size on its grid.
 An ``ElmModel`` holds what was learned and the seed: the hidden layer and
-the int8 copies are rebuilt from them on first use.
+the int8 codes are rebuilt from them on first use. No float copy of the
+codes of w is kept: an int8 prediction dequantizes, per call, only the rows
+of w that its features need (b and beta, a few thousand entries, are
+turned to float once per model).
+A prediction multiplies only the rows of w whose feature column holds a
+nonzero value in some query row (``_scores``): a silent column adds
+0 * w = 0, and a fingerprint hears few of the access points.
 """
 
 from __future__ import annotations
@@ -184,23 +190,19 @@ class QuantizedWeights:
             if codes.dtype != np.int8:
                 raise ValueError(f"{name} must be int8")
             codes = np.ascontiguousarray(codes)
-            codes.flags.writeable = False  # the dequantized cache must not go stale
+            codes.flags.writeable = False  # a model's weights are read-only
             object.__setattr__(self, name, codes)
         for name in ("w_scale", "b_scale", "beta_scale"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
     @cached_property
-    def dequantized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float (w, b, beta) rebuilt from the codes, computed once on first use."""
-        arrays = (
-            self.w_q.astype(np.float64) * self.w_scale,
-            self.b_q.astype(np.float64) * self.b_scale,
-            self.beta_q.astype(np.float64) * self.beta_scale,
-        )
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+    def _float_b_beta(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float b and beta from their codes, made on the first query, read-only.
+        w has no such copy: a query dequantizes the rows of it that it reads."""
+        b, beta = _dequantize(self.b_q, self.b_scale), _dequantize(self.beta_q, self.beta_scale)
+        b.flags.writeable = beta.flags.writeable = False
+        return b, beta
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ class ElmModel:
     plus what its random parts are drawn from.
 
     ``w`` and ``b`` are ``init_hidden(seed, n_features, L)``, and ``quantized``
-    holds int8 copies of w, b and beta when ``int8`` is set. Each is built on
+    holds int8 codes of w, b and beta when ``int8`` is set. Each is built on
     first use, once per instance, and read-only, so no model holds random
     weights its seed does not draw. A layer ``check_hidden_size`` refuses
     fails here, before it is drawn.
@@ -259,7 +261,7 @@ class ElmModel:
 
     @cached_property
     def quantized(self) -> QuantizedWeights | None:
-        """int8 copies of w, b and beta if ``int8`` is set, else None."""
+        """int8 codes of w, b and beta if ``int8`` is set, else None."""
         if not self.int8:
             return None
         w_q, w_scale = _quantize_tensor(self.w)
@@ -286,10 +288,28 @@ def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: i
 
 
 def _scores(
-    features: np.ndarray, w: np.ndarray, b: np.ndarray, beta: np.ndarray
+    features: np.ndarray, w: np.ndarray, b: np.ndarray, beta: np.ndarray,
+    w_scale: float | None = None,
 ) -> np.ndarray:
-    """tansig(x w + b) beta for weights an ElmModel has already validated."""
-    return hidden_map(features, w, b) @ beta
+    """tansig(x w + b) beta for weights an ElmModel has already validated.
+
+    Only the rows of ``w`` whose feature column holds a nonzero value (NaN
+    and inf included, which ``hidden_map`` then refuses) in some row of ``x``
+    are multiplied: a silent column adds 0 * w = 0. A batch with every
+    column active takes the dense product unchanged. With ``w_scale``, ``w``
+    holds int8 codes, and only the rows gathered are turned to float
+    (codes * w_scale).
+    """
+    x = np.asarray(features, dtype=np.float64)
+    d = w.shape[0]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"features must be N x {d}, got shape {x.shape}")
+    active = np.flatnonzero(x.any(axis=0))
+    if active.size < d:
+        x, w = x[:, active], w[active]
+    if w_scale is not None:
+        w = _dequantize(w, w_scale)
+    return hidden_map(x, w, b) @ beta
 
 
 def predict(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -319,16 +339,28 @@ def _quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float]:
     return q.astype(np.int8), scale
 
 
+def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
+    """codes * scale as a new float64 array."""
+    out = codes.astype(np.float64)
+    out *= scale
+    return out
+
+
 def quantize(model: ElmModel) -> ElmModel:
-    """The model with int8 copies of w, b, beta (made on first use; float weights kept)."""
+    """The model with int8 codes of w, b, beta (made on first use; float weights kept)."""
     return replace(model, int8=True)
 
 
 def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
-    """Predict from the 8-bit weights (activations stay in float)."""
-    if model.quantized is None:
+    """Predict from the 8-bit weights (activations stay in float).
+
+    Each call dequantizes the rows of w its features need; no float copy of
+    w is kept.
+    """
+    q = model.quantized
+    if q is None:
         raise ValueError("model has no quantized weights; call quantize first")
-    scores = _scores(features, *model.quantized.dequantized)
+    scores = _scores(features, q.w_q, *q._float_b_beta, w_scale=q.w_scale)
     return model.codebook.decode(np.argmax(scores, axis=1))
 
 

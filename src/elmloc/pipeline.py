@@ -6,10 +6,13 @@ object that ``save_model``/``load_model`` round-trip through one JSON file,
 written as ``elmloc-model-v3``, the one format ``load_model`` reads.
 The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and the seeds of the random
-layers travel with the model. ``sweep_pipeline`` scores a grid of hidden
-sizes on a validation split with the same stages. The CLI and the benchmark
-call these three and do not rebuild the stages themselves; ``elmloc train``
-is one ``fit_pipeline`` call.
+layers travel with the model. Its hidden layer multiplies only the weight
+rows of the features a batch of queries holds nonzero, so a single
+fingerprint pays for the access points it heard, and an int8 model keeps
+no float copy of its hidden weights: a query dequantizes the rows it reads.
+``sweep_pipeline`` scores a grid of hidden sizes on a validation split with
+the same stages. The CLI and the benchmark call these three and do not
+rebuild the stages themselves; ``elmloc train`` is one ``fit_pipeline`` call.
 
 ``PipelineConfig`` is the one place that knows what a valid setting is:
 ``check_setting`` checks each field, whether it comes from Python code or a
@@ -189,7 +192,7 @@ def _random_sha256(model: TrainedModel) -> str:
 
 def save_model(model: TrainedModel, path) -> None:
     """Write what ``model`` learned and its seeds: not w, b, the filters or the int8
-    copies, which ``load_model`` rebuilds and checks against ``random_sha256``."""
+    codes, which ``load_model`` rebuilds and checks against ``random_sha256``."""
     params, spec, elm = model.preprocess, model.featurizer, model.elm
     norms = params.feature_norms
     doc = {

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class PreprocessParams:
     """Fitted transform state.
 
     ``feature_norms`` holds the raw training-column norms (zeros allowed for
-    never-detected APs; the division guard lives in apply). It is None before
+    never-detected APs, which ``_divisors`` maps to 1). It is None before
     the norm stage has been fitted, and always in per_sample mode.
     """
 
@@ -66,6 +67,14 @@ class PreprocessParams:
                 raise ValueError("feature_norms must be non-negative")
             norms.flags.writeable = False
             object.__setattr__(self, "feature_norms", norms)
+
+    @cached_property
+    def _divisors(self) -> np.ndarray:
+        """The per-feature divisors: ``feature_norms`` with zeros as 1, so a
+        never-detected AP passes through. Built on first use, read-only."""
+        divisors = np.where(self.feature_norms == 0.0, 1.0, self.feature_norms)
+        divisors.flags.writeable = False
+        return divisors
 
 
 def _rss_of(data, what: str) -> np.ndarray:
@@ -124,8 +133,7 @@ def _unit_norm_in_place(feats: np.ndarray, params: PreprocessParams) -> np.ndarr
             f"norms fitted for {params.feature_norms.shape[0]} features, "
             f"input has {feats.shape[1]}"
         )
-    divisors = np.where(params.feature_norms == 0.0, 1.0, params.feature_norms)
-    feats /= divisors
+    feats /= params._divisors
     return feats
 
 

@@ -67,6 +67,20 @@ class TestIngest:
         assert summary["matches_registry"] is True
         assert 0.1 < summary["detected_fraction"] < 0.5
 
+    def test_buildings_counts_distinct_ids(self, tmp_path, capsys):
+        # building ids 0, 5, 5 are two buildings, not the largest id plus one
+        d = tmp_path / "GAP"
+        d.mkdir()
+        for split in ("train", "test"):
+            (d / f"{split}.csv").write_text(
+                "AP0,AP1,FLOOR,BUILDING\n-60,100,0,0\n100,-70,1,5\n-50,-80,2,5\n")
+        (d / "manifest.json").write_text(json.dumps(
+            {"ap_columns": [0, 1], "floor_col": 2, "building_col": 3, "sentinel": 100}))
+        assert main(["ingest", "--dataset", "GAP", "--data-root", str(tmp_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["buildings"] == 2
+        assert summary["classes"] == 3
+
     def test_size_mismatch_warns(self, data_root, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(dataset._REGISTRY, "TST2", DatasetDescriptor(
             name="TST2", train_size=9999, test_size=240, n_aps=40,

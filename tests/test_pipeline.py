@@ -152,12 +152,18 @@ class TestFitPredict:
 
 
 def _scores(rss, model, quantized=False):
-    """Score matrix of the stages recomposed by hand, float or dequantized weights."""
+    """Score matrix of the stages recomposed by hand, float or dequantized weights
+    (dequantized here, per call)."""
     x = apply_preprocess(rss, model.preprocess)
     if model.featurizer is not None:
         x = featurize(x, model.featurizer)
     m = model.elm
-    weights = m.quantized.dequantized if quantized else (m.w, m.b, m.beta)
+    if quantized:
+        q = m.quantized
+        weights = (q.w_q.astype(np.float64) * q.w_scale, q.b_q.astype(np.float64) * q.b_scale,
+                   q.beta_q.astype(np.float64) * q.beta_scale)
+    else:
+        weights = (m.w, m.b, m.beta)
     return elm._scores(x, *weights)
 
 

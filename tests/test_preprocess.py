@@ -132,6 +132,23 @@ class TestUnitNorm:
         assert params.feature_norms[0] == 0.0
         assert params.feature_norms[1] == pytest.approx(HALF_POW_E, abs=1e-15)
 
+    def test_divisors_built_once(self, rng):
+        # the zero-norm guard is per model, not per query; the output is bitwise
+        # the division by the guarded norms
+        rss = _detected(rng, (20, 5))
+        rss[:, 2] = NOT_DETECTED
+        params = fit_preprocess(rss)
+        queries = _detected(rng, (3, 5))
+        out = apply_preprocess(queries, params)
+        divisors = params._divisors
+        assert divisors[2] == 1.0 and params.feature_norms[2] == 0.0
+        assert not divisors.flags.writeable
+        want = apply_powed(queries, params) / np.where(params.feature_norms == 0.0, 1.0,
+                                                       params.feature_norms)
+        assert out.tobytes() == want.tobytes()
+        assert apply_preprocess(queries, params).tobytes() == out.tobytes()
+        assert params._divisors is divisors
+
     def test_per_sample_reference_row(self):
         params = PreprocessParams(min_rss=-110.0, mode="per_sample")
         out = apply_preprocess(np.array([[-55.0, -20.0, NOT_DETECTED]]), params)
