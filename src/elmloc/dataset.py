@@ -201,12 +201,6 @@ class DatasetDescriptor:
     L_default: int
     c_default: float
 
-    def __post_init__(self):
-        if self.L_default <= 0:
-            raise ValueError("L_default must be positive")
-        if self.c_default <= 0:
-            raise ValueError("c_default must be positive")
-
 
 # The twelve public benchmark sets with their published sizes and the
 # hidden-neuron count / regularization term selected for each.

@@ -51,7 +51,7 @@ class ClassCodebook:
     def __post_init__(self):
         pairs = np.asarray(self.pairs)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"pairs must be K x 2, got shape {pairs.shape}")
+            raise ValueError(f"codebook must be K x 2, got shape {pairs.shape}")
         pairs = np.column_stack([check_labels(pairs[:, 0], "building", pairs.shape[0]),
                                  check_labels(pairs[:, 1], "floor", pairs.shape[0])])
         if not np.array_equal(class_index(pairs)[0], pairs):
@@ -175,7 +175,12 @@ def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedWeights:
-    """int8 weight tensors with their per-tensor scales."""
+    """int8 weight tensors with their per-tensor scales.
+
+    Only ``ElmModel.quantized`` builds one, from ``_quantize_tensor``'s
+    read-only int8 codes and positive finite scales, so it is trusted as
+    built; model files hold no codes.
+    """
 
     w_q: np.ndarray
     b_q: np.ndarray
@@ -183,18 +188,6 @@ class QuantizedWeights:
     w_scale: float
     b_scale: float
     beta_scale: float
-
-    def __post_init__(self):
-        for name in ("w_q", "b_q", "beta_q"):
-            codes = getattr(self, name)
-            if codes.dtype != np.int8:
-                raise ValueError(f"{name} must be int8")
-            codes = np.ascontiguousarray(codes)
-            codes.flags.writeable = False  # a model's weights are read-only
-            object.__setattr__(self, name, codes)
-        for name in ("w_scale", "b_scale", "beta_scale"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
 
     @cached_property
     def _float_b_beta(self) -> tuple[np.ndarray, np.ndarray]:
@@ -274,8 +267,8 @@ def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: i
     """End-to-end training: codebook, targets, random hidden layer, fit."""
     x = np.asarray(features, dtype=np.float64)
     pairs = np.asarray(pairs, dtype=np.int64)
-    if x.ndim != 2:
-        raise ValueError(f"features must be N x d, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"features must be N x d with N >= 1, got shape {x.shape}")
     if pairs.shape != (x.shape[0], 2):
         raise ValueError(f"pairs must be {x.shape[0]} x 2 to match features, "
                          f"got shape {pairs.shape}")
@@ -336,7 +329,9 @@ def _quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float]:
     np.floor(q, out=q)
     np.copysign(q, x, out=q)
     np.clip(q, -127, 127, out=q)
-    return q.astype(np.int8), scale
+    codes = q.astype(np.int8)
+    codes.flags.writeable = False  # a model's weights are read-only
+    return codes, scale
 
 
 def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
@@ -370,14 +365,13 @@ def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's score curve; only ``sweep_hidden`` builds one, and it is
+    trusted as built."""
+
     sizes: np.ndarray
     floor_hits: np.ndarray  # percent, aligned with sizes
     building_hits: np.ndarray
     best_L: int
-
-    def __post_init__(self):
-        if not self.sizes.shape == self.floor_hits.shape == self.building_hits.shape:
-            raise ValueError("sizes, floor_hits, building_hits must align")
 
 
 def check_grid(step: int, L_max: int) -> None:

@@ -31,6 +31,7 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -196,10 +197,15 @@ def run_benchmark(
     the published comparison rows of the datasets that ran follow it.
     Datasets whose loader fails are recorded in the returned failure map and
     skipped. With ``out_dir`` set, report.csv and report.json are written.
+    An unknown approach, a dataset named twice or an empty seed list raises
+    ``ValueError`` before any dataset is loaded.
     """
     bad = set(approaches) - set(APPROACHES)
     if bad:
         raise ValueError(f"unknown approaches: {sorted(bad)} (choose from {APPROACHES})")
+    repeated = sorted(name for name, n in Counter(datasets).items() if n > 1)
+    if repeated:
+        raise ValueError(f"datasets named more than once: {repeated}")
     if not seeds:
         raise ValueError("need at least one seed")
     seeds = [check_setting("seed", seed) for seed in seeds]  # numpy integers become ints

@@ -67,6 +67,12 @@ class TestIngest:
         assert summary["matches_registry"] is True
         assert 0.1 < summary["detected_fraction"] < 0.5
 
+    def test_data_root_from_environment(self, data_root, capsys, monkeypatch):
+        # without --data-root, $ELMLOC_DATA_ROOT names the root
+        monkeypatch.setenv("ELMLOC_DATA_ROOT", str(data_root))
+        assert main(["ingest", "--dataset", "TST1"]) == 0
+        assert json.loads(capsys.readouterr().out)["train_samples"] == 720
+
     def test_buildings_counts_distinct_ids(self, tmp_path, capsys):
         # building ids 0, 5, 5 are two buildings, not the largest id plus one
         d = tmp_path / "GAP"
@@ -208,6 +214,14 @@ class TestTrain:
         assert re.search(rf"error: config file .*run\.json: {message}$",
                          capsys.readouterr().err.strip())
         assert not out.exists()
+
+    def test_config_file_not_an_object(self, data_root, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps([{"L": 20}]))
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg_path} must hold a JSON object\n")
 
     def test_config_file_values_kept(self, data_root, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -410,21 +424,24 @@ class TestPredict:
         assert predictions[0] == predictions[1]
         assert len(predictions[0].splitlines()) == 6
 
-    @pytest.mark.parametrize("text, manifest, rc, message", [
-        ("a,b,c\n", False, 2, "has 3 columns but the model expects 40"),
-        ("a,b,c\n\n  \n", False, 2, "has 3 columns but the model expects 40"),
-        ("", False, 2, "empty file (expected a header row)"),
-        ("a,b,c\n", True, 2, "schema references column 41 but the file has 3 columns"),
-        (",".join(f"AP{j}" for j in range(40)) + "\n\n", False, 0, "0 queries"),
-    ], ids=["narrow", "narrow_blank_lines", "zero_bytes", "narrow_manifest", "right_width"])
-    def test_header_only_file_is_checked(self, tmp_path, capsys, text, manifest, rc, message):
+    # aps: the AP column range of a manifest.json beside the file, or None for no manifest
+    @pytest.mark.parametrize("text, aps, rc, message", [
+        ("a,b,c\n", None, 2, "has 3 columns but the model expects 40"),
+        ("a,b,c\n\n  \n", None, 2, "has 3 columns but the model expects 40"),
+        ("", None, 2, "empty file (expected a header row)"),
+        ("a,b,c\n", [0, 39], 2, "schema references column 41 but the file has 3 columns"),
+        ("a,b,c\n", [0, 38], 2, "manifest maps 39 AP columns, model expects 40"),
+        (",".join(f"AP{j}" for j in range(40)) + "\n\n", None, 0, "0 queries"),
+    ], ids=["narrow", "narrow_blank_lines", "zero_bytes", "narrow_manifest",
+            "manifest_other_width", "right_width"])
+    def test_header_only_file_is_checked(self, tmp_path, capsys, text, aps, rc, message):
         # a file without rows still has its header checked against the model
         model = V3_FILES / "cnn_elm_per_sample.model.json"
         p = tmp_path / "q.csv"
         p.write_text(text)
-        if manifest:
+        if aps is not None:
             (tmp_path / "manifest.json").write_text(json.dumps(
-                {"ap_columns": [0, 39], "floor_col": 40, "building_col": 41, "sentinel": 100}))
+                {"ap_columns": aps, "floor_col": 40, "building_col": 41, "sentinel": 100}))
         out = tmp_path / "out.csv"
         assert main(["predict", "--model", str(model), "--queries", str(p),
                      "--out", str(out)]) == rc
@@ -659,11 +676,35 @@ class TestBenchmarkReport:
         assert not (tmp_path / "r").exists()
 
     def test_benchmark_all_failed(self, tmp_path, capsys):
-        rc = main(["benchmark", "--datasets", "UJI1", "--seeds", "0",
+        rc = main(["benchmark", "--datasets", "UJI1,NOPE", "--seeds", "0",
                    "--data-root", str(tmp_path),
                    "--out-dir", str(tmp_path / "r")])
         assert rc == 2
-        assert "failed" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == f"FAILED UJI1: missing file: {tmp_path / 'UJI1' / 'manifest.json'}"
+        assert err[1].startswith("FAILED NOPE: \"unknown dataset 'NOPE'; known: ")
+        assert err[2:] == ["error: every requested dataset failed to load"]
+
+    def test_failed_dataset_reported_and_skipped(self, data_root, tmp_path, capsys):
+        # a registered set without files fails alone; the others still run
+        out_dir = tmp_path / "r"
+        assert main(["benchmark", "--datasets", "TST1,UJI1", "--approaches", "knn",
+                     "--seeds", "0", "--data-root", str(data_root),
+                     "--out-dir", str(out_dir)]) == 0
+        failed = f"FAILED UJI1: missing file: {data_root / 'UJI1' / 'manifest.json'}"
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [failed]
+        assert any(line.startswith("TST1") for line in captured.out.splitlines())
+        assert main(["report", "--json", str(out_dir / "report.json")]) == 0
+        assert capsys.readouterr().err.splitlines() == [failed]
+
+    def test_repeated_dataset_exits_2(self, tmp_path, capsys):
+        # a name given twice would report its rows twice; with every dataset
+        # unknown, it would also print an empty table and exit 0
+        assert main(["benchmark", "--datasets", "NOPE,NOPE", "--seeds", "0",
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: datasets named more than once: ['NOPE']\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestErrorSurface:

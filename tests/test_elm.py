@@ -162,6 +162,15 @@ class TestInitHidden:
         _, b_large = init_hidden(5, 12, 20)
         assert not (b_large[:7] == b_small).all()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: init_hidden(0, 0, 5), r"d and L must be positive, got d=0, L=5"),
+        (lambda: hidden_map(np.ones((2, 5)), *init_hidden(0, 6, 3)),
+         r"features must be N x 6, got shape \(2, 5\)"),
+    ], ids=["no_inputs", "narrow_features"])
+    def test_bad_shape_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_hidden_map_strictly_inside_unit_interval(self, rng):
         w, b = init_hidden(0, 6, 10)
         h = hidden_map(rng.random((50, 6)), w, b)
@@ -365,8 +374,11 @@ class TestTrainPredict:
         (lambda x, labels: (x, labels[:-1]),
          r"pairs must be 160 x 2 to match features, got shape \(159, 2\)"),
         (lambda x, labels: (x[:, 0], labels),
-         r"features must be N x d, got shape \(160,\)"),
-    ], ids=["pairs_short", "features_1d"])
+         r"features must be N x d with N >= 1, got shape \(160,\)"),
+        # no rows would give a model of no classes, whose every prediction fails
+        (lambda x, labels: (x[:0], labels[:0]),
+         r"features must be N x d with N >= 1, got shape \(0, 8\)"),
+    ], ids=["pairs_short", "features_1d", "no_rows"])
     def test_shapes_named(self, rng, cut, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             train_elm(*cut(*_toy_problem(rng)), L=10, c=1.0, seed=0)
@@ -464,7 +476,7 @@ class TestQuantize:
         assert scale == want_scale and q.tobytes() == want.tobytes()
 
     def test_underflowing_scale_falls_back_to_one(self):
-        # 5e-324 / 127 is 0.0: a zero scale would divide by zero and fail QuantizedWeights
+        # 5e-324 / 127 is 0.0: a zero scale would divide by zero
         q, scale = elm._quantize_tensor(np.array([5e-324, -5e-324]))
         assert scale == 1.0 and q.tolist() == [0, 0]
 
@@ -586,13 +598,6 @@ class TestWeightsHandledOnce:
             with pytest.raises(ValueError, match=r"^beta contains non-finite"):
                 ElmModel(beta=beta, c=1.0, codebook=ClassCodebook(np.array([[0, 0]])),
                          seed=0, n_features=3)
-
-    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
-    def test_bad_scale_rejected(self, scale):
-        codes = np.zeros(2, dtype=np.int8)
-        with pytest.raises(ValueError, match="w_scale"):
-            QuantizedWeights(w_q=codes, b_q=codes, beta_q=codes,
-                             w_scale=scale, b_scale=1.0, beta_scale=1.0)
 
     def test_quantized_shape_checked_against_float_weights(self, rng):
         # the codes are made from the float weights, so their shapes cannot differ

@@ -65,6 +65,8 @@ class TestHitRate:
             hit_rate(ok, np.array([[0, 1], [0, 2]]))
         with pytest.raises(ValueError):
             hit_rate(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match=r"^labels must be N x 2 arrays, got \(1, 3\) and"):
+            hit_rate(np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int))
 
 
 class TestConfigDigest:
@@ -332,6 +334,19 @@ class TestRunBenchmark:
         assert any(r.dataset == "TST1" for r in rows)
         assert not any(r.dataset == "UJI1" for r in rows)
 
+    def test_repeated_dataset_refused(self, syn_small):
+        # each of its rows, and its published rows, would be reported twice
+        loaded = []
+
+        def loader(name):
+            loaded.append(name)
+            return syn_small
+
+        with pytest.raises(ValueError, match=r"^datasets named more than once: \['UJI1'\]$"):
+            run_benchmark(["UJI1", "TST1", "UJI1"], approaches=("knn",), seeds=(0,),
+                          loader=loader)
+        assert loaded == []
+
     def test_unknown_approach_rejected(self, syn_small):
         with pytest.raises(ValueError, match="approach"):
             run_benchmark(["TST1"], approaches=("svm",),
@@ -341,6 +356,8 @@ class TestRunBenchmark:
         loaded = []
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             run_benchmark(["TST1"], seeds=(0, -1), loader=loaded.append)
+        with pytest.raises(ValueError, match=r"^need at least one seed$"):
+            run_benchmark(["TST1"], seeds=[], loader=loaded.append)
         assert loaded == []
         # a numpy integer seed is recorded as a JSON integer, so the report is written whole
         rows, _ = run_benchmark(["TST1"], approaches=("elm_only",), seeds=(np.int64(3),),

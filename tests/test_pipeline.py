@@ -578,6 +578,23 @@ BAD_KEYS = {
         feature_norms=[True] * len(d["feature_norms"])),
         bad_value("preprocess", r"feature_norms must hold numbers, got true/false values")),
     "b_null": ("elm", lambda d: d.update(b=[None]), stray("elm", "b")),
+    # numbers of the right type at values no stage can use
+    "c_zero": ("elm", lambda d: d.update(c=0.0),
+               bad_value("elm", r"c must be positive, got 0\.0")),
+    "c_negative": ("elm", lambda d: d.update(c=-1),
+                   bad_value("elm", r"c must be positive, got -1\.0")),
+    "min_rss_positive": ("preprocess", lambda d: d.update(min_rss=5.0),
+                         bad_value("preprocess", r"min_rss must be negative, got 5\.0")),
+    "feature_norms_nested": ("preprocess", lambda d: d.update(feature_norms=[d["feature_norms"]]),
+                             bad_value("preprocess", r"feature_norms must be a vector")),
+    "feature_norms_negative": ("preprocess", lambda d: d["feature_norms"].__setitem__(0, -1.0),
+                               bad_value("preprocess", r"feature_norms must be non-negative")),
+    "beta_column_short": ("elm", lambda d: d.update(beta=[row[:-1] for row in d["beta"]]),
+                          bad_value("elm", r"beta columns must match codebook size")),
+    "codebook_three_labels": ("elm", lambda d: d.update(codebook=[[*p, 0] for p in d["codebook"]]),
+                              bad_value("elm", r"codebook must be K x 2, got shape \(\d+, 3\)")),
+    "codebook_empty": ("elm", lambda d: d.update(codebook=[]),
+                       bad_value("elm", r"codebook must be K x 2, got shape \(0,\)")),
 }
 
 

@@ -207,6 +207,16 @@ class TestRawMatrixChecked:
         with pytest.raises(ValueError, match=message.format(name)):
             call()
 
+    @pytest.mark.parametrize("raw, message", [
+        (np.array([-50.0, -60.0, NOT_DETECTED]),
+         r"data must be a 2-D RSS matrix, got shape \(3,\)"),
+        (np.full((1, 4), -50.0), r"norms fitted for 3 features, input has 4"),
+    ], ids=["one_d", "wider_than_norms"])
+    def test_bad_shape_refused(self, raw, message):
+        params = fit_preprocess(np.array([[-80.0, -40.0, 0.0], [-60.0, 0.0, -70.0]]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            apply_preprocess(raw, params)
+
 
 class TestComposition:
     def test_fit_apply_end_to_end(self, syn_small):
