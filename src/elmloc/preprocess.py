@@ -18,8 +18,11 @@ Fitting never reads test data; applying is a pure function of the fitted
 (checked when it was built) or a raw RSS matrix, which is checked with
 ``dataset.check_rss`` under the argument's name. One private fit,
 ``_fit_transform``, fits both stages and returns the training matrix passed
-through them: the powed transform runs once, and the unit norm divides its
-output in place.
+through them: the powed transform runs once.
+
+The powed stage and the per-feature norm read and write only the detected
+cells, through one flat index; the output matrix starts as zeros. Per-sample
+mode divides the whole powed matrix by its row norms.
 """
 
 from __future__ import annotations
@@ -91,70 +94,101 @@ def _rss_of(data, what: str) -> np.ndarray:
 
 def fit_powed(train, mode: str = "per_feature") -> PreprocessParams:
     """First-stage fit: record the weakest detected training reading."""
-    return _fit_powed(_rss_of(train, "train"), mode)
+    return _fit_powed(_detected(_rss_of(train, "train"))[1], mode)
 
 
-def _fit_powed(rss: np.ndarray, mode: str) -> PreprocessParams:
-    detected = rss[rss != NOT_DETECTED]
-    if detected.size == 0:
+def _detected(rss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major indices of the detected cells of ``rss``, and their readings.
+
+    On real radio maps these are a few percent of the matrix; the powed
+    transform and the per-feature division read and write only them.
+    """
+    flat = np.ravel(rss)
+    cells = (flat != NOT_DETECTED).nonzero()[0]
+    return cells, flat[cells]
+
+
+def _fit_powed(readings: np.ndarray, mode: str) -> PreprocessParams:
+    if readings.size == 0:
         raise ValueError("training data has no detected readings; cannot fit")
-    return PreprocessParams(min_rss=float(detected.min()), mode=mode)
+    return PreprocessParams(min_rss=float(readings.min()), mode=mode)
 
 
 def apply_powed(data, params: PreprocessParams) -> np.ndarray:
     """Powed representation of an RSS matrix; output in [0, 1]."""
-    return _powed(_rss_of(data, "data"), params)
+    rss = _rss_of(data, "data")
+    cells, readings = _detected(rss)
+    return _scatter(rss.shape, cells, _powed(readings, params))
 
 
-def _powed(rss: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    # Only detected cells are transformed; on real radio maps they are a few
-    # percent of the matrix.
-    detected = rss != NOT_DETECTED
-    base = (rss[detected] - params.min_rss) / (-params.min_rss)
+def _powed(readings: np.ndarray, params: PreprocessParams) -> np.ndarray:
+    """The powed values of detected readings."""
+    base = (readings - params.min_rss) / (-params.min_rss)
     # Readings below the training minimum clamp to the floor rather than
     # raising a negative base to a fractional power.
-    np.clip(base, 0.0, None, out=base)
-    out = np.zeros(rss.shape)
-    out[detected] = base**EXPONENT
+    np.maximum(base, 0.0, out=base)
+    return base**EXPONENT
+
+
+def _scatter(shape: tuple[int, int], cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A zero matrix of ``shape`` holding ``values`` at the flat ``cells``."""
+    out = np.zeros(shape)
+    out.ravel()[cells] = values
     return out
 
 
-def _unit_norm_in_place(feats: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    """Divide a fresh float64 matrix by its norms, in place; returns it."""
-    if params.mode == "per_sample":
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        feats /= norms
-        return feats
-    if params.feature_norms is None:
-        raise ValueError("per_feature mode requires fitted feature_norms")
-    if params.feature_norms.shape[0] != feats.shape[1]:
-        raise ValueError(
-            f"norms fitted for {params.feature_norms.shape[0]} features, "
-            f"input has {feats.shape[1]}"
-        )
-    feats /= params._divisors
+def _per_sample(feats: np.ndarray) -> np.ndarray:
+    """Divide a fresh float64 matrix by its row norms, in place; returns it."""
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    feats /= norms
     return feats
 
 
 def _fit_transform(train, mode: str) -> tuple[PreprocessParams, np.ndarray]:
     """Both stages fitted on ``train``, and ``train`` passed through them.
 
-    The powed transform runs once: its output fits the norms and is then
-    divided by them in place, bitwise what ``apply_preprocess`` returns for
-    ``train``.
+    The powed transform runs once, on the detected cells: its output fits
+    the norms and is then divided by them, bitwise what ``apply_preprocess``
+    returns for ``train``.
     """
     rss = _rss_of(train, "train")
-    params = _fit_powed(rss, mode)
-    x = _powed(rss, params)
-    if mode == "per_feature":
-        params = replace(params, feature_norms=np.linalg.norm(x, axis=0))
-    return params, _unit_norm_in_place(x, params)
+    cells, readings = _detected(rss)
+    params = _fit_powed(readings, mode)
+    values = _powed(readings, params)
+    x = _scatter(rss.shape, cells, values)
+    if mode == "per_sample":
+        return params, _per_sample(x)
+    params = replace(params, feature_norms=np.linalg.norm(x, axis=0))
+    x.ravel()[cells] = _divided(values, cells, params)
+    return params, x
+
+
+def _divided(values: np.ndarray, cells: np.ndarray, params: PreprocessParams) -> np.ndarray:
+    """Powed values at flat ``cells`` divided by their columns' divisors, in place.
+
+    Undetected cells hold 0, and 0 / divisor is 0, so dividing only the
+    detected cells is bitwise the division of the whole matrix.
+    """
+    divisors = params._divisors
+    values /= divisors[cells % divisors.shape[0]]
+    return values
 
 
 def _transform(rss: np.ndarray, params: PreprocessParams) -> np.ndarray:
     """``apply_preprocess`` for an RSS matrix the caller has already checked."""
-    return _unit_norm_in_place(_powed(rss, params), params)
+    cells, readings = _detected(rss)
+    values = _powed(readings, params)
+    if params.mode == "per_sample":
+        return _per_sample(_scatter(rss.shape, cells, values))
+    if params.feature_norms is None:
+        raise ValueError("per_feature mode requires fitted feature_norms")
+    if params.feature_norms.shape[0] != rss.shape[1]:
+        raise ValueError(
+            f"norms fitted for {params.feature_norms.shape[0]} features, "
+            f"input has {rss.shape[1]}"
+        )
+    return _scatter(rss.shape, cells, _divided(values, cells, params))
 
 
 def fit_preprocess(train, mode: str = "per_feature") -> PreprocessParams:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elmloc import knn
+from elmloc.preprocess import _fit_transform, apply_preprocess
 
 
 def nn_oracle(queries, features, pairs):
@@ -101,3 +102,90 @@ class TestClassify:
     def test_pairs_short_rejected(self):
         with pytest.raises(ValueError, match=r"^pairs must be 3 x 2, got \(2, 2\)$"):
             knn.build_index(np.zeros((3, 4)), np.zeros((2, 2), dtype=int))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_features_refused(self, rng, bad):
+        # a map row holding NaN used to win every query
+        feats = rng.normal(size=(6, 3))
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^features contains non-finite values$"):
+            knn.build_index(feats, np.zeros((6, 2), dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_queries_refused(self, rng, bad):
+        # a NaN query used to answer row 0's label, an inf query row 1's
+        idx = knn.build_index(rng.normal(size=(6, 3)), np.zeros((6, 2), dtype=int))
+        queries = rng.normal(size=(4, 3))
+        queries[3, 0] = bad
+        with pytest.raises(ValueError, match=r"^queries contains non-finite values$"):
+            knn.classify_all(queries, idx)
+
+
+def _sparse(r, shape, density):
+    """Non-negative cells, zero outside ``density``; eighths, so every
+    product and sum below is exact and both paths see the same distances."""
+    return np.where(r.random(shape) < density, r.integers(1, 9, size=shape) / 8.0, 0.0)
+
+
+class TestPostingLists:
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_paths_match_oracle(self, seed):
+        r = np.random.default_rng(seed)
+        n, d = int(r.integers(2, 40)), int(r.integers(1, 9))
+        density = float(r.uniform(0.05, 0.6))
+        feats = _sparse(r, (n, d), density)
+        # planted duplicates after their originals: exact ties, lowest row wins
+        feats = np.vstack([feats, feats[r.integers(0, n, size=int(r.integers(1, 4)))]])
+        one_ap = np.zeros((1, d))
+        one_ap[0, r.integers(0, d)] = r.integers(1, 9) / 8.0
+        queries = np.vstack([
+            _sparse(r, (int(r.integers(0, 6)), d), density),
+            np.zeros((1, d)),  # all silent
+            one_ap,
+            feats[-1:],  # a duplicated row: distance 0 to it and to its original
+        ])
+        pairs = np.column_stack([np.arange(len(feats)) % 3, np.arange(len(feats))])
+        idx = knn.build_index(feats, pairs)
+        want = nn_oracle(queries, feats, pairs)[:, 1]
+        assert knn._nearest_postings(queries, idx).tolist() == want.tolist()
+        assert knn._nearest_gemm(queries, idx).tolist() == want.tolist()
+        b, f = knn.classify_all(queries, idx)
+        assert f.tolist() == want.tolist()
+        # an all-silent query answers argmin(train_sq)
+        assert want[-3] == np.argmin((feats ** 2).sum(axis=1))
+
+    def test_query_hearing_only_unheard_columns(self):
+        # column 1 is silent in every row, so the query shares nothing with
+        # the map: dot 0 everywhere, the answer is the smallest-norm row
+        feats = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        idx = knn.build_index(feats, np.column_stack([np.zeros(4, int), np.arange(4)]))
+        queries = np.array([[0.0, 5.0], [0.0, 0.0]])
+        assert knn._nearest_postings(queries, idx).tolist() == [1, 1]
+        assert knn._nearest_gemm(queries, idx).tolist() == [1, 1]
+
+    def test_posting_lists_hold_each_columns_rows(self, rng):
+        feats = _sparse(rng, (30, 5), 0.3)
+        idx = knn.build_index(feats, np.zeros((30, 2), dtype=int))
+        for j in range(5):
+            rows = np.flatnonzero(feats[:, j])
+            assert idx._rows[j].tolist() == rows.tolist()
+            assert idx._values[j].tolist() == feats[rows, j].tolist()
+        assert idx._counts.tolist() == np.count_nonzero(feats, axis=0).tolist()
+
+    def test_selection(self, rng, syn_full):
+        train, test = syn_full
+        params, x_map = _fit_transform(train, "per_feature")
+        x_test = apply_preprocess(test, params)
+        # SYN1 hears about 21% of its cells: the GEMM
+        assert not knn._use_postings(x_test, knn.build_index(x_map, train.label_pairs()))
+        # the same map and queries thinned to about 4%, as on UJI1-shaped data
+        keep = 0.04 / float(np.mean(x_map != 0))
+        thin_map = np.where(rng.random(x_map.shape) < keep, x_map, 0.0)
+        thin_test = np.where(rng.random(x_test.shape) < keep, x_test, 0.0)
+        assert knn._use_postings(thin_test, knn.build_index(thin_map, train.label_pairs()))
+        # dense Gaussian data: the GEMM
+        dense = knn.build_index(rng.normal(size=(500, 40)), np.zeros((500, 2), dtype=int))
+        assert not knn._use_postings(rng.normal(size=(50, 40)), dense)

@@ -10,6 +10,7 @@ from elmloc.pipeline import PipelineConfig, fit_pipeline, load_model, save_model
 from elmloc.preprocess import (
     EXPONENT,
     PreprocessParams,
+    _fit_transform,
     apply_powed,
     apply_preprocess,
     fit_powed,
@@ -186,6 +187,48 @@ class TestUnitNorm:
         # an infinite norm would divide its AP column to zero
         with pytest.raises(ValueError, match=r"^feature_norms contains non-finite values$"):
             PreprocessParams(min_rss=-110.0, feature_norms=np.array([1.0, value, 2.0]))
+
+
+def _dense_reference(rss, params):
+    """Both stages over every cell of ``rss``, as one dense formula."""
+    base = (rss - params.min_rss) / (-params.min_rss)
+    np.clip(base, 0.0, None, out=base)
+    x = base**math.e
+    x[rss == NOT_DETECTED] = 0.0
+    if params.mode == "per_sample":
+        norms = np.linalg.norm(x, axis=1, keepdims=True)
+        return x / np.where(norms == 0.0, 1.0, norms)
+    return x / np.where(params.feature_norms == 0.0, 1.0, params.feature_norms)
+
+
+class TestDetectedCells:
+    """Preprocessing reads and writes only detected cells, bitwise the dense formula."""
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.04, 0.21]),
+           st.sampled_from(["per_feature", "per_sample"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_formula(self, seed, density, mode):
+        r = np.random.default_rng(seed)
+        n, d = int(r.integers(2, 80)), int(r.integers(3, 30))
+        def draw(rows):
+            readings = r.uniform(-110.0, -30.0, size=(rows, d))
+            return np.where(r.random((rows, d)) < density, readings, NOT_DETECTED)
+        train = draw(n)
+        train[0, 0] = -110.0  # at least one detection, at the training minimum
+        train[r.integers(1, n)] = NOT_DETECTED  # an all-silent row
+        train[:, 1] = NOT_DETECTED  # a column training never heard: zero norm
+        train[:, 2] = np.where(train[:, 2] == NOT_DETECTED, NOT_DETECTED, -110.0)  # powed 0
+        queries = draw(int(r.integers(1, 20)))
+        queries[0] = NOT_DETECTED  # an all-silent query
+        queries[-1, 0] = -150.0  # below the training minimum: clamped
+        queries[-1, 1] = -60.0  # heard where training heard nothing
+        params, x = _fit_transform(train, mode)
+        dense_train = _dense_reference(train, params)
+        if mode == "per_feature":
+            assert params.feature_norms[1] == params.feature_norms[2] == 0.0
+        assert x.tobytes() == dense_train.tobytes()
+        assert apply_preprocess(train, params).tobytes() == dense_train.tobytes()
+        assert apply_preprocess(queries, params).tobytes() == _dense_reference(queries, params).tobytes()
 
 
 class TestRawMatrixChecked:
