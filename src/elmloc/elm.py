@@ -20,7 +20,7 @@ An ``ElmModel`` holds what was learned and the seed: the hidden layer and
 the int8 codes are rebuilt from them on first use. No float copy of the
 codes of w is kept: an int8 prediction dequantizes, per call, only the rows
 of w that its features need (b and beta, a few thousand entries, are
-turned to float once per model).
+turned to float with the codes).
 A prediction multiplies only the rows of w whose feature column holds a
 nonzero value in some query row (``_scores``): a silent column adds
 0 * w = 0, and a fingerprint hears few of the access points.
@@ -68,7 +68,7 @@ class ClassCodebook:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_classes):
             raise ValueError("class index out of range")
-        return self.pairs[idx, 0].copy(), self.pairs[idx, 1].copy()
+        return self.pairs[idx, 0], self.pairs[idx, 1]
 
 
 def _targets(pairs: np.ndarray) -> tuple[ClassCodebook, np.ndarray]:
@@ -175,11 +175,13 @@ def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantizedWeights:
-    """int8 weight tensors with their per-tensor scales.
+    """int8 weight tensors with their per-tensor scales, and the float ``b``
+    and ``beta`` the int8 path serves (codes * scale).
 
     Only ``ElmModel.quantized`` builds one, from ``_quantize_tensor``'s
     read-only int8 codes and positive finite scales, so it is trusted as
-    built; model files hold no codes.
+    built; model files hold no codes. w has no float copy: a query
+    dequantizes the rows of it that it reads.
     """
 
     w_q: np.ndarray
@@ -188,14 +190,8 @@ class QuantizedWeights:
     w_scale: float
     b_scale: float
     beta_scale: float
-
-    @cached_property
-    def _float_b_beta(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float b and beta from their codes, made on the first query, read-only.
-        w has no such copy: a query dequantizes the rows of it that it reads."""
-        b, beta = _dequantize(self.b_q, self.b_scale), _dequantize(self.beta_q, self.beta_scale)
-        b.flags.writeable = beta.flags.writeable = False
-        return b, beta
+    b: np.ndarray
+    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -254,13 +250,16 @@ class ElmModel:
 
     @cached_property
     def quantized(self) -> QuantizedWeights | None:
-        """int8 codes of w, b and beta if ``int8`` is set, else None."""
+        """int8 codes of w, b and beta, with float b and beta made from theirs,
+        if ``int8`` is set, else None."""
         if not self.int8:
             return None
         w_q, w_scale = _quantize_tensor(self.w)
         b_q, b_scale = _quantize_tensor(self.b)
         beta_q, beta_scale = _quantize_tensor(self.beta)
-        return QuantizedWeights(w_q, b_q, beta_q, w_scale, b_scale, beta_scale)
+        b, beta = _dequantize(b_q, b_scale), _dequantize(beta_q, beta_scale)
+        b.flags.writeable = beta.flags.writeable = False
+        return QuantizedWeights(w_q, b_q, beta_q, w_scale, b_scale, beta_scale, b, beta)
 
 
 def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int) -> ElmModel:
@@ -355,7 +354,7 @@ def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray
     q = model.quantized
     if q is None:
         raise ValueError("model has no quantized weights; call quantize first")
-    scores = _scores(features, q.w_q, *q._float_b_beta, w_scale=q.w_scale)
+    scores = _scores(features, q.w_q, q.b, q.beta, w_scale=q.w_scale)
     return model.codebook.decode(np.argmax(scores, axis=1))
 
 

@@ -197,18 +197,22 @@ def run_benchmark(
     the published comparison rows of the datasets that ran follow it.
     Datasets whose loader fails are recorded in the returned failure map and
     skipped. With ``out_dir`` set, report.csv and report.json are written.
-    An unknown approach, a dataset named twice or an empty seed list raises
-    ``ValueError`` before any dataset is loaded.
+    An unknown approach, an invalid seed, or a list that is empty or names an
+    entry twice (seeds compared as checked) raises ``ValueError`` naming the
+    list before any dataset is loaded.
     """
     bad = set(approaches) - set(APPROACHES)
     if bad:
         raise ValueError(f"unknown approaches: {sorted(bad)} (choose from {APPROACHES})")
-    repeated = sorted(name for name, n in Counter(datasets).items() if n > 1)
-    if repeated:
-        raise ValueError(f"datasets named more than once: {repeated}")
-    if not seeds:
-        raise ValueError("need at least one seed")
     seeds = [check_setting("seed", seed) for seed in seeds]  # numpy integers become ints
+    for plural, singular, entries in (("datasets", "dataset", datasets),
+                                      ("approaches", "approach", approaches),
+                                      ("seeds", "seed", seeds)):
+        if not entries:
+            raise ValueError(f"need at least one {singular}")
+        repeated = sorted(entry for entry, n in Counter(entries).items() if n > 1)
+        if repeated:
+            raise ValueError(f"{plural} named more than once: {repeated}")
 
     rows: list[EvalReport] = []
     failures: dict[str, str] = {}
@@ -326,7 +330,7 @@ def _average_rows(rows: list[EvalReport], approaches, digest: str) -> list[EvalR
 
 _PUBLISHED_NOTE = "published, not reproduced"
 
-# Relative-to-baseline metrics per dataset: (building, floor, train, test).
+# Ratios to the baseline per dataset, in _NORM_FIELDS order.
 _CNNLOC_NORMALIZED = {
     "LIB1": (None, 1.0039, 1.0, 3.2084),
     "LIB2": (None, 0.9830, 1.0, 4.7390),
@@ -343,7 +347,7 @@ _CNNLOC_NORMALIZED = {
     "Avg.": (0.9987, 0.9789, 1.0, 3.7055),
 }
 
-# Absolute metrics: (building_hit, floor_hit, train_s, test_s); L = 1000.
+# Absolute hit rates (%) and times (s), in _NORM_FIELDS order; L = 1000.
 _AFARLS_ABSOLUTE = {
     "UJI1": (100.0, 95.41, 84.68, 0.21),
     "TUT3": (None, 94.18, 2.40, 0.57),
@@ -358,38 +362,19 @@ def published_rows(datasets: Sequence[str]) -> list[EvalReport]:
         wanted = wanted + ["Avg."]
     for name in wanted:
         if name in _CNNLOC_NORMALIZED:
-            zb, zf, dtr, dte = _CNNLOC_NORMALIZED[name]
-            rows.append(
-                EvalReport(
-                    dataset=name,
-                    approach="cnnloc",
-                    floor_hit=None,
-                    test_time=None,
-                    normalized={
-                        "building_hit": zb,
-                        "floor_hit": zf,
-                        "train_time": dtr,
-                        "test_time": dte,
-                    },
-                    note=_PUBLISHED_NOTE,
-                    config_digest=config_digest({"approach": "cnnloc", "dataset": name, "published": True}),
-                )
-            )
+            ratios = dict(zip(_NORM_FIELDS, _CNNLOC_NORMALIZED[name]))
+            rows.append(_published_row(name, "cnnloc", floor_hit=None, test_time=None,
+                                       normalized=ratios))
         if name in _AFARLS_ABSOLUTE:
-            zb, zf, dtr, dte = _AFARLS_ABSOLUTE[name]
-            rows.append(
-                EvalReport(
-                    dataset=name,
-                    approach="afarls",
-                    building_hit=zb,
-                    floor_hit=zf,
-                    train_time=dtr,
-                    test_time=dte,
-                    note=_PUBLISHED_NOTE,
-                    config_digest=config_digest({"approach": "afarls", "dataset": name, "published": True}),
-                )
-            )
+            rows.append(_published_row(name, "afarls",
+                                       **dict(zip(_NORM_FIELDS, _AFARLS_ABSOLUTE[name]))))
     return rows
+
+
+def _published_row(name: str, approach: str, **fields) -> EvalReport:
+    digest = config_digest({"approach": approach, "dataset": name, "published": True})
+    return EvalReport(dataset=name, approach=approach, note=_PUBLISHED_NOTE,
+                      config_digest=digest, **fields)
 
 
 # ---------------------------------------------------------------------------

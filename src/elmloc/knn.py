@@ -97,7 +97,7 @@ def classify_all(queries: np.ndarray, index: KnnIndex) -> tuple[np.ndarray, np.n
         )
     check_finite(q, "queries")
     nearest = _nearest_postings(q, index) if _use_postings(q, index) else _nearest_gemm(q, index)
-    return index.pairs[nearest, 0].copy(), index.pairs[nearest, 1].copy()
+    return index.pairs[nearest, 0], index.pairs[nearest, 1]
 
 
 def _use_postings(q: np.ndarray, index: KnnIndex) -> bool:

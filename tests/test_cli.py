@@ -706,6 +706,20 @@ class TestBenchmarkReport:
         assert capsys.readouterr().err == "error: datasets named more than once: ['NOPE']\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("approaches, seeds, message", [
+        ("knn,knn", "0", "approaches named more than once: ['knn']"),
+        ("elm_only", "0,0", "seeds named more than once: [0]"),
+    ])
+    def test_repeated_approach_or_seed_exits_2(self, tmp_path, capsys, approaches, seeds,
+                                               message):
+        # a second 1-NN run would be normalized against the first, a seed's
+        # rows printed twice; SYN1 runs from memory, so nothing else stops it
+        assert main(["benchmark", "--datasets", "SYN1", "--approaches", approaches,
+                     "--seeds", seeds, "--data-root", str(tmp_path / "none"),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
 
 class TestErrorSurface:
     @pytest.mark.parametrize("name", ["model", "config", "manifest", "train_csv", "queries",

@@ -57,9 +57,12 @@ class TestCodebook:
         pairs = np.array([[2, 1], [0, 0], [0, 3], [2, 1]])
         classes, index = class_index(pairs)
         assert index.tolist() == [2, 0, 1, 2]
-        b, f = ClassCodebook(classes).decode(index)
+        codebook = ClassCodebook(classes)
+        b, f = codebook.decode(index)
         assert b.tolist() == [2, 0, 0, 2]
         assert f.tolist() == [1, 0, 3, 1]
+        # integer-array indexing makes new arrays: the answers share nothing with the codebook
+        assert not np.shares_memory(b, codebook.pairs) and not np.shares_memory(f, codebook.pairs)
 
     def test_unsorted_construction_rejected(self):
         with pytest.raises(ValueError, match="sorted by building then floor"):
@@ -532,7 +535,7 @@ def gathered_scores(features, model, quantized=False):
     if not quantized:
         return elm._scores(features, model.w, model.b, model.beta)
     q = model.quantized
-    return elm._scores(features, q.w_q, *q._float_b_beta, w_scale=q.w_scale)
+    return elm._scores(features, q.w_q, q.b, q.beta, w_scale=q.w_scale)
 
 
 class TestWeightsHandledOnce:
@@ -559,7 +562,7 @@ class TestWeightsHandledOnce:
 
     def test_int8_query_allocates_less_than_w(self, rng):
         # an int8 model keeps no float copy of w: a one-row query dequantizes
-        # the rows of w its features need (b and beta once per model)
+        # the rows of w its features need (b and beta are made with the codes)
         x, labels = _toy_problem(rng, d=64)
         model = quantize(train_elm(x, labels, L=200, c=1.0, seed=0))
         codes = model.quantized  # made once per model, before the query is traced
@@ -571,9 +574,9 @@ class TestWeightsHandledOnce:
         want = predict_quantized_reference(query, model)
         assert answer[0].tobytes() == want[0].tobytes()
         assert answer[1].tobytes() == want[1].tobytes()
-        cached = set(vars(codes)) - {f.name for f in dataclasses.fields(QuantizedWeights)}
-        assert cached == {"_float_b_beta"}
-        b, beta = codes._float_b_beta
+        # the queries cached nothing on the weights beyond their fields
+        assert set(vars(codes)) == {f.name for f in dataclasses.fields(QuantizedWeights)}
+        b, beta = codes.b, codes.beta
         assert b.tobytes() == (codes.b_q.astype(np.float64) * codes.b_scale).tobytes()
         assert beta.tobytes() == (codes.beta_q.astype(np.float64) * codes.beta_scale).tobytes()
         assert not any(a.flags.writeable for a in (codes.w_q, b, beta))

@@ -347,6 +347,26 @@ class TestRunBenchmark:
                           loader=loader)
         assert loaded == []
 
+    @pytest.mark.parametrize("request_, message", [
+        ({"datasets": []}, r"^need at least one dataset$"),
+        ({"approaches": ()}, r"^need at least one approach$"),
+        ({"approaches": ("knn", "elm_only", "knn")},
+         r"^approaches named more than once: \['knn'\]$"),
+        # seeds are compared as checked, so a numpy 0 repeats a 0
+        ({"seeds": (0, 1, np.int64(0))}, r"^seeds named more than once: \[0\]$"),
+    ], ids=["no_dataset", "no_approach", "approach_twice", "seed_twice"])
+    def test_request_lists_checked_before_loading(self, request_, message):
+        # one rule for each list: non-empty, no entry twice (a dataset named
+        # twice and an empty seed list are in test_repeated_dataset_refused and
+        # test_seeds_checked_before_loading); a repeated 1-NN run would be
+        # normalized against the other, a repeated seed reported twice
+        loaded = []
+        kwargs = {"datasets": ["TST1"], "approaches": ("knn", "elm_only"), "seeds": (0,),
+                  **request_}
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(**kwargs, loader=loaded.append)
+        assert loaded == []
+
     def test_unknown_approach_rejected(self, syn_small):
         with pytest.raises(ValueError, match="approach"):
             run_benchmark(["TST1"], approaches=("svm",),

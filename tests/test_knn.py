@@ -27,6 +27,8 @@ class TestClassify:
         idx = knn.build_index(feats, pairs)
         b, f = knn.classify_all(queries, idx)
         assert (np.column_stack([b, f]) == nn_oracle(queries, feats, pairs)).all()
+        # integer-array indexing makes new arrays: the answers share nothing with the index
+        assert not np.shares_memory(b, idx.pairs) and not np.shares_memory(f, idx.pairs)
 
     def test_matches_oracle_across_block_boundary(self, rng):
         # more training rows than one GEMM block so several blocks merge
