@@ -44,12 +44,12 @@ from .dataset import (
     UnknownDatasetError,
     _read_map,
     _read_matrix,
-    check_rss,
     class_index,
     load_csv,
     load_manifest,
     registry_lookup,
     registry_names,
+    rss_matrix,
 )
 from .elm import check_grid
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
@@ -288,10 +288,9 @@ def _read_queries(path: Path, model) -> RadioMap | np.ndarray:
     data = _read_matrix(path, check_width)
     data[data == 100.0] = 0.0
     try:
-        check_rss(data, "rss")
+        return rss_matrix(data, "rss")
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    return data
 
 
 def cmd_predict(args) -> int:

@@ -64,20 +64,12 @@ class RadioMap:
     name: str = ""
 
     def __post_init__(self):
-        rss = np.ascontiguousarray(self.rss, dtype=np.float64)
-        if rss.ndim != 2:
-            raise ValueError(f"rss must be 2-D, got shape {rss.shape}")
-        check_rss(rss, "rss")
-        floor = check_labels(self.floor, "floor", rss.shape[0])
-        building = None
+        rss = rss_matrix(self.rss, "rss")
+        n = rss.shape[0]
+        object.__setattr__(self, "rss", frozen(rss))
+        object.__setattr__(self, "floor", frozen(check_labels(self.floor, "floor", n)))
         if self.building is not None:
-            building = check_labels(self.building, "building", rss.shape[0])
-        stored = {"rss": rss, "floor": floor, "building": building}
-        for name, arr in stored.items():
-            if arr is not None:
-                arr = arr.view()  # frozen without freezing the caller's array
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, "building", frozen(check_labels(self.building, "building", n)))
 
     @property
     def n_samples(self) -> int:
@@ -107,14 +99,27 @@ class RadioMap:
         )
 
 
-def check_rss(rss: np.ndarray, what: str) -> None:
-    """Reject an RSS matrix with non-finite cells or readings above 0 dBm."""
-    check_finite(rss, what)
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``: it shares the buffer, and ``arr`` itself
+    stays writeable. Every array an object keeps is stored through this."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def rss_matrix(data, what: str) -> np.ndarray:
+    """``data`` as a C-contiguous float64 matrix, not copied if it is one. ``ValueError``
+    naming ``what`` unless it is 2-D with no reading above 0 dBm, or if ``check_array``
+    refuses it before the cast, which reads "-60" as -60.0 and drops an imaginary part."""
+    rss = np.ascontiguousarray(check_array(data, what), dtype=np.float64)
+    if rss.ndim != 2:
+        raise ValueError(f"{what} must be a 2-D RSS matrix, got shape {rss.shape}")
     if rss.size and float(rss.max()) > 0.0:
         raise ValueError(
             f"{what}: detected RSS values must be <= 0 dBm; found "
             f"{float(rss.max())} (is the sentinel remapped?)"
         )
+    return rss
 
 
 def check_finite(arr: np.ndarray, what: str) -> None:
@@ -147,13 +152,13 @@ def check_float(value, key: str) -> float:
     return number
 
 
-# numpy dtype kinds of JSON arrays that hold no numbers. A lone true among
+# numpy dtype kinds of arrays that hold no numbers. A lone true among
 # numbers still reads as 1; only a Python walk over every entry would see it.
-_NOT_NUMBERS = {"b": "true/false values", "U": "strings"}
+_NOT_NUMBERS = {"b": "true/false values", "U": "strings", "c": "complex numbers"}
 
 
 def check_array(value, key: str) -> np.ndarray:
-    """A JSON array of finite numbers under ``key``, as numpy reads it, before any float cast."""
+    """An array of finite numbers under ``key``, as numpy reads it, before any float cast."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         what = _NOT_NUMBERS.get(arr.dtype.kind, "nulls or other non-numbers")

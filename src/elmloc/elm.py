@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import check_finite, check_labels, class_index
+from .dataset import check_finite, check_labels, class_index, frozen
 
 #: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
 #: may hold: 512 MB. Every registry dataset at its registry L needs under 1% of
@@ -56,8 +56,7 @@ class ClassCodebook:
                                  check_labels(pairs[:, 1], "floor", pairs.shape[0])])
         if not np.array_equal(class_index(pairs)[0], pairs):
             raise ValueError("codebook pairs must be distinct and sorted by building then floor")
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", frozen(pairs))
 
     @property
     def n_classes(self) -> int:
@@ -227,8 +226,7 @@ class ElmModel:
         check_hidden_size(self.n_features, beta.shape[0])
         # Checked once here, so the per-query path trusts the weights.
         check_finite(beta, "beta")
-        beta.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", frozen(beta))
 
     @property
     def L(self) -> int:
@@ -237,8 +235,7 @@ class ElmModel:
     @cached_property
     def _hidden(self) -> tuple[np.ndarray, np.ndarray]:
         w, b = init_hidden(self.seed, self.n_features, self.L)
-        w.flags.writeable = b.flags.writeable = False
-        return w, b
+        return frozen(w), frozen(b)
 
     @property
     def w(self) -> np.ndarray:
@@ -257,8 +254,7 @@ class ElmModel:
         w_q, w_scale = _quantize_tensor(self.w)
         b_q, b_scale = _quantize_tensor(self.b)
         beta_q, beta_scale = _quantize_tensor(self.beta)
-        b, beta = _dequantize(b_q, b_scale), _dequantize(beta_q, beta_scale)
-        b.flags.writeable = beta.flags.writeable = False
+        b, beta = frozen(_dequantize(b_q, b_scale)), frozen(_dequantize(beta_q, beta_scale))
         return QuantizedWeights(w_q, b_q, beta_q, w_scale, b_scale, beta_scale, b, beta)
 
 
@@ -328,9 +324,7 @@ def _quantize_tensor(x: np.ndarray) -> tuple[np.ndarray, float]:
     np.floor(q, out=q)
     np.copysign(q, x, out=q)
     np.clip(q, -127, 127, out=q)
-    codes = q.astype(np.int8)
-    codes.flags.writeable = False  # a model's weights are read-only
-    return codes, scale
+    return frozen(q.astype(np.int8)), scale
 
 
 def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
@@ -345,15 +339,20 @@ def quantize(model: ElmModel) -> ElmModel:
     return replace(model, int8=True)
 
 
+def check_quantized(model: ElmModel) -> QuantizedWeights:
+    """``model.quantized``; ``ValueError`` if the model has no int8 codes."""
+    if model.quantized is None:
+        raise ValueError("model has no quantized weights; call quantize first")
+    return model.quantized
+
+
 def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
     """Predict from the 8-bit weights (activations stay in float).
 
     Each call dequantizes the rows of w its features need; no float copy of
     w is kept.
     """
-    q = model.quantized
-    if q is None:
-        raise ValueError("model has no quantized weights; call quantize first")
+    q = check_quantized(model)
     scores = _scores(features, q.w_q, q.b, q.beta, w_scale=q.w_scale)
     return model.codebook.decode(np.argmax(scores, axis=1))
 

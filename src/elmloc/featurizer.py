@@ -22,6 +22,8 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .dataset import frozen
+
 #: Average-pooling window, which is also its stride.
 POOL = 2
 
@@ -60,9 +62,7 @@ class FeaturizerSpec:
     def filters(self) -> np.ndarray:
         limit = math.sqrt(6.0 / (self.kernel_size + self.n_filters))
         rng = np.random.default_rng(self.seed)
-        filters = rng.uniform(-limit, limit, size=(self.kernel_size, self.n_filters))
-        filters.flags.writeable = False
-        return filters
+        return frozen(rng.uniform(-limit, limit, size=(self.kernel_size, self.n_filters)))
 
 
 def init_featurizer(

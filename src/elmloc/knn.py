@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_finite
+from .dataset import check_finite, frozen
 
 #: Query rows processed per GEMM distance block (bounds peak memory).
 _BLOCK = 256
@@ -74,14 +74,13 @@ class KnnIndex:
         check_finite(values, "features")
         counts = np.bincount(cols, minlength=d)
         cuts = np.cumsum(counts)[:-1]
-        feats.flags.writeable = False
-        pairs.flags.writeable = False
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_sq_norms", np.einsum("ij,ij->i", feats, feats))
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "_rows", np.split(cells // d, cuts))
-        object.__setattr__(self, "_values", np.split(values, cuts))
+        object.__setattr__(self, "features", frozen(feats))
+        object.__setattr__(self, "pairs", frozen(pairs))
+        object.__setattr__(self, "_sq_norms", frozen(np.einsum("ij,ij->i", feats, feats)))
+        object.__setattr__(self, "_counts", frozen(counts))
+        # the lists are views of one read-only array each, so read-only too
+        object.__setattr__(self, "_rows", np.split(frozen(cells // d), cuts))
+        object.__setattr__(self, "_values", np.split(frozen(values), cuts))
 
 
 def build_index(features: np.ndarray, pairs: np.ndarray) -> KnnIndex:

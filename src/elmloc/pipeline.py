@@ -155,8 +155,9 @@ def sweep_pipeline(train: RadioMap, config: PipelineConfig, step: int = 5) -> el
     the stages are fitted on the rest exactly as ``fit_pipeline`` fits them,
     and ``elm.sweep_hidden`` scores each hidden size on the held-out rows.
     ``replace(config, L=result.best_L)`` is the configuration it selects.
-    ``config.quantize`` is not read.
+    ``config.quantize`` is not read; a grid ``elm.check_grid`` refuses fails first.
     """
+    elm_mod.check_grid(step, config.L)
     fit_rows, val = split_validation(train, fraction=0.1, seed=config.seed)
     params, fspec, x_tr = _fit_stages(fit_rows, config)
     x_val = _apply_stages(val.rss, params, fspec)
@@ -171,6 +172,8 @@ def predict_pipeline(
     data, model: TrainedModel, quantized: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """(buildings, floors) for raw RSS rows (matrix or RadioMap)."""
+    if quantized:
+        elm_mod.check_quantized(model.elm)
     rss = _rss_of(data, "query matrix")
     if rss.shape[1] != model.n_aps:
         raise ValueError(f"model expects {model.n_aps} AP columns, input has {rss.shape[1]}")
@@ -192,7 +195,9 @@ def _random_sha256(model: TrainedModel) -> str:
 
 def save_model(model: TrainedModel, path) -> None:
     """Write what ``model`` learned and its seeds: not w, b, the filters or the int8
-    codes, which ``load_model`` rebuilds and checks against ``random_sha256``."""
+    codes, which ``load_model`` rebuilds and checks against ``random_sha256``. The bytes
+    depend on the BLAS thread count (``beta`` differs in its last bits), the answers did
+    not in any check; perfbench, and any comparison of model bytes, runs at one thread."""
     params, spec, elm = model.preprocess, model.featurizer, model.elm
     norms = params.feature_norms
     doc = {

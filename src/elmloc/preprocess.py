@@ -15,8 +15,8 @@ Two stages, applied in order:
 
 Fitting never reads test data; applying is a pure function of the fitted
 ``PreprocessParams`` and the input matrix. Each function takes a ``RadioMap``
-(checked when it was built) or a raw RSS matrix, which is checked with
-``dataset.check_rss`` under the argument's name. One private fit,
+(checked when it was built) or a raw RSS matrix, which ``dataset.rss_matrix``
+checks under the argument's name. One private fit,
 ``_fit_transform``, fits both stages and returns the training matrix passed
 through them: the powed transform runs once.
 
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_finite, check_rss
+from .dataset import NOT_DETECTED, RadioMap, check_finite, frozen, rss_matrix
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
@@ -68,28 +68,19 @@ class PreprocessParams:
             check_finite(norms, "feature_norms")
             if norms.size and float(norms.min()) < 0:
                 raise ValueError("feature_norms must be non-negative")
-            norms.flags.writeable = False
-            object.__setattr__(self, "feature_norms", norms)
+            object.__setattr__(self, "feature_norms", frozen(norms))
 
     @cached_property
     def _divisors(self) -> np.ndarray:
         """The per-feature divisors: ``feature_norms`` with zeros as 1, so a
         never-detected AP passes through. Built on first use, read-only."""
-        divisors = np.where(self.feature_norms == 0.0, 1.0, self.feature_norms)
-        divisors.flags.writeable = False
-        return divisors
+        return frozen(np.where(self.feature_norms == 0.0, 1.0, self.feature_norms))
 
 
 def _rss_of(data, what: str) -> np.ndarray:
     """The RSS matrix of a ``RadioMap`` (checked when it was built), or a raw
-    matrix checked with ``check_rss`` under the argument name ``what``."""
-    if isinstance(data, RadioMap):
-        return data.rss
-    rss = np.asarray(data, dtype=np.float64)
-    if rss.ndim != 2:
-        raise ValueError(f"{what} must be a 2-D RSS matrix, got shape {rss.shape}")
-    check_rss(rss, what)
-    return rss
+    matrix checked by ``rss_matrix`` under the argument name ``what``."""
+    return data.rss if isinstance(data, RadioMap) else rss_matrix(data, what)
 
 
 def fit_powed(train, mode: str = "per_feature") -> PreprocessParams:

@@ -26,6 +26,9 @@ from elmloc.dataset import (
     registry_names,
     split_validation,
 )
+from elmloc.elm import ClassCodebook, ElmModel
+from elmloc.knn import build_index
+from elmloc.preprocess import PreprocessParams
 
 
 def _map(n=6, aps=4, buildings=True):
@@ -54,7 +57,7 @@ class TestRadioMap:
             RadioMap(rss=np.array([[np.nan, -50.0]]), floor=np.array([0]))
 
     def test_rss_must_be_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^rss must be a 2-D RSS matrix, got shape \(4,\)$"):
             RadioMap(rss=np.zeros(4), floor=np.array([0]))
 
     def test_float_labels_must_be_integral(self):
@@ -111,17 +114,25 @@ class TestRadioMap:
         with pytest.raises(ValueError):
             m.floor[0] = 9
 
-    def test_caller_arrays_stay_writeable(self):
-        # arrays that need no conversion are shared with the map, not frozen under the caller
-        given = {"rss": np.full((3, 2), -60.0), "floor": np.arange(3),
-                 "building": np.zeros(3, dtype=np.int64)}
-        m = RadioMap(**given)
+    @pytest.mark.parametrize("build, given", [
+        (RadioMap, lambda: {"rss": np.full((3, 2), -60.0), "floor": np.arange(3),
+                            "building": np.zeros(3, dtype=np.int64)}),
+        (build_index, lambda: {"features": np.eye(3), "pairs": np.zeros((3, 2), dtype=np.int64)}),
+        (lambda beta: ElmModel(beta, 1.0, ClassCodebook(np.array([[0, 0], [0, 1]])), 0, 4),
+         lambda: {"beta": np.ones((5, 2))}),
+        (lambda feature_norms: PreprocessParams(-90.0, feature_norms=feature_norms),
+         lambda: {"feature_norms": np.ones(4)}),
+    ], ids=["RadioMap", "build_index", "ElmModel", "PreprocessParams"])
+    def test_caller_arrays_stay_writeable(self, build, given):
+        # arrays that need no conversion are shared with the object, not frozen under the caller
+        given = given()
+        kept = build(**given)
         for name, arr in given.items():
-            stored = getattr(m, name)
+            stored = getattr(kept, name)
             assert np.shares_memory(stored, arr), name
             assert arr.flags.writeable and not stored.flags.writeable, name
-        given["rss"][0, 0] = -50.0
-        assert m.rss[0, 0] == -50.0
+            arr.flat[0] += 1
+            assert stored.flat[0] == arr.flat[0], name
 
     def test_label_pairs_without_building(self):
         m = _map(buildings=False)

@@ -103,6 +103,37 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="query matrix contains non-finite"):
             predict_pipeline(raw, fitted)
 
+    @pytest.mark.parametrize("cast, what", [
+        (lambda rss: rss.astype(str), "strings"),
+        (lambda rss: rss + 1j, "complex numbers"),
+        (lambda rss: np.zeros(rss.shape, dtype=bool), "true/false values"),
+        (lambda rss: rss.astype(object), "nulls or other non-numbers"),
+    ], ids=["numeric_strings", "complex", "bool", "object"])
+    def test_non_number_matrix_rejected(self, syn_small, fitted, cast, what):
+        # a float cast would read "-60" as -60.0, drop an imaginary part and read false as 0.0
+        raw = cast(syn_small[1].rss[:3])
+        with pytest.raises(ValueError, match=rf"^query matrix must hold numbers, got {what}$"):
+            predict_pipeline(raw, fitted)
+        with pytest.raises(ValueError, match=rf"^rss must hold numbers, got {what}$"):
+            RadioMap(rss=raw, floor=np.zeros(3, dtype=np.int64))
+
+    def test_integer_matrix_accepted(self, syn_small, fitted):
+        rss = np.rint(syn_small[1].rss[:20])
+        ints = rss.astype(np.int64)
+        got, want = predict_pipeline(ints, fitted), predict_pipeline(rss, fitted)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert RadioMap(rss=ints, floor=np.zeros(20, dtype=np.int64)).rss.tobytes() == rss.tobytes()
+
+    def test_quantized_refused_before_any_stage_runs(self, syn_small, fitted, monkeypatch):
+        float_only = dataclasses.replace(fitted, elm=dataclasses.replace(fitted.elm, int8=False))
+
+        def stage(*args):
+            raise AssertionError("a stage ran before the int8 codes were looked for")
+
+        monkeypatch.setattr(pipeline, "_apply_stages", stage)
+        with pytest.raises(ValueError, match=r"^model has no quantized weights; call quantize first$"):
+            predict_pipeline(syn_small[1].rss[:3], float_only, quantized=True)
+
     @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
     @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
     def test_caller_matrices_left_untouched(self, syn_small, approach, norm_mode):
@@ -248,6 +279,15 @@ class TestSweepPipeline:
             got, want = getattr(res, name), getattr(ref, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert res.best_L == ref.best_L
+
+    @pytest.mark.parametrize("step", [0, 41])
+    def test_bad_grid_refused_before_the_split(self, syn_small, monkeypatch, step):
+        def split(*args, **kwargs):
+            raise AssertionError("the validation split ran before the grid was checked")
+
+        monkeypatch.setattr(pipeline, "split_validation", split)
+        with pytest.raises(ValueError, match=rf"^need 1 <= step <= L_max, got step={step}, L_max=40$"):
+            sweep_pipeline(syn_small[0], _config(L=40), step=step)
 
     def test_reads_no_quantize_flag(self, syn_small):
         train, _ = syn_small
@@ -691,9 +731,15 @@ def answers_with_one_blas_thread(rss, directory, tmp_path):
         "                             predict_pipeline(rss, model, quantized=True)]\n"
         "print(json.dumps(out))\n"
     )
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    return run_with_blas_threads(1, code, tmp_path / "rss.npy", directory, *MODELS)
+
+
+def run_with_blas_threads(threads, code, *args):
+    """The JSON that the Python source ``code`` prints, run with ``args`` in a
+    fresh process with ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = [sys.executable, "-c", code, str(tmp_path / "rss.npy"), str(directory), *MODELS]
+    argv = [sys.executable, "-c", code, *map(str, args)]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout)
 
@@ -883,6 +929,29 @@ class TestV3ModelFiles:
         write_edited(INT8_MODEL, p,
                      lambda doc: (doc if section is None else doc[section]).update(extra=0))
         assert_load_fails(p, one_query, capsys, rf"m\.json: {stray(section, 'extra')}")
+
+
+class TestBlasThreads:
+    def test_syn1_answers_agree_across_thread_counts(self):
+        # the hidden-layer GEMM sums in another order with more BLAS threads, so
+        # beta and the model bytes may differ in the last bits; the answers may not
+        code = (
+            "import json\n"
+            "from elmloc.dataset import registry_lookup\n"
+            "from elmloc.pipeline import PipelineConfig, fit_pipeline, predict_pipeline\n"
+            "from elmloc.synthetic import generate_synthetic\n"
+            "train, test = generate_synthetic()\n"
+            "desc = registry_lookup('SYN1')\n"
+            "model = fit_pipeline(train, PipelineConfig(L=desc.L_default, c=desc.c_default))\n"
+            "print(json.dumps({'beta': model.elm.beta.tolist(),\n"
+            "                  'answers': [a.tolist() for a in predict_pipeline(test, model)]}))\n"
+        )
+        one, two = (run_with_blas_threads(threads, code) for threads in (1, 2))
+        assert np.shape(one["beta"]) == (500, 12)
+        assert one["answers"] == two["answers"]
+        # measured: max |d beta| was 2.2e-11 of max |beta|
+        beta = np.array(one["beta"])
+        assert np.abs(beta - two["beta"]).max() <= 1e-9 * np.abs(beta).max()
 
 
 class TestWidthRecordedOnce:
