@@ -51,7 +51,7 @@ from .dataset import (
     registry_names,
     rss_matrix,
 )
-from .elm import check_grid
+from .elm import check_grid, check_quantized
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
     APPROACHES,
@@ -295,8 +295,8 @@ def _read_queries(path: Path, model) -> RadioMap | np.ndarray:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.quantized and model.elm.quantized is None:
-        raise CliError("model has no quantized weights (train with --quantize)")
+    if args.quantized:  # before the query file is read: an empty one answers no query
+        check_quantized(model.elm)
     queries_path = Path(args.queries)
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")

@@ -107,13 +107,23 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def feature_matrix(data, what: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
+    """``data`` as a C-contiguous float64 matrix, not copied if it is one; ``ValueError``
+    naming ``what`` unless it holds numbers (checked before the cast, which reads "-60" as
+    -60.0), is 2-D, ``width`` wide if given and, if ``nonempty``, has a row. Not scanned
+    for NaN or infinities: the caller's one pass over the values does that."""
+    x = np.ascontiguousarray(check_array(data, what), dtype=np.float64)
+    if x.ndim != 2 or width not in (None, x.shape[1]) or (nonempty and x.shape[0] == 0):
+        raise ValueError(f"{what} must be N x {'d' if width is None else width}"
+                         f"{' with N >= 1' if nonempty else ''}, got shape {np.shape(data)}")
+    return x
+
+
 def rss_matrix(data, what: str) -> np.ndarray:
-    """``data`` as a C-contiguous float64 matrix, not copied if it is one. ``ValueError``
-    naming ``what`` unless it is 2-D with no reading above 0 dBm, or if ``check_array``
-    refuses it before the cast, which reads "-60" as -60.0 and drops an imaginary part."""
-    rss = np.ascontiguousarray(check_array(data, what), dtype=np.float64)
-    if rss.ndim != 2:
-        raise ValueError(f"{what} must be a 2-D RSS matrix, got shape {rss.shape}")
+    """``data`` as ``feature_matrix`` reads it; ``ValueError`` naming ``what`` unless it
+    is also finite with no reading above 0 dBm."""
+    rss = feature_matrix(data, what)
+    check_finite(rss, what)
     if rss.size and float(rss.max()) > 0.0:
         raise ValueError(
             f"{what}: detected RSS values must be <= 0 dBm; found "
@@ -158,12 +168,12 @@ _NOT_NUMBERS = {"b": "true/false values", "U": "strings", "c": "complex numbers"
 
 
 def check_array(value, key: str) -> np.ndarray:
-    """An array of finite numbers under ``key``, as numpy reads it, before any float cast."""
+    """``value`` as numpy reads it, refused by ``key`` unless it holds numbers: the
+    rule to apply before any float cast. It is not scanned for non-finite values."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         what = _NOT_NUMBERS.get(arr.dtype.kind, "nulls or other non-numbers")
         raise ValueError(f"{key} must hold numbers, got {what}")
-    check_finite(arr, key)
     return arr
 
 
@@ -186,6 +196,20 @@ def check_labels(values, what: str, n: int) -> np.ndarray:
     if lo < 0:
         raise ValueError(f"{what} labels must be non-negative, found {int(lo)}")
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def label_rows(pairs, what: str, n: int | None = None) -> np.ndarray:
+    """``pairs`` as an N x 2 int64 matrix of (building, floor) rows, ``n`` of them if
+    given; ``ValueError`` naming ``what`` for another shape, and naming the column
+    for a label ``check_labels`` refuses."""
+    arr = np.asarray(pairs)
+    if arr.ndim != 2 or arr.shape[1] != 2 or n not in (None, arr.shape[0]):
+        raise ValueError(f"{what} must be {'N' if n is None else n} x 2, got shape {arr.shape}")
+    # by column, so an object matrix (a Python int beyond int64) names the odd column
+    building, floor = arr.T.tolist() if arr.dtype.kind == "O" else arr.T
+    check_labels(building, "building", arr.shape[0])
+    check_labels(floor, "floor", arr.shape[0])
+    return np.ascontiguousarray(arr, dtype=np.int64)  # exact: every label is a whole int64
 
 
 def class_index(pairs) -> tuple[np.ndarray, np.ndarray]:

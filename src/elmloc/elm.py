@@ -24,6 +24,9 @@ turned to float with the codes).
 A prediction multiplies only the rows of w whose feature column holds a
 nonzero value in some query row (``_scores``): a silent column adds
 0 * w = 0, and a fingerprint hears few of the access points.
+Entry points read label rows by ``dataset.label_rows`` and feature matrices
+by ``dataset.feature_matrix``; ``hidden_map`` scans the features for NaN and
+infinities, once on each path.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import check_finite, check_labels, class_index, frozen
+from .dataset import check_finite, class_index, feature_matrix, frozen, label_rows
 
 #: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
 #: may hold: 512 MB. Every registry dataset at its registry L needs under 1% of
@@ -49,11 +52,7 @@ class ClassCodebook:
     pairs: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"codebook must be K x 2, got shape {pairs.shape}")
-        pairs = np.column_stack([check_labels(pairs[:, 0], "building", pairs.shape[0]),
-                                 check_labels(pairs[:, 1], "floor", pairs.shape[0])])
+        pairs = label_rows(self.pairs, "codebook")
         if not np.array_equal(class_index(pairs)[0], pairs):
             raise ValueError("codebook pairs must be distinct and sorted by building then floor")
         object.__setattr__(self, "pairs", frozen(pairs))
@@ -104,19 +103,18 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w), b
 
 
-def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray, what: str = "features") -> np.ndarray:
     """Hidden activations H = tansig(x W + b); row = sample, column = neuron.
 
-    ``x`` is checked as ``features`` (2-D, as wide as ``w`` has rows, finite);
+    ``x`` is read by ``feature_matrix`` as ``what``, as wide as ``w`` has rows,
+    and scanned here, once on every path, for non-finite values.
     ``w`` and ``b`` come from ``init_hidden`` or an ``ElmModel`` and are
     trusted. The bias add and tansig (2 / (1 + exp(-2 z)) - 1, computed as
     tanh: the same values, no overflow) run in place on the product, so H is
     the only N x L buffer made.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"features must be N x {w.shape[0]}, got shape {x.shape}")
-    check_finite(x, "features")
+    x = feature_matrix(x, what, width=w.shape[0])
+    check_finite(x, what)
     h = x @ w
     h += b
     np.tanh(h, out=h)
@@ -157,14 +155,11 @@ def _factor(h: np.ndarray, t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndar
 def fit(h: np.ndarray, t: np.ndarray, c: float) -> np.ndarray:
     """Regularized least-squares output weights (L x n_classes).
 
-    Raises ``ValueError`` naming ``h`` or ``t`` unless both are finite 2-D
-    matrices with one row per sample, and for a ``c`` ``_factor`` refuses.
+    Raises ``ValueError`` naming ``h`` or ``t`` unless both are finite matrices
+    ``feature_matrix`` reads, one row per sample, and for a ``c`` ``_factor`` refuses.
     """
-    h = np.asarray(h, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if h.ndim != 2:
-        raise ValueError(f"h must be N x L, got shape {h.shape}")
-    if t.ndim != 2 or t.shape[0] != h.shape[0]:
+    h, t = feature_matrix(h, "h"), feature_matrix(t, "t")
+    if t.shape[0] != h.shape[0]:
         raise ValueError(f"t must be {h.shape[0]} x K to match h, got shape {t.shape}")
     check_finite(h, "h")
     check_finite(t, "t")
@@ -213,11 +208,7 @@ class ElmModel:
     int8: bool = False
 
     def __post_init__(self):
-        beta = np.ascontiguousarray(self.beta, dtype=np.float64)
-        if beta.ndim != 2 or beta.shape[0] < 1:
-            raise ValueError(f"beta must be L x K with L >= 1, got shape {beta.shape}")
-        if beta.shape[1] != self.codebook.n_classes:
-            raise ValueError("beta columns must match codebook size")
+        beta = feature_matrix(self.beta, "beta", width=self.codebook.n_classes, nonempty=True)
         fault = c_fault(self.c)
         if fault:
             raise ValueError(f"c must be {fault}, got {self.c}")
@@ -260,14 +251,8 @@ class ElmModel:
 
 def train_elm(features: np.ndarray, pairs: np.ndarray, L: int, c: float, seed: int) -> ElmModel:
     """End-to-end training: codebook, targets, random hidden layer, fit."""
-    x = np.asarray(features, dtype=np.float64)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"features must be N x d with N >= 1, got shape {x.shape}")
-    if pairs.shape != (x.shape[0], 2):
-        raise ValueError(f"pairs must be {x.shape[0]} x 2 to match features, "
-                         f"got shape {pairs.shape}")
-    codebook, t = _targets(pairs)
+    x = feature_matrix(features, "features", nonempty=True)
+    codebook, t = _targets(label_rows(pairs, "pairs", x.shape[0]))
     w, b = init_hidden(seed, x.shape[1], L)
     # H is finite and as tall as T: hidden_map checks x, and tanh is bounded
     low, u = _factor(hidden_map(x, w, b), t, c)
@@ -288,12 +273,9 @@ def _scores(
     holds int8 codes, and only the rows gathered are turned to float
     (codes * w_scale).
     """
-    x = np.asarray(features, dtype=np.float64)
-    d = w.shape[0]
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"features must be N x {d}, got shape {x.shape}")
+    x = feature_matrix(features, "features", width=w.shape[0])
     active = np.flatnonzero(x.any(axis=0))
-    if active.size < d:
+    if active.size < w.shape[0]:
         x, w = x[:, active], w[active]
     if w_scale is not None:
         w = _dequantize(w, w_scale)
@@ -342,7 +324,8 @@ def quantize(model: ElmModel) -> ElmModel:
 def check_quantized(model: ElmModel) -> QuantizedWeights:
     """``model.quantized``; ``ValueError`` if the model has no int8 codes."""
     if model.quantized is None:
-        raise ValueError("model has no quantized weights; call quantize first")
+        raise ValueError("model has no quantized weights; train with quantize=True "
+                         "(elmloc train --quantize)")
     return model.quantized
 
 
@@ -399,31 +382,21 @@ def sweep_hidden(
     one Cholesky factor and one forward solve serve the whole grid, and the
     validation scores grow by a block of columns per step.
 
-    Raises ``ValueError`` naming the argument for non-finite features, pairs
-    that are not one (building, floor) row per feature row, and feature
-    matrices that are empty or differ in width between the splits.
+    Raises ``ValueError`` naming the argument for features ``feature_matrix``
+    refuses, empty or of differing widths, and for pairs ``label_rows`` refuses
+    or not one per feature row; ``hidden_map`` refuses non-finite features.
     """
     check_grid(step, L_max)
-    x_tr = np.asarray(train_features, dtype=np.float64)
-    x_val = np.asarray(val_features, dtype=np.float64)
-    train_pairs = np.asarray(train_pairs, dtype=np.int64)
-    val_pairs = np.asarray(val_pairs, dtype=np.int64)
-    d = x_tr.shape[1] if x_tr.ndim == 2 else "d"
-    for split, x, pairs in (("train", x_tr, train_pairs), ("val", x_val, val_pairs)):
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != d:
-            raise ValueError(f"{split}_features must be N x {d} with N >= 1, "
-                             f"got shape {x.shape}")
-        if pairs.shape != (x.shape[0], 2):
-            raise ValueError(f"{split}_pairs must be {x.shape[0]} x 2 to match "
-                             f"{split}_features, got shape {pairs.shape}")
-    check_finite(x_tr, "train_features")
-    check_finite(x_val, "val_features")
+    x_tr = feature_matrix(train_features, "train_features", nonempty=True)
+    x_val = feature_matrix(val_features, "val_features", width=x_tr.shape[1], nonempty=True)
+    train_pairs = label_rows(train_pairs, "train_pairs", x_tr.shape[0])
+    val_pairs = label_rows(val_pairs, "val_pairs", x_val.shape[0])
     codebook, t = _targets(train_pairs)
     sizes = np.arange(step, L_max + 1, step)
     w, b = init_hidden(seed, x_tr.shape[1], L_max)
-    low, u = _factor(hidden_map(x_tr, w, b), t, c)
+    low, u = _factor(hidden_map(x_tr, w, b, "train_features"), t, c)
     # the training H is freed; V = H_val low^-T, and size L's scores are V[:, :L] u[:L]
-    v = np.linalg.solve(low, hidden_map(x_val, w, b).T).T
+    v = np.linalg.solve(low, hidden_map(x_val, w, b, "val_features").T).T
 
     scores = np.zeros((v.shape[0], u.shape[1]))
     floor_hits = np.empty(sizes.shape[0])

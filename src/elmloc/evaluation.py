@@ -40,7 +40,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import knn as knn_mod
-from .dataset import ParseError, RadioMap, SchemaError, UnknownDatasetError, registry_lookup
+from .dataset import (ParseError, RadioMap, SchemaError, UnknownDatasetError, label_rows,
+                      registry_lookup)
 from .pipeline import PipelineConfig, check_setting, fit_pipeline, predict_pipeline
 from .preprocess import _fit_transform, apply_preprocess
 
@@ -69,17 +70,13 @@ _ROW_TYPES = {
 def hit_rate(predicted: np.ndarray, truth: np.ndarray, field: str = "floor") -> float:
     """Percentage of rows whose building or floor label matches exactly.
 
-    Both arguments are N x 2 (building, floor) label arrays.
+    Both arguments are (building, floor) rows as ``label_rows`` reads them.
     """
     cols = {"building": 0, "floor": 1}
     if field not in cols:
         raise ValueError(f"field must be 'building' or 'floor', got {field!r}")
-    p = np.asarray(predicted)
-    t = np.asarray(truth)
-    if p.ndim != 2 or p.shape[1] != 2 or t.ndim != 2 or t.shape[1] != 2:
-        raise ValueError(f"labels must be N x 2 arrays, got {p.shape} and {t.shape}")
-    if p.shape[0] != t.shape[0]:
-        raise ValueError(f"length mismatch: {p.shape[0]} predictions, {t.shape[0]} truths")
+    p = label_rows(predicted, "predicted")
+    t = label_rows(truth, "truth", p.shape[0])
     if p.shape[0] == 0:
         raise ValueError("empty label arrays")
     j = cols[field]

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import frozen
+from .dataset import feature_matrix, frozen
 
 #: Average-pooling window, which is also its stride.
 POOL = 2
@@ -104,11 +104,7 @@ def featurize(x: np.ndarray, spec: FeaturizerSpec) -> np.ndarray:
     (rows, P, F), so besides its input and output only one block's
     temporaries are live.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"expected (N, n) input with n >= 1, got shape {x.shape}")
-    if x.shape[1] != spec.n_aps:
-        raise ValueError(f"spec initialized for {spec.n_aps} APs, input has {x.shape[1]}")
+    x = feature_matrix(x, "x", width=spec.n_aps)
     out = np.empty((x.shape[0], feature_width(x.shape[1], spec)))
     n_pooled = x.shape[1] // POOL
     stop = n_pooled * POOL  # one past the last full window; a partial one is dropped

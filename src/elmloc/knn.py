@@ -28,7 +28,9 @@ keeps the first minimum). Duplicate rows get bitwise equal distances on
 either path, so the earliest one wins. An all-silent query has dot 0 with
 every row and answers ``argmin(train_sq)``. The two paths sum products in
 different orders, so a near-tie may break differently between them.
-Non-finite features and queries are refused, naming them.
+The map and the queries pass ``dataset.feature_matrix``, the labels
+``dataset.label_rows``. NaN and infinities are refused by name: by one scan
+of the queries, and among the nonzero cells of the map the lists store.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_finite, frozen
+from .dataset import check_finite, feature_matrix, frozen, label_rows
 
 #: Query rows processed per GEMM distance block (bounds peak memory).
 _BLOCK = 256
@@ -57,12 +59,8 @@ class KnnIndex:
     pairs: np.ndarray  # (building, floor) per training row
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        pairs = np.ascontiguousarray(self.pairs, dtype=np.int64)
-        if feats.ndim != 2 or feats.shape[0] == 0:
-            raise ValueError(f"features must be a non-empty N x n matrix, got {feats.shape}")
-        if pairs.shape != (feats.shape[0], 2):
-            raise ValueError(f"pairs must be {feats.shape[0]} x 2, got {pairs.shape}")
+        feats = feature_matrix(self.features, "features", nonempty=True)
+        pairs = label_rows(self.pairs, "pairs", feats.shape[0])
         # posting lists: the nonzero cells in column-major order (a stable
         # sort of the row-major ones by column), so rows ascend within a list
         d = feats.shape[1]
@@ -89,11 +87,7 @@ def build_index(features: np.ndarray, pairs: np.ndarray) -> KnnIndex:
 
 def classify_all(queries: np.ndarray, index: KnnIndex) -> tuple[np.ndarray, np.ndarray]:
     """Labels of the nearest training row for each query row."""
-    q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != index.features.shape[1]:
-        raise ValueError(
-            f"queries must be M x {index.features.shape[1]}, got shape {q.shape}"
-        )
+    q = feature_matrix(queries, "queries", width=index.features.shape[1])
     check_finite(q, "queries")
     nearest = _nearest_postings(q, index) if _use_postings(q, index) else _nearest_gemm(q, index)
     return index.pairs[nearest, 0], index.pairs[nearest, 1]

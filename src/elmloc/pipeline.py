@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_array, check_float, check_int, split_validation
+from .dataset import RadioMap, check_float, check_int, split_validation
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import NORM_MODES, PreprocessParams, _fit_transform, _rss_of, _transform
 
@@ -293,7 +293,7 @@ def load_model(path) -> TrainedModel:
         params = PreprocessParams(
             check_float(section["min_rss"], "min_rss"),
             section["mode"],
-            None if norms is None else check_array(norms, "feature_norms"),
+            norms,
         )
         if params.mode == "per_feature" and (norms is None or len(norms) != n_aps):
             got = None if norms is None else len(norms)
@@ -305,7 +305,7 @@ def load_model(path) -> TrainedModel:
         )
         width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
     with _section(path, doc, "elm") as section:
-        beta, seed = check_array(section["beta"], "beta"), check_int(section["seed"], "seed")
+        beta, seed = section["beta"], check_int(section["seed"], "seed")
         quantized = section["quantized"]
         if not isinstance(quantized, bool):
             raise ValueError(f"quantized must hold true or false, got {quantized!r}")

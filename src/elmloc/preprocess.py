@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_finite, frozen, rss_matrix
+from .dataset import NOT_DETECTED, RadioMap, check_array, check_finite, frozen, rss_matrix
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
@@ -62,7 +62,8 @@ class PreprocessParams:
         if self.feature_norms is not None:
             if self.mode == "per_sample":
                 raise ValueError("per_sample mode takes no feature_norms")
-            norms = np.ascontiguousarray(self.feature_norms, dtype=np.float64)
+            norms = np.ascontiguousarray(check_array(self.feature_norms, "feature_norms"),
+                                         dtype=np.float64)
             if norms.ndim != 1:
                 raise ValueError("feature_norms must be a vector")
             check_finite(norms, "feature_norms")

@@ -374,7 +374,8 @@ class TestPredict:
             assert main(["predict", "--model", str(plain), "--quantized",
                          "--queries", str(queries), "--out", str(out)]) == 2
             assert capsys.readouterr().err.strip() == (
-                "error: model has no quantized weights (train with --quantize)")
+                "error: model has no quantized weights; train with quantize=True "
+                "(elmloc train --quantize)")
             assert not out.exists()
 
     def test_bare_matrix_queries(self, model_path, tmp_path, capsys):

@@ -57,7 +57,7 @@ class TestRadioMap:
             RadioMap(rss=np.array([[np.nan, -50.0]]), floor=np.array([0]))
 
     def test_rss_must_be_2d(self):
-        with pytest.raises(ValueError, match=r"^rss must be a 2-D RSS matrix, got shape \(4,\)$"):
+        with pytest.raises(ValueError, match=r"^rss must be N x d, got shape \(4,\)$"):
             RadioMap(rss=np.zeros(4), floor=np.array([0]))
 
     def test_float_labels_must_be_integral(self):

@@ -326,11 +326,11 @@ class TestFit:
             np.linalg.solve(low[:k, :k].T, u[:k]), rel=1e-9, abs=1e-10)
 
     @pytest.mark.parametrize("h, t, message", [
-        (np.ones(3), np.ones((3, 2)), r"h must be N x L, got shape \(3,\)"),
-        (np.ones((5, 3, 1)), np.ones((5, 2)), r"h must be N x L, got shape \(5, 3, 1\)"),
+        (np.ones(3), np.ones((3, 2)), r"h must be N x d, got shape \(3,\)"),
+        (np.ones((5, 3, 1)), np.ones((5, 2)), r"h must be N x d, got shape \(5, 3, 1\)"),
         (np.ones((5, 3)), np.ones((4, 2)), r"t must be 5 x K to match h, got shape \(4, 2\)"),
-        (np.ones((5, 3)), np.ones(5), r"t must be 5 x K to match h, got shape \(5,\)"),
-        (np.ones((5, 3)), np.ones((5, 2, 1)), r"t must be 5 x K to match h, got shape \(5, 2, 1\)"),
+        (np.ones((5, 3)), np.ones(5), r"t must be N x d, got shape \(5,\)"),
+        (np.ones((5, 3)), np.ones((5, 2, 1)), r"t must be N x d, got shape \(5, 2, 1\)"),
         (np.array([[1.0, np.nan]]), np.ones((1, 2)), r"h contains non-finite values"),
         (np.array([[1.0, -np.inf]]), np.ones((1, 2)), r"h contains non-finite values"),
         (np.ones((2, 2)), np.array([[1.0, 0.0], [np.inf, 1.0]]), r"t contains non-finite values"),
@@ -375,7 +375,7 @@ class TestTrainPredict:
 
     @pytest.mark.parametrize("cut, message", [
         (lambda x, labels: (x, labels[:-1]),
-         r"pairs must be 160 x 2 to match features, got shape \(159, 2\)"),
+         r"pairs must be 160 x 2, got shape \(159, 2\)"),
         (lambda x, labels: (x[:, 0], labels),
          r"features must be N x d with N >= 1, got shape \(160,\)"),
         # no rows would give a model of no classes, whose every prediction fails
@@ -794,9 +794,9 @@ class TestSweep:
         (lambda a: a.update(x_tr=np.full_like(a["x_tr"], np.nan)),
          r"train_features contains non-finite values"),
         (lambda a: a.update(p_val=a["p_val"][:1]),
-         r"val_pairs must be 50 x 2 to match val_features, got shape \(1, 2\)"),
+         r"val_pairs must be 50 x 2, got shape \(1, 2\)"),
         (lambda a: a.update(p_tr=a["p_tr"][:-1]),
-         r"train_pairs must be 150 x 2 to match train_features, got shape \(149, 2\)"),
+         r"train_pairs must be 150 x 2, got shape \(149, 2\)"),
         (lambda a: a.update(x_val=a["x_val"][:, :7]),
          r"val_features must be N x 8 with N >= 1, got shape \(50, 7\)"),
         (lambda a: a.update(x_tr=a["x_tr"][:, :7]),

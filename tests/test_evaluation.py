@@ -65,7 +65,7 @@ class TestHitRate:
             hit_rate(ok, np.array([[0, 1], [0, 2]]))
         with pytest.raises(ValueError):
             hit_rate(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
-        with pytest.raises(ValueError, match=r"^labels must be N x 2 arrays, got \(1, 3\) and"):
+        with pytest.raises(ValueError, match=r"^predicted must be N x 2, got shape \(1, 3\)$"):
             hit_rate(np.zeros((1, 3), dtype=int), np.zeros((1, 3), dtype=int))
 
 

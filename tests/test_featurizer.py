@@ -110,7 +110,7 @@ class TestConvReference:
         assert peak < out.nbytes + block + 2**16
 
     def test_empty_ap_axis_rejected(self):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match=r"^x must be N x 3, got shape \(2, 0\)$"):
             featurize(np.zeros((2, 0)), init_featurizer(0, 3))
 
 

@@ -102,7 +102,7 @@ class TestClassify:
             knn.build_index(np.zeros((0, 4)), np.zeros((0, 2), dtype=int))
 
     def test_pairs_short_rejected(self):
-        with pytest.raises(ValueError, match=r"^pairs must be 3 x 2, got \(2, 2\)$"):
+        with pytest.raises(ValueError, match=r"^pairs must be 3 x 2, got shape \(2, 2\)$"):
             knn.build_index(np.zeros((3, 4)), np.zeros((2, 2), dtype=int))
 
 

@@ -131,7 +131,9 @@ class TestFitPredict:
             raise AssertionError("a stage ran before the int8 codes were looked for")
 
         monkeypatch.setattr(pipeline, "_apply_stages", stage)
-        with pytest.raises(ValueError, match=r"^model has no quantized weights; call quantize first$"):
+        message = (r"^model has no quantized weights; "
+                   r"train with quantize=True \(elmloc train --quantize\)$")
+        with pytest.raises(ValueError, match=message):
             predict_pipeline(syn_small[1].rss[:3], float_only, quantized=True)
 
     @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
@@ -560,7 +562,7 @@ BAD_KEYS = {
     # sizes and seeds the random parts are drawn from: they fail under their
     # section, before anything is drawn for the digest
     "beta_empty": ("elm", lambda d: d.update(beta=[]),
-                   bad_value("elm", r"beta must be L x K with L >= 1, got shape \(0,\)")),
+                   bad_value("elm", r"beta must be N x \d+ with N >= 1, got shape \(0,\)")),
     "elm_seed_negative": ("elm", lambda d: d.update(seed=-1),
                           bad_value("elm", r"seed must be >= 0, got -1")),
     "kernel_size_41": ("featurizer", lambda d: d.update(kernel_size=41),
@@ -630,11 +632,11 @@ BAD_KEYS = {
     "feature_norms_negative": ("preprocess", lambda d: d["feature_norms"].__setitem__(0, -1.0),
                                bad_value("preprocess", r"feature_norms must be non-negative")),
     "beta_column_short": ("elm", lambda d: d.update(beta=[row[:-1] for row in d["beta"]]),
-                          bad_value("elm", r"beta columns must match codebook size")),
+                          bad_value("elm", r"beta must be N x \d+ with N >= 1, got shape \(\d+, \d+\)")),
     "codebook_three_labels": ("elm", lambda d: d.update(codebook=[[*p, 0] for p in d["codebook"]]),
-                              bad_value("elm", r"codebook must be K x 2, got shape \(\d+, 3\)")),
+                              bad_value("elm", r"codebook must be N x 2, got shape \(\d+, 3\)")),
     "codebook_empty": ("elm", lambda d: d.update(codebook=[]),
-                       bad_value("elm", r"codebook must be K x 2, got shape \(0,\)")),
+                       bad_value("elm", r"codebook must be N x 2, got shape \(0,\)")),
 }
 
 

@@ -252,7 +252,7 @@ class TestRawMatrixChecked:
 
     @pytest.mark.parametrize("raw, message", [
         (np.array([-50.0, -60.0, NOT_DETECTED]),
-         r"data must be a 2-D RSS matrix, got shape \(3,\)"),
+         r"data must be N x d, got shape \(3,\)"),
         (np.full((1, 4), -50.0), r"norms fitted for 3 features, input has 4"),
     ], ids=["one_d", "wider_than_norms"])
     def test_bad_shape_refused(self, raw, message):
