@@ -11,9 +11,10 @@ SYN1 is generated in memory when its files are absent. Option precedence is
 CLI flag > config file (``--config``) > registry > ``PipelineConfig``
 defaults. Each command names the settings it reads (``_TRAIN_KEYS``, every
 ``PipelineConfig`` field, and ``_SWEEP_KEYS``); any other config-file key is an
-error, and flag and file values go through ``pipeline.check_setting``, so they
-are checked, not cast or dropped, before any data is read. The resolved
-configuration and its digest are echoed so every run is reproducible.
+error, and flag and file values go through ``dataset.check_setting``, the one
+rule table for a setting, so they are checked, not cast or dropped, before any
+data is read. The resolved configuration and its digest are echoed so every
+run is reproducible.
 
 ``predict`` reads its query file once: mapped by a ``manifest.json`` beside it,
 whose labels are then scored, or else exactly the model's AP columns with 100
@@ -37,6 +38,8 @@ import numpy as np
 
 from . import evaluation
 from .dataset import (
+    APPROACHES,
+    NORM_MODES,
     DatasetDescriptor,
     ParseError,
     RadioMap,
@@ -44,6 +47,7 @@ from .dataset import (
     UnknownDatasetError,
     _read_map,
     _read_matrix,
+    check_setting,
     class_index,
     load_csv,
     load_manifest,
@@ -54,16 +58,13 @@ from .dataset import (
 from .elm import check_grid, check_quantized
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
-    APPROACHES,
     PipelineConfig,
-    check_setting,
     fit_pipeline,
     load_model,
     predict_pipeline,
     save_model,
     sweep_pipeline,
 )
-from .preprocess import NORM_MODES
 from .synthetic import generate_synthetic
 
 _DATA_ROOT_ENV = "ELMLOC_DATA_ROOT"

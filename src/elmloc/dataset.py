@@ -18,6 +18,11 @@ reader, which cuts lines where str.splitlines cuts them: the caller checks the
 header's width before any row is parsed, and numpy's C parser reads the rows
 as they stream. Only input it cannot vouch for is read again, twice, row by
 row with float(), which names the offending line.
+
+Every setting (a seed, a size, the ridge term c, a mode or the int8 flag)
+passes ``check_setting``, which reads its rule from one table, ``_SETTINGS``:
+the config, the stage constructors and the entry points that take one all
+call it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ import numpy as np
 #: Canonical in-memory value for "AP not detected".
 NOT_DETECTED = 0.0
 
+#: The strings the settings ``approach`` and ``norm_mode`` (a ``PreprocessParams``'
+#: ``mode``) may hold: the pipeline variants and the unit-norm modes.
+APPROACHES = ("cnn_elm", "elm_only")
+NORM_MODES = ("per_feature", "per_sample")
+
 
 class ParseError(ValueError):
     """Malformed CSV content: wrong column count or a non-numeric cell."""
@@ -45,6 +55,9 @@ class SchemaError(ValueError):
 
 class UnknownDatasetError(KeyError):
     """Dataset name not present in the registry."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])  # KeyError's own str() quotes the message
 
 
 @dataclass(frozen=True)
@@ -160,6 +173,66 @@ def check_float(value, key: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return number
+
+
+def _at_least(low: int):
+    return lambda v: None if v >= low else f">= {low}"
+
+
+def _c_fault(c: float) -> str | None:
+    # 1 / c must be finite too: a subnormal c would add inf to the Gram
+    if not c > 0:
+        return "positive"
+    if not math.isfinite(1.0 / c):
+        return "large enough for a finite 1 / c"
+    return None
+
+
+# Every setting's rule, under each name it goes by: the strings it may hold, or
+# its type and a range rule mapping a value to what it must be instead (None if
+# it may be). step and L_max have the one joint range elm.check_grid applies.
+_SETTINGS = {
+    "approach": (APPROACHES, None),
+    **dict.fromkeys(("norm_mode", "mode"), (NORM_MODES, None)),
+    **dict.fromkeys(("L", "n_filters", "n_aps", "n_features", "n_train", "n_test"),
+                    (int, _at_least(1))),
+    **dict.fromkeys(("step", "L_max"), (int, None)),
+    "seed": (int, _at_least(0)),
+    # "same" padding keeps input and output aligned only for odd kernels
+    "kernel_size": (int, lambda v: None if v >= 1 and v % 2 == 1 else "odd and positive"),
+    "c": (float, _c_fault),
+    "min_rss": (float, lambda v: None if v < 0 else "negative"),
+    **dict.fromkeys(("quantize", "quantized"), (bool, None)),
+}
+
+
+def check_setting(name: str, value):
+    """``value`` checked by the rule ``_SETTINGS`` holds for the setting ``name``;
+    the value to store.
+
+    Raises ``ValueError`` naming the setting. Integers come back as Python ints
+    and numbers as Python floats, so a checked setting always serializes.
+    """
+    kind, fault = _SETTINGS[name]
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    elif kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must hold true or false, got {value!r}")
+    else:
+        value = check_int(value, name) if kind is int else check_float(value, name)
+    wrong = fault and fault(value)
+    if wrong:
+        raise ValueError(f"{name} must be {wrong}, got {value!r}")
+    return value
+
+
+def store_settings(obj, names) -> None:
+    """Each setting in ``names`` of the frozen dataclass ``obj`` replaced by its
+    ``check_setting`` value: the one check its constructor makes of them."""
+    for name in names:
+        object.__setattr__(obj, name, check_setting(name, getattr(obj, name)))
 
 
 # numpy dtype kinds of arrays that hold no numbers. A lone true among
@@ -445,6 +518,7 @@ def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[R
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    seed = check_setting("seed", seed)
     classes, index = class_index(radio_map.label_pairs())
     rng = np.random.default_rng(seed)
     val_mask = np.zeros(radio_map.n_samples, dtype=bool)

@@ -31,13 +31,13 @@ infinities, once on each path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import check_finite, class_index, feature_matrix, frozen, label_rows
+from .dataset import (check_finite, check_setting, class_index, feature_matrix, frozen, label_rows,
+                      store_settings)
 
 #: The most float64 entries the seed-drawn hidden weights ``w`` (n_features x L)
 #: may hold: 512 MB. Every registry dataset at its registry L needs under 1% of
@@ -93,9 +93,10 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
 
     The stream is consumed neuron by neuron (all d weights of neuron 0, then
     neuron 1, ...) followed by the L biases, so for a fixed seed the weight
-    columns of a smaller layer are a prefix of a larger one's. The size is
-    checked by ``check_hidden_size`` before anything is drawn.
+    columns of a smaller layer are a prefix of a larger one's. ``seed`` and ``L``
+    pass ``check_setting`` and the size ``check_hidden_size`` before anything is drawn.
     """
+    seed, L = check_setting("seed", seed), check_setting("L", L)
     check_hidden_size(d, L)
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=(L, d)).T
@@ -121,27 +122,18 @@ def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray, what: str = "feature
     return h
 
 
-def c_fault(c) -> str | None:
-    """What the ridge term ``c`` must be instead, or None: positive, and large
-    enough that 1 / c is finite (a subnormal c would add inf to the Gram)."""
-    if not c > 0:
-        return "positive"
-    if not math.isfinite(1.0 / float(c)):
-        return "large enough for a finite 1 / c"
-    return None
-
-
 def _factor(h: np.ndarray, t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor ``low`` of H^T H + I / c and u = low^-1 H^T T.
 
     beta is low^-T u. Forward substitution works on prefixes: ``low[:L, :L]``
     and ``u[:L]`` are the same pair for the first L columns of H. ``h`` and
-    ``t`` are trusted; a Gram matrix that is not positive definite raises
-    ``ValueError`` naming L and c.
+    ``t`` are trusted; a ``c`` that ``check_setting`` refuses, or a Gram matrix
+    that is not positive definite, raises ``ValueError`` naming c.
     """
-    fault = c_fault(c)
-    if fault:
-        raise ValueError(f"regularization term c must be {fault}, got {c}")
+    try:
+        c = check_setting("c", c)
+    except ValueError as exc:
+        raise ValueError(f"regularization term {exc}") from None
     gram = h.T @ h
     gram += np.eye(gram.shape[0]) / c
     try:
@@ -209,11 +201,8 @@ class ElmModel:
 
     def __post_init__(self):
         beta = feature_matrix(self.beta, "beta", width=self.codebook.n_classes, nonempty=True)
-        fault = c_fault(self.c)
-        if fault:
-            raise ValueError(f"c must be {fault}, got {self.c}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        store_settings(self, ("c", "seed", "n_features"))
+        check_setting("quantized", self.int8)  # the name a model file gives the flag
         check_hidden_size(self.n_features, beta.shape[0])
         # Checked once here, so the per-query path trusts the weights.
         check_finite(beta, "beta")
@@ -356,7 +345,10 @@ class SweepResult:
 
 
 def check_grid(step: int, L_max: int) -> None:
-    """The hidden-size grid ``sweep_hidden`` accepts: 1 <= step <= L_max."""
+    """The hidden-size grid ``sweep_hidden`` accepts: integers ``check_setting``
+    passes, with 1 <= step <= L_max."""
+    check_setting("step", step)
+    check_setting("L_max", L_max)
     if step < 1 or L_max < step:
         raise ValueError(f"need 1 <= step <= L_max, got step={step}, L_max={L_max}")
 

@@ -40,9 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import knn as knn_mod
-from .dataset import (ParseError, RadioMap, SchemaError, UnknownDatasetError, label_rows,
-                      registry_lookup)
-from .pipeline import PipelineConfig, check_setting, fit_pipeline, predict_pipeline
+from .dataset import (ParseError, RadioMap, SchemaError, UnknownDatasetError, check_setting,
+                      label_rows, registry_lookup)
+from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from .preprocess import _fit_transform, apply_preprocess
 
 APPROACHES = ("knn", "elm_only", "cnn_elm")

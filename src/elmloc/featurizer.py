@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .dataset import feature_matrix, frozen
+from .dataset import feature_matrix, frozen, store_settings
 
 #: Average-pooling window, which is also its stride.
 POOL = 2
@@ -48,15 +48,9 @@ class FeaturizerSpec:
     n_aps: int
 
     def __post_init__(self):
-        if self.n_filters < 1:
-            raise ValueError("n_filters must be >= 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            # "same" padding keeps input/output aligned only for odd kernels
-            raise ValueError(f"kernel_size must be odd and positive, got {self.kernel_size}")
+        store_settings(self, ("n_filters", "kernel_size", "seed", "n_aps"))
         if self.n_aps < self.kernel_size:
             raise ValueError(f"kernel_size {self.kernel_size} exceeds the {self.n_aps} AP columns")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @cached_property
     def filters(self) -> np.ndarray:

@@ -14,10 +14,13 @@ no float copy of its hidden weights: a query dequantizes the rows it reads.
 the same stages. The CLI and the benchmark call these three and do not
 rebuild the stages themselves; ``elmloc train`` is one ``fit_pipeline`` call.
 
-``PipelineConfig`` is the one place that knows what a valid setting is:
-``check_setting`` checks each field, whether it comes from Python code or a
-CLI config file. A trained model keeps no config: each setting is read from
-the part that holds it.
+``PipelineConfig`` checks each field with ``dataset.check_setting``, the one
+rule table for a setting, whether it comes from Python code or a CLI config
+file. A trained model keeps no config: each setting is read from the part
+that holds it, and each part's constructor checks it by the same table.
+``load_model`` builds the parts through those constructors; it checks the
+file's format and keys itself, and what no part holds: ``n_aps``, the
+codebook's labels and ``random_sha256``.
 """
 
 from __future__ import annotations
@@ -31,18 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_float, check_int, split_validation
+from .dataset import RadioMap, check_int, check_setting, split_validation, store_settings
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
-from .preprocess import NORM_MODES, PreprocessParams, _fit_transform, _rss_of, _transform
+from .preprocess import PreprocessParams, _fit_transform, _rss_of, _transform
 
 _FORMAT = "elmloc-model-v3"
-
-APPROACHES = ("cnn_elm", "elm_only")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Resolved training knobs for one run, each checked by ``check_setting``."""
+    """Resolved training knobs for one run, each checked by ``dataset.check_setting``."""
 
     L: int
     c: float
@@ -54,43 +55,7 @@ class PipelineConfig:
     quantize: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, check_setting(f.name, getattr(self, f.name)))
-
-
-# The str fields' allowed values; the other fields are checked by their annotation.
-_CHOICES = {"approach": APPROACHES, "norm_mode": NORM_MODES}
-_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-# The numeric fields' ranges: each maps a value to what it must be instead, or None.
-_RANGES = {
-    "L": lambda v: None if v >= 1 else ">= 1",
-    "c": elm_mod.c_fault,
-    "seed": lambda v: None if v >= 0 else ">= 0",
-    "n_filters": lambda v: None if v >= 1 else ">= 1",
-    "kernel_size": lambda v: None if v >= 1 and v % 2 == 1 else "odd and positive",
-}
-
-
-def check_setting(name: str, value):
-    """``value`` checked as the ``PipelineConfig`` field ``name``; the value to store.
-
-    Raises ``ValueError`` naming the field. Integers come back as Python ints
-    and numbers as Python floats, so a checked config always serializes.
-    """
-    if name in _CHOICES:
-        if not isinstance(value, str) or value not in _CHOICES[name]:
-            raise ValueError(f"{name} must be one of {', '.join(_CHOICES[name])}, got {value!r}")
-        return value
-    if _TYPES[name] == "int":
-        value = check_int(value, name)
-    elif _TYPES[name] == "float":
-        value = check_float(value, name)
-    elif not isinstance(value, bool):
-        raise ValueError(f"{name} must hold true or false, got {value!r}")
-    fault = _RANGES[name](value) if name in _RANGES else None
-    if fault:
-        raise ValueError(f"{name} must be {fault}, got {value!r}")
-    return value
+        store_settings(self, [f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -286,32 +251,21 @@ def load_model(path) -> TrainedModel:
     if not isinstance(doc["dataset"], str):
         raise ValueError(f"{path}: model key 'dataset' must hold a string")
     with _section(path, doc, "n_aps") as n_aps:
-        if check_int(n_aps, "n_aps") < 1:
-            raise ValueError(f"n_aps must be >= 1, got {n_aps}")
+        check_setting("n_aps", n_aps)
     with _section(path, doc, "preprocess") as section:
-        norms = section["feature_norms"]
-        params = PreprocessParams(
-            check_float(section["min_rss"], "min_rss"),
-            section["mode"],
-            norms,
-        )
+        params = PreprocessParams(**section)
+        norms = params.feature_norms
         if params.mode == "per_feature" and (norms is None or len(norms) != n_aps):
             got = None if norms is None else len(norms)
             raise ValueError(f"feature_norms must hold n_aps = {n_aps} norms, got {got}")
     with _section(path, doc, "featurizer") as section:
-        featurizer = None if section is None else FeaturizerSpec(
-            **{key: check_int(section[key], key) for key in ("n_filters", "kernel_size", "seed")},
-            n_aps=n_aps,
-        )
+        featurizer = None if section is None else FeaturizerSpec(**section, n_aps=n_aps)
         width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
     with _section(path, doc, "elm") as section:
-        beta, seed = section["beta"], check_int(section["seed"], "seed")
-        quantized = section["quantized"]
-        if not isinstance(quantized, bool):
-            raise ValueError(f"quantized must hold true or false, got {quantized!r}")
+        # label_rows would read a JSON true as 1: each label is checked as an integer
         pairs = np.array([[check_int(v, "codebook") for v in row] for row in section["codebook"]])
-        c = check_float(section["c"], "c")
-        elm = elm_mod.ElmModel(beta, c, elm_mod.ClassCodebook(pairs), seed, width, quantized)
+        elm = elm_mod.ElmModel(section["beta"], section["c"], elm_mod.ClassCodebook(pairs),
+                               section["seed"], width, section["quantized"])
     model = TrainedModel(params, featurizer, elm, dataset=doc["dataset"])
     if doc["random_sha256"] != _random_sha256(model):
         raise ValueError(

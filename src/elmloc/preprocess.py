@@ -33,12 +33,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import NOT_DETECTED, RadioMap, check_array, check_finite, frozen, rss_matrix
+from .dataset import (NOT_DETECTED, RadioMap, check_array, check_finite, frozen, rss_matrix,
+                      store_settings)
 
 #: Powed exponent: the mathematical constant e.
 EXPONENT = math.e
-
-NORM_MODES = ("per_feature", "per_sample")
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,7 @@ class PreprocessParams:
     feature_norms: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mode not in NORM_MODES:
-            raise ValueError(f"mode must be one of {NORM_MODES}, got {self.mode!r}")
-        if not self.min_rss < 0:
-            raise ValueError(f"min_rss must be negative, got {self.min_rss}")
+        store_settings(self, ("min_rss", "mode"))
         if self.feature_norms is not None:
             if self.mode == "per_sample":
                 raise ValueError("per_sample mode takes no feature_norms")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import RadioMap
+from .dataset import RadioMap, check_setting
 
 #: Seed of the bundled benchmark instance (registry entry SYN1).
 DEFAULT_SEED = 7
@@ -87,7 +87,11 @@ def generate_synthetic(
     n_test: int = 1000,
     n_aps: int = 100,
 ) -> tuple[RadioMap, RadioMap]:
-    """(train, test) radio maps of the synthetic environment."""
+    """(train, test) radio maps of the synthetic environment; ``ValueError`` naming
+    the argument for a seed or size ``dataset.check_setting`` refuses."""
+    for name, value in (("seed", seed), ("n_train", n_train), ("n_test", n_test),
+                        ("n_aps", n_aps)):
+        check_setting(name, value)
     rng = np.random.default_rng(seed)
     ap_idx = np.arange(n_aps)
     ap_building, ap_floor = _ap_combo(ap_idx, n_aps)

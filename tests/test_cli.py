@@ -683,8 +683,10 @@ class TestBenchmarkReport:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == f"FAILED UJI1: missing file: {tmp_path / 'UJI1' / 'manifest.json'}"
-        assert err[1].startswith("FAILED NOPE: \"unknown dataset 'NOPE'; known: ")
+        assert err[1].startswith("FAILED NOPE: unknown dataset 'NOPE'; known: ")
         assert err[2:] == ["error: every requested dataset failed to load"]
+        failures = json.loads((tmp_path / "r" / "report.json").read_text())["failures"]
+        assert failures["NOPE"].startswith("unknown dataset 'NOPE'; known: ")
 
     def test_failed_dataset_reported_and_skipped(self, data_root, tmp_path, capsys):
         # a registered set without files fails alone; the others still run
