@@ -11,17 +11,20 @@ SYN1 is generated in memory when its files are absent. Option precedence is
 CLI flag > config file (``--config``) > registry > ``PipelineConfig``
 defaults. Each command names the settings it reads (``_TRAIN_KEYS``, every
 ``PipelineConfig`` field, and ``_SWEEP_KEYS``); any other config-file key is an
-error, and flag and file values go through ``dataset.check_setting``, the one
-rule table for a setting, so they are checked, not cast or dropped, before any
-data is read. The resolved configuration and its digest are echoed so every
-run is reproducible.
+error. File values go through ``dataset.check_setting``, the one rule table for
+a setting, and flag text through ``dataset.parse_setting``, which converts it by
+the kind that table gives and then checks it, so both are checked, not dropped,
+before any data is read, and refused with the same message. The resolved
+configuration and its digest are echoed so every run is reproducible.
 
 ``predict`` reads its query file once: mapped by a ``manifest.json`` beside it,
 whose labels are then scored, or else exactly the model's AP columns with 100
 for an AP not heard. Its header is checked even when the file has no rows.
 
 Exit codes: 0 success, 1 reserved for accuracy-gate failures in CI
-wrappers, 2 I/O or configuration errors.
+wrappers, 2 I/O, configuration or usage errors. Every refusal, argparse's own
+included, prints ``error: <message>`` on stderr and, under ``--error-json``, one
+JSON object on stdout.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ import numpy as np
 
 from . import evaluation
 from .dataset import (
-    APPROACHES,
-    NORM_MODES,
     DatasetDescriptor,
     ParseError,
     RadioMap,
@@ -51,6 +52,7 @@ from .dataset import (
     class_index,
     load_csv,
     load_manifest,
+    parse_setting,
     registry_lookup,
     registry_names,
     rss_matrix,
@@ -72,6 +74,14 @@ _DATA_ROOT_ENV = "ELMLOC_DATA_ROOT"
 
 class CliError(Exception):
     """User-facing failure; message printed, exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals (an unknown flag or command, a missing
+    one) raise ``CliError``, so ``main`` reports them as it reports any other."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _data_root(args) -> Path:
@@ -130,29 +140,6 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _hidden_size(text: str):
-    """Type of the --L flag: an integer or 'auto'."""
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
-
-
-def _seed_list(text: str) -> list[int]:
-    """Type of the --seeds flag: comma-separated integers, each a valid seed."""
-    try:
-        seeds = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
-    try:
-        return [check_setting("seed", seed) for seed in seeds]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 # The PipelineConfig fields each command reads, from a flag or a config file.
 # The sweep's hidden sizes come from --L-max and --step, and it saves no model.
 _TRAIN_KEYS = tuple(f.name for f in fields(PipelineConfig))
@@ -178,19 +165,26 @@ def _resolve_run(args, keys: tuple[str, ...]) -> dict:
         resolved[key] = defaults[key]
         if key in cfg_file:
             try:
-                resolved[key] = _setting(key, cfg_file[key])
+                resolved[key] = _setting(key, cfg_file[key], check_setting)
             except ValueError as exc:
                 raise CliError(f"config file {args.config}: {exc}") from None
         if getattr(args, key) is not None:
-            resolved[key] = _setting(key, getattr(args, key))
+            resolved[key] = _setting(key, getattr(args, key), parse_setting)
     if resolved["c"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --c")
     return resolved
 
 
-def _setting(key: str, value):
-    """``value`` checked as the setting ``key``; L may also be "auto"."""
-    return value if key == "L" and value == "auto" else check_setting(key, value)
+def _setting(key: str, value, read):
+    """``value`` read as the setting ``key`` by ``check_setting`` (a file's value)
+    or ``parse_setting`` (a flag's text); L may also be "auto"."""
+    return value if key == "L" and value == "auto" else read(key, value)
+
+
+def _grid(args) -> tuple[int, int]:
+    """--step and --L-max, each read as its setting on every run; their joint
+    rule is ``check_grid``'s, which only a sweep applies."""
+    return parse_setting("step", args.step), parse_setting("L_max", args.L_max)
 
 
 def _config(resolved: dict, keys: tuple[str, ...], **override) -> PipelineConfig:
@@ -238,14 +232,15 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     resolved = _resolve_run(args, _TRAIN_KEYS)
+    step, L_max = _grid(args)
     if resolved["L"] is None:
         raise CliError(f"dataset {args.dataset!r} is unregistered; pass --L")
     if resolved["L"] == "auto":
-        check_grid(args.step, args.L_max)
+        check_grid(step, L_max)
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     if resolved["L"] == "auto":
-        result = sweep_pipeline(train, _config(resolved, _TRAIN_KEYS, L=args.L_max), args.step)
+        result = sweep_pipeline(train, _config(resolved, _TRAIN_KEYS, L=L_max), step)
         grid = ", ".join(str(s) for s in result.sizes.tolist())
         print(f"sweep grid: {{{grid}}}")
         best_idx = int(np.nonzero(result.sizes == result.best_L)[0][0])
@@ -325,13 +320,14 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     resolved = _resolve_run(args, _SWEEP_KEYS)
-    check_grid(args.step, args.L_max)
-    config = _config(resolved, _SWEEP_KEYS, L=args.L_max)
-    resolved.update(L_max=args.L_max, step=args.step)  # the grid the sweep fits
+    step, L_max = _grid(args)
+    check_grid(step, L_max)
+    config = _config(resolved, _SWEEP_KEYS, L=L_max)
+    resolved.update(L_max=L_max, step=step)  # the grid the sweep fits
     root = _data_root(args)
     train = _load_train(args.dataset, root)
     _echo(resolved)
-    result = sweep_pipeline(train, config, args.step)
+    result = sweep_pipeline(train, config, step)
     print(f"{'L':>6} {'floor_hit':>10} {'building_hit':>13}")
     for L, fh_, bh in zip(result.sizes, result.floor_hits, result.building_hits):
         marker = "  <- selected" if int(L) == result.best_L else ""
@@ -344,7 +340,7 @@ def cmd_benchmark(args) -> int:
     root = _data_root(args)
     datasets = args.datasets.split(",")
     approaches = args.approaches.split(",")
-    seeds = args.seeds
+    seeds = [parse_setting("seed", seed) for seed in args.seeds.split(",")]
     out_dir = Path(args.out_dir)
 
     def loader(name):
@@ -379,18 +375,18 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help=f"one of {', '.join(registry_names())} or a user dataset")
     p.add_argument("--data-root", help=f"dataset root directory (default: ${_DATA_ROOT_ENV} or .)")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--approach", choices=APPROACHES)
-    p.add_argument("--c", type=float, help="regularization term")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--norm-mode", choices=NORM_MODES)
-    p.add_argument("--kernel-size", type=int)
-    p.add_argument("--n-filters", type=int)
-    p.add_argument("--L-max", type=int, default=500, help="sweep upper bound")
-    p.add_argument("--step", type=int, default=5, help="sweep grid step")
+    p.add_argument("--approach")
+    p.add_argument("--c", help="regularization term")
+    p.add_argument("--seed")
+    p.add_argument("--norm-mode")
+    p.add_argument("--kernel-size")
+    p.add_argument("--n-filters")
+    p.add_argument("--L-max", default=500, help="sweep upper bound")
+    p.add_argument("--step", default=5, help="sweep grid step")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elmloc",
         description="Building/floor classification from Wi-Fi RSS fingerprints.",
     )
@@ -408,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it to JSON")
     _add_common_train_flags(p)
-    p.add_argument("--L", type=_hidden_size, help="hidden neurons, or 'auto' to sweep")
+    p.add_argument("--L", help="hidden neurons, or 'auto' to sweep")
     p.add_argument("--quantize", action="store_true", default=None,
                    help="attach int8 weights to the model")
     p.add_argument("--out", help="model output path (default <dataset>.model.json)")
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the dataset x approach x seed table")
     p.add_argument("--datasets", required=True, help="comma-separated registered names")
     p.add_argument("--approaches", default=",".join(evaluation.APPROACHES))
-    p.add_argument("--seeds", type=_seed_list, default=",".join(map(str, evaluation.SEEDS)),
+    p.add_argument("--seeds", default=",".join(map(str, evaluation.SEEDS)),
                    help="comma-separated integer seeds")
     p.add_argument("--data-root")
     p.add_argument("--out-dir", default="reports")
@@ -444,11 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # --error-json is read before the command's own flags, so a refusal of
+    # those still finds it set
+    args = argparse.Namespace(error_json=False)
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except (CliError, OSError, ParseError, SchemaError, UnknownDatasetError, ValueError) as exc:
-        if getattr(args, "error_json", False):
+        if args.error_json:
             print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,10 +19,11 @@ header's width before any row is parsed, and numpy's C parser reads the rows
 as they stream. Only input it cannot vouch for is read again, twice, row by
 row with float(), which names the offending line.
 
-Every setting (a seed, a size, the ridge term c, a mode or the int8 flag)
-passes ``check_setting``, which reads its rule from one table, ``_SETTINGS``:
-the config, the stage constructors and the entry points that take one all
-call it.
+Every setting (a seed, a size, the ridge term c, a split fraction, a mode or
+the int8 flag) passes ``check_setting``, which reads its rule from one table,
+``_SETTINGS``: the config, the stage constructors and the entry points that
+take one all call it. A command-line flag's text goes through
+``parse_setting``, which converts it by the kind that table gives first.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ _SETTINGS = {
     "kernel_size": (int, lambda v: None if v >= 1 and v % 2 == 1 else "odd and positive"),
     "c": (float, _c_fault),
     "min_rss": (float, lambda v: None if v < 0 else "negative"),
+    "fraction": (float, lambda v: None if 0 < v < 1 else "in (0, 1)"),
     **dict.fromkeys(("quantize", "quantized"), (bool, None)),
 }
 
@@ -226,6 +228,20 @@ def check_setting(name: str, value):
     if wrong:
         raise ValueError(f"{name} must be {wrong}, got {value!r}")
     return value
+
+
+def parse_setting(name: str, text: str):
+    """The setting ``name`` read from command-line ``text``: converted by the
+    kind ``_SETTINGS`` gives, as ``int(text)`` or ``float(text)``, then checked
+    by ``check_setting``. Text that does not convert is checked as it is, so it
+    is refused with the message a config-file string gets."""
+    kind = _SETTINGS[name][0]
+    if kind in (int, float):
+        try:
+            text = kind(text)
+        except ValueError:
+            pass
+    return check_setting(name, text)
 
 
 def store_settings(obj, names) -> None:
@@ -516,8 +532,7 @@ def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[R
     with fewer than 2 samples stay in training (with a warning); a map with no
     larger group raises ``ValueError``. Both outputs keep the input's row order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    fraction = check_setting("fraction", fraction)
     seed = check_setting("seed", seed)
     classes, index = class_index(radio_map.label_pairs())
     rng = np.random.default_rng(seed)

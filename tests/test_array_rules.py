@@ -162,6 +162,7 @@ SETTING_DOORS = {
     "sweep_pipeline.step": ("step", int,
                             lambda v: sweep_pipeline(MAP, PipelineConfig(L=5, c=1.0), step=v)),
     "split_validation.seed": ("seed", int, lambda v: split_validation(MAP, 0.1, v)),
+    "split_validation.fraction": ("fraction", float, lambda v: split_validation(MAP, v, 0)),
     "FeaturizerSpec.n_filters": ("n_filters", int, lambda v: FeaturizerSpec(v, 3, 0, 4)),
     "FeaturizerSpec.kernel_size": ("kernel_size", int, lambda v: FeaturizerSpec(2, v, 0, 4)),
     "FeaturizerSpec.seed": ("seed", int, lambda v: FeaturizerSpec(2, 3, v, 4)),

@@ -303,12 +303,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     def test_bad_hidden_size_flag_named(self, data_root, capsys, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--dataset", "TST1", "--data-root", str(data_root),
-                  "--L", value])
-        assert exc.value.code == 2
-        assert re.search(rf"argument --L: expected an integer or 'auto', got '{value}'",
-                         capsys.readouterr().err)
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--L", value]) == 2
+        assert capsys.readouterr().err == f"error: L must hold 64-bit integers, got '{value}'\n"
 
     def test_auto_sweep(self, data_root, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -547,10 +544,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("flags", [["--L", "7"], ["--quantize"]])
     def test_takes_no_L_or_quantize_flag(self, data_root, capsys, flags):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--dataset", "TST1", "--data-root", str(data_root), *flags])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert main(["sweep", "--dataset", "TST1", "--data-root", str(data_root), *flags]) == 2
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {' '.join(flags)}\n"
 
     def test_takes_no_quantize_key_and_echoes_none(self, data_root, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -655,25 +650,21 @@ class TestBenchmarkReport:
         assert any(line.startswith("TST1") for line in rendered)
         assert rendered[-1].startswith("config_digest:")
 
-    @pytest.mark.parametrize("seeds", ["a", "0,,1"])
-    def test_bad_seeds_flag_named(self, tmp_path, capsys, seeds):
-        with pytest.raises(SystemExit) as exc:
-            main(["benchmark", "--datasets", "TST1", "--seeds", seeds,
-                  "--out-dir", str(tmp_path / "r")])
-        assert exc.value.code == 2
-        assert re.search(rf"argument --seeds: expected comma-separated integers, "
-                         rf"got '{seeds}'", capsys.readouterr().err)
+    # each entry is read as a seed setting; the message quotes the first bad one
+    @pytest.mark.parametrize("seeds, bad", [("a", "a"), ("0,,1", "")], ids=["a", "0,,1"])
+    def test_bad_seeds_flag_named(self, tmp_path, capsys, seeds, bad):
+        assert main(["benchmark", "--datasets", "TST1", "--seeds", seeds,
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: seed must hold 64-bit integers, got '{bad}'\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("seeds", ["-1", "0,-2", str(2 ** 63)])
     def test_bad_seed_rejected_before_loading(self, tmp_path, capsys, seeds):
         # SYN1 needs no files, so a late check would generate it and run 1-NN first
-        with pytest.raises(SystemExit) as exc:
-            main(["benchmark", "--datasets", "SYN1", f"--seeds={seeds}",
-                  "--out-dir", str(tmp_path / "r")])
-        assert exc.value.code == 2
-        assert re.search(r"argument --seeds: seed must (be >= 0|hold 64-bit integers), got",
-                         capsys.readouterr().err)
+        assert main(["benchmark", "--datasets", "SYN1", f"--seeds={seeds}",
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert re.fullmatch(r"error: seed must (be >= 0|hold 64-bit integers), got -?\d+\n",
+                            capsys.readouterr().err)
         assert not (tmp_path / "r").exists()
 
     def test_benchmark_all_failed(self, tmp_path, capsys):
@@ -780,10 +771,82 @@ class TestErrorSurface:
         assert "error" in obj and "type" in obj
         assert "error:" in captured.err
 
-    def test_usage_error_exits_2(self):
+    def test_usage_error_exits_2(self, capsys):
+        assert main(["train"]) == 2  # --dataset is required
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: --dataset\n")
+
+    # argparse's own refusals reach the same handler as every other refusal
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--datset", "SYN1"], "the following arguments are required: --dataset"),
+        (["ingest", "--dataset", "SYN1", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'ingest', "
+                    "'train', 'predict', 'sweep', 'benchmark', 'report')"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing_flag", "unknown_flag", "unknown_command", "no_command"])
+    def test_usage_error_prints_error_json(self, capsys, argv, message):
+        assert main(["--error-json", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"error": message, "type": "CliError"}
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["train"])  # --dataset is required
-        assert exc.value.code == 2
+            main(["--error-json", "train", "-h"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: elmloc train") and captured.err == ""
+
+
+# each setting flag, given text that does not convert and a value the setting's
+# rule refuses: the message is the one a config file's value gets
+SETTING_FLAGS = [
+    ("--approach", "bogus", "approach must be one of cnn_elm, elm_only, got 'bogus'"),
+    ("--norm-mode", "global", "norm_mode must be one of per_feature, per_sample, got 'global'"),
+    ("--c", "x", "c must hold a float, got 'x'"),
+    ("--c", "0", "c must be positive, got 0.0"),
+    ("--c", "inf", "c must be finite, got inf"),
+    ("--seed", "x", "seed must hold 64-bit integers, got 'x'"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--kernel-size", "3.0", "kernel_size must hold 64-bit integers, got '3.0'"),
+    ("--kernel-size", "4", "kernel_size must be odd and positive, got 4"),
+    ("--n-filters", "x", "n_filters must hold 64-bit integers, got 'x'"),
+    ("--n-filters", "0", "n_filters must be >= 1, got 0"),
+    # train reads --L-max and --step on every run, and sweeps at --L 20 never
+    ("--L-max", "x", "L_max must hold 64-bit integers, got 'x'"),
+    ("--L-max", str(2 ** 63), f"L_max must hold 64-bit integers, got {2 ** 63}"),
+    ("--step", "x", "step must hold 64-bit integers, got 'x'"),
+    ("--step", str(2 ** 63), f"step must hold 64-bit integers, got {2 ** 63}"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param([command, flag, value], message, id=f"{command}{flag}={value}")
+      for command in ("train", "sweep") for flag, value, message in SETTING_FLAGS),
+    pytest.param(["train", "--L", "x"], "L must hold 64-bit integers, got 'x'", id="train--L=x"),
+    pytest.param(["train", "--L", "0"], "L must be >= 1, got 0", id="train--L=0"),
+    pytest.param(["benchmark", "--seeds", "0,x"], "seed must hold 64-bit integers, got 'x'",
+                 id="benchmark--seeds=0,x"),
+    pytest.param(["benchmark", "--seeds", "0,-1"], "seed must be >= 0, got -1",
+                 id="benchmark--seeds=0,-1"),
+])
+def test_bad_setting_flag_named(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("elmloc.cli._load_splits", None)  # a call would fail
+    command, *flags = argv
+    head = {"train": ["train", "--dataset", "TST1", "--out", str(tmp_path / "m.json")]
+                     + (["--L", "20"] if flags[0] != "--L" else []),
+            "sweep": ["sweep", "--dataset", "TST1"],
+            "benchmark": ["benchmark", "--datasets", "SYN1", "--out-dir", str(tmp_path / "r")]}
+    argv = [*head[command], "--data-root", str(tmp_path), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["--error-json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {"error": message, "type": "ValueError"}
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [

@@ -561,6 +561,22 @@ class TestSplitValidation:
             with pytest.raises(ValueError):
                 split_validation(m, frac, seed=0)
 
+    # the fraction is a setting: a value of another type is refused by name,
+    # not by a comparison's TypeError
+    @pytest.mark.parametrize("frac, message", [
+        (0.0, r"fraction must be in \(0, 1\), got 0\.0"),
+        (1, r"fraction must be in \(0, 1\), got 1\.0"),
+        (-0.1, r"fraction must be in \(0, 1\), got -0\.1"),
+        ("0.1", r"fraction must hold a float, got '0\.1'"),
+        (None, r"fraction must hold a float, got None"),
+        ([0.1], r"fraction must hold a float, got \[0\.1\]"),
+        (math.nan, r"fraction must be finite, got nan"),
+    ])
+    def test_fraction_refused_by_name(self, frac, message):
+        m = RadioMap(rss=-np.ones((10, 3)), floor=np.zeros(10, dtype=int))
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            split_validation(m, frac, seed=0)
+
     @given(label_rows(st.integers(0, 3)), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     @example([(0, 0)] * 5, 0.1, 3)
