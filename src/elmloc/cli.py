@@ -17,6 +17,11 @@ the kind that table gives and then checks it, so both are checked, not dropped,
 before any data is read, and refused with the same message. The resolved
 configuration and its digest are echoed so every run is reproducible.
 
+Every file is decoded as UTF-8, whatever the locale. The model, the config
+file, a manifest and a report pass ``dataset.load_json``: each must hold one
+JSON object that names no key twice, and a file it refuses, one nested too
+deep included, is a ``ParseError`` naming the file.
+
 ``predict`` reads its query file once: mapped by a ``manifest.json`` beside it,
 whose labels are then scored, or else exactly the model's AP columns with 100
 for an AP not heard. Its header is checked even when the file has no rows.
@@ -51,6 +56,7 @@ from .dataset import (
     check_setting,
     class_index,
     load_csv,
+    load_json,
     load_manifest,
     parse_setting,
     registry_lookup,
@@ -127,19 +133,6 @@ def _descriptor(name: str) -> DatasetDescriptor | None:
         return None
 
 
-def _read_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
 # The PipelineConfig fields each command reads, from a flag or a config file.
 # The sweep's hidden sizes come from --L-max and --step, and it saves no model.
 _TRAIN_KEYS = tuple(f.name for f in fields(PipelineConfig))
@@ -152,7 +145,7 @@ def _resolve_run(args, keys: tuple[str, ...]) -> dict:
     CLI flag > config file > registry (L, c) > ``PipelineConfig`` default for
     every key. A file's L may also be "auto", as the --L flag may.
     """
-    cfg_file = _read_config_file(args.config)
+    cfg_file = {} if args.config is None else load_json(args.config, "a valid config file")
     unknown = [key for key in cfg_file if key not in keys]
     if unknown:
         raise CliError(f"config file {args.config}: unknown key {', '.join(map(repr, unknown))}; "
@@ -300,11 +293,11 @@ def cmd_predict(args) -> int:
     queries = _read_queries(queries_path, model)
     labeled = isinstance(queries, RadioMap)
     if len(queries.rss if labeled else queries) == 0:
-        out_path.write_text("building,floor\n")
+        out_path.write_text("building,floor\n", encoding="utf-8")
         print(f"0 queries; wrote {out_path}")
         return 0
     buildings, floors = predict_pipeline(queries, model, quantized=args.quantized)
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("building,floor\n")
         for b, f in zip(buildings, floors):
             fh.write(f"{int(b)},{int(f)}\n")

@@ -13,6 +13,12 @@ Column layout is supplied per dataset through a small JSON manifest:
 
 ``ap_columns`` bounds are inclusive; any other key is ignored.
 
+Every JSON file, a model, a manifest, a config or a report, goes through one
+reader, ``load_json``: it decodes UTF-8 and refuses, naming the file, a
+document whose top level is not an object, one that names a key twice in one
+object and one nested deeper than the parser can follow. The CSV reader
+decodes UTF-8 too, so no file is read in the locale's encoding.
+
 Every fingerprint file, a training split or a query file, goes through one
 reader, which cuts lines where str.splitlines cuts them: the caller checks the
 header's width before any row is parsed, and numpy's C parser reads the rows
@@ -47,7 +53,9 @@ NORM_MODES = ("per_feature", "per_sample")
 
 
 class ParseError(ValueError):
-    """Malformed CSV content: wrong column count or a non-numeric cell."""
+    """A file that is not what it should be: a CSV row of the wrong width, a
+    non-numeric cell or bytes that are not UTF-8, or a JSON file ``load_json``
+    refuses."""
 
 
 class SchemaError(ValueError):
@@ -392,14 +400,37 @@ class Manifest:
     sentinel: float
 
 
+def load_json(path, what: str) -> dict:
+    """The JSON object in the file ``path``, decoded as UTF-8: the one reader of a
+    model, manifest, config or report file. A file that does not decode, is not
+    JSON, nests too deep for the parser, names a key twice in one object or holds
+    no object at its top level raises ``ParseError("<path> is not <what>: <reason>")``;
+    ``OSError`` passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        if not isinstance(doc, dict):
+            raise ValueError("its top level is not a JSON object")
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise ParseError(f"{path} is not {what}: {exc}") from None
+    return doc
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ``ValueError`` for a key named twice,
+    whose later value json would otherwise keep in silence."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is named twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_manifest(path) -> Manifest:
     """Read a dataset manifest JSON into a column schema + raw sentinel."""
     path = Path(path)
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    raw = load_json(path, "valid JSON")
     try:
         ap_lo, ap_hi = raw["ap_columns"]
         building = raw.get("building_col")
@@ -461,7 +492,7 @@ def _read_matrix(path, check_width) -> np.ndarray:
     not decode.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = _lines(fh)
             header = next(lines, (1, None))[1]
             if header is None:
@@ -496,7 +527,7 @@ def _rows(lines):
 def _parse_rows(path, width: int) -> np.ndarray:
     """The data rows of ``path`` read by float(), in two passes over its lines:
     one checks every row's width, the next fills the matrix row by row."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         linenos = []
         for lineno, line in _rows(_lines(fh)):
             found = line.count(",") + 1
@@ -504,7 +535,7 @@ def _parse_rows(path, width: int) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: expected {width} columns, found {found}")
             linenos.append(lineno)
     data = np.empty((len(linenos), width), dtype=np.float64)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for row, (lineno, line) in zip(data, _rows(_lines(fh))):
             cells = line.split(",")
             try:

@@ -8,10 +8,10 @@ appends seed-averaged rows and an over-datasets average row, and can emit
 the table as CSV and JSON.
 
 ``EvalReport`` is the one schema of a row. Its constructor checks each field's
-JSON type (a hit rate, time or ratio is a finite float or None, never an int)
-and range, so ``read_json`` reads back every row the Python API can build and
-applies no check of its own beyond the keys. ``_CELLS`` lays out the CSV
-columns and the text table from one list.
+JSON type, read from the field's annotation (a hit rate, time or ratio is a
+finite float or None, never an int), and range, so ``read_json`` reads back
+every row the Python API can build and applies no check of its own beyond the
+keys. ``_CELLS`` lays out the CSV columns and the text table from one list.
 
 Timing convention: the ELM approaches run through the pipeline, so their
 training phase is one ``fit_pipeline`` call on the raw training split
@@ -35,13 +35,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
 from . import knn as knn_mod
 from .dataset import (ParseError, RadioMap, SchemaError, UnknownDatasetError, check_setting,
-                      label_rows, registry_lookup)
+                      label_rows, load_json, registry_lookup)
 from .pipeline import PipelineConfig, fit_pipeline, predict_pipeline
 from .preprocess import _fit_transform, apply_preprocess
 
@@ -49,23 +49,6 @@ APPROACHES = ("knn", "elm_only", "cnn_elm")
 SEEDS = (0, 1, 2, 3, 4)
 
 _NORM_FIELDS = ("building_hit", "floor_hit", "train_time", "test_time")
-
-# The keys of a report.json row, in the order write_json writes them, each with
-# the types it may hold; every hit rate, time and ratio is a finite float.
-_FLOAT = (float, type(None))
-_ROW_TYPES = {
-    "dataset": str,
-    "approach": str,
-    "seed": (int, str, type(None)),
-    "building_hit": _FLOAT,
-    "floor_hit": _FLOAT,
-    "train_time": _FLOAT,
-    "test_time": _FLOAT,
-    "normalized": (dict, type(None)),
-    "config_digest": str,
-    "note": str,
-}
-
 
 def hit_rate(predicted: np.ndarray, truth: np.ndarray, field: str = "floor") -> float:
     """Percentage of rows whose building or floor label matches exactly.
@@ -109,32 +92,33 @@ def time_phase(phase: Callable[[], object]):
     return result, float(np.median(times))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalReport:
     """One benchmark row. Absent quantities (Table-style dashes) are None.
 
     ``seed`` is an int for a single stochastic run, "mean" for a
     seed-averaged row, and None for deterministic approaches. ``normalized``
     holds {building_hit, floor_hit, train_time, test_time} ratios against an
-    attached baseline row, each None when either side is absent.
+    attached baseline row, each None when either side is absent. The fields
+    are a report.json row's keys, in the order ``write_json`` writes them.
     """
 
     dataset: str
     approach: str
-    floor_hit: float | None
-    test_time: float | None
-    config_digest: str
-    building_hit: float | None = None
-    train_time: float | None = None
     seed: int | str | None = None
+    building_hit: float | None = None
+    floor_hit: float | None
+    train_time: float | None = None
+    test_time: float | None
     normalized: dict | None = None
+    config_digest: str
     note: str = ""
 
     def __post_init__(self):
         for key, types in _ROW_TYPES.items():
             _check_type(key, getattr(self, key), types)
         for key, value in (self.normalized or {}).items():
-            _check_type(f"normalized.{key}", value, _FLOAT)
+            _check_type(f"normalized.{key}", value, _ROW_TYPES["floor_hit"])
         for name in ("building_hit", "floor_hit"):
             v = getattr(self, name)
             if v is not None and not 0.0 <= v <= 100.0:
@@ -147,6 +131,11 @@ class EvalReport:
             extra = set(self.normalized) - set(_NORM_FIELDS)
             if extra:
                 raise ValueError(f"unknown normalized fields: {sorted(extra)}")
+
+
+# Each row key's types, read from the annotations; a hit rate, time or ratio
+# is a finite float or None.
+_ROW_TYPES = get_type_hints(EvalReport)
 
 
 def _check_type(name: str, value, types) -> None:
@@ -409,7 +398,7 @@ def _text(r: EvalReport, field: str, number_format) -> str:
 
 
 def write_csv(rows: list[EvalReport], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows([_text(r, field, fmt) for _, _, _, field, fmt in _CELLS] for r in rows)
@@ -432,7 +421,7 @@ def write_json(rows: list[EvalReport], path, config=None, failures=None, meta=No
         "meta": meta or {},
         "rows": [{key: getattr(r, key) for key in _ROW_TYPES} for r in rows],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -440,18 +429,19 @@ def write_json(rows: list[EvalReport], path, config=None, failures=None, meta=No
 def read_json(path) -> tuple[list[EvalReport], dict]:
     """Load rows written by write_json (for the report command).
 
-    Raises ``ValueError`` naming ``path`` if it holds anything else.
+    Raises ``ValueError`` naming ``path`` if it holds anything else: a
+    ``ParseError`` for a file ``dataset.load_json`` refuses.
     """
+    what = "a report written by elmloc benchmark"
+    payload = load_json(path, what)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict) or not isinstance(payload.get("rows"), list):
+        if not isinstance(payload.get("rows"), list):
             raise ValueError("rows must hold a list of objects")
         if not isinstance(payload.get("failures", {}), dict):
             raise ValueError("failures must hold an object")
         rows = [_row_from_dict(d) for d in payload["rows"]]
-    except ValueError as exc:  # bad JSON and undecodable bytes included
-        raise ValueError(f"{path} is not a report written by elmloc benchmark: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path} is not {what}: {exc}") from None
     return rows, payload
 
 

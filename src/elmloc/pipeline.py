@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_int, check_setting, split_validation, store_settings
+from .dataset import (RadioMap, check_int, check_setting, load_json, split_validation,
+                      store_settings)
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import PreprocessParams, _fit_transform, _rss_of, _transform
 
@@ -188,7 +189,7 @@ def save_model(model: TrainedModel, path) -> None:
     }
     # json.dumps, not json.dump: only the one-shot encoder runs in C; it
     # writes the same bytes in about half the time.
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
 
@@ -232,19 +233,16 @@ def _section(path: Path, doc: dict, key: str):
 def load_model(path) -> TrainedModel:
     """The model in an ``elmloc-model-v3`` file.
 
-    Raises ``ValueError`` naming the file and the key of a value that cannot be
+    A file ``dataset.load_json`` refuses raises its ``ParseError``. Otherwise
+    ``ValueError`` names the file and the key of a value that cannot be
     served: another format, a key ``save_model`` does not write or a missing
     one, a hidden layer larger than ``elm.MAX_HIDDEN_WEIGHTS`` (before anything
     is drawn), or a ``random_sha256`` that n_aps and the rebuilt arrays do not
     match.
     """
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path} is not a valid model file: {exc}") from exc
-    fmt = doc.get("format") if isinstance(doc, dict) else None
+    doc = load_json(path, "a valid model file")
+    fmt = doc.get("format")
     if fmt != _FORMAT:
         raise ValueError(f"{path}: unrecognized model format {fmt!r}")
     _check_keys(path, doc)

@@ -24,9 +24,14 @@ from test_pipeline import (
 from elmloc import dataset, pipeline
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor
+from elmloc.evaluation import read_json
 from elmloc.pipeline import PipelineConfig, load_model
 
 pytestmark = pytest.mark.usefixtures("tst1_registered")
+
+# a JSON document nested this deep exceeds any recursion limit the parser may use
+DEEP = 200_000
+REPORT_DIR = Path(__file__).parent / "data" / "report"
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +226,18 @@ class TestTrain:
         assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
                      "--config", str(cfg_path), "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == (
-            f"error: config file {cfg_path} must hold a JSON object\n")
+            f"error: {cfg_path} is not a valid config file: its top level is not a JSON object\n")
+
+    def test_config_file_missing_named(self, data_root, tmp_path, capsys):
+        # the OSError passes through as it is, and it names the file
+        cfg_path = tmp_path / "run.json"
+        assert main(["--error-json", "train", "--dataset", "TST1", "--data-root",
+                     str(data_root), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        captured = capsys.readouterr()
+        message = f"[Errno 2] No such file or directory: '{cfg_path}'"
+        assert captured.err == f"error: {message}\n"
+        assert json.loads(captured.out) == {"error": message, "type": "FileNotFoundError"}
 
     def test_config_file_values_kept(self, data_root, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -650,6 +666,23 @@ class TestBenchmarkReport:
         assert any(line.startswith("TST1") for line in rendered)
         assert rendered[-1].startswith("config_digest:")
 
+    def test_deep_manifest_fails_its_dataset_alone(self, tmp_path, capsys):
+        # the parser's RecursionError is the manifest's ParseError, which the
+        # benchmark records; SYN1, generated in memory, still runs
+        (tmp_path / "UJI1").mkdir()
+        manifest = tmp_path / "UJI1" / "manifest.json"
+        manifest.write_text("[" * DEEP + "]" * DEEP)
+        out_dir = tmp_path / "r"
+        assert main(["benchmark", "--datasets", "UJI1,SYN1", "--approaches", "knn",
+                     "--seeds", "0", "--data-root", str(tmp_path),
+                     "--out-dir", str(out_dir)]) == 0
+        failed = f"{manifest} is not valid JSON: maximum recursion depth exceeded"
+        assert capsys.readouterr().err.startswith(f"FAILED UJI1: {failed}")
+        rows, payload = read_json(out_dir / "report.json")
+        assert list(payload["failures"]) == ["UJI1"]
+        assert payload["failures"]["UJI1"].startswith(failed)
+        assert [r.approach for r in rows if r.dataset == "SYN1"] == ["knn"]
+
     # each entry is read as a seed setting; the message quotes the first bad one
     @pytest.mark.parametrize("seeds, bad", [("a", "a"), ("0,,1", "")], ids=["a", "0,,1"])
     def test_bad_seeds_flag_named(self, tmp_path, capsys, seeds, bad):
@@ -739,6 +772,41 @@ class TestErrorSurface:
         assert main(argv.get(name, train)) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "'utf-8' codec can't decode byte 0xff" in err
+
+    # the JSON files: each passes dataset.load_json, whose refusals name the file
+    @pytest.mark.parametrize("name", ["model", "config", "manifest", "report"])
+    @pytest.mark.parametrize("flaw, reason", [
+        pytest.param(lambda text: '{"a": ' * DEEP + "0" + "}" * DEEP,
+                     "maximum recursion depth exceeded", id="deep"),
+        # the first key again, before the file's own: json alone keeps the later value
+        pytest.param(lambda text: f'{{"{next(iter(json.loads(text)))}": null, ' + text[1:],
+                     "is named twice in one object", id="repeated_key"),
+    ])
+    def test_refused_json_file_named(self, data_root, model_path, tmp_path, capsys, name,
+                                     flaw, reason):
+        root = tmp_path / "root"
+        (root / "TST1").mkdir(parents=True)
+        for f in (data_root / "TST1").iterdir():
+            (root / "TST1" / f.name).write_bytes(f.read_bytes())
+        bad, text = {
+            "model": (tmp_path / "m.json", model_path.read_text()),
+            "config": (tmp_path / "c.json", '{"L": 20}'),
+            "manifest": (root / "TST1" / "manifest.json", None),
+            "report": (tmp_path / "r.json", (REPORT_DIR / "report.json").read_text()),
+        }[name]
+        bad.write_text(flaw(text or bad.read_text()))
+        argv = {"model": ["predict", "--model", str(bad), "--queries",
+                          str(root / "TST1" / "test.csv")],
+                "config": ["train", "--dataset", "TST1", "--data-root", str(root),
+                           "--config", str(bad), "--out", str(tmp_path / "out.json")],
+                "manifest": ["ingest", "--dataset", "TST1", "--data-root", str(root)],
+                "report": ["report", "--json", str(bad)]}[name]
+        assert main(["--error-json", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad} is not ") and reason in captured.err
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"error": captured.err[7:-1], "type": "ParseError"}
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command", [
         ["train", "--L", "50", "--approach", "elm_only", "--out", "m.json"],
@@ -869,6 +937,36 @@ def test_training_commands_run_without_scipy(data_root, tmp_path, command):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
+
+
+def test_ingest_reads_utf8_whatever_the_locale(data_root, tmp_path):
+    # a header naming its APs in UTF-8 loads alike under a UTF-8 locale and under
+    # one whose encoding is ASCII, the child's stderr says which one it ran in
+    d = tmp_path / "UMLAUT"
+    d.mkdir()
+    for f in (data_root / "TST1").iterdir():
+        header, newline, rows = f.read_text(encoding="utf-8").partition("\n")
+        if f.suffix == ".csv":
+            header = header.replace("AP", "Zugangspunkt_\u00e4")
+        (d / f.name).write_text(header + newline + rows, encoding="utf-8")
+    assert "Zugangspunkt_\u00e40".encode() in (d / "train.csv").read_bytes()
+    code = (
+        "import codecs, locale, sys\n"
+        "from elmloc.cli import main\n"
+        "print(codecs.lookup(locale.getpreferredencoding(False)).name, file=sys.stderr)\n"
+        f"sys.exit(main(['ingest', '--dataset', 'UMLAUT', '--data-root', {str(tmp_path)!r}]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for encoding, lc_all in (("utf-8", "C.UTF-8"), ("ascii", "C")):
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL=lc_all, PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert (out.returncode, out.stderr) == (0, f"{encoding}\n")
+        runs[encoding] = out.stdout
+    assert runs["ascii"] == runs["utf-8"]
+    assert json.loads(runs["ascii"])["train_samples"] == 720
 
 
 # one bad setting gets one message from each entry point: the Python API and a

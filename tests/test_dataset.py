@@ -232,6 +232,20 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(p)
 
+    # json alone would overflow the stack on the first and keep the later
+    # sentinel of the second in silence
+    @pytest.mark.parametrize("text, reason", [
+        ('{"sentinel": ' + "[" * 200_000 + "]" * 200_000 + "}",
+         "maximum recursion depth exceeded while decoding a JSON array"),
+        ('{"ap_columns": [0, 3], "floor_col": 4, "sentinel": 100, "sentinel": -110}',
+         "key 'sentinel' is named twice in one object$"),
+    ], ids=["deep", "repeated_key"])
+    def test_refused_json_named(self, tmp_path, text, reason):
+        p = tmp_path / "manifest.json"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p))} is not valid JSON: {reason}"):
+            load_manifest(p)
+
     # an int() or float() cast would load each of these as some column or number,
     # and a negative index counts from the right: in a 102-column file -2 and -1
     # are the label columns, and -102 is AP column 0

@@ -522,7 +522,7 @@ class TestEmission:
     @pytest.mark.parametrize("edit, message", [
         (lambda d: "{oops", r"Expecting property name"),
         (lambda d: b"\xff" + json.dumps(d).encode(), r"'utf-8' codec can't decode byte 0xff"),
-        (lambda d: [d], r"rows must hold a list of objects"),
+        (lambda d: [d], r"its top level is not a JSON object$"),
         (lambda d: {**d, "rows": 1}, r"rows must hold a list of objects"),
         (lambda d: {k: v for k, v in d.items() if k != "rows"}, r"rows must hold a list"),
         (lambda d: {**d, "rows": [1]}, r"rows must hold objects, got 1"),
@@ -543,10 +543,15 @@ class TestEmission:
          r"unknown normalized fields: \['speed'\]"),
         (lambda d: d["rows"][0].update(floor_hit=101.0) or d,
          r"floor_hit must be in \[0, 100\], got 101\.0"),
+        (lambda d: json.dumps(d).replace('"meta": {}',
+                                         '"meta": ' + "[" * 200_000 + "]" * 200_000),
+         r"maximum recursion depth exceeded while decoding a JSON array"),
+        (lambda d: '{"rows": [], ' + json.dumps(d)[1:],
+         r"key 'rows' is named twice in one object$"),
     ], ids=["bad_json", "not_utf8", "top_level_list", "rows_number", "rows_missing",
             "row_number", "failures_list", "row_key_missing", "row_key_extra",
             "hit_string", "hit_integer", "seed_bool", "dataset_null", "normalized_list",
-            "ratio_string", "ratio_unknown", "hit_out_of_range"])
+            "ratio_string", "ratio_unknown", "hit_out_of_range", "deep", "repeated_key"])
     def test_json_of_another_shape_rejected(self, tmp_path, edit, message):
         p = tmp_path / "t.json"
         write_json([_report(normalized={f: 1.0 for f in ("building_hit", "floor_hit",

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from elmloc import elm, pipeline
 from elmloc.cli import main
-from elmloc.dataset import RadioMap, split_validation
+from elmloc.dataset import ParseError, RadioMap, split_validation
 from elmloc.evaluation import hit_rate
 from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import (
@@ -434,6 +434,23 @@ class TestSaveLoad:
         p = tmp_path / "m.json"
         p.write_text("{oops")
         with pytest.raises(ValueError):
+            load_model(p)
+
+    # json alone would overflow the stack on the first and load the second, whose
+    # later format is the right one
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda text: text.replace('"beta": ', '"beta": ' + "[" * 200_000 + "]" * 200_000
+                                   + ', "x": ', 1),
+         "maximum recursion depth exceeded while decoding a JSON array"),
+        (lambda text: '{"format": null, ' + text[1:],
+         "key 'format' is named twice in one object$"),
+    ], ids=["deep", "repeated_key"])
+    def test_refused_json_named(self, fitted, tmp_path, edit, reason):
+        p = tmp_path / "m.json"
+        save_model(fitted, p)
+        p.write_text(edit(p.read_text()))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(p))} is not a valid model "
+                                             rf"file: {reason}"):
             load_model(p)
 
     @pytest.mark.parametrize("key", ["preprocess", "featurizer", "elm", "n_aps", "random_sha256"])
