@@ -236,9 +236,8 @@ def cmd_train(args) -> int:
         result = sweep_pipeline(train, _config(resolved, _TRAIN_KEYS, L=L_max), step)
         grid = ", ".join(str(s) for s in result.sizes.tolist())
         print(f"sweep grid: {{{grid}}}")
-        best_idx = int(np.nonzero(result.sizes == result.best_L)[0][0])
-        print(f"selected L = {result.best_L} (validation floor hit "
-              f"{result.floor_hits[best_idx]:.2f}%)")
+        print(f"selected L = {result.best_L} (leave-one-out floor hit "
+              f"{result.floor_hits.max():.2f}%)")
         resolved["L"] = result.best_L
     _echo(resolved)
     config = _config(resolved, _TRAIN_KEYS)
@@ -329,6 +328,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _print_table(rows) -> None:
+    """The table of ``rows`` on stdout in UTF-8, as elmloc writes every file, whatever
+    the locale's encoding: a dataset's name need not be ASCII."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(format_table(rows).encode("utf-8") + b"\n")
+
+
 def cmd_benchmark(args) -> int:
     root = _data_root(args)
     datasets = args.datasets.split(",")
@@ -340,7 +346,7 @@ def cmd_benchmark(args) -> int:
         return _load_pair(name, root)
 
     rows, failures = run_benchmark(datasets, approaches, seeds, loader=loader, out_dir=out_dir)
-    print(format_table(rows))
+    _print_table(rows)
     for name, err in failures.items():
         print(f"FAILED {name}: {err}", file=sys.stderr)
     print(f"report written to {out_dir}/report.csv and {out_dir}/report.json")
@@ -351,7 +357,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_report(args) -> int:
     rows, payload = evaluation.read_json(args.json)
-    print(format_table(rows))
+    _print_table(rows)
     print(f"config_digest: {payload.get('config_digest', '')}")
     failures = payload.get("failures") or {}
     for name, err in failures.items():
@@ -397,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model and write it to JSON")
     _add_common_train_flags(p)
-    p.add_argument("--L", help="hidden neurons, or 'auto' to sweep")
+    p.add_argument("--L", help="hidden neurons, or 'auto' to pick them as sweep does")
     p.add_argument("--quantize", action="store_true", default=None,
                    help="attach int8 weights to the model")
     p.add_argument("--out", help="model output path (default <dataset>.model.json)")
@@ -411,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     # no abbreviations: --L would otherwise be taken as --L-max
-    p = sub.add_parser("sweep", help="hidden-size grid search on a validation split",
-                       allow_abbrev=False)
+    about = "fit all rows; score each L by exact leave-one-out on a stratified tenth of them"
+    p = sub.add_parser("sweep", help=about, description=about, allow_abbrev=False)
     _add_common_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -25,11 +25,13 @@ header's width before any row is parsed, and numpy's C parser reads the rows
 as they stream. Only input it cannot vouch for is read again, twice, row by
 row with float(), which names the offending line.
 
-Every setting (a seed, a size, the ridge term c, a split fraction, a mode or
-the int8 flag) passes ``check_setting``, which reads its rule from one table,
-``_SETTINGS``: the config, the stage constructors and the entry points that
-take one all call it. A command-line flag's text goes through
-``parse_setting``, which converts it by the kind that table gives first.
+Every setting (a seed, a size, the ridge term c, a mode or the int8 flag)
+passes ``check_setting``, which reads its rule from one table, ``_SETTINGS``:
+the config, the stage constructors and the entry points that take one all
+call it. A command-line flag's text goes through ``parse_setting``, which
+converts it by the kind that table gives first.
+No map is split: the hidden-size sweep (``elm.sweep_hidden``) fits every
+training row and scores a stratified tenth by exact leave-one-out.
 """
 
 from __future__ import annotations
@@ -109,16 +111,6 @@ class RadioMap:
         """(building, floor) per row as an N x 2 int array; building 0 if absent."""
         b = self.building if self.building is not None else np.zeros(self.n_samples, dtype=np.int64)
         return np.column_stack([b, self.floor])
-
-    def take(self, indices: np.ndarray) -> "RadioMap":
-        """Row subset (or reordering) as a new RadioMap."""
-        idx = np.asarray(indices)
-        return RadioMap(
-            rss=self.rss[idx],
-            floor=self.floor[idx],
-            building=None if self.building is None else self.building[idx],
-            name=self.name,
-        )
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -211,7 +203,6 @@ _SETTINGS = {
     "kernel_size": (int, lambda v: None if v >= 1 and v % 2 == 1 else "odd and positive"),
     "c": (float, _c_fault),
     "min_rss": (float, lambda v: None if v < 0 else "negative"),
-    "fraction": (float, lambda v: None if 0 < v < 1 else "in (0, 1)"),
     **dict.fromkeys(("quantize", "quantized"), (bool, None)),
 }
 
@@ -524,6 +515,14 @@ def _rows(lines):
     return ((n, line) for n, line in lines if n > 1 and line and not line.isspace())
 
 
+def _cell(text: str) -> float:
+    """float(text) if the stripped text is ASCII: float() alone also reads digits of
+    other scripts ("١٢" as 12), which numpy's parser refuses."""
+    if not text.strip().isascii():
+        raise ValueError(text)
+    return float(text)
+
+
 def _parse_rows(path, width: int) -> np.ndarray:
     """The data rows of ``path`` read by float(), in two passes over its lines:
     one checks every row's width, the next fills the matrix row by row."""
@@ -539,11 +538,12 @@ def _parse_rows(path, width: int) -> np.ndarray:
         for row, (lineno, line) in zip(data, _rows(_lines(fh))):
             cells = line.split(",")
             try:
-                row[:] = [float(cell) for cell in cells]
+                read = float if line.isascii() else _cell
+                row[:] = [read(cell) for cell in cells]
             except ValueError:
                 for j, cell in enumerate(cells):  # find the culprit
                     try:
-                        float(cell)
+                        _cell(cell)
                     except ValueError:
                         raise ParseError(
                             f"{path}:{lineno}: non-numeric cell {cell!r} in column {j}"
@@ -553,35 +553,3 @@ def _parse_rows(path, width: int) -> np.ndarray:
         lineno, col = linenos[bad[0, 0]], int(bad[0, 1])
         raise ParseError(f"{path}:{lineno}: non-finite value in column {col}")
     return data
-
-
-def split_validation(radio_map: RadioMap, fraction: float, seed: int) -> tuple[RadioMap, RadioMap]:
-    """Stratified train/validation split over (building, floor) groups.
-
-    Within each group, ceil(fraction * group_size) samples go to validation,
-    drawn without replacement from a generator seeded with ``seed``. Groups
-    with fewer than 2 samples stay in training (with a warning); a map with no
-    larger group raises ``ValueError``. Both outputs keep the input's row order.
-    """
-    fraction = check_setting("fraction", fraction)
-    seed = check_setting("seed", seed)
-    classes, index = class_index(radio_map.label_pairs())
-    rng = np.random.default_rng(seed)
-    val_mask = np.zeros(radio_map.n_samples, dtype=bool)
-    for g, (b, f) in enumerate(classes.tolist()):
-        idx = np.flatnonzero(index == g)
-        if idx.size < 2:
-            warnings.warn(
-                f"group (building={b}, floor={f}) has {idx.size} sample(s); kept in training",
-                stacklevel=2,
-            )
-            continue
-        k = math.ceil(fraction * idx.size)
-        chosen = rng.choice(idx, size=k, replace=False)
-        val_mask[chosen] = True
-    if not val_mask.any():  # an empty map included
-        raise ValueError(f"radio map {radio_map.name!r} has no (building, floor) group with "
-                         "the 2 samples a validation split needs")
-    train = radio_map.take(np.flatnonzero(~val_mask))
-    val = radio_map.take(np.flatnonzero(val_mask))
-    return train, val

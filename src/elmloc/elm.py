@@ -13,9 +13,9 @@ This module owns the ridge solve: one lower Cholesky factor of the Gram
 matrix and one forward solve through it, which ``fit`` finishes with one
 back-solve.
 A per-tensor symmetric 8-bit quantization of the three weight tensors covers
-the deployment path, and a validation sweep picks the hidden-layer size: it
-scores the first L neurons of one layer, so the same factor and forward
-solve give every size on its grid.
+the deployment path. A sweep picks the hidden-layer size by exact
+leave-one-out (PRESS) on a stratified tenth of the training rows, on the
+first L neurons of one layer: one factor and forward solve give every size.
 An ``ElmModel`` holds what was learned and the seed: the hidden layer and
 the int8 codes are rebuilt from them on first use. No float copy of the
 codes of w is kept: an int8 prediction dequantizes, per call, only the rows
@@ -31,6 +31,7 @@ infinities, once on each path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -104,18 +105,18 @@ def init_hidden(seed: int, d: int, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w), b
 
 
-def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray, what: str = "features") -> np.ndarray:
+def hidden_map(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hidden activations H = tansig(x W + b); row = sample, column = neuron.
 
-    ``x`` is read by ``feature_matrix`` as ``what``, as wide as ``w`` has rows,
-    and scanned here, once on every path, for non-finite values.
+    ``x`` is read by ``feature_matrix`` as ``features``, as wide as ``w`` has
+    rows, and scanned here, once on every path, for non-finite values.
     ``w`` and ``b`` come from ``init_hidden`` or an ``ElmModel`` and are
     trusted. The bias add and tansig (2 / (1 + exp(-2 z)) - 1, computed as
     tanh: the same values, no overflow) run in place on the product, so H is
     the only N x L buffer made.
     """
-    x = feature_matrix(x, what, width=w.shape[0])
-    check_finite(x, what)
+    x = feature_matrix(x, "features", width=w.shape[0])
+    check_finite(x, "features")
     h = x @ w
     h += b
     np.tanh(h, out=h)
@@ -354,59 +355,71 @@ def check_grid(step: int, L_max: int) -> None:
 
 
 def sweep_hidden(
-    train_features: np.ndarray,
-    train_pairs: np.ndarray,
-    val_features: np.ndarray,
-    val_pairs: np.ndarray,
-    c: float,
-    L_max: int,
-    step: int = 5,
-    seed: int = 0,
+    features: np.ndarray, pairs: np.ndarray, c: float, L_max: int, step: int = 5, seed: int = 0
 ) -> SweepResult:
-    """Grid search L in {step, 2*step, ..., <= L_max} on validation floor hits.
+    """Grid search L in {step, 2*step, ..., <= L_max} on leave-one-out floor hits.
 
     Returns the whole score curve plus the smallest size attaining the
     maximum floor hit rate. Size L scores the first L neurons of the one
     layer ``init_hidden(seed, d, L_max)`` draws. Their weights are the ones
     ``train_elm`` draws at L, but their biases are the first L of the L_max
-    biases, so only at L_max is the layer the one ``train_elm`` fits. Each
-    size scores with the ridge fit on its prefix layer without solving it:
-    one Cholesky factor and one forward solve serve the whole grid, and the
-    validation scores grow by a block of columns per step.
+    biases, so only at L_max is the layer the one ``train_elm`` fits.
+    Every row is fitted, and the rows ``_held_tenth`` draws are each scored by
+    exact leave-one-out, the ridge fit on every other row: with Z = H_S low^-T,
+    u = low^-1 H^T T and leverages h (row sums of Z[:, :L] squared), row i's
+    scores are (Z[i, :L] u[:L] - h_i t_i) / (1 - h_i). One Cholesky factor and
+    one forward solve serve the whole grid; Z's products grow by a block of
+    columns per step.
 
     Raises ``ValueError`` naming the argument for features ``feature_matrix``
-    refuses, empty or of differing widths, and for pairs ``label_rows`` refuses
-    or not one per feature row; ``hidden_map`` refuses non-finite features.
+    or ``hidden_map`` refuses, or empty, and for pairs ``label_rows`` refuses or
+    not one per feature row.
     """
     check_grid(step, L_max)
-    x_tr = feature_matrix(train_features, "train_features", nonempty=True)
-    x_val = feature_matrix(val_features, "val_features", width=x_tr.shape[1], nonempty=True)
-    train_pairs = label_rows(train_pairs, "train_pairs", x_tr.shape[0])
-    val_pairs = label_rows(val_pairs, "val_pairs", x_val.shape[0])
-    codebook, t = _targets(train_pairs)
+    x = feature_matrix(features, "features", nonempty=True)
+    pairs = label_rows(pairs, "pairs", x.shape[0])
+    codebook, t = _targets(pairs)
+    held = _held_tenth(t, check_setting("seed", seed))
     sizes = np.arange(step, L_max + 1, step)
-    w, b = init_hidden(seed, x_tr.shape[1], L_max)
-    low, u = _factor(hidden_map(x_tr, w, b, "train_features"), t, c)
-    # the training H is freed; V = H_val low^-T, and size L's scores are V[:, :L] u[:L]
-    v = np.linalg.solve(low, hidden_map(x_val, w, b, "val_features").T).T
+    w, b = init_hidden(seed, x.shape[1], L_max)
+    h = hidden_map(x, w, b)
+    z = h[held]  # H_S, taken from H, which the factor then frees
+    low, u = _factor(h, t, c)
+    del h
+    z = np.linalg.solve(low, z.T).T
+    t, pairs = t[held], pairs[held]
 
-    scores = np.zeros((v.shape[0], u.shape[1]))
-    floor_hits = np.empty(sizes.shape[0])
-    building_hits = np.empty(sizes.shape[0])
+    fitted, leverage = np.zeros(t.shape), np.zeros((t.shape[0], 1))
+    hits = np.empty((2, sizes.shape[0]))  # floor, building
     prev = 0
     for i, L in enumerate(sizes):
-        scores += v[:, prev:L] @ u[prev:L]
+        block = z[:, prev:L]
+        fitted += block @ u[prev:L]
+        leverage += np.square(block).sum(axis=1, keepdims=True)
         prev = L
-        floor_hits[i], building_hits[i] = _hit_pcts(scores, codebook, val_pairs)
-    best = int(sizes[int(np.argmax(floor_hits))])  # first max, i.e. smallest L
-    return SweepResult(
-        sizes=sizes, floor_hits=floor_hits, building_hits=building_hits, best_L=best
-    )
+        hits[:, i] = _hit_pcts((fitted - leverage * t) / (1.0 - leverage), codebook, pairs)
+    best = int(sizes[int(np.argmax(hits[0]))])  # first max, i.e. smallest L
+    return SweepResult(sizes, hits[0], hits[1], best)
 
 
-def _hit_pcts(
-    scores: np.ndarray, codebook: ClassCodebook, pairs: np.ndarray
-) -> tuple[float, float]:
+def _held_tenth(t: np.ndarray, seed: int) -> np.ndarray:
+    """The sorted rows ``sweep_hidden`` scores: ceil(0.1 * its rows) of each class
+    (column of the one-hot ``t``) of two rows or more, drawn without replacement
+    by one generator seeded with ``seed``, class by class; ``ValueError`` if none."""
+    rng = np.random.default_rng(seed)
+    held = np.zeros(t.shape[0], dtype=bool)
+    for column in t.T:
+        rows = np.flatnonzero(column)
+        if rows.size >= 2:
+            held[rng.choice(rows, size=math.ceil(0.1 * rows.size), replace=False)] = True
+    if not held.any():
+        raise ValueError("pairs has no (building, floor) class with the 2 rows a "
+                         "leave-one-out score needs")
+    return np.flatnonzero(held)
+
+
+def _hit_pcts(scores: np.ndarray, codebook: ClassCodebook,
+              pairs: np.ndarray) -> tuple[float, float]:
     """Percent of rows whose top-scoring class holds their floor, and their building."""
     pred_b, pred_f = codebook.decode(np.argmax(scores, axis=1))
     return (100.0 * float(np.mean(pred_f == pairs[:, 1])),

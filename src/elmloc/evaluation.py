@@ -34,7 +34,6 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from statistics import fmean
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -280,7 +279,8 @@ def _run_dataset(name, desc, train, test, approaches, seeds):
 
 def _mean_or_none(values) -> float | None:
     present = [v for v in values if v is not None]
-    return fmean(present) if present else None
+    # what statistics.fmean computes, without importing statistics, fractions and decimal
+    return math.fsum(present) / len(present) if present else None
 
 
 def _mean_row(group: list[EvalReport], dataset: str, seed, digest: str) -> EvalReport:

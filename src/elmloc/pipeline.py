@@ -10,9 +10,11 @@ layers travel with the model. Its hidden layer multiplies only the weight
 rows of the features a batch of queries holds nonzero, so a single
 fingerprint pays for the access points it heard, and an int8 model keeps
 no float copy of its hidden weights: a query dequantizes the rows it reads.
-``sweep_pipeline`` scores a grid of hidden sizes on a validation split with
-the same stages. The CLI and the benchmark call these three and do not
-rebuild the stages themselves; ``elmloc train`` is one ``fit_pipeline`` call.
+``sweep_pipeline`` fits the same stages on every training row and scores a
+grid of hidden sizes by exact leave-one-out on a stratified tenth of them.
+The CLI and the benchmark call these three and do not rebuild the stages
+themselves; ``elmloc train`` is one ``fit_pipeline`` call, and ``train --L
+auto`` one ``sweep_pipeline`` call before it.
 
 ``PipelineConfig`` checks each field with ``dataset.check_setting``, the one
 rule table for a setting, whether it comes from Python code or a CLI config
@@ -34,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import (RadioMap, check_int, check_setting, load_json, split_validation,
-                      store_settings)
+from .dataset import RadioMap, check_int, check_setting, load_json, store_settings
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import PreprocessParams, _fit_transform, _rss_of, _transform
 
@@ -115,23 +116,15 @@ def _apply_stages(
 
 
 def sweep_pipeline(train: RadioMap, config: PipelineConfig, step: int = 5) -> elm_mod.SweepResult:
-    """Validation floor hits for L = step, 2*step, ..., up to ``config.L``.
-
-    A stratified 10% of ``train`` (seeded with ``config.seed``) is held out;
-    the stages are fitted on the rest exactly as ``fit_pipeline`` fits them,
-    and ``elm.sweep_hidden`` scores each hidden size on the held-out rows.
-    ``replace(config, L=result.best_L)`` is the configuration it selects.
-    ``config.quantize`` is not read; a grid ``elm.check_grid`` refuses fails first.
+    """Leave-one-out floor hits for L = step, 2*step, ..., up to ``config.L``:
+    the stages fitted on ``train`` as ``fit_pipeline`` fits them, then
+    ``elm.sweep_hidden``. ``replace(config, L=result.best_L)`` is the configuration
+    it selects. ``config.quantize`` is not read; a grid ``check_grid`` refuses fails first.
     """
     elm_mod.check_grid(step, config.L)
-    fit_rows, val = split_validation(train, fraction=0.1, seed=config.seed)
-    params, fspec, x_tr = _fit_stages(fit_rows, config)
-    x_val = _apply_stages(val.rss, params, fspec)
-    p_tr, p_val = fit_rows.label_pairs(), val.label_pairs()
-    del fit_rows, val  # the split is not held through the fits
-    return elm_mod.sweep_hidden(
-        x_tr, p_tr, x_val, p_val, config.c, config.L, step=step, seed=config.seed
-    )
+    x = _fit_stages(train, config)[2]
+    return elm_mod.sweep_hidden(x, train.label_pairs(), config.c, config.L, step=step,
+                                seed=config.seed)
 
 
 def predict_pipeline(
@@ -230,6 +223,23 @@ def _section(path: Path, doc: dict, key: str):
         raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
 
 
+def _entries(value, key: str, check=None):
+    """``value`` once each entry of its nested lists passes ``check(entry, key)``,
+    or else is no true or false, which numpy would read as 1: one walk, any depth."""
+    level = [value]
+    while level:
+        deeper = []
+        for entry in level:
+            if isinstance(entry, list):
+                deeper += entry
+            elif check is not None:
+                check(entry, key)
+            elif isinstance(entry, bool):
+                raise ValueError(f"{key} must hold numbers, got true/false values")
+        level = deeper
+    return value
+
+
 def load_model(path) -> TrainedModel:
     """The model in an ``elmloc-model-v3`` file.
 
@@ -251,6 +261,7 @@ def load_model(path) -> TrainedModel:
     with _section(path, doc, "n_aps") as n_aps:
         check_setting("n_aps", n_aps)
     with _section(path, doc, "preprocess") as section:
+        _entries(section["feature_norms"], "feature_norms")
         params = PreprocessParams(**section)
         norms = params.feature_norms
         if params.mode == "per_feature" and (norms is None or len(norms) != n_aps):
@@ -260,10 +271,10 @@ def load_model(path) -> TrainedModel:
         featurizer = None if section is None else FeaturizerSpec(**section, n_aps=n_aps)
         width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
     with _section(path, doc, "elm") as section:
-        # label_rows would read a JSON true as 1: each label is checked as an integer
-        pairs = np.array([[check_int(v, "codebook") for v in row] for row in section["codebook"]])
-        elm = elm_mod.ElmModel(section["beta"], section["c"], elm_mod.ClassCodebook(pairs),
-                               section["seed"], width, section["quantized"])
+        pairs = np.array(_entries(section["codebook"], "codebook", check_int))
+        elm = elm_mod.ElmModel(_entries(section["beta"], "beta"), section["c"],
+                               elm_mod.ClassCodebook(pairs), section["seed"], width,
+                               section["quantized"])
     model = TrainedModel(params, featurizer, elm, dataset=doc["dataset"])
     if doc["random_sha256"] != _random_sha256(model):
         raise ValueError(

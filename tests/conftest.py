@@ -5,10 +5,12 @@
 frozen reference numbers the acceptance tests check. ``write_synthetic_dataset``
 and ``_write_csv`` write radio maps in the on-disk layout the CLI reads, and
 ``tst1_registered`` registers ``TST1``, a dataset the size of ``syn_small``.
-``traced_peak`` measures what a call allocates at its peak.
+``traced_peak`` measures what a call allocates at its peak, and
+``loo_reference`` is the brute-force oracle of the hidden-size sweep.
 """
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -78,6 +80,49 @@ def traced_peak(call):
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def held_reference(pairs, seed):
+    """The rows the sweep scores, drawn by a reference: for each distinct (building,
+    floor) row in sorted order that labels two rows or more, ceil(0.1 * its rows)
+    of them by ``choice`` without replacement from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    held = np.zeros(len(pairs), dtype=bool)
+    for cls in sorted({(int(b), int(f)) for b, f in pairs}):
+        rows = np.flatnonzero((pairs == cls).all(axis=1))
+        if rows.size >= 2:
+            held[rng.choice(rows, size=math.ceil(0.1 * rows.size), replace=False)] = True
+    return np.flatnonzero(held)
+
+
+def loo_reference(x, pairs, c, L_max, step, seed):
+    """The sweep by brute force: at each grid size L, each held row is scored by
+    ``elm.fit`` refitted on every other row, with the first L neurons of the
+    L_max layer.
+
+    Returns the sizes, the floor and building hit curves, the selected size and
+    each size's score matrix (held rows x classes).
+    """
+    from elmloc.elm import fit, hidden_map, init_hidden
+
+    classes = sorted({(int(b), int(f)) for b, f in pairs})
+    t = np.array([[float(tuple(p) == cls) for cls in classes] for p in pairs.tolist()])
+    held = held_reference(pairs, seed)
+    sizes = np.arange(step, L_max + 1, step)
+    w, b = init_hidden(seed, x.shape[1], L_max)
+    floor_hits, building_hits, scores = [], [], []
+    for L in sizes:
+        h = hidden_map(x, w[:, :L], b[:L])
+        rows = []
+        for i in held:
+            rest = np.arange(len(x)) != i
+            rows.append(h[i] @ fit(h[rest], t[rest], c))
+        scores.append(np.array(rows))
+        pred = np.array(classes)[np.argmax(scores[-1], axis=1)]
+        floor_hits.append(100.0 * float(np.mean(pred[:, 1] == pairs[held, 1])))
+        building_hits.append(100.0 * float(np.mean(pred[:, 0] == pairs[held, 0])))
+    best = int(sizes[int(np.argmax(floor_hits))])
+    return sizes, np.array(floor_hits), np.array(building_hits), best, scores
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from elmloc.dataset import RadioMap, split_validation
+from elmloc.dataset import RadioMap
 from elmloc.elm import (
     ClassCodebook, ElmModel, fit, hidden_map, init_hidden, predict, predict_quantized, quantize,
     sweep_hidden, train_elm,
@@ -52,10 +52,7 @@ LABEL_CASES = {
 # entry point -> (the argument's name, its row count in messages, good rows, call)
 LABEL_DOORS = {
     "train_elm": ("pairs", 6, PAIRS, lambda p: train_elm(X, p, L=5, c=1.0, seed=0)),
-    "sweep_hidden_train": ("train_pairs", 6, PAIRS,
-                           lambda p: sweep_hidden(X, p, X, PAIRS, c=1.0, L_max=5, step=5)),
-    "sweep_hidden_val": ("val_pairs", 6, PAIRS,
-                         lambda p: sweep_hidden(X, PAIRS, X, p, c=1.0, L_max=5, step=5)),
+    "sweep_hidden_train": ("pairs", 6, PAIRS, lambda p: sweep_hidden(X, p, c=1.0, L_max=5, step=5)),
     "build_index": ("pairs", 6, PAIRS, lambda p: build_index(X, p)),
     "ClassCodebook": ("codebook", "N", CODEBOOK, lambda p: ClassCodebook(np.array(p))),
 }
@@ -90,13 +87,11 @@ FEATURE_CASES = {
 # entry point -> (the argument's name, the cases it has no rule for, call)
 FEATURE_DOORS = {
     "hidden_map": ("features", (), lambda x: hidden_map(x, W, B)),
-    # fit, train_elm, build_index and the sweep's training split fix no width
+    # fit, train_elm, build_index and the sweep fix no width
     "fit": ("h", ("narrow",), lambda x: fit(x, np.ones((6, 2)), 1.0)),
     "train_elm": ("features", ("narrow",), lambda x: train_elm(x, PAIRS, L=5, c=1.0, seed=0)),
-    "sweep_hidden_train": ("train_features", ("narrow",),
-                           lambda x: sweep_hidden(x, PAIRS, X, PAIRS, c=1.0, L_max=5, step=5)),
-    "sweep_hidden_val": ("val_features", (),
-                         lambda x: sweep_hidden(X, PAIRS, x, PAIRS, c=1.0, L_max=5, step=5)),
+    "sweep_hidden_train": ("features", ("narrow",),
+                           lambda x: sweep_hidden(x, PAIRS, c=1.0, L_max=5, step=5)),
     "predict": ("features", (), lambda x: predict(x, MODEL)),
     "predict_quantized": ("features", (), lambda x: predict_quantized(x, MODEL)),
     # featurize makes no scan for non-finite values: its input is the finite
@@ -152,17 +147,15 @@ SETTING_DOORS = {
     "init_hidden.L": ("L", int, lambda v: init_hidden(0, 3, v)),
     "fit.c": ("regularization term c", float, lambda v: fit(np.eye(2), np.eye(2), v)),
     "sweep_hidden.c": ("regularization term c", float,
-                       lambda v: sweep_hidden(X, PAIRS, X, PAIRS, c=v, L_max=5, step=5)),
+                       lambda v: sweep_hidden(X, PAIRS, c=v, L_max=5, step=5)),
     "sweep_hidden.L_max": ("L_max", int,
-                           lambda v: sweep_hidden(X, PAIRS, X, PAIRS, c=1.0, L_max=v, step=1)),
+                           lambda v: sweep_hidden(X, PAIRS, c=1.0, L_max=v, step=1)),
     "sweep_hidden.step": ("step", int,
-                          lambda v: sweep_hidden(X, PAIRS, X, PAIRS, c=1.0, L_max=5, step=v)),
+                          lambda v: sweep_hidden(X, PAIRS, c=1.0, L_max=5, step=v)),
     "sweep_hidden.seed": ("seed", int,
-                          lambda v: sweep_hidden(X, PAIRS, X, PAIRS, c=1.0, L_max=5, seed=v)),
+                          lambda v: sweep_hidden(X, PAIRS, c=1.0, L_max=5, seed=v)),
     "sweep_pipeline.step": ("step", int,
                             lambda v: sweep_pipeline(MAP, PipelineConfig(L=5, c=1.0), step=v)),
-    "split_validation.seed": ("seed", int, lambda v: split_validation(MAP, 0.1, v)),
-    "split_validation.fraction": ("fraction", float, lambda v: split_validation(MAP, v, 0)),
     "FeaturizerSpec.n_filters": ("n_filters", int, lambda v: FeaturizerSpec(v, 3, 0, 4)),
     "FeaturizerSpec.kernel_size": ("kernel_size", int, lambda v: FeaturizerSpec(2, v, 0, 4)),
     "FeaturizerSpec.seed": ("seed", int, lambda v: FeaturizerSpec(2, 3, v, 4)),
@@ -198,14 +191,14 @@ def test_settings_refused_by_name(door, case):
 # values of the right type out of a setting's range
 @pytest.mark.parametrize("call, message", [
     (lambda: train_elm(X, PAIRS, L=5, c=1.0, seed=-1), r"seed must be >= 0, got -1"),
-    (lambda: split_validation(MAP, 0.1, -1), r"seed must be >= 0, got -1"),
+    (lambda: sweep_hidden(X, PAIRS, c=1.0, L_max=5, seed=-1), r"seed must be >= 0, got -1"),
     (lambda: generate_synthetic(-1, n_train=5, n_test=5, n_aps=5), r"seed must be >= 0, got -1"),
     (lambda: generate_synthetic(n_train=5, n_test=5, n_aps=0), r"n_aps must be >= 1, got 0"),
     (lambda: generate_synthetic(n_train=0, n_test=5, n_aps=5), r"n_train must be >= 1, got 0"),
     (lambda: ElmModel(BETA, 1.0, ClassCodebook(CODEBOOK), 0, 0), r"n_features must be >= 1, got 0"),
     (lambda: PreprocessParams(0.0, "per_sample"), r"min_rss must be negative, got 0\.0"),
     (lambda: FeaturizerSpec(0, 3, 0, 4), r"n_filters must be >= 1, got 0"),
-], ids=["train_elm_seed", "split_seed", "synthetic_seed", "synthetic_n_aps", "synthetic_n_train",
+], ids=["train_elm_seed", "sweep_seed", "synthetic_seed", "synthetic_n_aps", "synthetic_n_train",
         "elm_n_features", "min_rss_zero", "n_filters_zero"])
 def test_settings_out_of_range_refused_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

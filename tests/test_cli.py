@@ -589,8 +589,8 @@ class TestSweep:
                      "--c", "1", "--out", str(tmp_path / "m.json")]) == 2
         assert "pass --L" in capsys.readouterr().err
 
-    def test_no_validation_rows_exits_2(self, tmp_path, capsys):
-        # six rows on six floors: no (building, floor) group can give a row to validation
+    def test_no_held_rows_exits_2(self, tmp_path, capsys):
+        # six rows on six floors: no (building, floor) class can spare a row to leave out
         d = tmp_path / "SIX"
         d.mkdir()
         rows = [f"-{50 + i},-60,100,{i},0" for i in range(6)]
@@ -601,11 +601,10 @@ class TestSweep:
                  "--L-max", "10", "--step", "5"]
         for argv in (["sweep", *flags], ["train", *flags, "--L", "auto",
                                          "--out", str(tmp_path / "m.json")]):
-            with pytest.warns(UserWarning, match="kept in training"):
-                assert main(argv) == 2
+            assert main(argv) == 2
             assert capsys.readouterr().err.endswith(
-                "error: radio map 'SIX-train' has no (building, floor) group with the 2 "
-                "samples a validation split needs\n")
+                "error: pairs has no (building, floor) class with the 2 rows a leave-one-out "
+                "score needs\n")
         assert not (tmp_path / "m.json").exists()
 
     def test_nan_features_exit_2(self, data_root, monkeypatch, capsys):
@@ -967,6 +966,38 @@ def test_ingest_reads_utf8_whatever_the_locale(data_root, tmp_path):
         runs[encoding] = out.stdout
     assert runs["ascii"] == runs["utf-8"]
     assert json.loads(runs["ascii"])["train_samples"] == 720
+
+
+def test_report_table_is_utf8_whatever_the_locale(tmp_path):
+    # a report naming a dataset that is not ASCII prints the same bytes under a
+    # UTF-8 locale and under one whose encoding is ASCII
+    doc = json.loads((REPORT_DIR / "report.json").read_text(encoding="utf-8"))
+    for row in doc["rows"]:
+        row["dataset"] = row["dataset"].replace("TST1", "Z\u00fcrich")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for lc_all in ("C.UTF-8", "C"):
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL=lc_all, PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        out = subprocess.run([sys.executable, "-m", "elmloc.cli", "report", "--json",
+                              str(report)], cwd=tmp_path, env=env, capture_output=True,
+                             timeout=300)
+        assert out.returncode == 0, out.stderr
+        runs[lc_all] = out.stdout
+    assert runs["C"] == runs["C.UTF-8"]
+    assert "Z\u00fcrich    knn".encode("utf-8") in runs["C"]
+
+
+def test_cli_import_loads_no_statistics():
+    # statistics would pull in fractions and decimal for one mean
+    code = ("import sys, elmloc.cli\n"
+            "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout == "[]\n"
 
 
 # one bad setting gets one message from each entry point: the Python API and a

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import traced_peak
+from conftest import held_reference, loo_reference, traced_peak
 from elmloc import elm
 from elmloc.cli import build_parser
 from elmloc.dataset import class_index, registry_lookup, registry_names
@@ -764,8 +764,7 @@ class TestGatheredRows:
 class TestSweep:
     def test_grid_and_selection(self, rng):
         x, labels = _toy_problem(rng, n=240)
-        res = sweep_hidden(x[:180], labels[:180], x[180:], labels[180:],
-                           c=1.0, L_max=40, step=10, seed=0)
+        res = sweep_hidden(x, labels, c=1.0, L_max=40, step=10, seed=0)
         assert res.sizes.tolist() == [10, 20, 30, 40]
         assert res.best_L in res.sizes
         assert len(res.floor_hits) == len(res.sizes)
@@ -776,94 +775,82 @@ class TestSweep:
 
     def test_partial_final_step_included(self, rng):
         x, labels = _toy_problem(rng, n=120)
-        res = sweep_hidden(x[:90], labels[:90], x[90:], labels[90:],
-                           c=1.0, L_max=25, step=10, seed=0)
+        res = sweep_hidden(x, labels, c=1.0, L_max=25, step=10, seed=0)
         assert res.sizes.tolist() == [10, 20]
 
     def test_rank_deficient_gram_names_L_max(self, rng):
-        # 15 training rows cannot fill 40 neurons once I / c vanishes
-        x, labels = _toy_problem(rng, n=20)
+        # 15 rows cannot fill 40 neurons once I / c vanishes
+        x, labels = _toy_problem(rng, n=15)
         with pytest.raises(ValueError, match=r"not positive definite at L = 40, c = 1e\+300"):
-            sweep_hidden(x[:15], labels[:15], x[15:], labels[15:], c=1e300, L_max=40, step=10)
+            sweep_hidden(x, labels, c=1e300, L_max=40, step=10)
 
-    def test_empty_validation_rejected(self, rng):
+    def test_empty_features_rejected(self, rng):
         x, labels = _toy_problem(rng, n=30)
-        with pytest.raises(ValueError, match=r"^val_features must be N x 8 with N >= 1, "):
-            sweep_hidden(x, labels, x[:0], labels[:0], c=1.0, L_max=10)
+        with pytest.raises(ValueError, match=r"^features must be N x d with N >= 1, "):
+            sweep_hidden(x[:0], labels[:0], c=1.0, L_max=10)
+
+    def test_no_class_of_two_rows_refused(self, rng):
+        # three rows, three classes: each is fitted, and none can be left out
+        x, labels = _toy_problem(rng, n=3)
+        with pytest.raises(ValueError, match=r"^pairs has no \(building, floor\) class with "
+                                             r"the 2 rows a leave-one-out score needs$"):
+            sweep_hidden(x, labels, c=1.0, L_max=10)
+
+    def test_one_row_class_is_fitted_not_scored(self, rng):
+        x, labels = _toy_problem(rng, n=90)
+        x, labels = np.vstack([x, x[:1] + 9.0]), np.vstack([labels, [[5, 5]]])
+        res, scores = sweep_with_scores(x, labels, c=1.0, L_max=20, step=10, seed=0)
+        assert [s.shape for s in scores] == [(9, 4)] * 2  # 4 classes; ceil(0.1 * 30) rows of 3
+        assert res.sizes.tolist() == [10, 20]
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda a: a.update(x_val=np.full_like(a["x_val"], np.nan)),
-         r"val_features contains non-finite values"),
-        (lambda a: a.update(x_tr=np.full_like(a["x_tr"], np.nan)),
-         r"train_features contains non-finite values"),
-        (lambda a: a.update(p_val=a["p_val"][:1]),
-         r"val_pairs must be 50 x 2, got shape \(1, 2\)"),
-        (lambda a: a.update(p_tr=a["p_tr"][:-1]),
-         r"train_pairs must be 150 x 2, got shape \(149, 2\)"),
-        (lambda a: a.update(x_val=a["x_val"][:, :7]),
-         r"val_features must be N x 8 with N >= 1, got shape \(50, 7\)"),
-        (lambda a: a.update(x_tr=a["x_tr"][:, :7]),
-         r"val_features must be N x 7 with N >= 1, got shape \(50, 8\)"),
-    ], ids=["nan_val", "nan_train", "one_val_pair", "train_pairs_short", "val_narrow",
-            "train_narrow"])
+        (lambda a: a.update(x=np.full_like(a["x"], np.nan)),
+         r"features contains non-finite values"),
+        (lambda a: a.update(p=a["p"][:-1]),
+         r"pairs must be 200 x 2, got shape \(199, 2\)"),
+    ], ids=["nan_train", "train_pairs_short"])
     def test_mismatched_inputs_rejected_by_name(self, rng, edit, message):
         x, labels = _toy_problem(rng, n=200)
-        args = dict(x_tr=x[:150], p_tr=labels[:150], x_val=x[150:], p_val=labels[150:])
+        args = dict(x=x, p=labels)
         edit(args)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            sweep_hidden(args["x_tr"], args["p_tr"], args["x_val"], args["p_val"],
-                         c=1.0, L_max=20, step=10)
+            sweep_hidden(args["x"], args["p"], c=1.0, L_max=20, step=10)
 
 
-def targets_reference(pairs):
-    """The classes of label rows, by a sorted set of tuples, and their one-hot
-    targets, by a dict lookup per row."""
-    classes = sorted({(int(b), int(f)) for b, f in pairs})
-    lookup = {pair: k for k, pair in enumerate(classes)}
-    t = np.zeros((len(pairs), len(classes)))
-    for row, (b, f) in zip(t, pairs):
-        row[lookup[(int(b), int(f))]] = 1.0
-    return np.array(classes), t
+class TestHeldTenth:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example([(0, 0)] * 11, 3)  # ceil(0.1 * 11) = 2 rows
+    @example([(0, 0)] * 30, 3)  # 0.1 * 30 reads 3.0000000000000004 in floats: 4 rows
+    @example([(1, 0), (0, 2), (1, 0), (0, 2), (0, 1)], 0)
+    def test_same_rows_as_the_reference(self, rows, seed):
+        pairs = np.array(rows)
+        want = held_reference(pairs, seed)
+        t = elm._targets(pairs)[1]
+        if not want.size:
+            with pytest.raises(ValueError, match=r"^pairs has no \(building, floor\) class "):
+                elm._held_tenth(t, seed)
+            return
+        assert elm._held_tenth(t, seed).tolist() == want.tolist()
 
 
-def sweep_reference(x_tr, p_tr, x_val, p_val, c, L_max, step, seed):
-    """One direct fit per grid size on the first L neurons of the L_max layer.
-
-    Returns the sizes, the floor and building hit curves, the selected size,
-    and each size's validation score matrix.
-    """
-    classes, t = targets_reference(p_tr)
-    sizes = np.arange(step, L_max + 1, step)
-    w, b = init_hidden(seed, x_tr.shape[1], L_max)
-    floor_hits, building_hits = np.empty(len(sizes)), np.empty(len(sizes))
-    scores = []
-    for i, L in enumerate(sizes):
-        beta = fit(hidden_map(x_tr, w[:, :L], b[:L]), t, c)
-        scores.append(hidden_map(x_val, w[:, :L], b[:L]) @ beta)
-        pred = classes[np.argmax(scores[-1], axis=1)]
-        floor_hits[i] = 100.0 * float(np.mean(pred[:, 1] == p_val[:, 1]))
-        building_hits[i] = 100.0 * float(np.mean(pred[:, 0] == p_val[:, 0]))
-    best = int(sizes[int(np.argmax(floor_hits))])
-    return sizes, floor_hits, building_hits, best, scores
-
-
-def _noisy_split(rng, n=400, d=10):
+def _noisy_set(rng, n=400, d=10):
     # overlapping classes, so the hit rates move with L
     labels = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 3, n)])
     x = rng.normal(size=(n, d))
     x[:, :2] += labels * 0.8
-    cut = n * 3 // 4
-    return x[:cut], labels[:cut], x[cut:], labels[cut:]
+    return x, labels
 
 
-#: Relative (Frobenius) gap allowed between the sweep's validation scores and the
-#: reference's at each size: both solve the same well-conditioned ridge system,
-#: the sweep from a block of one factor, the reference from its own.
+#: Relative gap allowed between each held row's leave-one-out scores in the sweep
+#: and in the brute-force refit: both solve well-conditioned ridge systems, the
+#: sweep from a block of one factor of every row, the reference without the row.
 RTOL = 1e-10
 
 
-def sweep_with_scores(*split, **kwargs):
-    """``sweep_hidden``'s result and the validation score matrix of each grid size."""
+def sweep_with_scores(*data, **kwargs):
+    """``sweep_hidden``'s result and the leave-one-out score matrix of each grid size."""
     scores = []
     real = elm._hit_pcts
 
@@ -872,16 +859,18 @@ def sweep_with_scores(*split, **kwargs):
         return real(s, codebook, pairs)
 
     with mock.patch.object(elm, "_hit_pcts", recording):
-        return sweep_hidden(*split, **kwargs), scores
+        return sweep_hidden(*data, **kwargs), scores
 
 
-def assert_sweep_matches_reference(split, c, L_max, step, seed):
-    # scores agree to RTOL in norm; the hit curves and the selected size exactly
-    ref = sweep_reference(*split, c=c, L_max=L_max, step=step, seed=seed)
-    res, scores = sweep_with_scores(*split, c=c, L_max=L_max, step=step, seed=seed)
+def assert_sweep_matches_reference(data, c, L_max, step, seed):
+    # each held row's scores agree to RTOL; the hit curves and the selected size exactly
+    ref = loo_reference(*data, c=c, L_max=L_max, step=step, seed=seed)
+    res, scores = sweep_with_scores(*data, c=c, L_max=L_max, step=step, seed=seed)
     assert len(scores) == len(ref[4])
     for got, want in zip(scores, ref[4]):
-        assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+        assert got.shape == want.shape
+        gap = np.linalg.norm(got - want, axis=1)
+        assert (gap <= RTOL * np.linalg.norm(want, axis=1)).all(), gap.max()
     for got, want in zip((res.sizes, res.floor_hits, res.building_hits), ref[:3]):
         assert got.tobytes() == want.tobytes()
     assert res.best_L == ref[3]
@@ -891,25 +880,26 @@ class TestSweepAgainstReference:
     @pytest.mark.parametrize("L_max, step", [(10, 10), (20, 10), (50, 10), (47, 5)],
                              ids=["one", "two", "odd", "ragged"])
     def test_equals_per_size_fits(self, rng, L_max, step):
-        assert_sweep_matches_reference(_noisy_split(rng), c=0.5, L_max=L_max, step=step, seed=3)
+        assert_sweep_matches_reference(_noisy_set(rng, n=200), c=0.5, L_max=L_max, step=step,
+                                       seed=3)
 
-    @given(seed=st.integers(0, 2 ** 31 - 1), step=st.integers(1, 12),
+    @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(20, 120), step=st.integers(1, 12),
            extra=st.integers(0, 28), c=st.sampled_from([0.1, 1.0, 10.0]))
-    @example(seed=1, step=1, extra=28, c=1.0)  # every size from 1 to 29
-    @example(seed=2, step=9, extra=0, c=1.0)  # L_max = step: one size
-    @example(seed=3, step=7, extra=16, c=0.1)  # ragged: 7, 14, 21 up to 23
+    @example(seed=1, n=90, step=1, extra=28, c=1.0)  # every size from 1 to 29
+    @example(seed=2, n=80, step=9, extra=0, c=1.0)  # L_max = step: one size
+    @example(seed=3, n=100, step=7, extra=16, c=0.1)  # ragged: 7, 14, 21 up to 23
+    @example(seed=4, n=20, step=4, extra=16, c=10.0)  # as many neurons as rows
+    @example(seed=5, n=24, step=2, extra=20, c=1.0)  # L_max one short of the 23 other rows
     @settings(max_examples=30, deadline=None)
-    def test_random_splits_and_grids(self, seed, step, extra, c):
-        split = _noisy_split(np.random.default_rng(seed), n=int(seed % 120) + 80)
-        assert_sweep_matches_reference(split, c=c, L_max=step + extra, step=step, seed=seed % 7)
+    def test_random_splits_and_grids(self, seed, n, step, extra, c):
+        data = _noisy_set(np.random.default_rng(seed), n=n)
+        assert_sweep_matches_reference(data, c=c, L_max=step + extra, step=step, seed=seed % 7)
 
     def test_nan_features_raise_like_the_reference(self, rng):
-        x_tr, p_tr, x_val, p_val = _noisy_split(rng)
-        x_tr[7, 2] = np.nan
+        x, labels = _noisy_set(rng)
+        x[7, 2] = np.nan
         with pytest.raises(ValueError) as want:
-            sweep_reference(x_tr, p_tr, x_val, p_val, c=0.5, L_max=50, step=10, seed=0)
+            loo_reference(x, labels, c=0.5, L_max=50, step=10, seed=0)
         with pytest.raises(ValueError) as got:
-            sweep_hidden(x_tr, p_tr, x_val, p_val, c=0.5, L_max=50, step=10, seed=0)
-        # the same check, reported under the sweep's argument name
-        assert str(want.value) == "features contains non-finite values"
-        assert str(got.value) == f"train_{want.value}"
+            sweep_hidden(x, labels, c=0.5, L_max=50, step=10, seed=0)
+        assert str(got.value) == str(want.value) == "features contains non-finite values"

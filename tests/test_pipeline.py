@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import traced_peak
-from hypothesis import given, settings, strategies as st
+from conftest import loo_reference, traced_peak
+from hypothesis import example, given, settings, strategies as st
 
 from elmloc import elm, pipeline
 from elmloc.cli import main
-from elmloc.dataset import ParseError, RadioMap, split_validation
+from elmloc.dataset import ParseError, RadioMap
 from elmloc.evaluation import hit_rate
 from elmloc.featurizer import featurize, init_featurizer
 from elmloc.pipeline import (
@@ -249,19 +251,14 @@ class TestPredictProperties:
         assert np.array_equal(bb[clear], b[clear]) and np.array_equal(fb[clear], f[clear])
 
 
-def sweep_reference(train, config, step):
-    """The sweep as the CLI composed it before ``sweep_pipeline``: its bitwise oracle."""
-    sweep_train, val = split_validation(train, fraction=0.1, seed=config.seed)
-    params = fit_preprocess(sweep_train, mode=config.norm_mode)
-    x_tr = apply_preprocess(sweep_train, params)
-    x_val = apply_preprocess(val, params)
+def stage_output(train, config):
+    """The ELM's training input, composed from the stages' public functions."""
+    x = apply_preprocess(train, fit_preprocess(train, mode=config.norm_mode))
     if config.approach == "cnn_elm":
         spec = init_featurizer(config.seed, train.n_aps, n_filters=config.n_filters,
                                kernel_size=config.kernel_size)
-        x_tr = featurize(x_tr, spec)
-        x_val = featurize(x_val, spec)
-    return elm.sweep_hidden(x_tr, sweep_train.label_pairs(), x_val, val.label_pairs(),
-                            config.c, config.L, step=step, seed=config.seed)
+        x = featurize(x, spec)
+    return x
 
 
 class TestSweepPipeline:
@@ -271,23 +268,24 @@ class TestSweepPipeline:
         ("cnn_elm", dict(norm_mode="per_sample", kernel_size=5, n_filters=3, seed=4, c=0.1)),
         ("elm_only", dict(norm_mode="per_sample", seed=2, c=10.0)),
     ], ids=["cnn_elm", "elm_only", "cnn_elm_per_sample", "elm_only_per_sample"])
-    def test_equals_the_old_composition_bitwise(self, syn_small, approach, kw):
+    def test_equals_leave_one_out_refits(self, syn_small, approach, kw):
+        # every row through the stages, each held row scored by a refit without it
         train, _ = syn_small
         config = _config(approach=approach, L=70, **kw)
-        res = sweep_pipeline(train, config, step=7)
-        ref = sweep_reference(train, config, step=7)
-        assert res.sizes.tolist() == list(range(7, 71, 7))
-        for name in ("sizes", "floor_hits", "building_hits"):
-            got, want = getattr(res, name), getattr(ref, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-        assert res.best_L == ref.best_L
+        res = sweep_pipeline(train, config, step=14)
+        ref = loo_reference(stage_output(train, config), train.label_pairs(), config.c,
+                            config.L, 14, config.seed)
+        assert res.sizes.tolist() == [14, 28, 42, 56, 70]
+        for got, want in zip((res.sizes, res.floor_hits, res.building_hits), ref[:3]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert res.best_L == ref[3]
 
     @pytest.mark.parametrize("step", [0, 41])
-    def test_bad_grid_refused_before_the_split(self, syn_small, monkeypatch, step):
-        def split(*args, **kwargs):
-            raise AssertionError("the validation split ran before the grid was checked")
+    def test_bad_grid_refused_before_the_stages(self, syn_small, monkeypatch, step):
+        def stages(*args, **kwargs):
+            raise AssertionError("a stage was fitted before the grid was checked")
 
-        monkeypatch.setattr(pipeline, "split_validation", split)
+        monkeypatch.setattr(pipeline, "_fit_stages", stages)
         with pytest.raises(ValueError, match=rf"^need 1 <= step <= L_max, got step={step}, L_max=40$"):
             sweep_pipeline(syn_small[0], _config(L=40), step=step)
 
@@ -654,6 +652,17 @@ BAD_KEYS = {
                               bad_value("elm", r"codebook must be N x 2, got shape \(\d+, 3\)")),
     "codebook_empty": ("elm", lambda d: d.update(codebook=[]),
                        bad_value("elm", r"codebook must be N x 2, got shape \(0,\)")),
+    # numpy reads a true or false among numbers as 1: each is refused where the file
+    # holds a number, at any depth
+    "beta_bool": ("elm", lambda d: d["beta"][0].__setitem__(0, True),
+                  bad_value("elm", r"beta must hold numbers, got true/false values")),
+    "beta_row_bool": ("elm", lambda d: d["beta"].__setitem__(1, False),
+                      bad_value("elm", r"beta must hold numbers, got true/false values")),
+    "feature_norms_bool": ("preprocess", lambda d: d["feature_norms"].__setitem__(3, True),
+                           bad_value("preprocess",
+                                     r"feature_norms must hold numbers, got true/false values")),
+    "codebook_row_bool": ("elm", lambda d: d["codebook"].__setitem__(0, True),
+                          bad_value("elm", r"codebook must hold 64-bit integers, got True")),
 }
 
 
@@ -1016,3 +1025,79 @@ class TestWidthRecordedOnce:
         # without a conv stage, n_aps is the only record of the input width
         model = load_model(V3_FILES / "elm_only_per_sample.model.json")
         assert model.n_aps == model.elm.n_features == syn_small[1].n_aps == 40
+
+
+# One-value edits of the v3 model files: each value goes in place of another, at
+# any depth, or a key goes. Whatever the file then holds, predict answers or
+# refuses it by name with one JSON object; it never raises or exits 1.
+EDIT_VALUES = [None, True, False, 2**63, -2**63, 1e308, "x", [1.0], {"a": 1}]
+V3_DOCS = {f.name: json.loads(f.read_text(encoding="utf-8"))
+           for f in sorted(V3_FILES.glob("*.model.json"))}
+
+
+def json_paths(node, path=()):
+    """The path (keys and list indices) of every value below the top of a JSON
+    document, depth first."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from json_paths(child, (*path, key))
+
+
+V3_PATHS = {name: list(json_paths(doc)) for name, doc in V3_DOCS.items()}
+delete = object()  # the edit that deletes a key
+
+
+def edited(name, path, value):
+    """The v3 document ``name`` with ``value`` put at ``path``, or the key at the
+    end of ``path`` deleted if ``value`` is ``delete``; and whether a true or false
+    went inside a list."""
+    doc = json.loads(json.dumps(V3_DOCS[name]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is delete:
+        del parent[path[-1]]
+        return doc, False
+    parent[path[-1]] = value
+    return doc, isinstance(parent, list) and isinstance(value, bool)
+
+
+@st.composite
+def one_value_edit(draw):
+    """``edited`` at a path drawn from every path of a v3 file, cut to a drawn depth
+    (so most edits reach into the weights, and every depth is tried)."""
+    name = draw(st.sampled_from(sorted(V3_DOCS)))
+    path = draw(st.sampled_from(V3_PATHS[name]))
+    path = path[:draw(st.integers(1, len(path)))]
+    parent = V3_DOCS[name]
+    for key in path[:-1]:
+        parent = parent[key]
+    values = [*EDIT_VALUES, delete] if isinstance(parent, dict) else EDIT_VALUES
+    return edited(name, path, draw(st.sampled_from(values)))
+
+
+@given(edit=one_value_edit(), quantized=st.booleans())
+@example(edit=edited("cnn_elm_per_sample.model.json", ("elm", "beta", 0, 0), True),
+         quantized=False)
+@example(edit=edited("cnn_elm_per_feature_int8.model.json", ("preprocess", "feature_norms", 5),
+                     False), quantized=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_one_value_edits_answer_or_refuse_by_name(one_query, tmp_path_factory, edit,
+                                                  quantized):
+    doc, bool_in_list = edit
+    d = tmp_path_factory.getbasetemp() / "edited"
+    d.mkdir(exist_ok=True)
+    (d / "m.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--error-json", "predict", "--model", str(d / "m.json"), "--queries",
+            str(one_query), "--out", str(d / "out.csv"), *(["--quantized"] * quantized)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    if bool_in_list:
+        assert rc == 2
