@@ -61,6 +61,7 @@ from .dataset import (
     parse_setting,
     registry_lookup,
     registry_names,
+    rss_block,
     rss_matrix,
 )
 from .elm import check_grid, check_quantized
@@ -273,8 +274,7 @@ def _read_queries(path: Path, model) -> RadioMap | np.ndarray:
                 "AP columns; place a manifest.json next to the file to map columns"
             )
 
-    data = _read_matrix(path, check_width)
-    data[data == 100.0] = 0.0
+    data = rss_block(_read_matrix(path, check_width), 100.0)
     try:
         return rss_matrix(data, "rss")
     except ValueError as exc:

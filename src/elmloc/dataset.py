@@ -22,8 +22,12 @@ decodes UTF-8 too, so no file is read in the locale's encoding.
 Every fingerprint file, a training split or a query file, goes through one
 reader, which cuts lines where str.splitlines cuts them: the caller checks the
 header's width before any row is parsed, and numpy's C parser reads the rows
-as they stream. Only input it cannot vouch for is read again, twice, row by
-row with float(), which names the offending line.
+as they stream, as 32-bit integers first (fingerprint files store whole dBm
+and whole labels), then, if a cell is no such integer, again as floats. Only
+input neither parse can vouch for is read again, twice, row by row with
+float(), which names the offending line. An integer read stores a "-0" cell
+as 0.0, not -0.0; either is "not detected". ``rss_block`` turns the AP
+columns into the float64 RSS matrix, the sentinel at 0, in one pass.
 
 Every setting (a seed, a size, the ridge term c, a mode or the int8 flag)
 passes ``check_setting``, which reads its rule from one table, ``_SETTINGS``:
@@ -250,19 +254,41 @@ def store_settings(obj, names) -> None:
         object.__setattr__(obj, name, check_setting(name, getattr(obj, name)))
 
 
-# numpy dtype kinds of arrays that hold no numbers. A lone true among
-# numbers still reads as 1; only a Python walk over every entry would see it.
+# numpy dtype kinds of arrays that hold no numbers. A lone true among numbers
+# in a Python list reads as 1; ``check_entries`` walks such lists for one.
 _NOT_NUMBERS = {"b": "true/false values", "U": "strings", "c": "complex numbers"}
+_BOOLS = (bool, np.bool_)
 
 
 def check_array(value, key: str) -> np.ndarray:
     """``value`` as numpy reads it, refused by ``key`` unless it holds numbers: the
-    rule to apply before any float cast. It is not scanned for non-finite values."""
+    rule to apply before any float cast. A value that is no ndarray is walked by
+    ``check_entries`` first. It is not scanned for non-finite values."""
+    if not isinstance(value, np.ndarray):
+        check_entries(value, key)
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         what = _NOT_NUMBERS.get(arr.dtype.kind, "nulls or other non-numbers")
         raise ValueError(f"{key} must hold numbers, got {what}")
     return arr
+
+
+def check_entries(value, key: str, check=None):
+    """``value`` once each entry of its nested lists and tuples passes
+    ``check(entry, key)``, or else is no true or false, which numpy would read
+    as 1 among numbers: one walk, any depth."""
+    level = [value]
+    while level:
+        deeper = []
+        for entry in level:
+            if isinstance(entry, (list, tuple)):
+                deeper += entry
+            elif check is not None:
+                check(entry, key)
+            elif type(entry) in _BOOLS:  # bool has no subclasses; type() is cheaper
+                raise ValueError(f"{key} must hold numbers, got true/false values")
+        level = deeper
+    return value
 
 
 def check_labels(values, what: str, n: int) -> np.ndarray:
@@ -289,7 +315,10 @@ def check_labels(values, what: str, n: int) -> np.ndarray:
 def label_rows(pairs, what: str, n: int | None = None) -> np.ndarray:
     """``pairs`` as an N x 2 int64 matrix of (building, floor) rows, ``n`` of them if
     given; ``ValueError`` naming ``what`` for another shape, and naming the column
-    for a label ``check_labels`` refuses."""
+    for a label ``check_labels`` refuses. A value that is no ndarray is walked by
+    ``check_entries`` first."""
+    if not isinstance(pairs, np.ndarray):
+        check_entries(pairs, what)
     arr = np.asarray(pairs)
     if arr.ndim != 2 or arr.shape[1] != 2 or n not in (None, arr.shape[0]):
         raise ValueError(f"{what} must be {'N' if n is None else n} x 2, got shape {arr.shape}")
@@ -461,8 +490,7 @@ def _read_map(path, schema: ColumnSchema, sentinel_raw: float, name: str) -> Rad
             )
 
     data = _read_matrix(path, check_width)
-    rss = data[:, schema.ap_start : schema.ap_end + 1].copy()
-    rss[rss == sentinel_raw] = NOT_DETECTED
+    rss = rss_block(data[:, schema.ap_start : schema.ap_end + 1], sentinel_raw)
     floor = data[:, schema.floor_col]
     building = None if schema.building_col is None else data[:, schema.building_col]
     try:
@@ -471,16 +499,24 @@ def _read_map(path, schema: ColumnSchema, sentinel_raw: float, name: str) -> Rad
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def rss_block(ap: np.ndarray, sentinel_raw: float) -> np.ndarray:
+    """The AP columns ``ap`` of a parsed file, int32 or float64, as a new float64
+    matrix (``NOT_DETECTED`` is a Python float, which makes int32 float64), each
+    cell equal to ``sentinel_raw`` set to ``NOT_DETECTED``: one pass."""
+    return np.where(ap == sentinel_raw, NOT_DETECTED, ap)
+
+
 def _read_matrix(path, check_width) -> np.ndarray:
-    """Data rows of a CSV file as an N x width float matrix; N may be 0.
+    """Data rows of a CSV file as an N x width matrix, int32 if every cell is a
+    32-bit integer, else float64; N may be 0.
 
     Line 1 is the header, ``width`` its cell count; ``check_width(width)``
     runs before any row is parsed. Blank and whitespace-only lines are skipped
-    but counted. numpy parses the rows; where it raises (it reads no "1_0"), a
-    width differs or a value is not finite, ``_parse_rows`` reads them again.
-    A ragged row, a non-numeric cell or a non-finite value raises ParseError
-    naming its 1-based line number; so does an empty file or one that does
-    not decode.
+    but counted. numpy parses the rows as int32, and where that fails as
+    float64; where that raises too (it reads no "1_0"), a width differs or a
+    value is not finite, ``_parse_rows`` reads them again. A ragged row, a
+    non-numeric cell or a non-finite value raises ParseError naming its 1-based
+    line number; so does an empty file or one that does not decode.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -490,18 +526,29 @@ def _read_matrix(path, check_width) -> np.ndarray:
                 raise ParseError(f"{path}: empty file (expected a header row)")
             width = len(header.split(","))
             check_width(width)
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-                    data = np.loadtxt((line for _, line in _rows(lines)), dtype=np.float64,
-                                      delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                data = None
+            data = _loadtxt(_rows(lines), np.int32)
+            if data is None:
+                fh.seek(0)
+                data = _loadtxt(_rows(_lines(fh)), np.float64)
         if data is None or data.shape[1] != width or not np.all(np.isfinite(data)):
             data = _parse_rows(path, width)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return data
+
+
+def _loadtxt(rows, dtype) -> np.ndarray | None:
+    """The streamed ``rows`` as numpy's parser reads them into ``dtype``, or None
+    where it raises. numpy before 2.0 reads "-70.5" as the int -70 with a
+    DeprecationWarning ("integer via a float"); that warning is a failure too."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            return np.loadtxt((line for _, line in rows), dtype=dtype,
+                              delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
 
 
 def _lines(fh):

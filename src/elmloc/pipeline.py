@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elm as elm_mod
-from .dataset import RadioMap, check_int, check_setting, load_json, store_settings
+from .dataset import RadioMap, check_entries, check_int, check_setting, load_json, store_settings
 from .featurizer import FeaturizerSpec, feature_width, featurize, init_featurizer
 from .preprocess import PreprocessParams, _fit_transform, _rss_of, _transform
 
@@ -223,23 +223,6 @@ def _section(path: Path, doc: dict, key: str):
         raise ValueError(f"{path}: bad value under model key {key!r}: {exc}") from None
 
 
-def _entries(value, key: str, check=None):
-    """``value`` once each entry of its nested lists passes ``check(entry, key)``,
-    or else is no true or false, which numpy would read as 1: one walk, any depth."""
-    level = [value]
-    while level:
-        deeper = []
-        for entry in level:
-            if isinstance(entry, list):
-                deeper += entry
-            elif check is not None:
-                check(entry, key)
-            elif isinstance(entry, bool):
-                raise ValueError(f"{key} must hold numbers, got true/false values")
-        level = deeper
-    return value
-
-
 def load_model(path) -> TrainedModel:
     """The model in an ``elmloc-model-v3`` file.
 
@@ -261,7 +244,6 @@ def load_model(path) -> TrainedModel:
     with _section(path, doc, "n_aps") as n_aps:
         check_setting("n_aps", n_aps)
     with _section(path, doc, "preprocess") as section:
-        _entries(section["feature_norms"], "feature_norms")
         params = PreprocessParams(**section)
         norms = params.feature_norms
         if params.mode == "per_feature" and (norms is None or len(norms) != n_aps):
@@ -271,8 +253,8 @@ def load_model(path) -> TrainedModel:
         featurizer = None if section is None else FeaturizerSpec(**section, n_aps=n_aps)
         width = n_aps if featurizer is None else feature_width(n_aps, featurizer)
     with _section(path, doc, "elm") as section:
-        pairs = np.array(_entries(section["codebook"], "codebook", check_int))
-        elm = elm_mod.ElmModel(_entries(section["beta"], "beta"), section["c"],
+        pairs = np.array(check_entries(section["codebook"], "codebook", check_int))
+        elm = elm_mod.ElmModel(section["beta"], section["c"],
                                elm_mod.ClassCodebook(pairs), section["seed"], width,
                                section["quantized"])
     model = TrainedModel(params, featurizer, elm, dataset=doc["dataset"])

@@ -20,9 +20,10 @@ checks under the argument's name. One private fit,
 ``_fit_transform``, fits both stages and returns the training matrix passed
 through them: the powed transform runs once.
 
-The powed stage and the per-feature norm read and write only the detected
-cells, through one flat index; the output matrix starts as zeros. Per-sample
-mode divides the whole powed matrix by its row norms.
+The powed stage, the per-feature norms and the division by them read and
+write only the detected cells, through one flat index; the output matrix
+starts as zeros. Per-sample mode divides the whole powed matrix by its row
+norms.
 """
 
 from __future__ import annotations
@@ -147,9 +148,21 @@ def _fit_transform(train, mode: str) -> tuple[PreprocessParams, np.ndarray]:
     x = _scatter(rss.shape, cells, values)
     if mode == "per_sample":
         return params, _per_sample(x)
-    params = replace(params, feature_norms=np.linalg.norm(x, axis=0))
+    params = replace(params, feature_norms=_column_norms(x, cells, values))
     x.ravel()[cells] = _divided(values, cells, params)
     return params, x
+
+
+def _column_norms(x: np.ndarray, cells: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=0)``, bitwise, for ``x`` holding ``values`` at the
+    flat row-major ``cells`` and 0 elsewhere. Over two or more columns numpy adds
+    each column's squares in row order; ``bincount`` over the detected cells adds
+    them in that order too, without numpy's N x n temporary of squares. One
+    column numpy sums pairwise, so that one is left to it."""
+    n = x.shape[1]
+    if n == 1:
+        return np.linalg.norm(x, axis=0)
+    return np.sqrt(np.bincount(cells % n, weights=values * values, minlength=n))
 
 
 def _divided(values: np.ndarray, cells: np.ndarray, params: PreprocessParams) -> np.ndarray:

@@ -231,6 +231,25 @@ class TestDetectedCells:
         assert apply_preprocess(queries, params).tobytes() == _dense_reference(queries, params).tobytes()
 
 
+class TestColumnNorms:
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 12),
+           st.sampled_from([0.04, 0.3, 1.0]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_the_dense_norms(self, seed, n, d, density, data):
+        # the norms are summed from the detected cells alone, in row order, as
+        # np.linalg.norm sums every cell of the powed matrix; one column (d = 1)
+        # numpy sums pairwise, and the fit leaves that column to it
+        r = np.random.default_rng(seed)
+        rss = np.where(r.random((n, d)) < density, r.uniform(-110.0, -30.0, (n, d)), NOT_DETECTED)
+        rss[0, 0] = -105.0  # at least one detection
+        silent = data.draw(st.lists(st.integers(1, d - 1), max_size=d - 1)) if d > 1 else []
+        rss[:, silent] = NOT_DETECTED  # columns training never heard: zero norm
+        norms = fit_preprocess(rss).feature_norms
+        want = np.linalg.norm(apply_powed(rss, fit_powed(rss)), axis=0)
+        assert norms.tobytes() == want.tobytes()
+        assert (norms[silent] == 0.0).all()
+
+
 class TestRawMatrixChecked:
     @pytest.mark.parametrize("bad, message", [
         (100.0, r"^{}: detected RSS values must be <= 0 dBm; found 100.0 "),
