@@ -64,7 +64,7 @@ from .dataset import (
     rss_block,
     rss_matrix,
 )
-from .elm import check_grid, check_quantized
+from .elm import check_grid
 from .evaluation import config_digest, format_table, hit_rate, run_benchmark
 from .pipeline import (
     PipelineConfig,
@@ -283,8 +283,6 @@ def _read_queries(path: Path, model) -> RadioMap | np.ndarray:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if args.quantized:  # before the query file is read: an empty one answers no query
-        check_quantized(model.elm)
     queries_path = Path(args.queries)
     if not queries_path.exists():
         raise CliError(f"missing file: {queries_path}")
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_train_flags(p)
     p.add_argument("--L", help="hidden neurons, or 'auto' to pick them as sweep does")
     p.add_argument("--quantize", action="store_true", default=None,
-                   help="attach int8 weights to the model")
+                   help="record the int8 flag in the model; any model serves int8")
     p.add_argument("--out", help="model output path (default <dataset>.model.json)")
     p.set_defaults(func=cmd_train)
 

@@ -235,11 +235,12 @@ def check_setting(name: str, value):
 
 def parse_setting(name: str, text: str):
     """The setting ``name`` read from command-line ``text``: converted by the
-    kind ``_SETTINGS`` gives, as ``int(text)`` or ``float(text)``, then checked
-    by ``check_setting``. Text that does not convert is checked as it is, so it
-    is refused with the message a config-file string gets."""
+    kind ``_SETTINGS`` gives, as ``int(text)`` or ``float(text)`` if its stripped
+    form is ASCII (``_cell``'s rule: both read "٣" as 3), then checked by
+    ``check_setting``. Other text, or a default that is no text, is checked as it
+    is, so such text is refused with the message a config-file string gets."""
     kind = _SETTINGS[name][0]
-    if kind in (int, float):
+    if kind in (int, float) and isinstance(text, str) and text.strip().isascii():
         try:
             text = kind(text)
         except ValueError:
@@ -293,7 +294,10 @@ def check_entries(value, key: str, check=None):
 
 def check_labels(values, what: str, n: int) -> np.ndarray:
     """``values`` as a length-``n`` int64 vector of whole, non-negative numbers
-    within int64; anything else raises ``ValueError`` naming ``what``."""
+    within int64; anything else raises ``ValueError`` naming ``what``. A value that
+    is no ndarray is walked by ``check_entries`` first."""
+    if not isinstance(values, np.ndarray):
+        check_entries(values, what)
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValueError(f"{what} labels must be a length-{n} vector, got shape {arr.shape}")

@@ -12,8 +12,8 @@ Classes are joint (building, floor) pairs, so one argmax yields both labels.
 This module owns the ridge solve: one lower Cholesky factor of the Gram
 matrix and one forward solve through it, which ``fit`` finishes with one
 back-solve.
-A per-tensor symmetric 8-bit quantization of the three weight tensors covers
-the deployment path. A sweep picks the hidden-layer size by exact
+A per-tensor symmetric 8-bit quantization of the three weight tensors serves
+any model on the deployment path. A sweep picks the hidden-layer size by exact
 leave-one-out (PRESS) on a stratified tenth of the training rows, on the
 first L neurons of one layer: one factor and forward solve give every size.
 An ``ElmModel`` holds what was learned and the seed: the hidden layer and
@@ -187,10 +187,10 @@ class ElmModel:
     plus what its random parts are drawn from.
 
     ``w`` and ``b`` are ``init_hidden(seed, n_features, L)``, and ``quantized``
-    holds int8 codes of w, b and beta when ``int8`` is set. Each is built on
-    first use, once per instance, and read-only, so no model holds random
-    weights its seed does not draw. A layer ``check_hidden_size`` refuses
-    fails here, before it is drawn.
+    holds int8 codes of w, b and beta; ``int8`` only records ``quantize``. Each
+    is built on first use, once per instance, and read-only, so no model holds
+    random weights its seed does not draw. A layer ``check_hidden_size``
+    refuses fails here, before it is drawn.
     """
 
     beta: np.ndarray
@@ -227,11 +227,8 @@ class ElmModel:
         return self._hidden[1]
 
     @cached_property
-    def quantized(self) -> QuantizedWeights | None:
-        """int8 codes of w, b and beta, with float b and beta made from theirs,
-        if ``int8`` is set, else None."""
-        if not self.int8:
-            return None
+    def quantized(self) -> QuantizedWeights:
+        """int8 codes of w, b and beta, with float b and beta made from theirs."""
         w_q, w_scale = _quantize_tensor(self.w)
         b_q, b_scale = _quantize_tensor(self.b)
         beta_q, beta_scale = _quantize_tensor(self.beta)
@@ -307,16 +304,8 @@ def _dequantize(codes: np.ndarray, scale: float) -> np.ndarray:
 
 
 def quantize(model: ElmModel) -> ElmModel:
-    """The model with int8 codes of w, b, beta (made on first use; float weights kept)."""
+    """The model with ``int8`` set, which its file records; any model serves int8."""
     return replace(model, int8=True)
-
-
-def check_quantized(model: ElmModel) -> QuantizedWeights:
-    """``model.quantized``; ``ValueError`` if the model has no int8 codes."""
-    if model.quantized is None:
-        raise ValueError("model has no quantized weights; train with quantize=True "
-                         "(elmloc train --quantize)")
-    return model.quantized
 
 
 def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +314,7 @@ def predict_quantized(features: np.ndarray, model: ElmModel) -> tuple[np.ndarray
     Each call dequantizes the rows of w its features need; no float copy of
     w is kept.
     """
-    q = check_quantized(model)
+    q = model.quantized
     scores = _scores(features, q.w_q, q.b, q.beta, w_scale=q.w_scale)
     return model.codebook.decode(np.argmax(scores, axis=1))
 

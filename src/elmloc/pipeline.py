@@ -8,8 +8,9 @@ The on-line side (``predict_pipeline``) therefore needs only that artifact
 plus raw RSS rows: stored preprocessing state and the seeds of the random
 layers travel with the model. Its hidden layer multiplies only the weight
 rows of the features a batch of queries holds nonzero, so a single
-fingerprint pays for the access points it heard, and an int8 model keeps
-no float copy of its hidden weights: a query dequantizes the rows it reads.
+fingerprint pays for the access points it heard. Any model answers int8,
+from codes of its weights (``PipelineConfig.quantize`` only records a flag),
+and keeps no float copy of w: a query dequantizes the rows it reads.
 ``sweep_pipeline`` fits the same stages on every training row and scores a
 grid of hidden sizes by exact leave-one-out on a stratified tenth of them.
 The CLI and the benchmark call these three and do not rebuild the stages
@@ -130,9 +131,7 @@ def sweep_pipeline(train: RadioMap, config: PipelineConfig, step: int = 5) -> el
 def predict_pipeline(
     data, model: TrainedModel, quantized: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(buildings, floors) for raw RSS rows (matrix or RadioMap)."""
-    if quantized:
-        elm_mod.check_quantized(model.elm)
+    """(buildings, floors) for raw RSS rows (matrix or RadioMap), by int8 if ``quantized``."""
     rss = _rss_of(data, "query matrix")
     if rss.shape[1] != model.n_aps:
         raise ValueError(f"model expects {model.n_aps} AP columns, input has {rss.shape[1]}")

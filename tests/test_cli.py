@@ -1,7 +1,10 @@
 """End-to-end command tests, in process via main(argv)."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import TST1, _write_csv
 from test_pipeline import (
@@ -21,11 +25,11 @@ from test_pipeline import (
     write_bad_model,
 )
 
-from elmloc import dataset, pipeline
+from elmloc import dataset, elm, pipeline
 from elmloc.cli import _load_train, main
 from elmloc.dataset import DatasetDescriptor
 from elmloc.evaluation import read_json
-from elmloc.pipeline import PipelineConfig, load_model
+from elmloc.pipeline import PipelineConfig, load_model, predict_pipeline
 
 pytestmark = pytest.mark.usefixtures("tst1_registered")
 
@@ -196,6 +200,16 @@ class TestTrain:
         assert cfg["c"] == 1.5     # flag wins
         assert cfg["seed"] == 7    # from file
 
+    def test_ascii_flag_text_converted(self, data_root, tmp_path, capsys):
+        # underscores and surrounding spaces read as int() and float() read
+        # them, as in a CSV cell; only other scripts' digits are refused
+        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                     "--L", "2_0", "--seed", " 3 ", "--c", "1_0.5",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cfg = json.loads(next(l for l in lines if l.startswith("config: "))[8:])
+        assert (cfg["L"], cfg["seed"], cfg["c"]) == (20, 3, 10.5)
+
     # each value an int(), float() or bool() cast would have turned into a setting
     @pytest.mark.parametrize("key, value, message", [
         ("quantize", "no", r"quantize must hold true or false, got 'no'"),
@@ -359,37 +373,49 @@ class TestPredict:
         assert rc == 0
         assert "floor hit:" in capsys.readouterr().out
 
-    def test_quantized_needs_quantized_model(self, data_root, tmp_path, capsys):
-        plain = tmp_path / "plain.model.json"
-        assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
-                     "--L", "20", "--out", str(plain)]) == 0
-        capsys.readouterr()
-        rc = main(["predict", "--model", str(plain), "--quantized",
-                   "--queries", str(data_root / "TST1" / "test.csv"),
-                   "--out", str(tmp_path / "p.csv")])
-        assert rc == 2
-        assert "quantized" in capsys.readouterr().err
+    def test_quantized_serves_a_float_model(self, data_root, tmp_path, capsys):
+        # int8 is a way to serve: a model trained without --quantize answers as
+        # elm.quantize of it does, and as the same model trained with the flag
+        paths = {flags: tmp_path / f"{len(flags)}.model.json" for flags in ((), ("--quantize",))}
+        for flags, path in paths.items():
+            assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
+                         "--L", "20", "--out", str(path), *flags]) == 0
+        plain = load_model(paths[()])
+        assert not plain.elm.int8
+        rows = _load_train("TST1", data_root)
+        want = predict_pipeline(rows, dataclasses.replace(plain, elm=elm.quantize(plain.elm)),
+                                quantized=True)
+        want = ["building,floor", *(f"{b},{f}" for b, f in zip(*want))]
+        queries = data_root / "TST1" / "train.csv"
+        for path in paths.values():
+            capsys.readouterr()
+            out = tmp_path / f"{path.stem}.csv"
+            assert main(["predict", "--model", str(path), "--quantized",
+                         "--queries", str(queries), "--out", str(out)]) == 0
+            assert "floor hit:" in capsys.readouterr().out
+            assert out.read_text().splitlines() == want
 
-    def test_quantized_checked_before_the_queries_are_read(self, data_root, tmp_path,
-                                                           capsys):
-        # a bad flag exits 2 before any data is read: a missing, unparsable or
-        # empty query file gets the same message, and no output is written
+    def test_quantized_reads_the_queries_as_float_does(self, data_root, tmp_path, capsys):
+        # a float model under --quantized meets a missing, unparsable or empty
+        # query file as it does without the flag
         plain = tmp_path / "plain.model.json"
         assert main(["train", "--dataset", "TST1", "--data-root", str(data_root),
                      "--L", "20", "--out", str(plain)]) == 0
-        capsys.readouterr()
         empty = tmp_path / "empty.csv"
         empty.write_text(",".join(f"AP{j}" for j in range(40)) + "\n")
         garbage = tmp_path / "garbage.csv"
         garbage.write_text("a,b\noops,1\n")
-        for queries in (tmp_path / "missing.csv", garbage, empty):
-            out = tmp_path / "p.csv"
-            assert main(["predict", "--model", str(plain), "--quantized",
-                         "--queries", str(queries), "--out", str(out)]) == 2
-            assert capsys.readouterr().err.strip() == (
-                "error: model has no quantized weights; train with quantize=True "
-                "(elmloc train --quantize)")
-            assert not out.exists()
+        for queries, rc in ((tmp_path / "missing.csv", 2), (garbage, 2), (empty, 0)):
+            seen = []
+            for flags in ([], ["--quantized"]):
+                capsys.readouterr()
+                out = tmp_path / f"p{len(flags)}.csv"
+                assert main(["predict", "--model", str(plain), "--queries", str(queries),
+                             "--out", str(out), *flags]) == rc
+                text = capsys.readouterr()
+                seen.append((text.out.replace(out.name, "p.csv"), text.err,
+                             out.read_text() if out.exists() else None))
+            assert seen[0] == seen[1]
 
     def test_bare_matrix_queries(self, model_path, tmp_path, capsys):
         # no manifest next to the file: exactly the AP columns, 100 = silent
@@ -885,6 +911,13 @@ SETTING_FLAGS = [
     ("--L-max", str(2 ** 63), f"L_max must hold 64-bit integers, got {2 ** 63}"),
     ("--step", "x", "step must hold 64-bit integers, got 'x'"),
     ("--step", str(2 ** 63), f"step must hold 64-bit integers, got {2 ** 63}"),
+    # int() and float() read other scripts' digits; a flag, like a CSV cell, does not
+    ("--seed", "\u0663", "seed must hold 64-bit integers, got '\u0663'"),
+    ("--c", "\uff11", "c must hold a float, got '\uff11'"),
+    ("--c", "0.\u0665", "c must hold a float, got '0.\u0665'"),
+    ("--n-filters", " \u0662 ", "n_filters must hold 64-bit integers, got ' \u0662 '"),
+    ("--L-max", "\uff11\uff10", "L_max must hold 64-bit integers, got '\uff11\uff10'"),
+    ("--step", "\u0665", "step must hold 64-bit integers, got '\u0665'"),
 ]
 
 
@@ -893,6 +926,10 @@ SETTING_FLAGS = [
       for command in ("train", "sweep") for flag, value, message in SETTING_FLAGS),
     pytest.param(["train", "--L", "x"], "L must hold 64-bit integers, got 'x'", id="train--L=x"),
     pytest.param(["train", "--L", "0"], "L must be >= 1, got 0", id="train--L=0"),
+    pytest.param(["train", "--L", "\uff11\uff10"],
+                 "L must hold 64-bit integers, got '\uff11\uff10'", id="train--L=fullwidth_10"),
+    pytest.param(["benchmark", "--seeds", "0,\u0663"],
+                 "seed must hold 64-bit integers, got '\u0663'", id="benchmark--seeds=0,arabic_3"),
     pytest.param(["benchmark", "--seeds", "0,x"], "seed must hold 64-bit integers, got 'x'",
                  id="benchmark--seeds=0,x"),
     pytest.param(["benchmark", "--seeds", "0,-1"], "seed must be >= 0, got -1",
@@ -1033,3 +1070,89 @@ def test_bad_setting_same_message_everywhere(data_root, tmp_path, capsys, key, v
     assert re.search(rf"error: config file .*run\.json: {message}$",
                      capsys.readouterr().err.strip())
     assert not out.exists()
+
+
+# One-value edits of what a user types or writes: a --config file for train, one
+# cell of a query file for predict, and one setting flag's text. Whatever the
+# edit, the command answers or refuses by name with one JSON object, and no
+# bool or non-ASCII digit is read as a number.
+EDIT_JSON = [None, True, False, 2**63, -2**63, 1e308, math.nan, 3, 0.5, -1, "NaN", "10",
+             "x", "٣", "１０", "1_0", [1.0], {"a": 1}]
+EDIT_TEXT = ["", "null", "true", "True", "False", str(2**63), str(-2**63), "1e308",
+             "-1e308", "NaN", "inf", "3", "10", "0.5", "-60", "-6_0", "1_0", "x", "0x10",
+             "٣", "-١٢", "１０", "−50", "[1.0]", '{"a": 1}']
+BASE_CONFIG = {"L": 4, "c": 1.0, "seed": 0, "approach": "cnn_elm", "norm_mode": "per_feature",
+               "n_filters": 2, "kernel_size": 3, "quantize": False}
+NUMERIC_SETTINGS = ("L", "c", "seed", "n_filters", "kernel_size")
+SETTING_FLAG_NAMES = ["--L", "--c", "--seed", "--approach", "--norm-mode", "--kernel-size",
+                      "--n-filters", "--L-max", "--step"]
+
+
+@pytest.fixture(scope="module")
+def tiny_root(tmp_path_factory):
+    """A data root holding ``TINY``: 24 rows of 8 APs in 2 buildings x 2 floors."""
+    d = tmp_path_factory.mktemp("tiny") / "TINY"
+    d.mkdir()
+    rows = [",".join([*(str(-40 - (5 * i + 7 * j) % 50) if (i + j) % 3 else "100"
+                        for j in range(8)), str(i % 2), str(i // 2 % 2)]) for i in range(24)]
+    (d / "train.csv").write_text("\n".join(
+        [",".join([*(f"AP{j}" for j in range(8)), "FLOOR", "BUILDINGID"]), *rows]) + "\n")
+    (d / "manifest.json").write_text(json.dumps(
+        {"ap_columns": [0, 7], "floor_col": 8, "building_col": 9, "sentinel": 100}))
+    return d.parent
+
+
+@st.composite
+def user_edit(draw):
+    """(part, change, whether an exit of 0 would have read a bool or non-ASCII text
+    as a number) for one drawn edit of a config file, a query cell or a flag."""
+    part = draw(st.sampled_from(["config", "cell", "flag"]))
+    if part == "config":
+        key = draw(st.sampled_from(sorted(BASE_CONFIG)))
+        value = draw(st.sampled_from(EDIT_JSON))
+        misread = isinstance(value, bool) and key in NUMERIC_SETTINGS
+        return part, (key, value), misread
+    text = draw(st.sampled_from(EDIT_TEXT))
+    misread = not text.isascii() or text in ("True", "False", "true")
+    if part == "cell":
+        return part, (draw(st.integers(0, 39)), text, draw(st.booleans())), misread
+    return part, (draw(st.sampled_from(SETTING_FLAG_NAMES)), text), misread
+
+
+@given(edit=user_edit())
+@example(edit=("flag", ("--seed", "٣"), True))
+@example(edit=("flag", ("--c", "１"), True))
+@example(edit=("cell", (38, "-١٢", False), True))
+@example(edit=("config", ("c", True), True))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_user_edits_answer_or_refuse_by_name(tiny_root, tmp_path_factory, edit):
+    part, change, misread = edit
+    d = tmp_path_factory.getbasetemp() / "user_edits"
+    d.mkdir(exist_ok=True)
+    train = ["train", "--dataset", "TINY", "--data-root", str(tiny_root),
+             "--out", str(d / "m.json")]
+    if part == "config":
+        key, value = change
+        (d / "run.json").write_text(json.dumps({**BASE_CONFIG, key: value}), encoding="utf-8")
+        argv = [*train, "--config", str(d / "run.json")]
+    elif part == "cell":
+        column, text, quantized = change
+        cells = ["100"] * 38 + ["-60", "-70"]
+        cells[column] = text
+        (d / "q.csv").write_text(",".join(f"AP{j}" for j in range(40)) + "\n"
+                                 + ",".join(cells) + "\n", encoding="utf-8")
+        argv = ["predict", "--model", str(V3_FILES / "cnn_elm_per_feature_int8.model.json"),
+                "--queries", str(d / "q.csv"), "--out", str(d / "out.csv"),
+                *(["--quantized"] * quantized)]
+    else:
+        flag, text = change
+        argv = [*train, "--L", "4", "--c", "1.0", f"{flag}={text}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["--error-json", *argv])
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    if misread:
+        assert rc == 2

@@ -649,7 +649,12 @@ class TestCheckArray:
         (lambda: feature_matrix([[0.5, True]], "beta"), "beta"),
         (lambda: check_label_rows([[0, True]], "pairs"), "pairs"),
         (lambda: rss_matrix([[-50.0, False]], "rss"), "rss"),
-    ], ids=["feature_matrix", "label_rows", "rss_matrix"])
+        (lambda: RadioMap(rss=[[-50.0], [-60.0]], floor=[1, True]), "floor"),
+        (lambda: RadioMap(rss=[[-50.0], [-60.0]], floor=(True, False)), "floor"),
+        (lambda: RadioMap(rss=[[-50.0], [-60.0]], floor=[0, 1], building=[0, np.True_]),
+         "building"),
+    ], ids=["feature_matrix", "label_rows", "rss_matrix", "radio_map_floor",
+            "radio_map_floor_tuple", "radio_map_building"])
     def test_bool_in_a_list_refused_at_each_door(self, call, what):
         with pytest.raises(ValueError, match=rf"^{what} must hold numbers, got true/false values$"):
             call()

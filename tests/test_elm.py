@@ -500,11 +500,17 @@ class TestQuantize:
         assert (f == fq).mean() > 0.95
         assert (b == bq).mean() > 0.95
 
-    def test_predict_quantized_requires_quantize(self, rng):
+    def test_predict_quantized_serves_a_float_model(self, rng):
+        # int8 is a way to serve any model: the codes come from the float weights
         x, labels = _toy_problem(rng)
         model = train_elm(x, labels, L=10, c=1.0, seed=0)
-        with pytest.raises(ValueError):
-            predict_quantized(x, model)
+        assert not model.int8
+        int8 = quantize(model)
+        assert [a.tolist() for a in predict_quantized(x, model)] == (
+            [a.tolist() for a in predict_quantized(x, int8)])
+        for key in ("w_q", "b_q", "beta_q", "b", "beta"):
+            got, want = getattr(model.quantized, key), getattr(int8.quantized, key)
+            assert got.tobytes() == want.tobytes()
 
 
 def quantize_tensor_reference(x):
@@ -634,7 +640,7 @@ class TestWeightsHandledOnce:
         model = train_elm(x, labels, L=10, c=1.0, seed=0)
         monkeypatch.setattr(elm, "_quantize_tensor", None)  # any call would raise
         predict(x, model)
-        assert model.quantized is None
+        assert "quantized" not in vars(model)  # the cached codes stay unbuilt
         assert saved_doc(model, tmp_path / "m.json")["elm"]["quantized"] is False
 
     @pytest.mark.parametrize("value", [300, -128, 1.7, 10 ** 400],

@@ -43,7 +43,7 @@ def settings_of(model):
     """
     settings = dict(L=model.elm.L, c=model.elm.c, seed=model.elm.seed,
                     approach="elm_only" if model.featurizer is None else "cnn_elm",
-                    norm_mode=model.preprocess.mode, quantize=model.elm.quantized is not None)
+                    norm_mode=model.preprocess.mode, quantize=model.elm.int8)
     if model.featurizer is not None:
         assert model.featurizer.seed == model.elm.seed
         settings.update(n_filters=model.featurizer.n_filters,
@@ -126,17 +126,16 @@ class TestFitPredict:
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
         assert RadioMap(rss=ints, floor=np.zeros(20, dtype=np.int64)).rss.tobytes() == rss.tobytes()
 
-    def test_quantized_refused_before_any_stage_runs(self, syn_small, fitted, monkeypatch):
+    def test_quantized_float_model_answers_as_quantize(self, syn_small, fitted):
+        # int8 is a way to serve: a model fitted without quantize answers as
+        # elm.quantize of it does, from codes of the same float weights
         float_only = dataclasses.replace(fitted, elm=dataclasses.replace(fitted.elm, int8=False))
-
-        def stage(*args):
-            raise AssertionError("a stage ran before the int8 codes were looked for")
-
-        monkeypatch.setattr(pipeline, "_apply_stages", stage)
-        message = (r"^model has no quantized weights; "
-                   r"train with quantize=True \(elmloc train --quantize\)$")
-        with pytest.raises(ValueError, match=message):
-            predict_pipeline(syn_small[1].rss[:3], float_only, quantized=True)
+        int8 = dataclasses.replace(fitted, elm=elm.quantize(float_only.elm))
+        rss = syn_small[1].rss
+        got = predict_pipeline(rss, float_only, quantized=True)
+        want = predict_pipeline(rss, int8, quantized=True)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert not float_only.elm.int8
 
     @pytest.mark.parametrize("norm_mode", ["per_feature", "per_sample"])
     @pytest.mark.parametrize("approach", ["cnn_elm", "elm_only"])
@@ -350,7 +349,7 @@ def save_model_reference(model, path):
             "seed": readout.seed,
             "c": readout.c,
             "beta": [[float(v) for v in row] for row in readout.beta],
-            "quantized": readout.quantized is not None,
+            "quantized": readout.int8,
         },
         "random_sha256": random_sha256_reference(model),
     }
@@ -754,7 +753,7 @@ def answers_with_one_blas_thread(rss, directory, tmp_path):
         "for name in sys.argv[3:]:\n"
         "    model = load_model(Path(sys.argv[2]) / f'{name}.model.json')\n"
         "    out[name] = {'float': [a.tolist() for a in predict_pipeline(rss, model)]}\n"
-        "    if model.elm.quantized is not None:\n"
+        "    if model.elm.int8:\n"
         "        out[name]['int8'] = [a.tolist() for a in\n"
         "                             predict_pipeline(rss, model, quantized=True)]\n"
         "print(json.dumps(out))\n"
@@ -896,6 +895,26 @@ class TestV3ModelFiles:
                          "--queries", str(q), "--out", str(out), *flags]) == 0
             got = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
             assert got.T.tolist() == want, mode
+
+    @pytest.mark.parametrize("name", ["elm_only_per_sample", "cnn_elm_per_sample"])
+    def test_float_files_answer_int8_as_quantize(self, syn_small, tmp_path, name):
+        # a file written without quantize still serves int8: exactly as
+        # elm.quantize of its ElmModel, through the pipeline and the command
+        path = V3_FILES / f"{name}.model.json"
+        model = load_model(path)
+        assert not model.elm.int8
+        int8 = dataclasses.replace(model, elm=elm.quantize(model.elm))
+        rss = syn_small[1].rss
+        want = [a.tolist() for a in predict_pipeline(rss, int8, quantized=True)]
+        assert [a.tolist() for a in predict_pipeline(rss, model, quantized=True)] == want
+        q, out = tmp_path / "q.csv", tmp_path / "int8.csv"
+        rows = [",".join("100" if v == 0.0 else repr(float(v)) for v in row) for row in rss]
+        q.write_text(",".join(f"AP{j}" for j in range(rss.shape[1])) + "\n"
+                     + "\n".join(rows) + "\n")
+        assert main(["predict", "--model", str(path), "--queries", str(q), "--out", str(out),
+                     "--quantized"]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+        assert got.T.tolist() == want
 
     @pytest.mark.parametrize("name", MODELS)
     def test_saved_again_is_the_same_file(self, tmp_path, name):
